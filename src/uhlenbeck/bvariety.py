@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -27,6 +28,7 @@ from .core import (
     Subspace,
     Vector,
     char_poly,
+    commutant_system,
     inverse,
     kernel_basis,
     krylov_span_dim,
@@ -34,9 +36,16 @@ from .core import (
     rat,
     solve_linear,
     squarefree_factorization,
-    vector,
 )
 from .partitions import Partition
+
+
+@dataclass(frozen=True)
+class TripleCheck:
+    ok: bool
+    commutator_ok: bool
+    nilpotent_ok: bool
+    cyclic_ok: bool
 
 
 @dataclass(frozen=True)
@@ -50,29 +59,38 @@ class BTriple:
     def size(self) -> int:
         return self.Y.rows
 
+    @cached_property
+    def check(self) -> TripleCheck:
+        """Commutator identity, nilpotency of Z and cyclicity of v.
 
-@dataclass(frozen=True)
-class TripleCheck:
-    ok: bool
-    commutator_ok: bool
-    nilpotent_ok: bool
-    cyclic_ok: bool
+        The triple is immutable, so the report is computed on first access
+        and stored; every reader of the verdict shares that one computation.
+        """
+        y, z, v, tau = self.Y, self.Z, self.v, rat(self.tau)
+        if tau == 0:
+            raise ValueError("tau must be nonzero")
+        if not (y.is_square and z.is_square and y.rows == z.rows):
+            raise ValueError("Y and Z must be square of equal size")
+        k = y.rows
+        if len(v) != k:
+            raise ValueError("vector length must match the matrix size")
+        comm_ok = y.commutator(z) == z.power(3).scale(tau)
+        nil_ok = z.power(k).is_zero if k else True
+        cyc_ok = krylov_span_dim([y, z], v) == k
+        return TripleCheck(comm_ok and nil_ok and cyc_ok, comm_ok, nil_ok, cyc_ok)
 
 
 def check_btriple(triple: BTriple) -> TripleCheck:
-    """Verify the commutator identity, nilpotency of Z, and cyclicity of v."""
-    y, z, v, tau = triple.Y, triple.Z, triple.v, rat(triple.tau)
-    if tau == 0:
-        raise ValueError("tau must be nonzero")
-    if not (y.is_square and z.is_square and y.rows == z.rows):
-        raise ValueError("Y and Z must be square of equal size")
-    k = y.rows
-    if len(v) != k:
-        raise ValueError("vector length must match the matrix size")
-    comm_ok = y.commutator(z) == z.power(3).scale(tau)
-    nil_ok = z.power(k).is_zero if k else True
-    cyc_ok = krylov_span_dim([y, z], v) == k
-    return TripleCheck(comm_ok and nil_ok and cyc_ok, comm_ok, nil_ok, cyc_ok)
+    """Verify the commutator identity, nilpotency of Z, and cyclicity of v.
+
+    Returns the triple's stored report, so repeated checks cost nothing.
+    """
+    return triple.check
+
+
+def _require_valid(triple: BTriple):
+    if not triple.check.ok:
+        raise ValueError(f"invalid triple: {triple.check}")
 
 
 def jordan_nilpotent(lam) -> RatMatrix:
@@ -129,20 +147,6 @@ def jordan_triple(k: int, u, tau) -> BTriple:
 # the Y-solution space
 
 
-def _commutator_system(z: RatMatrix) -> RatMatrix:
-    """Matrix of Y -> YZ - ZY on row-major flattened Y."""
-    k = z.rows
-    rows = []
-    for p in range(k):
-        for q in range(k):
-            row = [Fraction(0)] * (k * k)
-            for t in range(k):
-                row[p * k + t] += z.entry(t, q)
-                row[t * k + q] -= z.entry(p, t)
-            rows.append(row)
-    return RatMatrix.from_rows(rows) if rows else RatMatrix(0, 0, ())
-
-
 def solve_commutator_system(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatrix]] | None:
     """Solve [Y, Z] = tau Z^3 exactly; None when inconsistent.
 
@@ -154,7 +158,7 @@ def solve_commutator_system(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatri
     if k == 0:
         return RatMatrix(0, 0, ()), []
     rhs = z.power(3).scale(tau).entries
-    solved = solve_linear(_commutator_system(z), rhs)
+    solved = solve_linear(commutant_system([z]), rhs)
     if solved is None:
         return None
     particular, hom = solved
@@ -162,19 +166,19 @@ def solve_commutator_system(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatri
     return to_mat(particular), [to_mat(h) for h in hom]
 
 
-def commutator_system_solvable(z: RatMatrix, tau, fast: bool = True) -> bool:
+def commutator_system_solvable(z: RatMatrix, tau) -> bool:
     """Whether [Y, Z] = tau Z^3 has a solution Y.
 
-    With ``fast`` enabled, the powers of Z are used first as an inconsistency
-    certificate: pairing the system against a centralizer element W gives
-    tr((YZ - ZY) W) = 0, so tr(tau Z^3 W) != 0 for some W = Z^j proves there
-    is no solution without running the elimination.  The certificate only
-    ever answers "unsolvable"; everything else falls through to the exact
-    solve, so the result is identical to the slow path.
+    The powers of Z are used first as an inconsistency certificate: pairing
+    the system against a centralizer element W gives tr((YZ - ZY) W) = 0, so
+    tr(tau Z^3 W) != 0 for some W = Z^j proves there is no solution without
+    running the elimination.  The certificate only ever answers
+    "unsolvable"; everything else falls through to the exact solve, so the
+    result is identical to ``solve_commutator_system(z, tau) is not None``.
     """
     tau = rat(tau)
     k = z.rows
-    if fast and tau != 0:
+    if tau != 0:
         power = z.power(3)
         for _ in range(k + 1):
             if power.trace() != 0:
@@ -257,9 +261,7 @@ class SupportDivisor:
 
 def support(triple: BTriple) -> SupportDivisor:
     """The degree-k spectrum divisor of Y, for a valid triple."""
-    check = check_btriple(triple)
-    if not check.ok:
-        raise ValueError(f"invalid triple: {check}")
+    _require_valid(triple)
     return SupportDivisor.of_polynomial(char_poly(triple.Y))
 
 
@@ -270,9 +272,7 @@ def support_poly_p(triple: BTriple, p: int) -> RatPoly:
     returned polynomial is its characteristic polynomial in the affine chart,
     and it must be independent of p.
     """
-    check = check_btriple(triple)
-    if not check.ok:
-        raise ValueError(f"invalid triple: {check}")
+    _require_valid(triple)
     twisted = triple.Y - triple.Z.power(2).scale(rat(triple.tau) * p)
     return char_poly(twisted)
 
@@ -309,21 +309,9 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
     k = triple.size
     if k == 0:
         return 0
-    rows = []
-    for m in (triple.Y, triple.Z):
-        for i in range(k):
-            for j in range(k):
-                row = [Fraction(0)] * (k * k)
-                for t in range(k):
-                    row[i * k + t] += m.entry(t, j)
-                    row[t * k + j] -= m.entry(i, t)
-                rows.append(row)
-    for i in range(k):
-        row = [Fraction(0)] * (k * k)
-        for t in range(k):
-            row[i * k + t] = triple.v[t]
-        rows.append(row)
-    return len(kernel_basis(RatMatrix.from_rows(rows)))
+    zeros = [Fraction(0)] * k
+    gv = RatMatrix.from_rows([zeros * i + list(triple.v) + zeros * (k - 1 - i) for i in range(k)])
+    return len(kernel_basis(RatMatrix.vstack([commutant_system([triple.Y, triple.Z]), gv])))
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +372,7 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
             y = base + _combine(directions, [rng.randint(-3, 3) for _ in directions], k)
             if char_poly(y) != target:
                 raise AssertionError("stratum member lost the degenerate support")
-            v = None
-            for _ in range(24):
-                cand = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
-                if krylov_span_dim([y, z], cand) == k:
-                    v = cand
-                    break
+            v = _sample_cyclic_vector(rng, y, z)
             if v is None:
                 continue
             cyclic_found = True
@@ -398,6 +381,16 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     return FiberProbe(
         lam, k, u, tau, solution_dim, stratum_dim, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found
     )
+
+
+def _sample_cyclic_vector(rng: random.Random, y: RatMatrix, z: RatMatrix) -> Vector | None:
+    """Up to 24 random draws of v in [-5, 5]^k; the first one cyclic for (y, z)."""
+    k = y.rows
+    for _ in range(24):
+        cand = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
+        if krylov_span_dim([y, z], cand) == k:
+            return cand
+    return None
 
 
 def _triangular_stratum(
@@ -428,18 +421,7 @@ def _combine(mats: Sequence[RatMatrix], coeffs: Sequence, size: int) -> RatMatri
 def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
     """Basis of {g : gY = Yg and gZ = Zg}, by an exact kernel computation."""
     k = y.rows
-    rows = []
-    for m in (y, z):
-        for i in range(k):
-            for j in range(k):
-                row = [Fraction(0)] * (k * k)
-                for t in range(k):
-                    row[i * k + t] += m.entry(t, j)
-                    row[t * k + j] -= m.entry(i, t)
-                rows.append(row)
-    if not rows:
-        return []
-    return [RatMatrix(k, k, tuple(v)) for v in kernel_basis(RatMatrix.from_rows(rows))]
+    return [RatMatrix(k, k, v) for v in kernel_basis(commutant_system([y, z]))]
 
 
 def _stratum_image_dim(
@@ -484,12 +466,7 @@ def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 
     sample_dims = []
     cyclic_found = False
     for _ in range(max(samples, 1)):
-        v = None
-        for _ in range(24):
-            cand = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
-            if krylov_span_dim([y, z], cand) == k:
-                v = cand
-                break
+        v = _sample_cyclic_vector(rng, y, z)
         if v is None:
             continue
         cyclic_found = True

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RatMatrix, kernel_basis, rank, rat
+from .core import RatMatrix, commutant_system, kernel_basis, rank, rat
 from .partitions import partition_count
 
 
@@ -114,20 +114,7 @@ def joint_centralizer_dim(x: RatMatrix, y: RatMatrix) -> int:
     """
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("X and Y must be square of equal size")
-    n = x.rows
-    if n == 0:
-        return 0
-    rows = []
-    for m in (x, y):
-        # [g, m] = 0 as n^2 linear equations in the entries of g
-        for i in range(n):
-            for j in range(n):
-                row = [Fraction(0)] * (n * n)
-                for t in range(n):
-                    row[i * n + t] += m.entry(t, j)
-                    row[t * n + j] -= m.entry(i, t)
-                rows.append(row)
-    return len(kernel_basis(RatMatrix.from_rows(rows)))
+    return len(kernel_basis(commutant_system([x, y])))
 
 
 def cm_fixed_point_count(n: int) -> int:

@@ -172,7 +172,7 @@ def _run_nc(args) -> dict:
     raise DomainError(f"unknown nc subcommand {args.subcommand}")
 
 
-def _run_quiver(args, seed: int) -> dict:
+def _run_quiver(args, seed: int, meta: dict) -> dict:
     if args.subcommand == "alpha":
         try:
             return {"alpha": list(quiver.alpha(args.r, args.d, args.n))}
@@ -182,6 +182,7 @@ def _run_quiver(args, seed: int) -> dict:
     tau_flag = getattr(args, "tau", None)
     if tau_flag is not None and parse_fraction(tau_flag) != rep.tau:
         raise DomainError("--tau disagrees with the tau stored in the representation file")
+    meta["tau"] = fraction_to_str(rep.tau)
     if args.subcommand == "check":
         report = quiver.check_relations(rep)
         return {"ok": report.ok, "failures": list(report.failures)}
@@ -232,11 +233,12 @@ def _run_cm(args) -> dict:
     raise DomainError(f"unknown cm subcommand {args.subcommand}")
 
 
-def _run_bvar(args, seed: int) -> dict:
+def _run_bvar(args, seed: int, meta: dict) -> dict:
     if args.subcommand == "check":
         triple = triple_from_json(_load_json(args.triple))
         if args.tau is not None and parse_fraction(args.tau) != triple.tau:
             raise DomainError("--tau disagrees with the tau stored in the triple file")
+        meta["tau"] = fraction_to_str(triple.tau)
         check = bvariety.check_btriple(triple)
         payload = {
             "ok": check.ok,
@@ -401,11 +403,11 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
         if args.command == "nc":
             payload = _run_nc(args)
         elif args.command == "quiver":
-            payload = _run_quiver(args, seed)
+            payload = _run_quiver(args, seed, meta)
         elif args.command == "cm":
             payload = _run_cm(args)
         elif args.command == "bvar":
-            payload = _run_bvar(args, seed)
+            payload = _run_bvar(args, seed, meta)
         elif args.command == "ic":
             payload = _run_ic(args)
         elif args.command == "report":

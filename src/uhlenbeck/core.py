@@ -416,6 +416,26 @@ class RatMatrix:
         return "\n".join("[" + "  ".join(str(x) for x in self.row(i)) + "]" for i in range(self.rows))
 
 
+def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
+    """Matrix of g -> ([g, m] for m in mats) on row-major flattened g.
+
+    Row (m, i, j) holds the coefficients of (gm - mg)[i, j], so the kernel is
+    the joint centralizer of mats and, with a right-hand side, the system
+    solves Sylvester equations [g, m] = c.  All mats must be k x k.
+    """
+    k = mats[0].rows
+    rows = []
+    for m in mats:
+        for i in range(k):
+            for j in range(k):
+                row = [Fraction(0)] * (k * k)
+                for t in range(k):
+                    row[i * k + t] += m.entry(t, j)
+                    row[t * k + j] -= m.entry(i, t)
+                rows.append(row)
+    return RatMatrix.from_rows(rows)
+
+
 # ---------------------------------------------------------------------------
 # elimination
 

@@ -41,63 +41,70 @@ Monomial = tuple[int, int, int]  # exponents (a, b, c) of x^a y^b z^c
 
 
 @dataclass(frozen=True)
-class NCElement:
-    """Element of the algebra in normal form: {(a,b,c): coefficient in Q[tau]}."""
+class TauCombination:
+    """Finite Q[tau]-linear combination of basis keys (tuples), sparse.
 
-    terms: tuple[tuple[Monomial, RatPoly], ...]
+    Terms are sorted by (len(key), key) with zero coefficients dropped, so
+    equal combinations have equal ``terms``.
+    """
+
+    terms: tuple[tuple[tuple, RatPoly], ...]
 
     @classmethod
-    def from_dict(cls, d: dict[Monomial, RatPoly]) -> "NCElement":
-        items = tuple(sorted((m, c) for m, c in d.items() if not c.is_zero))
-        return cls(items)
+    def from_dict(cls, d: dict[tuple, RatPoly]):
+        items = ((k, c) for k, c in d.items() if not c.is_zero)
+        return cls(tuple(sorted(items, key=lambda kc: (len(kc[0]), kc[0]))))
 
     @classmethod
-    def zero(cls) -> "NCElement":
+    def zero(cls):
         return cls(())
 
-    def as_dict(self) -> dict[Monomial, RatPoly]:
+    def as_dict(self) -> dict[tuple, RatPoly]:
         return dict(self.terms)
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "NCElement") -> "NCElement":
+    def __add__(self, other):
         d = self.as_dict()
-        for m, c in other.terms:
-            d[m] = d.get(m, RatPoly.zero("tau")) + c
-        return NCElement.from_dict(d)
+        for k, c in other.terms:
+            d[k] = d.get(k, RatPoly.zero("tau")) + c
+        return type(self).from_dict(d)
 
-    def __sub__(self, other: "NCElement") -> "NCElement":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def scale(self, c) -> "NCElement":
-        if isinstance(c, RatPoly):
-            factor = c
-        else:
-            factor = tau_poly(rat(c))
-        return NCElement.from_dict({m: coeff * factor for m, coeff in self.terms})
+    def scale(self, c):
+        factor = c if isinstance(c, RatPoly) else tau_poly(rat(c))
+        return type(self).from_dict({k: coeff * factor for k, coeff in self.terms})
 
-    def __mul__(self, other: "NCElement") -> "NCElement":
-        out: dict[Monomial, RatPoly] = {}
-        for m1, c1 in self.terms:
-            w1 = _monomial_word(m1)
-            for m2, c2 in other.terms:
-                piece = _reduce_word(w1 + _monomial_word(m2))
+    def bilinear(self, other, product):
+        """The product extending product(key1, key2) -> combination over Q[tau]."""
+        out: dict[tuple, RatPoly] = {}
+        for k1, c1 in self.terms:
+            for k2, c2 in other.terms:
                 c = c1 * c2
-                for m, coeff in piece.terms:
-                    out[m] = out.get(m, RatPoly.zero("tau")) + coeff * c
-        return NCElement.from_dict(out)
+                for k, coeff in product(k1, k2).terms:
+                    out[k] = out.get(k, RatPoly.zero("tau")) + coeff * c
+        return type(self).from_dict(out)
 
-    def coefficients_at(self, tau) -> dict[Monomial, Fraction]:
+    def coefficients_at(self, tau) -> dict[tuple, Fraction]:
         """Specialize tau to a rational and drop vanished terms."""
         t = rat(tau)
         out = {}
-        for m, c in self.terms:
+        for k, c in self.terms:
             v = c(t)
             if v != 0:
-                out[m] = v
+                out[k] = v
         return out
+
+
+class NCElement(TauCombination):
+    """Element of the algebra in normal form: {(a,b,c): coefficient in Q[tau]}."""
+
+    def __mul__(self, other: "NCElement") -> "NCElement":
+        return self.bilinear(other, lambda m1, m2: _reduce_word(_monomial_word(m1) + _monomial_word(m2)))
 
     def __str__(self):
         if not self.terms:
@@ -243,55 +250,8 @@ DUAL_BASIS: tuple[DualWord, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class DualElement:
+class DualElement(TauCombination):
     """Element of the dual algebra on the canonical square-free basis."""
-
-    terms: tuple[tuple[DualWord, RatPoly], ...]
-
-    @classmethod
-    def from_dict(cls, d: dict[DualWord, RatPoly]) -> "DualElement":
-        items = tuple(sorted(((w, c) for w, c in d.items() if not c.is_zero), key=lambda wc: (len(wc[0]), wc[0])))
-        return cls(items)
-
-    @classmethod
-    def generator(cls, name: str) -> "DualElement":
-        if name not in DUAL_GENERATORS:
-            raise ValueError(f"unknown dual generator {name!r}")
-        return cls((((name,), tau_poly(1)),))
-
-    @classmethod
-    def zero(cls) -> "DualElement":
-        return cls(())
-
-    def as_dict(self) -> dict[DualWord, RatPoly]:
-        return dict(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DualElement") -> "DualElement":
-        d = self.as_dict()
-        for w, c in other.terms:
-            d[w] = d.get(w, RatPoly.zero("tau")) + c
-        return DualElement.from_dict(d)
-
-    def __sub__(self, other: "DualElement") -> "DualElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "DualElement":
-        factor = c if isinstance(c, RatPoly) else tau_poly(rat(c))
-        return DualElement.from_dict({w: coeff * factor for w, coeff in self.terms})
-
-    def coefficients_at(self, tau) -> dict[DualWord, Fraction]:
-        t = rat(tau)
-        out = {}
-        for w, c in self.terms:
-            v = c(t)
-            if v != 0:
-                out[w] = v
-        return out
 
     def __str__(self):
         if not self.terms:
@@ -318,14 +278,7 @@ def dual_word(letters) -> DualElement:
 
 
 def dual_multiply(a: DualElement, b: DualElement) -> DualElement:
-    out: dict[DualWord, RatPoly] = {}
-    for w1, c1 in a.terms:
-        for w2, c2 in b.terms:
-            piece = _dual_reduce(w1 + w2)
-            c = c1 * c2
-            for w, coeff in piece.terms:
-                out[w] = out.get(w, RatPoly.zero("tau")) + coeff * c
-    return DualElement.from_dict(out)
+    return a.bilinear(b, lambda w1, w2: _dual_reduce(w1 + w2))
 
 
 def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:

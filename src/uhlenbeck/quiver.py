@@ -24,11 +24,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 import random
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, kernel_space, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, rat
 
 ARROWS = ("xi", "eta", "zeta")
 
 DimVector = tuple[int, int, int]
+
+# The six identities, each a sum of coefficient * tau^power * G_g F_f over
+# its terms (g, f, coefficient, power).  Names are the check_relations
+# failure labels, in reporting order.
+RELATIONS: tuple[tuple[str, tuple[tuple[str, str, int, int], ...]], ...] = (
+    ("xi.xi", (("xi", "xi", 1, 0),)),
+    ("eta.eta", (("eta", "eta", 1, 0),)),
+    ("xi.eta+eta.xi", (("eta", "xi", 1, 0), ("xi", "eta", 1, 0))),
+    ("xi.zeta+zeta.xi", (("zeta", "xi", 1, 0), ("xi", "zeta", 1, 0))),
+    ("eta.zeta+zeta.eta", (("zeta", "eta", 1, 0), ("eta", "zeta", 1, 0))),
+    ("zeta.zeta+tau(xi.eta-eta.xi)", (("zeta", "zeta", 1, 0), ("eta", "xi", 1, 1), ("xi", "eta", -1, 1))),
+)
 
 
 @dataclass(frozen=True)
@@ -79,20 +91,15 @@ class RelationReport:
 
 def check_relations(rep: QuiverRep) -> RelationReport:
     """Exact check of the six factorization identities."""
-    F, G, tau = rep.F, rep.G, rep.tau
-    identities = [
-        ("xi.xi", G["xi"] @ F["xi"]),
-        ("eta.eta", G["eta"] @ F["eta"]),
-        ("xi.eta+eta.xi", G["eta"] @ F["xi"] + G["xi"] @ F["eta"]),
-        ("xi.zeta+zeta.xi", G["zeta"] @ F["xi"] + G["xi"] @ F["zeta"]),
-        ("eta.zeta+zeta.eta", G["zeta"] @ F["eta"] + G["eta"] @ F["zeta"]),
-        (
-            "zeta.zeta+tau(xi.eta-eta.xi)",
-            G["zeta"] @ F["zeta"] + (G["eta"] @ F["xi"] - G["xi"] @ F["eta"]).scale(tau),
-        ),
-    ]
-    failures = tuple(name for name, residual in identities if not residual.is_zero)
-    return RelationReport(not failures, failures)
+    r1, _, r3 = rep.dim
+    failures = []
+    for name, terms in RELATIONS:
+        residual = RatMatrix.zero(r3, r1)
+        for g, f, c, p in terms:
+            residual = residual + (rep.G[g] @ rep.F[f]).scale(c * rep.tau**p)
+        if not residual.is_zero:
+            failures.append(name)
+    return RelationReport(not failures, tuple(failures))
 
 
 def relation_tensor_residual(rep: QuiverRep, tensor: Vector) -> RatMatrix:
@@ -240,8 +247,6 @@ def rep_direct_sum(r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
 
 def conjugate_rep(rep: QuiverRep, g1: RatMatrix, g2: RatMatrix, g3: RatMatrix) -> QuiverRep:
     """Change of basis (g1, g2, g3) at the three vertices."""
-    from .core import inverse
-
     g1i, g2i = inverse(g1), inverse(g2)
     F = {a: g2 @ rep.F[a] @ g1i for a in ARROWS}
     G = {a: g3 @ rep.G[a] @ g2i for a in ARROWS}
@@ -479,27 +484,17 @@ def sample_relation_rep(dim: DimVector, tau, seed: int = 0, value_range: int = 3
     def g_entry_index(arrow_idx: int, i: int, j: int) -> int:
         return arrow_idx * r3 * r2 + i * r2 + j
 
-    # each identity is sum_t coeff[arrow] * G_arrow[i, t] * F_other[t, j]
-    combos = [
-        ((("xi", "xi"), Fraction(1)),),
-        ((("eta", "eta"), Fraction(1)),),
-        ((("eta", "xi"), Fraction(1)), (("xi", "eta"), Fraction(1))),
-        ((("zeta", "xi"), Fraction(1)), (("xi", "zeta"), Fraction(1))),
-        ((("zeta", "eta"), Fraction(1)), (("eta", "zeta"), Fraction(1))),
-        ((("zeta", "zeta"), Fraction(1)), (("eta", "xi"), tau), (("xi", "eta"), -tau)),
-    ]
-    for combo in combos:
+    # entry (i, j) of an identity is sum_t c tau^p G_g[i, t] F_f[t, j]
+    for _, terms in RELATIONS:
         for i in range(r3):
             for j in range(r1):
                 row = [Fraction(0)] * nunk
-                for (g_arrow, f_arrow), c in combo:
-                    gi = ARROWS.index(g_arrow)
+                for g_arrow, f_arrow, c, p in terms:
+                    gi, coeff = ARROWS.index(g_arrow), c * tau**p
                     for t in range(r2):
-                        row[g_entry_index(gi, i, t)] += c * F[f_arrow].entry(t, j)
+                        row[g_entry_index(gi, i, t)] += coeff * F[f_arrow].entry(t, j)
                 rows.append(row)
-    from .core import kernel_basis as _kb
-
-    kb = _kb(RatMatrix.from_rows(rows)) if rows else []
+    kb = kernel_basis(RatMatrix.from_rows(rows)) if rows else []
     if not kb:
         return None
     coeffs = [rng.randint(-value_range, value_range) for _ in kb]

@@ -23,7 +23,10 @@ def parse_fraction(s) -> Fraction:
     if isinstance(s, bool):
         raise ValueError("booleans are not rationals")
     if isinstance(s, (int, str, Fraction)):
-        return rat(s)
+        try:
+            return rat(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rational {s!r}") from None
     raise ValueError(f"cannot parse rational from {s!r}")
 
 

@@ -16,6 +16,7 @@ from uhlenbeck.bvariety import (
     jordan_nilpotent,
     jordan_triple,
     orbit_dimension,
+    solve_commutator_system,
     solve_Y_space,
     support,
     support_poly_p,
@@ -54,6 +55,27 @@ def test_commuting_block_case():
     z = jordan_nilpotent((2,))
     triple = BTriple(RatMatrix.zero(2), z, (ONE, Fraction(0)), ONE)
     assert check_btriple(triple).ok
+
+
+def test_check_runs_once_per_triple(monkeypatch):
+    # the cyclicity test runs exactly once inside each check computation
+    import uhlenbeck.bvariety as bvariety
+
+    calls = []
+    real = bvariety.krylov_span_dim
+
+    def counting(mats, v):
+        calls.append(v)
+        return real(mats, v)
+
+    monkeypatch.setattr(bvariety, "krylov_span_dim", counting)
+    triples = [jordan_triple(3, Fraction(1), ONE), translate(jordan_triple(2, Fraction(0), ONE), 4)]
+    for n, triple in enumerate(triples, start=1):
+        assert check_btriple(triple).ok
+        support(triple)
+        for p in range(5):
+            support_poly_p(triple, p)
+        assert len(calls) == n
 
 
 def test_check_flags_failures():
@@ -172,8 +194,8 @@ def test_non_nilpotent_solvability_search():
             continue  # nilpotent: solvable by construction, skip
         except NotNilpotentError:
             pass
-        fast = commutator_system_solvable(z, ONE, fast=True)
-        slow = commutator_system_solvable(z, ONE, fast=False)
+        fast = commutator_system_solvable(z, ONE)
+        slow = solve_commutator_system(z, ONE) is not None
         assert fast == slow  # certificate must agree with the full solve
         if fast:
             found += 1

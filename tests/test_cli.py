@@ -193,3 +193,31 @@ def test_csv_output(capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "m,lambda,dim,open"
     assert len(out) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nc", "dims", "--max-degree", "3", "--tau", "1/0"],
+        ["cm", "sample", "--n", "2", "--spectrum", "1,1/0"],
+    ],
+)
+def test_zero_denominator_is_domain_error(argv, capsys):
+    assert main(argv) == 1
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["status"] == "error" and "zero denominator" in envelope["error"]
+
+
+def test_meta_tau_comes_from_the_input_file(tmp_path):
+    rep = monad_of_point((Fraction(1), Fraction(2)), Fraction(3, 7))
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep_to_json(rep)))
+    assert run_ok(["quiver", "check", "--rep", str(rep_path)])["meta"]["tau"] == "3/7"
+    stability = run_ok(["quiver", "stability", "--theta0=-1,0,1", "--rep", str(rep_path)])
+    assert stability["meta"]["tau"] == "3/7"
+    triple = run_ok(["bvar", "jordan", "--k", "2", "--tau=-2/3"])["payload"]
+    triple.pop("support")
+    triple_path = tmp_path / "triple.json"
+    triple_path.write_text(json.dumps(triple))
+    assert run_ok(["bvar", "check", "--triple", str(triple_path)])["meta"]["tau"] == "-2/3"
+    assert run_ok(["ic", "betti", "--n", "2"])["meta"]["tau"] == "1"

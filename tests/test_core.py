@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_invertible, rand_matrix
+from uhlenbeck.bvariety import jordan_nilpotent
 from uhlenbeck.core import (
     NotNilpotentError,
     RatMatrix,
@@ -11,6 +12,7 @@ from uhlenbeck.core import (
     Subspace,
     char_poly,
     column_space,
+    commutant_system,
     inverse,
     kernel_basis,
     kernel_space,
@@ -21,7 +23,7 @@ from uhlenbeck.core import (
     solve_linear,
     squarefree_factorization,
 )
-from uhlenbeck.partitions import Partition
+from uhlenbeck.partitions import Partition, partitions
 
 
 def shift_matrix(k: int) -> RatMatrix:
@@ -271,3 +273,38 @@ def test_squarefree_reconstructs():
         for g, m in squarefree_factorization(f):
             rebuilt = rebuilt * g**m
         assert rebuilt == f.monic()
+
+
+# ---------------------------------------------------------------------------
+# commutant systems
+
+
+def _commutator_system_oracle(z: RatMatrix) -> RatMatrix:
+    """Matrix of Y -> YZ - ZY on row-major flattened Y, written out by hand."""
+    k = z.rows
+    rows = []
+    for p in range(k):
+        for q in range(k):
+            row = [Fraction(0)] * (k * k)
+            for t in range(k):
+                row[p * k + t] += z.entry(t, q)
+                row[t * k + q] -= z.entry(p, t)
+            rows.append(row)
+    return RatMatrix.from_rows(rows) if rows else RatMatrix(0, 0, ())
+
+
+def test_commutant_system_matches_hand_built_rows():
+    rng = random.Random(4411)
+    for k in range(5):
+        for _ in range(6):
+            a, b = rand_matrix(rng, k, k, -3, 3), rand_matrix(rng, k, k, -3, 3)
+            assert commutant_system([a]) == _commutator_system_oracle(a)
+            assert commutant_system([a, b]) == RatMatrix.vstack([_commutator_system_oracle(a), _commutator_system_oracle(b)])
+
+
+def test_commutant_system_centralizer_dimension():
+    # the centralizer of a nilpotent of Jordan type lam has dimension sum (lam'_i)^2
+    for k in range(1, 7):
+        for lam in partitions(k):
+            expected = sum(c * c for c in lam.conjugate().parts)
+            assert len(kernel_basis(commutant_system([jordan_nilpotent(lam)]))) == expected
