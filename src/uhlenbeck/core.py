@@ -1,15 +1,32 @@
 """Exact linear algebra over the rationals.
 
 Scalars are :class:`fractions.Fraction`; there are no floats anywhere, so
-every rank, kernel and characteristic polynomial below is exact.  Row
-reduction pivots on the first nonzero entry of each column, which makes the
-reduced echelon form (and hence every kernel basis) deterministic.
+every rank, kernel and characteristic polynomial below is exact.
+
+All elimination goes through one kernel, :class:`Echelon`.  Each input row
+is scaled once to coprime integers and stored sparse, as {column: int}.
+Rows are reduced one at a time against pivots keyed by their lead column:
+an update cross-multiplies by the two lead entries and divides out the gcd
+of the result, touching only nonzero entries, so elimination does no
+Fraction arithmetic.  ``rank`` reads the pivot count off this forward pass.
+``rref``, ``kernel_basis``, ``solve_linear``, ``inverse`` and ``Subspace``
+also back-substitute on the integer rows, and build one Fraction per
+nonzero output entry, as entry / pivot.
+
+The output does not depend on the order of the row operations.  The
+reduced row echelon form of a matrix is unique, and after back-substitution
+each integer row is a nonzero multiple of one of its rows, so dividing by
+the pivot recovers that row exactly.  Hence ``rref``, every kernel basis
+(one vector per free column, with 1 there and 0 at the other free columns)
+and every ``Subspace.basis`` are canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .partitions import Partition
@@ -17,6 +34,9 @@ from .partitions import Partition
 Rat = Fraction
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -343,16 +363,13 @@ class RatMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         out = []
-        orows = other.row_lists()
+        orows = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
         for i in range(self.rows):
-            srow = self.row(i)
-            acc = [Fraction(0)] * other.cols
-            for k, a in enumerate(srow):
-                if a == 0:
-                    continue
-                orow = orows[k]
-                for j in range(other.cols):
-                    acc[j] += a * orow[j]
+            acc = [_ZERO] * other.cols
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in orows[k]:
+                        acc[j] += a * b
             out.extend(acc)
         return RatMatrix(self.rows, other.cols, tuple(out))
 
@@ -440,85 +457,191 @@ def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
 # elimination
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
+def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """The nonzero (column, rational) entries, scaled by one rational to coprime integers."""
+    row = {j: x for j, x in entries if x}
+    if not row:
+        return row
+    den = lcm(*[x.denominator for x in row.values()])
+    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g != 1 else out
+
+
+def _cancel(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
+    """A primitive integer row in the span of row and piv with column c cleared.
+
+    Cross-multiplies by the two column-c entries (over their gcd) and divides
+    out the content, touching only the nonzero entries of both rows.
+    """
+    a, p = row[c], piv[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    out = dict(row) if p == 1 else {j: p * v for j, v in row.items()}
+    for j, v in piv.items():
+        w = out.get(j, 0) - a * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    if out:
+        g = gcd(*out.values())
+        if g != 1:
+            out = {j: v // g for j, v in out.items()}
+    return out
+
+
+class Echelon:
+    """Row echelon form over the integers, grown one row at a time.
+
+    Each row is stored sparse, as {column: int} with coprime entries, under
+    its lead (smallest) column.  Rows are never changed in place, so copies
+    may share them.  Rows enter as (column, rational) pairs and are scaled to
+    integers once; from then on elimination is fraction-free (see
+    ``_cancel``).  The pivot count is the rank of everything added.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[Iterable[tuple[int, Fraction]]] = ()):
+        self.rows: dict[int, dict[int, int]] = {}
+        for entries in rows:
+            self.add(entries)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def copy(self) -> "Echelon":
+        out = Echelon()
+        out.rows = dict(self.rows)
+        return out
+
+    def _remainder(self, row: dict[int, int]) -> dict[int, int]:
+        rows = self.rows
+        while row:
+            lead = min(row)
+            piv = rows.get(lead)
+            if piv is None:
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+            row = _cancel(row, piv, lead)
+        return row
+
+    def _insert(self, row: dict[int, int]) -> bool:
+        row = self._remainder(row)
+        if row:
+            self.rows[min(row)] = row
+        return bool(row)
+
+    def add(self, entries: Iterable[tuple[int, Fraction]]) -> bool:
+        """Add a row given as (column, rational) pairs; True if the rank grew."""
+        return self._insert(_integer_row(entries))
+
+    def contains(self, entries: Iterable[tuple[int, Fraction]]) -> bool:
+        """Whether the row lies in the span of the rows added so far."""
+        return not self._remainder(_integer_row(entries))
+
+    def reduce(self) -> list[int]:
+        """Back-substitute to reduced form; returns the pivot columns in order.
+
+        Afterwards each row is zero in every pivot column but its own, so
+        row / row[lead] is the matching row of the reduced echelon form.
+        Rows are reduced from the right, so each one is cancelled only
+        against rows that are already reduced.
+        """
+        rows = self.rows
+        cols = sorted(rows)
+        for c in reversed(cols):
+            row = rows[c]
+            for j in [j for j in row if j != c and j in rows]:
+                row = _cancel(row, rows[j], j)
+            rows[c] = row
+        return cols
+
+
+def _fraction_row(row: dict[int, int], lead: int, start: int, stop: int) -> list[Fraction]:
+    """Columns start..stop-1 of row / row[lead], one Fraction per nonzero entry."""
+    p = row[lead]
+    out = [_ZERO] * (stop - start)
+    for j, v in row.items():
+        if start <= j < stop:
+            out[j - start] = Fraction(v, p)
+    return out
+
+
+def _kernel(ech: Echelon, pivots: list[int], ncols: int) -> list[Vector]:
+    """Kernel basis of the first ncols columns of a reduced echelon form: one
+    vector per free column f, with 1 at f and 0 at the other free columns."""
+    vecs = {f: [_ZERO] * ncols for f in range(ncols) if f not in ech.rows}
+    for f, v in vecs.items():
+        v[f] = _ONE
+    for c in pivots:
+        row = ech.rows[c]
+        p = row[c]
+        for j, x in row.items():
+            if j in vecs:
+                vecs[j][c] = Fraction(-x, p)
+    return [tuple(v) for v in vecs.values()]
+
+
+def _row_echelon(m: RatMatrix) -> Echelon:
+    return Echelon(enumerate(m.row(i)) for i in range(m.rows))
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    rows, pivots = _rref(m.row_lists())
-    return RatMatrix.from_rows(rows) if rows else m, tuple(pivots)
+    if not m.rows:
+        return m, ()
+    ech = _row_echelon(m)
+    pivots = ech.reduce()
+    entries = []
+    for c in pivots:
+        entries.extend(_fraction_row(ech.rows[c], c, 0, m.cols))
+    entries.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
+    return RatMatrix(m.rows, m.cols, tuple(entries)), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    return len(_rref(m.row_lists())[1])
+    return _row_echelon(m).rank
 
 
 def kernel_basis(m: RatMatrix) -> list[Vector]:
     """Deterministic basis of the right kernel {v : m v = 0}."""
-    rows, pivots = _rref(m.row_lists())
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * m.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+    ech = _row_echelon(m)
+    return _kernel(ech, ech.reduce(), m.cols)
 
 
 def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
-    """Solve m x = b exactly; returns (particular, kernel basis) or None."""
+    """Solve m x = b exactly; returns (particular, kernel basis) or None.
+
+    One elimination of [m | b] gives both: when the system is consistent,
+    its reduced rows restricted to m's columns are the reduced rows of m.
+    """
     bb = vector(b)
     if len(bb) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    if m.rows == 0:
-        return (Fraction(0),) * m.cols, kernel_basis(m)
-    aug = [list(m.row(i)) + [bb[i]] for i in range(m.rows)]
-    rows, pivots = _rref(aug)
-    if m.cols in pivots:
+    n = m.cols
+    ech = Echelon(chain(enumerate(m.row(i)), ((n, bb[i]),)) for i in range(m.rows))
+    pivots = ech.reduce()
+    if n in ech.rows:
         return None
-    x = [Fraction(0)] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][m.cols]
-    return tuple(x), kernel_basis(m)
+    x = [_ZERO] * n
+    for c in pivots:
+        x[c] = _fraction_row(ech.rows[c], c, n, n + 1)[0]
+    return tuple(x), _kernel(ech, pivots, n)
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    rows, pivots = _rref(aug)
-    if len(pivots) != n or any(p >= n for p in pivots):
+    ech = Echelon(chain(enumerate(m.row(i)), ((n + i, _ONE),)) for i in range(n))
+    pivots = ech.reduce()
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return RatMatrix.from_rows([row[n:] for row in rows])
+    entries = []
+    for c in pivots:
+        entries.extend(_fraction_row(ech.rows[c], c, n, 2 * n))
+    return RatMatrix(n, n, tuple(entries))
 
 
 def char_poly(m: RatMatrix) -> RatPoly:
@@ -579,21 +702,29 @@ class Subspace:
     """A subspace of Q^n, stored as a reduced-echelon row basis.
 
     The stored form is canonical, so equality of subspaces is tuple equality.
+    The integer echelon it was read from is kept too, for ``contains``,
+    ``contains_subspace`` and ``sum``.
     """
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_echelon")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        self.ambient = ambient
-        rows = [list(vector(v)) for v in vectors]
+        rows = [vector(v) for v in vectors]
         for v in rows:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        if rows:
-            reduced, pivots = _rref(rows)
-            self.basis: tuple[Vector, ...] = tuple(tuple(reduced[i]) for i in range(len(pivots)))
-        else:
-            self.basis = ()
+        self._assign(ambient, Echelon(enumerate(v) for v in rows))
+
+    def _assign(self, ambient: int, ech: Echelon):
+        self.ambient = ambient
+        self._echelon = ech
+        self.basis: tuple[Vector, ...] = tuple(tuple(_fraction_row(ech.rows[c], c, 0, ambient)) for c in ech.reduce())
+
+    @classmethod
+    def _spanned(cls, ambient: int, ech: Echelon) -> "Subspace":
+        out = cls.__new__(cls)
+        out._assign(ambient, ech)
+        return out
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -607,25 +738,19 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _reduce(self, v: Sequence) -> Vector:
-        w = list(vector(v))
-        for row in self.basis:
-            piv = next(j for j, x in enumerate(row) if x != 0)
-            if w[piv] != 0:
-                f = w[piv]
-                w = [a - f * b for a, b in zip(w, row)]
-        return tuple(w)
-
     def contains(self, v: Sequence) -> bool:
-        return all(x == 0 for x in self._reduce(v))
+        return self._echelon.contains(enumerate(vector(v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return all(not self._echelon._remainder(row) for row in other._echelon.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace(self.ambient, list(self.basis) + list(other.basis))
+        ech = self._echelon.copy()
+        for row in other._echelon.rows.values():
+            ech._insert(row)
+        return Subspace._spanned(self.ambient, ech)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -649,7 +774,7 @@ class Subspace:
         """Span of {m v : v in this subspace} inside Q^{m.rows}."""
         if m.cols != self.ambient:
             raise ValueError("matrix does not act on this ambient space")
-        return Subspace(m.rows, [m.apply(v) for v in self.basis])
+        return Subspace._spanned(m.rows, Echelon(enumerate(m.apply(v)) for v in self.basis))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient == other.ambient and self.basis == other.basis
@@ -676,12 +801,10 @@ def krylov_span_dim(mats: Sequence[RatMatrix], v: Sequence) -> int:
     for m in mats:
         if not m.is_square or m.rows != k:
             raise ValueError("all matrices must be square of the vector's size")
-    span = Subspace(k)
+    span = Echelon()
     queue = [w]
-    while queue:
+    while queue and span.rank < k:
         u = queue.pop()
-        if span.contains(u):
-            continue
-        span = Subspace(k, list(span.basis) + [u])
-        queue.extend(m.apply(u) for m in mats)
-    return span.dim
+        if span.add(enumerate(u)):
+            queue.extend(m.apply(u) for m in mats)
+    return span.rank

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import RatMatrix, RatPoly, Vector, kernel_basis, rat
+from .core import Echelon, RatMatrix, RatPoly, Vector, kernel_basis, rat
 
 GENERATORS = ("x", "y", "z")
 
@@ -197,36 +197,12 @@ def graded_dim_computed(degree: int, tau) -> int:
     if degree == 0:
         return 1
     index = {m: j for j, m in enumerate(normal_monomials(degree))}
-    rows: list[dict[int, Fraction]] = []
+    span = Echelon()
     for m in normal_monomials(degree - 1):
         for g in GENERATORS:
             elem = _reduce_word(_monomial_word(m) + (g,))
-            row = {index[mono]: v for mono, v in elem.coefficients_at(t).items()}
-            if row:
-                rows.append(row)
-    return _sparse_rank(rows)
-
-
-def _sparse_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of a sparse row collection by incremental elimination."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                lv = row[lead]
-                pivots[lead] = {j: v / lv for j, v in row.items()}
-                break
-            f = row[lead]
-            for j, v in piv.items():
-                nv = row.get(j, Fraction(0)) - f * v
-                if nv == 0:
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-    return len(pivots)
+            span.add((index[mono], v) for mono, v in elem.coefficients_at(t).items())
+    return span.rank
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +270,11 @@ def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
             dims.append(1)
             continue
         index = {w: j for j, w in enumerate(DUAL_BASIS)}
-        rows = []
+        span = Echelon()
         for letters in product(DUAL_GENERATORS, repeat=degree):
             elem = _dual_reduce(letters)
-            row = {index[w]: v for w, v in elem.coefficients_at(t).items()}
-            if row:
-                rows.append(row)
-        dims.append(_sparse_rank(rows))
+            span.add((index[w], v) for w, v in elem.coefficients_at(t).items())
+        dims.append(span.rank)
     return tuple(dims)
 
 

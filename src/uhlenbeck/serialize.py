@@ -38,12 +38,43 @@ def matrix_to_json(m: RatMatrix) -> dict:
     }
 
 
-def matrix_from_json(d: dict) -> RatMatrix:
-    rows, cols = int(d["rows"]), int(d["cols"])
-    entries = d["entries"]
+_JSON_TYPES = {dict: "object", list: "array", int: "integer"}
+
+
+def _field(d, key: str, kind: type = object, where: str = ""):
+    """d[key], checked to be of the JSON type kind; where names d in errors."""
+    name = f"{where}.{key}" if where else key
+    if not isinstance(d, dict):
+        raise ValueError(f"{where or 'input'} must be a JSON object")
+    if key not in d:
+        raise ValueError(f"missing field {name!r}")
+    value = d[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"field {name!r} must be a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
+def _rational_field(d, key: str) -> Fraction:
+    value = _field(d, key)
+    try:
+        return parse_fraction(value)
+    except ValueError as exc:
+        raise ValueError(f"field {key!r}: {exc}") from None
+
+
+def _matrix(d, where: str) -> RatMatrix:
+    rows, cols = _field(d, "rows", int, where), _field(d, "cols", int, where)
+    entries = _field(d, "entries", list, where)
+    for i, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise ValueError(f"field '{where}.entries' row {i} must be a JSON array")
     if len(entries) != rows or any(len(r) != cols for r in entries):
-        raise ValueError("entry grid does not match rows/cols")
+        raise ValueError(f"entry grid of {where!r} does not match rows/cols")
     return RatMatrix(rows, cols, tuple(parse_fraction(x) for row in entries for x in row))
+
+
+def matrix_from_json(d: dict) -> RatMatrix:
+    return _matrix(d, "matrix")
 
 
 def vector_to_json(v: Vector) -> list[str]:
@@ -51,6 +82,8 @@ def vector_to_json(v: Vector) -> list[str]:
 
 
 def vector_from_json(lst) -> Vector:
+    if not isinstance(lst, list):
+        raise ValueError("vector must be a JSON array")
     return tuple(parse_fraction(x) for x in lst)
 
 
@@ -64,12 +97,16 @@ def rep_to_json(rep: QuiverRep) -> dict:
 
 
 def rep_from_json(d: dict) -> QuiverRep:
-    dim = tuple(int(x) for x in d["dim"])
-    if len(dim) != 3:
-        raise ValueError("dimension vector must have three entries")
-    F = {a: matrix_from_json(d["F"][a]) for a in ARROWS}
-    G = {a: matrix_from_json(d["G"][a]) for a in ARROWS}
-    return QuiverRep(dim, F, G, parse_fraction(d["tau"]))
+    dim = _field(d, "dim", list)
+    if len(dim) != 3 or not all(isinstance(x, int) and not isinstance(x, bool) for x in dim):
+        raise ValueError("field 'dim' must be a JSON array of three integers")
+    F, G = _field(d, "F", dict), _field(d, "G", dict)
+    return QuiverRep(
+        tuple(dim),
+        {a: _matrix(_field(F, a, where="F"), f"F.{a}") for a in ARROWS},
+        {a: _matrix(_field(G, a, where="G"), f"G.{a}") for a in ARROWS},
+        _rational_field(d, "tau"),
+    )
 
 
 def triple_to_json(t: BTriple) -> dict:
@@ -83,10 +120,10 @@ def triple_to_json(t: BTriple) -> dict:
 
 def triple_from_json(d: dict) -> BTriple:
     return BTriple(
-        matrix_from_json(d["Y"]),
-        matrix_from_json(d["Z"]),
-        vector_from_json(d["v"]),
-        parse_fraction(d["tau"]),
+        _matrix(_field(d, "Y"), "Y"),
+        _matrix(_field(d, "Z"), "Z"),
+        vector_from_json(_field(d, "v", list)),
+        _rational_field(d, "tau"),
     )
 
 
@@ -95,4 +132,4 @@ def pair_to_json(x: RatMatrix, y: RatMatrix) -> dict:
 
 
 def pair_from_json(d: dict) -> tuple[RatMatrix, RatMatrix]:
-    return matrix_from_json(d["X"]), matrix_from_json(d["Y"])
+    return _matrix(_field(d, "X"), "X"), _matrix(_field(d, "Y"), "Y")

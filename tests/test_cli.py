@@ -221,3 +221,18 @@ def test_meta_tau_comes_from_the_input_file(tmp_path):
     triple_path.write_text(json.dumps(triple))
     assert run_ok(["bvar", "check", "--triple", str(triple_path)])["meta"]["tau"] == "-2/3"
     assert run_ok(["ic", "betti", "--n", "2"])["meta"]["tau"] == "1"
+
+
+@pytest.mark.parametrize(
+    "argv_head, content, field",
+    [
+        (["quiver", "check", "--rep"], [1, 2], "input"),
+        (["cm", "verify", "--tau", "1", "--pair"], {"X": {"rows": 1, "cols": 1, "entries": 5}, "Y": {}}, "X.entries"),
+    ],
+)
+def test_wrong_shape_input_file_is_domain_error(argv_head, content, field, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert main(argv_head + [str(path)]) == 1
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["status"] == "error" and field in envelope["error"]

@@ -20,6 +20,7 @@ from uhlenbeck.core import (
     nilpotent_jordan_type,
     poly_gcd,
     rank,
+    rref,
     solve_linear,
     squarefree_factorization,
 )
@@ -308,3 +309,197 @@ def test_commutant_system_centralizer_dimension():
         for lam in partitions(k):
             expected = sum(c * c for c in lam.conjugate().parts)
             assert len(kernel_basis(commutant_system([jordan_nilpotent(lam)]))) == expected
+
+
+# ---------------------------------------------------------------------------
+# elimination pinned to the column-pivoted Fraction reduction it replaced
+
+
+def _rref_oracle(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def _oracle_rref(m):
+    rows, pivots = _rref_oracle(m.row_lists())
+    return RatMatrix.from_rows(rows) if rows else m, tuple(pivots)
+
+
+def _oracle_kernel(m):
+    rows, pivots = _rref_oracle(m.row_lists())
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * m.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _oracle_solve(m, b):
+    if m.rows == 0:
+        return (Fraction(0),) * m.cols, _oracle_kernel(m)
+    aug = [list(m.row(i)) + [b[i]] for i in range(m.rows)]
+    rows, pivots = _rref_oracle(aug)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][m.cols]
+    return tuple(x), _oracle_kernel(m)
+
+
+def _oracle_inverse(m):
+    n = m.rows
+    aug = [list(m.row(i)) + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    rows, pivots = _rref_oracle(aug)
+    if len(pivots) != n or any(p >= n for p in pivots):
+        return None
+    return RatMatrix.from_rows([row[n:] for row in rows])
+
+
+def _oracle_basis(ambient, vectors):
+    rows = [list(v) for v in vectors]
+    if not rows:
+        return ()
+    reduced, pivots = _rref_oracle(rows)
+    return tuple(tuple(reduced[i]) for i in range(len(pivots)))
+
+
+def _random_entry(rng: random.Random) -> Fraction:
+    roll = rng.random()
+    if roll < 0.4:
+        return Fraction(0)
+    if roll < 0.85:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    return Fraction(rng.randint(-(2**70), 2**70), rng.randint(1, 2**66))
+
+
+def _random_elimination_input(rng: random.Random, rows: int, cols: int) -> RatMatrix:
+    """Mixed denominators, numerators above 2^64, zero and repeated rows."""
+    grid = [[_random_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.15:
+            grid[i] = [Fraction(0)] * cols
+        elif roll < 0.35 and i:
+            src = grid[rng.randrange(i)]
+            scale = rng.choice([Fraction(1), Fraction(-3, 7), Fraction(2**65 + 1, 3)])
+            grid[i] = [scale * x for x in src]
+        elif roll < 0.45 and i > 1:
+            a, b = grid[rng.randrange(i)], grid[rng.randrange(i)]
+            grid[i] = [x - Fraction(5, 2) * y for x, y in zip(a, b)]
+    return RatMatrix(rows, cols, tuple(x for row in grid for x in row))
+
+
+ELIMINATION_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 6), (6, 1), (2, 5), (5, 2), (3, 3), (4, 4), (3, 7), (7, 3), (6, 6), (9, 4)]
+
+
+@pytest.mark.parametrize("shape", ELIMINATION_SHAPES)
+def test_elimination_matches_pinned_rref(shape):
+    rows, cols = shape
+    rng = random.Random(7000 + 31 * rows + cols)
+    for _ in range(12):
+        m = _random_elimination_input(rng, rows, cols)
+        expected, pivots = _oracle_rref(m)
+        assert rref(m) == (expected, pivots)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == _oracle_kernel(m)
+        assert Subspace(cols, m.row_lists()).basis == _oracle_basis(cols, m.row_lists())
+        x = [_random_entry(rng) for _ in range(cols)]
+        for b in (m.apply(x), tuple(_random_entry(rng) for _ in range(rows))):
+            assert solve_linear(m, b) == _oracle_solve(m, b)
+        if rows == cols:
+            pinned = _oracle_inverse(m)
+            if pinned is None:
+                with pytest.raises(ValueError):
+                    inverse(m)
+            else:
+                assert inverse(m) == pinned
+
+
+def test_subspace_operations_match_pinned_rref():
+    rng = random.Random(7100)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a = _random_elimination_input(rng, rng.randint(0, n), n).row_lists()
+        b = _random_elimination_input(rng, rng.randint(0, n), n).row_lists()
+        m = _random_elimination_input(rng, rng.randint(1, 6), n)
+        u, w = Subspace(n, a), Subspace(n, b)
+        assert u.sum(w).basis == _oracle_basis(n, a + b)
+        assert u.image_under(m).basis == _oracle_basis(m.rows, [m.apply(v) for v in u.basis])
+        assert all(u.contains(v) for v in a) and u.contains_subspace(u.intersect(w))
+
+
+def test_invertible_matrices_match_pinned_inverse():
+    rng = random.Random(7200)
+    for n in (1, 2, 3, 5, 7):
+        for _ in range(4):
+            m = _random_elimination_input(rng, n, n)
+            m = m + RatMatrix.identity(n).scale(Fraction(2**66 + 5, 11))
+            pinned = _oracle_inverse(m)
+            if pinned is not None:
+                assert inverse(m) == pinned
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy (skipped where sympy is not installed)
+
+
+def _sympy_matrix(sympy, m: RatMatrix):
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator) for x in m.entries])
+
+
+def _from_sympy(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def _sympy_cases():
+    rng = random.Random(7300)
+    for rows, cols in ELIMINATION_SHAPES:
+        if rows and cols:
+            for _ in range(4):
+                yield _random_elimination_input(rng, rows, cols)
+
+
+def test_rank_and_rref_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _sympy_cases():
+        sm = _sympy_matrix(sympy, m)
+        reduced, pivots = sm.rref()
+        assert rank(m) == sm.rank()
+        assert rref(m) == (RatMatrix(m.rows, m.cols, tuple(_from_sympy(x) for x in reduced)), tuple(pivots))
+
+
+def test_kernel_basis_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in _sympy_cases():
+        expected = [tuple(_from_sympy(x) for x in v) for v in _sympy_matrix(sympy, m).nullspace()]
+        assert kernel_basis(m) == expected

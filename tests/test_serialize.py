@@ -1,4 +1,5 @@
 import json
+import re
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from uhlenbeck.serialize import (
     rep_to_json,
     triple_from_json,
     triple_to_json,
+    vector_from_json,
 )
 
 
@@ -71,3 +73,27 @@ def test_pair_roundtrip():
     x, y = rand_matrix(rng, 3, 3), rand_matrix(rng, 3, 3)
     x2, y2 = pair_from_json(json.loads(json.dumps(pair_to_json(x, y))))
     assert (x2, y2) == (x, y)
+
+
+@pytest.mark.parametrize(
+    "reader, data, field",
+    [
+        (matrix_from_json, [[1]], "matrix"),
+        (matrix_from_json, {"rows": "1", "cols": 1, "entries": [["1"]]}, "matrix.rows"),
+        (matrix_from_json, {"rows": 1, "cols": True, "entries": [["1"]]}, "matrix.cols"),
+        (matrix_from_json, {"rows": 1, "cols": 1, "entries": 7}, "matrix.entries"),
+        (matrix_from_json, {"rows": 1, "cols": 1, "entries": ["1"]}, "matrix.entries"),
+        (vector_from_json, "1,2", "vector"),
+        (rep_from_json, [1, 2], "input"),
+        (rep_from_json, {"dim": 3}, "dim"),
+        (rep_from_json, {"dim": [1, 2, 1], "F": [], "G": {}, "tau": "1"}, "F"),
+        (rep_from_json, {"dim": [1, 2, 1], "F": {"xi": 0}, "G": {}, "tau": "1"}, "F.xi"),
+        (triple_from_json, {"Y": {"rows": 0, "cols": 0, "entries": []}, "Z": 4}, "Z"),
+        (triple_from_json, {"Y": {"rows": 0, "cols": 0, "entries": []}, "Z": {"rows": 0, "cols": 0, "entries": []}, "v": {}}, "v"),
+        (triple_from_json, {"Y": {"rows": 0, "cols": 0, "entries": []}, "Z": {"rows": 0, "cols": 0, "entries": []}, "v": [], "tau": [1]}, "tau"),
+        (pair_from_json, {"X": {"rows": 1, "cols": 1, "entries": [["1"]]}}, "Y"),
+    ],
+)
+def test_readers_name_the_wrong_shaped_field(reader, data, field):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        reader(data)
