@@ -332,10 +332,6 @@ class FiberProbe:
     cyclic_found: bool
 
 
-def _flatten(m: RatMatrix) -> Vector:
-    return m.entries
-
-
 def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     """Measure the fiber over the fully degenerate divisor k*u in one component.
 
@@ -431,19 +427,18 @@ def _stratum_image_dim(
 
     Tangent to the slice at (y, v): stratum directions on Y plus all of V.
     Tangent to the residual group orbit: g in the centralizer of Z acting by
-    ([g, Y], g v).  The image dimension is dim slice - dim(overlap).
+    ([g, Y], g v).  The image dimension is dim slice - dim(overlap), which
+    equals dim(slice + orbit) - dim orbit.
     """
     k = y.rows
     amb = k * k + k
-    slice_vecs = [tuple(_flatten(d)) + (Fraction(0),) * k for d in directions]
+    slice_vecs = [d.entries + (Fraction(0),) * k for d in directions]
     slice_vecs += [
         tuple(Fraction(0) for _ in range(k * k)) + tuple(Fraction(1 if i == j else 0) for j in range(k))
         for i in range(k)
     ]
-    t_slice = Subspace(amb, slice_vecs)
-    orbit_vecs = [tuple(_flatten(g.commutator(y))) + g.apply(v) for g in centralizer]
-    t_orbit = Subspace(amb, orbit_vecs)
-    return t_slice.dim - t_slice.intersect(t_orbit).dim
+    orbit_vecs = [g.commutator(y).entries + g.apply(v) for g in centralizer]
+    return Subspace(amb, slice_vecs + orbit_vecs).dim - Subspace(amb, orbit_vecs).dim
 
 
 def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 0) -> FiberProbe:

@@ -349,13 +349,11 @@ def report_tables(n: int, out_dir: str) -> dict:
         ["m", "lambda", "dim", "codim", "open"],
         [[st.m, st.lam.key, st.dim, 2 * n - st.dim, st.is_open] for st in ic.strata(n)],
     )
+    stalks = [(st, ic.ic_stalk(n, st.m, st.lam)) for st in ic.strata(n)]
     write(
         "stalks.csv",
         ["m", "lambda", "stalk", "total"],
-        [
-            [st.m, st.lam.key, ic.ic_stalk(n, st.m, st.lam).to_str(), ic.ic_stalk(n, st.m, st.lam).total]
-            for st in ic.strata(n)
-        ],
+        [[st.m, st.lam.key, s.to_str(), s.total] for st, s in stalks],
     )
     write(
         "betti.csv",

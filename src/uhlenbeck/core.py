@@ -380,9 +380,6 @@ class RatMatrix:
             raise ValueError("vector length does not match column count")
         return tuple(sum((a * b for a, b in zip(self.row(i), w)), Fraction(0)) for i in range(self.rows))
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
@@ -441,16 +438,19 @@ def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
     solves Sylvester equations [g, m] = c.  All mats must be k x k.
     """
     k = mats[0].rows
-    rows = []
+    kk = k * k
+    entries = [_ZERO] * (len(mats) * kk * kk)
+    r = 0
     for m in mats:
         for i in range(k):
             for j in range(k):
-                row = [Fraction(0)] * (k * k)
                 for t in range(k):
-                    row[i * k + t] += m.entry(t, j)
-                    row[t * k + j] -= m.entry(i, t)
-                rows.append(row)
-    return RatMatrix.from_rows(rows)
+                    entries[r + i * k + t] = m.entry(t, j)
+                    entries[r + t * k + j] = -m.entry(i, t)
+                # (gm)[i, j] and (mg)[i, j] both have a g[i, j] term
+                entries[r + i * k + j] = m.entry(j, j) - m.entry(i, i)
+                r += kk
+    return RatMatrix(len(mats) * kk, kk, tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -770,11 +770,17 @@ class Subspace:
             vecs.append(tuple(w))
         return Subspace(self.ambient, vecs)
 
-    def image_under(self, m: RatMatrix) -> "Subspace":
-        """Span of {m v : v in this subspace} inside Q^{m.rows}."""
-        if m.cols != self.ambient:
-            raise ValueError("matrix does not act on this ambient space")
-        return Subspace._spanned(m.rows, Echelon(enumerate(m.apply(v)) for v in self.basis))
+    def image_under(self, *maps: RatMatrix) -> "Subspace":
+        """Span of {m v : v in this subspace, m in maps}, by one elimination.
+
+        The maps must all act on this ambient space and share a row count,
+        which is the ambient dimension of the result.  With several maps this
+        is the sum of the single-map images, without building them.
+        """
+        rows = maps[0].rows
+        if any(m.cols != self.ambient or m.rows != rows for m in maps):
+            raise ValueError("maps must act on this ambient space and share a row count")
+        return Subspace._spanned(rows, Echelon(enumerate(m.apply(v)) for m in maps for v in self.basis))
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient == other.ambient and self.basis == other.basis

@@ -257,6 +257,10 @@ def conjugate_rep(rep: QuiverRep, g1: RatMatrix, g2: RatMatrix, g3: RatMatrix) -
 # subrepresentations and stability
 
 
+def _maps(arrows: dict[str, RatMatrix]) -> list[RatMatrix]:
+    return [arrows[a] for a in ARROWS]
+
+
 def generated_subrep(
     rep: QuiverRep, u1: Subspace, u2: Subspace, u3: Subspace
 ) -> tuple[DimVector, tuple[Subspace, Subspace, Subspace]]:
@@ -268,14 +272,9 @@ def generated_subrep(
     r1, r2, r3 = rep.dim
     if (u1.ambient, u2.ambient, u3.ambient) != (r1, r2, r3):
         raise ValueError("seed subspaces do not match the dimension vector")
-    s1 = u1
-    s2 = u2
-    for a in ARROWS:
-        s2 = s2.sum(s1.image_under(rep.F[a]))
-    s3 = u3
-    for a in ARROWS:
-        s3 = s3.sum(s2.image_under(rep.G[a]))
-    return (s1.dim, s2.dim, s3.dim), (s1, s2, s3)
+    s2 = u2.sum(u1.image_under(*_maps(rep.F)))
+    s3 = u3.sum(s2.image_under(*_maps(rep.G)))
+    return (u1.dim, s2.dim, s3.dim), (u1, s2, s3)
 
 
 @dataclass(frozen=True)
@@ -286,18 +285,11 @@ class StabilityWitness:
 
 
 def _f_image(rep: QuiverRep) -> Subspace:
-    spans = [column_space(rep.F[a]) for a in ARROWS]
-    out = spans[0]
-    for s in spans[1:]:
-        out = out.sum(s)
-    return out
+    return Subspace.full(rep.dim[0]).image_under(*_maps(rep.F))
 
 
-def _g_joint_kernel(rep: QuiverRep) -> Subspace:
-    out = kernel_space(rep.G["xi"])
-    for a in ("eta", "zeta"):
-        out = out.intersect(kernel_space(rep.G[a]))
-    return out
+def _joint_kernel(maps: list[RatMatrix]) -> Subspace:
+    return kernel_space(RatMatrix.vstack(maps))
 
 
 def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
@@ -323,7 +315,7 @@ def _subrep_classes_121(rep: QuiverRep) -> list[tuple[DimVector, tuple[Subspace,
     enumeration below is exhaustive.
     """
     imf = _f_image(rep)
-    ker = _g_joint_kernel(rep)
+    ker = _joint_kernel(_maps(rep.G))
     f = imf.dim
     kdim = ker.dim
     imf_in_ker = ker.contains_subspace(imf)
@@ -404,19 +396,19 @@ def find_destabilizer(
     thetas = (theta,) if theta_tiebreak is None else (theta, theta_tiebreak)
     zero_tuple = tuple(Fraction(0) for _ in thetas)
     r1, r2, r3 = rep.dim
+    F, G = _maps(rep.F), _maps(rep.G)
 
     cands1 = [Subspace.zero(r1), Subspace.full(r1)]
     for a in ARROWS:
         cands1.append(kernel_space(rep.F[a]))
-    k12 = cands1[2].intersect(cands1[3]).intersect(cands1[4])
-    cands1.append(k12)
+    cands1.append(_joint_kernel(F))
 
     cands2 = [Subspace.zero(r2), Subspace.full(r2)]
     for a in ARROWS:
         cands2.append(kernel_space(rep.G[a]))
         cands2.append(column_space(rep.F[a]))
     cands2.append(_f_image(rep))
-    cands2.append(_g_joint_kernel(rep))
+    cands2.append(_joint_kernel(G))
     pairwise = []
     for i in range(2, len(cands2)):
         for j in range(i + 1, len(cands2)):
@@ -438,28 +430,24 @@ def find_destabilizer(
             if n:
                 cands.append(Subspace(n, [[rng.randint(-5, 5) for _ in range(n)]]))
 
-    def dedup(spaces):
-        seen = set()
-        out = []
-        for s in spaces:
-            key = (s.ambient, s.basis)
-            if key not in seen:
-                seen.add(key)
-                out.append(s)
-        return out
-
-    cands1, cands2, cands3 = dedup(cands1), dedup(cands2), dedup(cands3)
+    cands1, cands2, cands3 = (list(dict.fromkeys(c)) for c in (cands1, cands2, cands3))
     seen_dims = set()
+    # generated_subrep(rep, u1, u2, u3) with its images hoisted: the F-image
+    # depends only on u1, and s2 and its G-image only on (u1, u2)
     for u1 in cands1:
+        f1 = u1.image_under(*F)
         for u2 in cands2:
+            s2 = u2.sum(f1)
+            g2 = s2.image_under(*G)
             for u3 in cands3:
-                dims, spaces = generated_subrep(rep, u1, u2, u3)
+                s3 = u3.sum(g2)
+                dims = (u1.dim, s2.dim, s3.dim)
                 if dims == (0, 0, 0) or dims == rep.dim or dims in seen_dims:
                     continue
                 seen_dims.add(dims)
                 slopes = _lex_slopes(thetas, dims)
                 if slopes < zero_tuple:
-                    return StabilityWitness(dims, slopes, spaces)
+                    return StabilityWitness(dims, slopes, (u1, s2, s3))
     return None
 
 

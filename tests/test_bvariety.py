@@ -23,7 +23,7 @@ from uhlenbeck.bvariety import (
     translate,
     triple_stabilizer_dim,
 )
-from uhlenbeck.core import NotNilpotentError, RatMatrix, RatPoly, char_poly, nilpotent_jordan_type
+from uhlenbeck.core import NotNilpotentError, RatMatrix, RatPoly, Subspace, char_poly, nilpotent_jordan_type
 from uhlenbeck.partitions import Partition, partitions
 
 ONE = Fraction(1)
@@ -313,6 +313,37 @@ def test_fiber_probe_two_one_measures_one():
     probe = fiber_probe(Partition((2, 1)), Fraction(1), ONE, samples=6, seed=3)
     assert probe.stratum_dim == 3
     assert probe.measured == 1
+
+
+def _stratum_image_dim_by_intersection(y, z, v, centralizer, directions):
+    # dim slice - dim(slice meet orbit), the formula before it became
+    # dim(slice + orbit) - dim orbit
+    k = y.rows
+    amb = k * k + k
+    slice_vecs = [tuple(d.entries) + (Fraction(0),) * k for d in directions]
+    slice_vecs += [
+        tuple(Fraction(0) for _ in range(k * k)) + tuple(Fraction(1 if i == j else 0) for j in range(k))
+        for i in range(k)
+    ]
+    t_slice = Subspace(amb, slice_vecs)
+    orbit_vecs = [tuple(g.commutator(y).entries) + g.apply(v) for g in centralizer]
+    t_orbit = Subspace(amb, orbit_vecs)
+    return t_slice.dim - t_slice.intersect(t_orbit).dim
+
+
+def test_fiber_probes_match_intersection_formula(monkeypatch):
+    import uhlenbeck.bvariety as bvariety
+
+    probes = [
+        lambda: fiber_probe(Partition((2, 1)), Fraction(1), ONE, samples=4, seed=3),
+        lambda: fiber_probe(Partition((3,)), Fraction(1, 2), Fraction(3, 7), samples=3, seed=1),
+        lambda: fiber_probe(Partition((2, 2)), Fraction(0), Fraction(2), samples=2, seed=1),
+        lambda: distinct_fiber_probe([0, 1, Fraction(5, 2)], ONE, samples=4, seed=2),
+    ]
+    measured = [probe().sample_dims for probe in probes]
+    monkeypatch.setattr(bvariety, "_stratum_image_dim", _stratum_image_dim_by_intersection)
+    assert [probe().sample_dims for probe in probes] == measured
+    assert all(measured) and any(any(dims) for dims in measured)
 
 
 def test_depth_major_presentation_keeps_jordan_type():

@@ -458,6 +458,19 @@ def test_subspace_operations_match_pinned_rref():
         assert all(u.contains(v) for v in a) and u.contains_subspace(u.intersect(w))
 
 
+def test_image_under_several_maps_is_sum_of_single_images():
+    rng = random.Random(7150)
+    for _ in range(30):
+        n, rows = rng.randint(0, 5), rng.randint(0, 5)
+        u = Subspace(n, _random_elimination_input(rng, rng.randint(0, n), n).row_lists())
+        a, b, c = (_random_elimination_input(rng, rows, n) for _ in range(3))
+        chained = u.image_under(a).sum(u.image_under(b)).sum(u.image_under(c))
+        assert u.image_under(a, b, c) == chained
+        assert u.image_under(a, b, c).basis == _oracle_basis(rows, [m.apply(v) for m in (a, b, c) for v in u.basis])
+    with pytest.raises(ValueError):
+        Subspace.full(2).image_under(RatMatrix.zero(3, 2), RatMatrix.zero(2, 2))
+
+
 def test_invertible_matrices_match_pinned_inverse():
     rng = random.Random(7200)
     for n in (1, 2, 3, 5, 7):

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_invertible, rand_matrix
-from uhlenbeck.core import RatMatrix, RatPoly, Subspace
+from uhlenbeck.core import RatMatrix, RatPoly, Subspace, column_space, kernel_space
 from uhlenbeck.ncalgebra import dual_relation_kernel
 from uhlenbeck.quiver import (
+    ARROWS,
     Polarization,
     QuiverRep,
     SheafNumerics,
+    StabilityWitness,
     alpha,
     artin_numerics,
     check_relations,
@@ -401,3 +403,152 @@ def test_gieseker_slope_orders_like_mumford():
         mm_b, mg_b = slopes_MG(b)
         if mm_a > mm_b:
             assert poly_eventually_positive(mg_a - mg_b)
+
+
+# ---------------------------------------------------------------------------
+# pinned closure and destabilizer search
+#
+# Verbatim copies of generated_subrep and find_destabilizer (with their
+# helpers) from before the images were built in one elimination each and
+# hoisted out of the search loops.  Every witness must come out identical.
+
+
+def _old_generated_subrep(rep, u1, u2, u3):
+    r1, r2, r3 = rep.dim
+    if (u1.ambient, u2.ambient, u3.ambient) != (r1, r2, r3):
+        raise ValueError("seed subspaces do not match the dimension vector")
+    s1 = u1
+    s2 = u2
+    for a in ARROWS:
+        s2 = s2.sum(s1.image_under(rep.F[a]))
+    s3 = u3
+    for a in ARROWS:
+        s3 = s3.sum(s2.image_under(rep.G[a]))
+    return (s1.dim, s2.dim, s3.dim), (s1, s2, s3)
+
+
+def _old_f_image(rep):
+    spans = [column_space(rep.F[a]) for a in ARROWS]
+    out = spans[0]
+    for s in spans[1:]:
+        out = out.sum(s)
+    return out
+
+
+def _old_g_joint_kernel(rep):
+    out = kernel_space(rep.G["xi"])
+    for a in ("eta", "zeta"):
+        out = out.intersect(kernel_space(rep.G[a]))
+    return out
+
+
+def _old_find_destabilizer(rep, theta, theta_tiebreak=None, budget=48, seed=0):
+    if slope(theta, rep.dim) != 0:
+        raise ValueError("total slope must vanish")
+    thetas = (theta,) if theta_tiebreak is None else (theta, theta_tiebreak)
+    zero_tuple = tuple(Fraction(0) for _ in thetas)
+    r1, r2, r3 = rep.dim
+
+    cands1 = [Subspace.zero(r1), Subspace.full(r1)]
+    for a in ARROWS:
+        cands1.append(kernel_space(rep.F[a]))
+    k12 = cands1[2].intersect(cands1[3]).intersect(cands1[4])
+    cands1.append(k12)
+
+    cands2 = [Subspace.zero(r2), Subspace.full(r2)]
+    for a in ARROWS:
+        cands2.append(kernel_space(rep.G[a]))
+        cands2.append(column_space(rep.F[a]))
+    cands2.append(_old_f_image(rep))
+    cands2.append(_old_g_joint_kernel(rep))
+    pairwise = []
+    for i in range(2, len(cands2)):
+        for j in range(i + 1, len(cands2)):
+            pairwise.append(cands2[i].intersect(cands2[j]))
+            pairwise.append(cands2[i].sum(cands2[j]))
+            if len(pairwise) >= budget:
+                break
+        if len(pairwise) >= budget:
+            break
+    cands2.extend(pairwise)
+
+    cands3 = [Subspace.zero(r3), Subspace.full(r3)]
+    for a in ARROWS:
+        cands3.append(column_space(rep.G[a]))
+
+    rng = random.Random(seed)
+    for _ in range(budget):
+        for cands, n in ((cands1, r1), (cands2, r2), (cands3, r3)):
+            if n:
+                cands.append(Subspace(n, [[rng.randint(-5, 5) for _ in range(n)]]))
+
+    def dedup(spaces):
+        seen = set()
+        out = []
+        for s in spaces:
+            key = (s.ambient, s.basis)
+            if key not in seen:
+                seen.add(key)
+                out.append(s)
+        return out
+
+    cands1, cands2, cands3 = dedup(cands1), dedup(cands2), dedup(cands3)
+    seen_dims = set()
+    for u1 in cands1:
+        for u2 in cands2:
+            for u3 in cands3:
+                dims, spaces = _old_generated_subrep(rep, u1, u2, u3)
+                if dims == (0, 0, 0) or dims == rep.dim or dims in seen_dims:
+                    continue
+                seen_dims.add(dims)
+                slopes = tuple(slope(t, dims) for t in thetas)
+                if slopes < zero_tuple:
+                    return StabilityWitness(dims, slopes, spaces)
+    return None
+
+
+def _witness_key(w):
+    return None if w is None else (w.dim, w.slopes, tuple(s.basis for s in w.subspaces))
+
+
+def _random_seed_subspace(rng, n):
+    return Subspace(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))])
+
+
+def test_destabilizer_search_matches_pinned_search():
+    # theta0 first exhausts the search at these reps, theta1 first finds a
+    # witness, and (r3, 0, -r1) is destabilized by a seed at the third vertex;
+    # the largest vector, (2, 5, 2), runs at one tau to keep this fast
+    searched = found = 0
+    for i, rdn in enumerate([(1, 0, 1), (2, 0, 1), (2, 1, 2), (1, 0, 2), (0, 0, 1)]):
+        theta0, theta1 = polarizations(*rdn)
+        r1, _, r3 = alpha(*rdn)
+        for tau in (ONE, Fraction(3, 7)) if rdn != (1, 0, 2) else (Fraction(3, 7),):
+            rep = sample_relation_rep(alpha(*rdn), tau, seed=2)
+            rng = random.Random(i)
+            for _ in range(4):
+                seeds = [_random_seed_subspace(rng, n) for n in rep.dim]
+                assert generated_subrep(rep, *seeds) == _old_generated_subrep(rep, *seeds)
+            third = Polarization(r3, 0, -r1)
+            for theta, tiebreak in ((theta0, theta1), (theta1, theta0), (theta1, None), (third, None)):
+                for budget in (0, 2, 5):
+                    new = find_destabilizer(rep, theta, tiebreak, budget=budget, seed=i)
+                    old = _old_find_destabilizer(rep, theta, tiebreak, budget=budget, seed=i)
+                    assert _witness_key(new) == _witness_key(old)
+                    searched += 1
+                    found += new is not None
+    assert searched == 108 and 0 < found < searched
+
+
+def test_destabilizer_search_matches_pinned_search_without_g():
+    # alpha(2, 1, 1) = (1, 3, 0): the G maps are 0 x 3, so every closure has
+    # nothing at the third vertex
+    rng = random.Random(2111)
+    F = {a: RatMatrix.from_rows([[rng.randint(-3, 3)] for _ in range(3)]) for a in ARROWS}
+    rep = QuiverRep(alpha(2, 1, 1), F, {a: RatMatrix(0, 3, ()) for a in ARROWS}, ONE)
+    theta0, theta1 = polarizations(2, 1, 1)
+    for theta, tiebreak in ((theta0, theta1), (theta1, theta0), (theta0, None)):
+        for budget in (0, 2, 5):
+            new = find_destabilizer(rep, theta, tiebreak, budget=budget, seed=3)
+            old = _old_find_destabilizer(rep, theta, tiebreak, budget=budget, seed=3)
+            assert _witness_key(new) == _witness_key(old)
