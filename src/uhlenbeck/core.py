@@ -19,12 +19,26 @@ each integer row is a nonzero multiple of one of its rows, so dividing by
 the pivot recovers that row exactly.  Hence ``rref``, every kernel basis
 (one vector per free column, with 1 there and 0 at the other free columns)
 and every ``Subspace.basis`` are canonical.
+
+All products go through the integer form of a matrix: a = d * m with d the
+lcm of the entry denominators, computed once per matrix and kept.  ``@``,
+``power`` and ``apply`` multiply the integer entries, skipping zeros, and
+build one Fraction per nonzero output entry, as entry / d1 d2 (d^k for a
+k-th power).  ``char_poly`` runs Berkowitz's division-free algorithm on a
+and divides the coefficient of t^i by d^(n-i), since det(tI - a/d) =
+d^-n det(dt I - a).  Where only a span or a rank is wanted
+(``Subspace.image_under``, ``Subspace.intersect``, ``krylov_span_dim``,
+``nilpotent_jordan_type``), the integer products go straight into an
+``Echelon``: scaling a vector changes neither.  A Fraction is always stored
+in lowest terms, so every product, power and polynomial is the same value,
+digit for digit, as the one the Fraction arithmetic computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -359,26 +373,33 @@ class RatMatrix:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """(d, a) with d the lcm of the entry denominators and self = a / d."""
+        d = lcm(*[x.denominator for x in self.entries])
+        if d == 1:
+            return d, tuple([x.numerator for x in self.entries])
+        return d, tuple([x.numerator * (d // x.denominator) for x in self.entries])
+
+    def _times(self, vec: dict[int, int]) -> dict[int, int]:
+        """a v for the integer form a and a sparse integer v, sparse."""
+        return _int_apply(self._integer_form[1], self.cols, range(self.rows), vec)
+
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        orows = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
-        for i in range(self.rows):
-            acc = [_ZERO] * other.cols
-            for k, a in enumerate(self.row(i)):
-                if a:
-                    for j, b in orows[k]:
-                        acc[j] += a * b
-            out.extend(acc)
-        return RatMatrix(self.rows, other.cols, tuple(out))
+        d1, a = self._integer_form
+        d2, b = other._integer_form
+        return RatMatrix(self.rows, other.cols, _over(_int_matmul(a, b, self.rows, self.cols, other.cols), d1 * d2))
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
         w = vector(v)
         if len(w) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum((a * b for a, b in zip(self.row(i), w)), Fraction(0)) for i in range(self.rows))
+        dw = lcm(*[x.denominator for x in w])
+        out = self._times({j: x.numerator * (dw // x.denominator) for j, x in enumerate(w) if x})
+        return _over([out.get(i, 0) for i in range(self.rows)], self._integer_form[0] * dw)
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -386,18 +407,24 @@ class RatMatrix:
         return sum((self.entry(i, i) for i in range(self.rows)), Fraction(0))
 
     def power(self, k: int) -> "RatMatrix":
+        """self^k, by repeated squaring of the integer form and one division by d^k."""
         if not self.is_square:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative power")
-        result = RatMatrix.identity(self.rows)
-        base = self
-        while k:
+        n = self.rows
+        if k == 0:
+            return RatMatrix.identity(n)
+        d, base = self._integer_form
+        den = d**k
+        result = None
+        while True:
             if k & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else _int_matmul(result, base, n, n, n)
             k >>= 1
-        return result
+            if not k:
+                return RatMatrix(n, n, _over(result, den))
+            base = _int_matmul(base, base, n, n, n)
 
     def commutator(self, other: "RatMatrix") -> "RatMatrix":
         return self @ other - other @ self
@@ -430,6 +457,39 @@ class RatMatrix:
         return "\n".join("[" + "  ".join(str(x) for x in self.row(i)) + "]" for i in range(self.rows))
 
 
+def _int_matmul(a: Sequence[int], b: Sequence[int], rows: int, inner: int, cols: int) -> list[int]:
+    """Row-major integer product of an rows x inner and an inner x cols matrix, skipping zeros."""
+    brows = [[(j, y) for j, y in enumerate(b[k * cols : (k + 1) * cols]) if y] for k in range(inner)]
+    out: list[int] = []
+    for i in range(rows):
+        acc = [0] * cols
+        for k, x in enumerate(a[i * inner : (i + 1) * inner]):
+            if x:
+                for j, y in brows[k]:
+                    acc[j] += x * y
+        out.extend(acc)
+    return out
+
+
+def _int_apply(a: Sequence[int], cols: int, rows: range, vec: dict[int, int]) -> dict[int, int]:
+    """The nonzero entries i: sum_j a[i, j] vec[j] for i in rows, with a row-major
+    of width cols and vec a sparse integer vector keyed by column."""
+    out = {}
+    for i in rows:
+        base = i * cols
+        s = sum([a[base + j] * x for j, x in vec.items()])
+        if s:
+            out[i] = s
+    return out
+
+
+def _over(ints: Iterable[int], d: int) -> tuple[Fraction, ...]:
+    """The entries x / d in lowest terms, one Fraction per nonzero x."""
+    if d == 1:
+        return tuple([Fraction(x) if x else _ZERO for x in ints])
+    return tuple([Fraction(x, d) if x else _ZERO for x in ints])
+
+
 def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
     """Matrix of g -> ([g, m] for m in mats) on row-major flattened g.
 
@@ -457,15 +517,17 @@ def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
 # elimination
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """A sparse integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else row
+
+
 def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     """The nonzero (column, rational) entries, scaled by one rational to coprime integers."""
     row = {j: x for j, x in entries if x}
-    if not row:
-        return row
     den = lcm(*[x.denominator for x in row.values()])
-    out = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    g = gcd(*out.values())
-    return {j: v // g for j, v in out.items()} if g != 1 else out
+    return _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
 
 
 def _cancel(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
@@ -484,11 +546,7 @@ def _cancel(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
             out[j] = w
         else:
             del out[j]
-    if out:
-        g = gcd(*out.values())
-        if g != 1:
-            out = {j: v // g for j, v in out.items()}
-    return out
+    return _primitive(out)
 
 
 class Echelon:
@@ -645,19 +703,31 @@ def inverse(m: RatMatrix) -> RatMatrix:
 
 
 def char_poly(m: RatMatrix) -> RatPoly:
-    """det(tI - m), monic of degree n, by the Faddeev-LeVerrier recursion."""
+    """det(tI - m), monic of degree n, by Berkowitz's division-free algorithm.
+
+    Runs on the integer form a = d m.  Going up the trailing principal
+    submatrices a[r:, r:], each step multiplies the coefficient vector by a
+    lower-triangular Toeplitz matrix with first column 1, -a[r, r] and
+    -R A^j C for j = 0 .. n-r-2, where R and C are the rest of row r and
+    column r and A = a[r+1:, r+1:].  The coefficient of t^i is then divided
+    by d^(n-i).
+    """
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    b = RatMatrix.identity(n)
-    for k in range(1, n + 1):
-        mb = m @ b
-        ck = -mb.trace() / k
-        coeffs[n - k] = ck
-        b = RatMatrix(n, n, tuple(mb.entries[i * n + j] + (ck if i == j else 0) for i in range(n) for j in range(n)))
-    return RatPoly(coeffs)
+    d, a = m._integer_form
+    vec = [1]  # det(tI - a[r:, r:]), highest degree first
+    for r in range(n - 1, -1, -1):
+        size = n - r
+        row = {j: a[r * n + j] for j in range(r + 1, n) if a[r * n + j]}
+        col = {i: a[i * n + r] for i in range(r + 1, n) if a[i * n + r]}
+        diags = [1, -a[r * n + r]]
+        for j in range(size - 1):
+            if j:
+                col = _int_apply(a, n, range(r + 1, n), col)
+            diags.append(-sum([x * col[i] for i, x in row.items() if i in col]))
+        vec = [sum([diags[i - j] * vec[j] for j in range(min(i, size - 1) + 1)]) for i in range(size + 1)]
+    return RatPoly([Fraction(vec[n - i], d ** (n - i)) for i in range(n + 1)])
 
 
 def determinant(m: RatMatrix) -> Fraction:
@@ -674,23 +744,27 @@ def nilpotent_jordan_type(z: RatMatrix) -> Partition:
     """Jordan block sizes of a nilpotent matrix, from its rank sequence.
 
     With r_i = rank(z^i), the conjugate partition has parts r_{i-1} - r_i.
+    The ranks are read off integer powers of the integer form of z, each one
+    product from the last.  They fall strictly until they reach 0 exactly
+    when z is nilpotent, so the first r_i == r_{i-1} > 0 proves it is not.
     """
     if not z.is_square:
         raise ValueError("Jordan type of a non-square matrix")
     k = z.rows
     if k == 0:
         return Partition()
+    a = z._integer_form[1]
     ranks = [k]
-    power = RatMatrix.identity(k)
-    for _ in range(k):
-        power = power @ z
-        ranks.append(rank(power))
-        if ranks[-1] == 0:
+    power = a
+    while True:
+        ech = Echelon(enumerate(power[i * k : (i + 1) * k]) for i in range(k))
+        if ech.rank == ranks[-1]:
+            raise NotNilpotentError("matrix is not nilpotent")
+        ranks.append(ech.rank)
+        if not ech.rank:
             break
-    if ranks[-1] != 0:
-        raise NotNilpotentError("matrix is not nilpotent")
+        power = _int_matmul(power, a, k, k, k)
     conj = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
-    conj = [c for c in conj if c > 0]
     return Partition(tuple(conj)).conjugate()
 
 
@@ -753,34 +827,41 @@ class Subspace:
         return Subspace._spanned(self.ambient, ech)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
+        """Zassenhaus: the rows (u | u) and (w | 0) span a space whose members
+        with zero left half are exactly the (0 | x) with x in both.  In an
+        echelon form those are the rows with lead column >= ambient."""
+        n = self.ambient
+        if n != other.ambient:
             raise ValueError("ambient mismatch")
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.ambient)
-        cols = [list(v) for v in self.basis] + [list(v) for v in other.basis]
-        stacked = RatMatrix.from_columns(cols)
-        vecs = []
-        p = len(self.basis)
-        for kv in kernel_basis(stacked):
-            w = [Fraction(0)] * self.ambient
-            for i in range(p):
-                if kv[i] != 0:
-                    for j in range(self.ambient):
-                        w[j] += kv[i] * self.basis[i][j]
-            vecs.append(tuple(w))
-        return Subspace(self.ambient, vecs)
+        ech = Echelon()
+        for row in self._echelon.rows.values():
+            ech._insert({**row, **{n + j: v for j, v in row.items()}})
+        for row in other._echelon.rows.values():
+            ech._insert(row)
+        meet = Echelon()
+        for c, row in ech.rows.items():
+            if c >= n:
+                meet.rows[c - n] = {j - n: v for j, v in row.items()}
+        return Subspace._spanned(n, meet)
 
     def image_under(self, *maps: RatMatrix) -> "Subspace":
         """Span of {m v : v in this subspace, m in maps}, by one elimination.
 
         The maps must all act on this ambient space and share a row count,
         which is the ambient dimension of the result.  With several maps this
-        is the sum of the single-map images, without building them.
+        is the sum of the single-map images, without building them.  The
+        integer rows of this subspace's echelon are multiplied by the integer
+        forms of the maps: each is a nonzero multiple of m v for a basis
+        vector v, so the span is the same.
         """
         rows = maps[0].rows
         if any(m.cols != self.ambient or m.rows != rows for m in maps):
             raise ValueError("maps must act on this ambient space and share a row count")
-        return Subspace._spanned(rows, Echelon(enumerate(m.apply(v)) for m in maps for v in self.basis))
+        ech = Echelon()
+        for m in maps:
+            for row in self._echelon.rows.values():
+                ech._insert(_primitive(m._times(row)))
+        return Subspace._spanned(rows, ech)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient == other.ambient and self.basis == other.basis
@@ -808,9 +889,9 @@ def krylov_span_dim(mats: Sequence[RatMatrix], v: Sequence) -> int:
         if not m.is_square or m.rows != k:
             raise ValueError("all matrices must be square of the vector's size")
     span = Echelon()
-    queue = [w]
+    queue = [_integer_row(enumerate(w))]
     while queue and span.rank < k:
         u = queue.pop()
-        if span.add(enumerate(u)):
-            queue.extend(m.apply(u) for m in mats)
+        if span._insert(u):
+            queue.extend(_primitive(m._times(u)) for m in mats)
     return span.rank

@@ -13,6 +13,7 @@ from uhlenbeck.core import (
     char_poly,
     column_space,
     commutant_system,
+    determinant,
     inverse,
     kernel_basis,
     kernel_space,
@@ -23,6 +24,7 @@ from uhlenbeck.core import (
     rref,
     solve_linear,
     squarefree_factorization,
+    vector,
 )
 from uhlenbeck.partitions import Partition, partitions
 
@@ -483,6 +485,203 @@ def test_invertible_matrices_match_pinned_inverse():
 
 
 # ---------------------------------------------------------------------------
+# products pinned to the Fraction arithmetic they replaced
+
+
+def _matmul_oracle(m: RatMatrix, other: RatMatrix) -> RatMatrix:
+    if m.cols != other.rows:
+        raise ValueError(f"cannot multiply {m.rows}x{m.cols} by {other.rows}x{other.cols}")
+    out = []
+    orows = [[(j, b) for j, b in enumerate(other.row(k)) if b] for k in range(other.rows)]
+    for i in range(m.rows):
+        acc = [Fraction(0)] * other.cols
+        for k, a in enumerate(m.row(i)):
+            if a:
+                for j, b in orows[k]:
+                    acc[j] += a * b
+        out.extend(acc)
+    return RatMatrix(m.rows, other.cols, tuple(out))
+
+
+def _apply_oracle(m: RatMatrix, v) -> tuple:
+    w = vector(v)
+    if len(w) != m.cols:
+        raise ValueError("vector length does not match column count")
+    return tuple(sum((a * b for a, b in zip(m.row(i), w)), Fraction(0)) for i in range(m.rows))
+
+
+def _power_oracle(m: RatMatrix, k: int) -> RatMatrix:
+    result = RatMatrix.identity(m.rows)
+    base = m
+    while k:
+        if k & 1:
+            result = _matmul_oracle(result, base)
+        base = _matmul_oracle(base, base)
+        k >>= 1
+    return result
+
+
+def _char_poly_oracle(m: RatMatrix) -> RatPoly:
+    """det(tI - m) by the Faddeev-LeVerrier recursion."""
+    n = m.rows
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    b = RatMatrix.identity(n)
+    for k in range(1, n + 1):
+        mb = _matmul_oracle(m, b)
+        ck = -mb.trace() / k
+        coeffs[n - k] = ck
+        b = RatMatrix(n, n, tuple(mb.entries[i * n + j] + (ck if i == j else 0) for i in range(n) for j in range(n)))
+    return RatPoly(coeffs)
+
+
+def _jordan_type_oracle(z: RatMatrix) -> Partition:
+    k = z.rows
+    if k == 0:
+        return Partition()
+    ranks = [k]
+    power = RatMatrix.identity(k)
+    for _ in range(k):
+        power = _matmul_oracle(power, z)
+        ranks.append(len(_rref_oracle(power.row_lists())[1]))
+        if ranks[-1] == 0:
+            break
+    if ranks[-1] != 0:
+        raise NotNilpotentError("matrix is not nilpotent")
+    conj = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
+    conj = [c for c in conj if c > 0]
+    return Partition(tuple(conj)).conjugate()
+
+
+def _intersect_oracle(u: Subspace, w: Subspace) -> Subspace:
+    if not u.basis or not w.basis:
+        return Subspace.zero(u.ambient)
+    cols = [list(v) for v in u.basis] + [list(v) for v in w.basis]
+    stacked = RatMatrix.from_columns(cols)
+    vecs = []
+    p = len(u.basis)
+    for kv in kernel_basis(stacked):
+        x = [Fraction(0)] * u.ambient
+        for i in range(p):
+            if kv[i] != 0:
+                for j in range(u.ambient):
+                    x[j] += kv[i] * u.basis[i][j]
+        vecs.append(tuple(x))
+    return Subspace(u.ambient, vecs)
+
+
+def _krylov_oracle(mats, v) -> int:
+    k = len(v)
+    span: list = []
+    queue = [vector(v)]
+    while queue and len(span) < k:
+        u = queue.pop()
+        if len(_oracle_basis(k, span + [u])) > len(span):
+            span.append(u)
+            queue.extend(_apply_oracle(m, u) for m in mats)
+    return len(span)
+
+
+def _all_fractions(entries) -> bool:
+    return all(type(x) is Fraction for x in entries)
+
+
+PRODUCT_KINDS = ["zero", "identity", "integer", "mixed", "big"]
+
+
+def _product_input(rng: random.Random, kind: str, rows: int, cols: int) -> RatMatrix:
+    """Zero, identity (square, else zero-padded), integer-only, mixed-denominator
+    or mixed with numerators above 2^64."""
+    if kind == "zero":
+        return RatMatrix.zero(rows, cols)
+    if kind == "identity":
+        return RatMatrix(rows, cols, tuple(Fraction(int(i == j)) for i in range(rows) for j in range(cols)))
+    if kind == "integer":
+        return RatMatrix(rows, cols, tuple(Fraction(rng.randint(-9, 9) * (rng.random() < 0.7)) for _ in range(rows * cols)))
+    if kind == "mixed":
+        return RatMatrix(rows, cols, tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 9)) * (rng.random() < 0.7) for _ in range(rows * cols)))
+    return RatMatrix(rows, cols, tuple(_random_entry(rng) for _ in range(rows * cols)))
+
+
+PRODUCT_SHAPES = [(0, 0, 0), (3, 0, 2), (0, 3, 2), (2, 3, 0), (1, 1, 1), (2, 3, 4), (4, 1, 3), (1, 5, 1), (5, 2, 5), (4, 4, 4)]
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+def test_matmul_and_apply_match_pinned_fraction_products(shape):
+    rows, inner, cols = shape
+    rng = random.Random(7400 + 100 * rows + 10 * inner + cols)
+    for kind_a in PRODUCT_KINDS:
+        for kind_b in PRODUCT_KINDS:
+            a, b = _product_input(rng, kind_a, rows, inner), _product_input(rng, kind_b, inner, cols)
+            product = a @ b
+            assert product == _matmul_oracle(a, b)
+            assert (product.rows, product.cols) == (rows, cols) and _all_fractions(product.entries)
+            v = _product_input(rng, kind_b, inner, 1).entries
+            assert a.apply(v) == _apply_oracle(a, v) and _all_fractions(a.apply(v))
+    with pytest.raises(ValueError):
+        RatMatrix.zero(2, 3) @ RatMatrix.zero(2, 3)
+    with pytest.raises(ValueError):
+        RatMatrix.zero(2, 3).apply((1, 2))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_power_char_poly_and_jordan_type_match_pinned_fraction_products(n):
+    rng = random.Random(7500 + n)
+    for kind in PRODUCT_KINDS:
+        for _ in range(3):
+            m = _product_input(rng, kind, n, n)
+            for k in range(10):
+                if kind == "big" and n > 3 and k > 5:
+                    continue
+                power = m.power(k)
+                assert power == _power_oracle(m, k) and _all_fractions(power.entries)
+            cp = char_poly(m)
+            assert cp == _char_poly_oracle(m) and _all_fractions(cp.coeffs) and len(cp.coeffs) == n + 1
+            try:
+                expected = _jordan_type_oracle(m)
+            except NotNilpotentError:
+                with pytest.raises(NotNilpotentError, match="matrix is not nilpotent"):
+                    nilpotent_jordan_type(m)
+            else:
+                assert nilpotent_jordan_type(m) == expected
+
+
+def test_jordan_type_of_conjugated_nilpotents_matches_pinned_rank_sequence():
+    rng = random.Random(7550)
+    for k in range(1, 7):
+        for lam in partitions(k):
+            g = rand_invertible(rng, k, -3, 3)
+            d = RatMatrix.diagonal([Fraction(1, rng.randint(1, 5)) for _ in range(k)])
+            z = g @ d @ jordan_nilpotent(lam) @ inverse(d) @ inverse(g)
+            assert nilpotent_jordan_type(z) == _jordan_type_oracle(z) == lam
+            # nilpotent plus a rank-one idempotent is not nilpotent
+            e = RatMatrix.from_rows([[int(i == j == k - 1) for j in range(k)] for i in range(k)])
+            with pytest.raises(NotNilpotentError, match="matrix is not nilpotent"):
+                nilpotent_jordan_type(z + g @ e @ inverse(g))
+
+
+def test_subspace_products_match_pinned_fraction_products():
+    rng = random.Random(7600)
+    for _ in range(60):
+        n, rows = rng.randint(0, 6), rng.randint(0, 5)
+        u = Subspace(n, _random_elimination_input(rng, rng.randint(0, n), n).row_lists())
+        w = Subspace(n, _random_elimination_input(rng, rng.randint(0, n), n).row_lists())
+        meet = u.intersect(w)
+        assert meet == _intersect_oracle(u, w) and meet.basis == _intersect_oracle(u, w).basis
+        assert all(_all_fractions(v) for v in meet.basis)
+        maps = [_random_elimination_input(rng, rows, n) for _ in range(rng.randint(1, 3))]
+        image = u.image_under(*maps)
+        assert image.basis == _oracle_basis(rows, [_apply_oracle(m, v) for m in maps for v in u.basis])
+        assert all(_all_fractions(v) for v in image.basis)
+        if n:
+            square = [_random_elimination_input(rng, n, n) for _ in range(rng.randint(1, 3))]
+            v = tuple(_random_entry(rng) for _ in range(n))
+            assert krylov_span_dim(square, v) == _krylov_oracle(square, v)
+            for b in u.basis:
+                assert krylov_span_dim(square, b) == _krylov_oracle(square, b)
+
+
+# ---------------------------------------------------------------------------
 # differential tests against sympy (skipped where sympy is not installed)
 
 
@@ -516,3 +715,95 @@ def test_kernel_basis_matches_sympy():
     for m in _sympy_cases():
         expected = [tuple(_from_sympy(x) for x in v) for v in _sympy_matrix(sympy, m).nullspace()]
         assert kernel_basis(m) == expected
+
+
+def _sympy_square_cases():
+    rng = random.Random(7700)
+    for n in range(1, 7):
+        for kind in PRODUCT_KINDS:
+            yield _product_input(rng, kind, n, n)
+        for _ in range(3):
+            yield _random_elimination_input(rng, n, n)
+
+
+def test_char_poly_and_determinant_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    for m in _sympy_square_cases():
+        sm = _sympy_matrix(sympy, m)
+        expected = [_from_sympy(c) for c in reversed(sm.charpoly(t).all_coeffs())]
+        assert char_poly(m).coeffs == tuple(expected)
+        assert determinant(m) == _from_sympy(sm.det())
+
+
+def test_squarefree_factorization_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(7800)
+    polys = [char_poly(m) for m in _sympy_square_cases()]
+    for _ in range(30):
+        f = RatPoly([rng.randint(1, 4)])
+        for _ in range(rng.randint(1, 4)):
+            factor = RatPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))] + [1])
+            f = f * factor ** rng.randint(1, 3)
+        polys.append(f)
+    for f in polys:
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], t, domain="QQ")
+        _, factors = poly.sqf_list()
+        expected = sorted(((tuple(_from_sympy(c) for c in reversed(g.monic().all_coeffs())), m) for g, m in factors), key=lambda gm: gm[1])
+        assert [(g.coeffs, m) for g, m in squarefree_factorization(f)] == expected
+
+
+def _sympy_jordan_type(sympy, m: RatMatrix) -> Partition:
+    """Block sizes read off sympy's Jordan form (ones on the superdiagonal)."""
+    _, j = _sympy_matrix(sympy, m).jordan_form()
+    sizes, run = [], 1
+    for i in range(1, m.rows):
+        if j[i - 1, i] == 1:
+            run += 1
+        else:
+            sizes.append(run)
+            run = 1
+    sizes.append(run)
+    return Partition(tuple(sorted(sizes, reverse=True)))
+
+
+def test_nilpotent_jordan_type_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7900)
+    for k in range(1, 6):
+        for lam in partitions(k):
+            g = RatMatrix(k, k, tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k * k)))
+            if _sympy_matrix(sympy, g).det() == 0:
+                continue
+            z = g @ jordan_nilpotent(lam) @ inverse(g)
+            assert nilpotent_jordan_type(z) == _sympy_jordan_type(sympy, z) == lam
+
+
+def test_non_nilpotent_inputs_raise_where_sympy_says_not_nilpotent():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7950)
+    cases = [RatMatrix.diagonal([1, 0]), RatMatrix.identity(3), RatMatrix.from_rows([[0, 1], [0, 0]])]
+    for k in range(1, 6):
+        cases.append(rand_invertible(rng, k))
+        cases.append(_random_elimination_input(rng, k, k))
+        for lam in partitions(k):
+            # nilpotent plus a rank-one idempotent e = u w^T with w^T u = 1
+            u = [Fraction(rng.randint(-3, 3)) for _ in range(k)]
+            if not any(u):
+                continue
+            i = next(i for i, x in enumerate(u) if x)
+            w = [Fraction(0)] * k
+            w[i] = 1 / u[i]
+            e = RatMatrix.from_rows([[a * b for b in w] for a in u])
+            cases.append(jordan_nilpotent(lam) + e)
+            cases.append(jordan_nilpotent(lam))
+    raised = 0
+    for m in cases:
+        if _sympy_matrix(sympy, m).is_nilpotent():
+            assert nilpotent_jordan_type(m) == _sympy_jordan_type(sympy, m)
+        else:
+            raised += 1
+            with pytest.raises(NotNilpotentError, match="matrix is not nilpotent"):
+                nilpotent_jordan_type(m)
+    assert raised > len(cases) // 3
