@@ -31,6 +31,26 @@ class DomainError(Exception):
     pass
 
 
+# The largest accepted size argument of the commands whose work grows fast
+# with it: partition enumerations (ic, report) and a cubic number of
+# generator products (nc dims).  At each cap the most expensive accepted
+# argv runs in about a second.  README.md lists the caps.
+SIZE_CAPS = {
+    "report": ("n", 20),
+    "nc dims": ("max-degree", 48),
+    "ic stalk": ("n", 40),
+    "ic strata": ("n", 26),
+    "ic audit": ("n", 26),
+    "ic fixed-points": ("n", 22),
+}
+
+
+def _check_cap(command: str, value: int):
+    flag, cap = SIZE_CAPS[command]
+    if value > cap:
+        raise DomainError(f"{command} is limited to {flag} <= {cap}")
+
+
 def _parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text or text == "0":
@@ -159,6 +179,7 @@ def _run_nc(args) -> dict:
             ]
         return {"terms": terms}
     if args.subcommand == "dims":
+        _check_cap("nc dims", args.max_degree)
         tau = parse_fraction(args.tau)
         table = [
             {
@@ -284,6 +305,8 @@ def _run_bvar(args, seed: int, meta: dict) -> dict:
 
 
 def _run_ic(args) -> dict:
+    if f"ic {args.subcommand}" in SIZE_CAPS:
+        _check_cap(f"ic {args.subcommand}", args.n)
     if args.subcommand == "stalk":
         lam = _parse_partition(args.lam)
         try:
@@ -331,8 +354,7 @@ def _run_ic(args) -> dict:
 
 def report_tables(n: int, out_dir: str) -> dict:
     """Write strata, stalk, Betti and fixed-point tables as CSV files."""
-    if n > 20:
-        raise DomainError("report is limited to n <= 20")
+    _check_cap("report", n)
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -344,12 +366,13 @@ def report_tables(n: int, out_dir: str) -> dict:
             writer.writerows(rows)
         written.append(name)
 
+    strata = ic.strata(n)
     write(
         "strata.csv",
         ["m", "lambda", "dim", "codim", "open"],
-        [[st.m, st.lam.key, st.dim, 2 * n - st.dim, st.is_open] for st in ic.strata(n)],
+        [[st.m, st.lam.key, st.dim, 2 * n - st.dim, st.is_open] for st in strata],
     )
-    stalks = [(st, ic.ic_stalk(n, st.m, st.lam)) for st in ic.strata(n)]
+    stalks = [(st, ic.ic_stalk(n, st.m, st.lam)) for st in strata]
     write(
         "stalks.csv",
         ["m", "lambda", "stalk", "total"],

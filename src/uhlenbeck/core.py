@@ -226,30 +226,35 @@ class RatPoly:
         return hash(self.coeffs)
 
     def to_str(self, ascending: bool = False) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        ks = range(len(self.coeffs)) if ascending else range(len(self.coeffs) - 1, -1, -1)
-        for k in ks:
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-                body = head + (self.var if k == 1 else f"{self.var}^{k}")
-            terms.append(body)
-        out = terms[0]
-        for term in terms[1:]:
-            out += ("-" + term[1:]) if term.startswith("-") else ("+" + term)
-        return out
+        return poly_str(self.coeffs, self.var, ascending)
 
     def __str__(self):
         return self.to_str()
 
     def __repr__(self):
         return f"RatPoly({self.to_str()!r})"
+
+
+def poly_str(coeffs: Sequence, var: str, ascending: bool = False) -> str:
+    """Text of sum c_k var^k for rational or integer coefficients c_k."""
+    terms = []
+    ks = range(len(coeffs)) if ascending else range(len(coeffs) - 1, -1, -1)
+    for k in ks:
+        c = coeffs[k]
+        if c == 0:
+            continue
+        if k == 0:
+            body = str(c)
+        else:
+            head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
+            body = head + (var if k == 1 else f"{var}^{k}")
+        terms.append(body)
+    if not terms:
+        return "0"
+    out = terms[0]
+    for term in terms[1:]:
+        out += ("-" + term[1:]) if term.startswith("-") else ("+" + term)
+    return out
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:

@@ -7,7 +7,8 @@ cohomology stalk on such a stratum is the graded vector space
 
     q^{2m} * prod_i ( sum_{mu |- lam_i} q^{2 l(mu)} ),
 
-encoded here as a polynomial in q (a summand in shift d contributes q^d).
+encoded here as a polynomial in q (a summand in shift d contributes q^d),
+stored as its list of integer coefficients and multiplied by convolution.
 The coefficient profile of the deepest one-point factor reproduces the Betti
 numbers of the punctual Hilbert scheme of the plane.
 """
@@ -15,53 +16,70 @@ numbers of the punctual Hilbert scheme of the plane.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .core import RatPoly
+from .core import RatPoly, poly_str
 from .partitions import Partition, partition_count, partition_count_by_length, partitions
 
 
 @dataclass(frozen=True)
 class GradedStalk:
-    """Multiset of even shifts, as a polynomial in q."""
+    """Multiset of even shifts: ``coeffs[d]`` summands sit in shift d.
 
-    poly: RatPoly
+    The coefficients are plain nonnegative integers with no trailing zero,
+    so the total is a sum and ``to_str`` prints them directly; ``poly`` is
+    the same data as a polynomial in q.
+    """
+
+    coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        for k, c in enumerate(self.poly.coeffs):
-            if c != 0 and (k % 2 == 1 or c != int(c) or c < 0):
+        if self.coeffs and self.coeffs[-1] == 0:
+            raise ValueError("stalk coefficients must not end in a zero")
+        for k, c in enumerate(self.coeffs):
+            if c != 0 and (k % 2 == 1 or type(c) is not int or c < 0):
                 raise ValueError("stalk polynomial must have nonnegative integer coefficients in even degrees")
 
     @property
+    def poly(self) -> RatPoly:
+        return RatPoly(self.coeffs, var="q")
+
+    @property
     def total(self) -> int:
-        return int(self.poly(1))
+        return sum(self.coeffs)
 
     @property
     def min_shift(self) -> int:
-        if self.poly.is_zero:
+        if not self.coeffs:
             raise ValueError("zero stalk")
-        return next(k for k, c in enumerate(self.poly.coeffs) if c != 0)
+        return next(k for k, c in enumerate(self.coeffs) if c != 0)
 
     @property
     def max_shift(self) -> int:
-        return self.poly.degree
+        return len(self.coeffs) - 1
 
     def coefficient(self, shift: int) -> int:
-        return int(self.poly[shift])
+        return self.coeffs[shift] if 0 <= shift < len(self.coeffs) else 0
 
     def to_str(self) -> str:
-        return self.poly.to_str(ascending=True)
+        return poly_str(self.coeffs, "q", ascending=True)
 
     def __str__(self):
         return self.to_str()
 
 
+@lru_cache(maxsize=None)
+def _length_counts(k: int) -> tuple[int, ...]:
+    """Coefficients of sum over mu |- k of q^{2 l(mu)}, by explicit enumeration."""
+    coeffs = [0] * (2 * k + 1)
+    for mu in partitions(k):
+        coeffs[2 * mu.length] += 1
+    return tuple(coeffs)
+
+
 def length_counting_poly(k: int) -> RatPoly:
     """sum over partitions mu of k of q^{2 l(mu)}, by explicit enumeration."""
-    coeffs: dict[int, int] = {}
-    for mu in partitions(k):
-        coeffs[2 * mu.length] = coeffs.get(2 * mu.length, 0) + 1
-    top = max(coeffs) if coeffs else 0
-    return RatPoly([coeffs.get(i, 0) for i in range(top + 1)], var="q")
+    return RatPoly(_length_counts(k), var="q")
 
 
 def ic_stalk(n: int, m: int, lam) -> GradedStalk:
@@ -69,10 +87,16 @@ def ic_stalk(n: int, m: int, lam) -> GradedStalk:
     lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
     if m < 0 or m + lam.size != n:
         raise ValueError(f"need m + |lam| = n with m >= 0; got m={m}, |lam|={lam.size}, n={n}")
-    poly = RatPoly.monomial(2 * m, 1, var="q")
+    coeffs = [0] * (2 * m) + [1]
     for part in lam:
-        poly = poly * length_counting_poly(part)
-    return GradedStalk(poly)
+        factor = _length_counts(part)
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            if a:
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+        coeffs = out
+    return GradedStalk(tuple(coeffs))
 
 
 def punctual_hilbert_betti(n: int) -> list[int]:

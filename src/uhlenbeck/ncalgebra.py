@@ -1,13 +1,23 @@
 """The graded algebra with [x,y] = tau z^2, z central, and its quadratic dual.
 
-Both presentations are hard-coded rewrite systems rather than general
-Groebner machinery.  Normal-form words are x^a y^b z^c; rewriting moves x
-left and z right, branching on the single noncommuting pair:
+The normal monomials x^a y^b z^c form a basis of the algebra.  Because z is
+central and, by induction on b from y x = x y - tau z^2,
 
-    z x -> x z,   z y -> y z,   y x -> x y - tau z^2.
+    y^b x = x y^b - b tau z^2 y^(b-1),
 
-Coefficients live in Q[tau], so one engine serves the generic parameter and
+a normal monomial times a generator is again a combination of normal
+monomials, in closed form:
+
+    x^a y^b z^c . z = x^a y^b z^(c+1),
+    x^a y^b z^c . y = x^a y^(b+1) z^c,
+    x^a y^b z^c . x = x^(a+1) y^b z^c - b tau x^a y^(b-1) z^(c+2).
+
+A word is the product of its letters, so folding the letters in one at a
+time from the left, each by this rule, gives its normal form: every partial
+product is already written in the basis, and nothing is left to rewrite.
+Coefficients live in Q[tau], so one rule serves the generic parameter and
 every rational specialization, including tau = 0 (the commutative plane).
+``graded_dim_computed`` applies the rule with tau already specialized.
 
 The quadratic dual is the twisted exterior algebra on xi, eta, zeta with
 xi^2 = eta^2 = 0, anticommuting distinct letters, and
@@ -128,31 +138,39 @@ def _monomial_word(m: Monomial) -> tuple[str, ...]:
     return ("x",) * a + ("y",) * b + ("z",) * c
 
 
+def _times_generator(m: Monomial, g: str) -> tuple[tuple[Monomial, int, int], ...]:
+    """x^a y^b z^c . g in normal form, as (monomial, integer, power of tau) terms."""
+    a, b, c = m
+    if g == "z":
+        return (((a, b, c + 1), 1, 0),)
+    if g == "y":
+        return (((a, b + 1, c), 1, 0),)
+    if b:
+        return (((a + 1, b, c), 1, 0), ((a, b - 1, c + 2), -b, 1))
+    return (((a + 1, b, c), 1, 0),)
+
+
+# Normal forms of whole words, as asked for by ``normal_form`` and products.
 _reduce_cache: dict[tuple[str, ...], NCElement] = {}
 
 
 def _reduce_word(word: tuple[str, ...]) -> NCElement:
-    """Rewrite a word to normal form.  Terminates: each step drops the pair
-    (number of y's, number of inversions) lexicographically."""
+    """Normal form of a word, folding its letters in by ``_times_generator``.
+
+    A monomial is only ever reached with one power of tau, one for every two
+    z's beyond the word's own, so each coefficient is an integer times it.
+    """
     cached = _reduce_cache.get(word)
     if cached is not None:
         return cached
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a == "z" and b in ("x", "y"):
-            result = _reduce_word(word[:i] + (b, "z") + word[i + 2 :])
-            break
-        if a == "y" and b == "x":
-            head, tail = word[:i], word[i + 2 :]
-            result = _reduce_word(head + ("x", "y") + tail) + _reduce_word(head + ("z", "z") + tail).scale(
-                tau_poly(-1, 1)
-            )
-            break
-    else:
-        a = word.count("x")
-        b = word.count("y")
-        c = word.count("z")
-        result = NCElement(((((a, b, c)), tau_poly(1)),))
+    terms = {(0, 0, 0): (1, 0)}  # monomial -> (integer, power of tau)
+    for g in word:
+        folded: dict[Monomial, tuple[int, int]] = {}
+        for m, (coeff, k) in terms.items():
+            for m2, c2, k2 in _times_generator(m, g):
+                folded[m2] = (folded.get(m2, (0,))[0] + coeff * c2, k + k2)
+        terms = folded
+    result = NCElement.from_dict({m: tau_poly(c, k) for m, (c, k) in terms.items()})
     _reduce_cache[word] = result
     return result
 
@@ -188,10 +206,11 @@ def graded_dim(degree: int) -> int:
 def graded_dim_computed(degree: int, tau) -> int:
     """Dimension of the degree-i component at a rational tau, recomputed.
 
-    Multiplies the normal basis of degree i-1 by each generator, reduces, and
-    takes the exact rank of the resulting span.  Agreement with
-    ``graded_dim`` checks that no collapse occurs at this tau (induction on
-    the degree starting from the generators).
+    Multiplies the normal basis of degree i-1 by each generator, by the
+    closed-form rule at this tau (a row of at most two entries), and takes
+    the exact rank of the resulting span.  Agreement with ``graded_dim``
+    checks that no collapse occurs at this tau (induction on the degree
+    starting from the generators).
     """
     t = rat(tau)
     if degree == 0:
@@ -200,8 +219,7 @@ def graded_dim_computed(degree: int, tau) -> int:
     span = Echelon()
     for m in normal_monomials(degree - 1):
         for g in GENERATORS:
-            elem = _reduce_word(_monomial_word(m) + (g,))
-            span.add((index[mono], v) for mono, v in elem.coefficients_at(t).items())
+            span.add((index[m2], c * t**k) for m2, c, k in _times_generator(m, g))
     return span.rank
 
 

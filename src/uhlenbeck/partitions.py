@@ -80,29 +80,39 @@ def partitions(n: int, max_part: int | None = None) -> list[Partition]:
 
 @lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n), computed by the bounded-part recurrence (no enumeration)."""
+    """p(n), computed bottom-up by the bounded-part recurrence (no enumeration).
+
+    After pass k, ``table[r]`` counts the partitions of r into parts <= k.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-
-    @lru_cache(maxsize=None)
-    def bounded(m: int, cap: int) -> int:
-        if m == 0:
-            return 1
-        if cap == 0:
-            return 0
-        return sum(bounded(m - first, min(first, m - first)) for first in range(1, min(cap, m) + 1))
-
-    return bounded(n, n)
+    table = [1] + [0] * n
+    for k in range(1, n + 1):
+        for r in range(k, n + 1):
+            table[r] += table[r - k]
+    return table[n]
 
 
 @lru_cache(maxsize=None)
+def _counts_by_length(n: int) -> tuple[int, ...]:
+    """(P(n, 0), ..., P(n, n)), P(n, k) the partitions of n with exactly k parts.
+
+    Removing one box from each part matches the partitions of n with k parts
+    with the partitions of n - k into parts <= k.  After pass k,
+    ``table[r]`` counts the partitions of r into parts <= k for r <= n - k,
+    the only entries later passes read.
+    """
+    table = [1] + [0] * n
+    row = [1 if n == 0 else 0]
+    for k in range(1, n + 1):
+        for r in range(k, n - k + 1):
+            table[r] += table[r - k]
+        row.append(table[n - k])
+    return tuple(row)
+
+
 def partition_count_by_length(n: int, k: int) -> int:
     """Number of partitions of n with exactly k parts."""
     if n < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k == 0 or k > n:
-        return 0
-    # remove one box from each part / split off a part equal to 1
-    return partition_count_by_length(n - k, k) + partition_count_by_length(n - 1, k - 1)
+    return _counts_by_length(n)[k] if k <= n else 0

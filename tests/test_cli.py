@@ -236,3 +236,41 @@ def test_wrong_shape_input_file_is_domain_error(argv_head, content, field, tmp_p
     assert main(argv_head + [str(path)]) == 1
     envelope = json.loads(capsys.readouterr().out)
     assert envelope["status"] == "error" and field in envelope["error"]
+
+
+# ---------------------------------------------------------------------------
+# size caps and deep counting arguments
+
+# Each capped command with its most expensive choice of the other flags.
+CAPPED = [
+    (["nc", "dims", "--max-degree", "{}"], "max-degree", 48),
+    (["ic", "stalk", "--n", "{}", "--m", "0", "--lambda", "{}"], "n", 40),
+    (["ic", "strata", "--n", "{}"], "n", 26),
+    (["ic", "audit", "--n", "{}"], "n", 26),
+    (["ic", "fixed-points", "--n", "{}"], "n", 22),
+]
+
+
+@pytest.mark.parametrize("argv, flag, cap", CAPPED, ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
+def test_size_caps(argv, flag, cap):
+    assert dispatch([a.format(cap) for a in argv])[0] == 0
+    code, envelope = dispatch([a.format(cap + 1) for a in argv])
+    assert code == 1 and envelope["status"] == "error"
+    assert envelope["error"] == f"{argv[0]} {argv[1]} is limited to {flag} <= {cap}"
+
+
+def test_report_cap(tmp_path):
+    code, envelope = dispatch(["report", "--n", "21", "--out", str(tmp_path / "t")])
+    assert code == 1 and envelope["error"] == "report is limited to n <= 20"
+    assert not (tmp_path / "t").exists()
+
+
+def test_deep_counting_arguments_end_in_an_envelope(capsys):
+    # the partition counts are bottom-up tables, so no recursion limit is hit
+    assert main(["ic", "betti", "--n", "1500"]) == 0
+    betti = json.loads(capsys.readouterr().out)["payload"]["betti"]
+    # P(n, 2) = floor(n / 2) and P(n, 3) = round(n^2 / 12)
+    assert len(betti) == 1500 and betti[:3] == [1, 750, 187500] and betti[-2:] == [1, 1]
+    assert main(["cm", "fixed-points", "--n", "2000"]) == 0
+    count = json.loads(capsys.readouterr().out)["payload"]["count"]
+    assert count == 4720819175619413888601432406799959512200344166  # p(2000)

@@ -1,4 +1,6 @@
 from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -200,3 +202,93 @@ def test_unique_attracting_point():
         assert len(attracting) == 1
         p = attracting[0]
         assert p.m == 0 and p.k0 == n and p.kinf == 0
+
+
+# ---------------------------------------------------------------------------
+# integer stalks against the RatPoly-product stalks they replaced
+#
+# ``OldGradedStalk``, ``old_length_counting_poly`` and ``old_ic_stalk`` are
+# verbatim copies of the implementation that multiplied RatPoly factors in
+# Fraction arithmetic and evaluated the total at q = 1.
+
+
+@dataclass(frozen=True)
+class OldGradedStalk:
+    """Multiset of even shifts, as a polynomial in q."""
+
+    poly: RatPoly
+
+    def __post_init__(self):
+        for k, c in enumerate(self.poly.coeffs):
+            if c != 0 and (k % 2 == 1 or c != int(c) or c < 0):
+                raise ValueError("stalk polynomial must have nonnegative integer coefficients in even degrees")
+
+    @property
+    def total(self) -> int:
+        return int(self.poly(1))
+
+    @property
+    def min_shift(self) -> int:
+        if self.poly.is_zero:
+            raise ValueError("zero stalk")
+        return next(k for k, c in enumerate(self.poly.coeffs) if c != 0)
+
+    @property
+    def max_shift(self) -> int:
+        return self.poly.degree
+
+    def coefficient(self, shift: int) -> int:
+        return int(self.poly[shift])
+
+    def to_str(self) -> str:
+        return self.poly.to_str(ascending=True)
+
+    def __str__(self):
+        return self.to_str()
+
+
+def old_length_counting_poly(k: int) -> RatPoly:
+    """sum over partitions mu of k of q^{2 l(mu)}, by explicit enumeration."""
+    coeffs: dict[int, int] = {}
+    for mu in partitions(k):
+        coeffs[2 * mu.length] = coeffs.get(2 * mu.length, 0) + 1
+    top = max(coeffs) if coeffs else 0
+    return RatPoly([coeffs.get(i, 0) for i in range(top + 1)], var="q")
+
+
+def old_ic_stalk(n: int, m: int, lam) -> OldGradedStalk:
+    """IC stalk on the stratum (m, lam): q^{2m} times the product over parts."""
+    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    if m < 0 or m + lam.size != n:
+        raise ValueError(f"need m + |lam| = n with m >= 0; got m={m}, |lam|={lam.size}, n={n}")
+    poly = RatPoly.monomial(2 * m, 1, var="q")
+    for part in lam:
+        poly = poly * old_length_counting_poly(part)
+    return OldGradedStalk(poly)
+
+
+def test_integer_stalks_match_ratpoly_stalks():
+    for n in range(15):
+        for st in strata(n):
+            new, old = ic_stalk(n, st.m, st.lam), old_ic_stalk(n, st.m, st.lam)
+            assert new.poly == old.poly and new.poly.var == old.poly.var == "q"
+            assert type(new.total) is int and new.total == old.total
+            assert new.min_shift == old.min_shift and new.max_shift == old.max_shift
+            for shift in range(-1, new.max_shift + 3):
+                assert type(new.coefficient(shift)) is int
+                assert new.coefficient(shift) == old.coefficient(shift)
+            assert new.to_str() == old.to_str() == str(new)
+
+
+def test_length_counting_poly_matches_old_enumeration():
+    for k in range(16):
+        assert length_counting_poly(k) == old_length_counting_poly(k)
+        assert length_counting_poly(k).to_str() == old_length_counting_poly(k).to_str()
+
+
+def test_graded_stalk_rejects_bad_coefficients():
+    for coeffs in [(0, 1), (1, 0, 0), (-1,), (Fraction(1, 2),)]:
+        with pytest.raises(ValueError):
+            GradedStalk(coeffs)
+    with pytest.raises(ValueError):
+        GradedStalk(()).min_shift

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from uhlenbeck.core import Subspace
+from uhlenbeck.core import Echelon, Subspace, rat
 from uhlenbeck.ncalgebra import (
     DUAL_PAIR_ORDER,
+    GENERATORS,
     MPoly,
     NCElement,
     artin_moduli_determinant,
@@ -198,3 +200,98 @@ def test_determinant_specializations():
     assert det.substitute(u=1, v=1, w=0, tau=5) == 0
     assert det.substitute(u=0, v=0, w=1, tau=2) == -2
     assert det.substitute(u=3, v=-2, w=Fraction(1, 2), tau=Fraction(4, 3)) == Fraction(-4, 3) * Fraction(1, 8)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form generator product against the branching rewriter
+#
+# ``_reduce_word`` and ``graded_dim_computed`` below are verbatim copies of
+# the rewriting engine the closed-form rule replaced: it moves x left and z
+# right, branching on y x -> x y - tau z^2, over every sub-word.
+
+_reduce_cache = {}
+
+
+def _monomial_word(m):
+    a, b, c = m
+    return ("x",) * a + ("y",) * b + ("z",) * c
+
+
+def _reduce_word(word: tuple[str, ...]) -> NCElement:
+    """Rewrite a word to normal form.  Terminates: each step drops the pair
+    (number of y's, number of inversions) lexicographically."""
+    cached = _reduce_cache.get(word)
+    if cached is not None:
+        return cached
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if a == "z" and b in ("x", "y"):
+            result = _reduce_word(word[:i] + (b, "z") + word[i + 2 :])
+            break
+        if a == "y" and b == "x":
+            head, tail = word[:i], word[i + 2 :]
+            result = _reduce_word(head + ("x", "y") + tail) + _reduce_word(head + ("z", "z") + tail).scale(
+                tau_poly(-1, 1)
+            )
+            break
+    else:
+        a = word.count("x")
+        b = word.count("y")
+        c = word.count("z")
+        result = NCElement(((((a, b, c)), tau_poly(1)),))
+    _reduce_cache[word] = result
+    return result
+
+
+def rewriter_graded_dim_computed(degree: int, tau) -> int:
+    t = rat(tau)
+    if degree == 0:
+        return 1
+    index = {m: j for j, m in enumerate(normal_monomials(degree))}
+    span = Echelon()
+    for m in normal_monomials(degree - 1):
+        for g in GENERATORS:
+            elem = _reduce_word(_monomial_word(m) + (g,))
+            span.add((index[mono], v) for mono, v in elem.coefficients_at(t).items())
+    return span.rank
+
+
+ORACLE_TAUS = [Fraction(1), Fraction(3, 7), Fraction(0), Fraction(-2)]
+
+
+def all_words(max_len: int):
+    for length in range(max_len + 1):
+        yield from product(GENERATORS, repeat=length)
+
+
+def test_normal_form_matches_rewriter_on_every_short_word():
+    words = list(all_words(8))
+    assert len(words) == 9841
+    for word in words:
+        new, old = normal_form(word), _reduce_word(word)
+        assert new.terms == old.terms, word
+        assert str(new) == str(old), word
+        for tau in ORACLE_TAUS:
+            assert new.coefficients_at(tau) == old.coefficients_at(tau), (word, tau)
+
+
+def test_scaled_normal_form_matches_rewriter():
+    for word in all_words(4):
+        for coeff in (Fraction(-3, 2), 0, 5):
+            assert normal_form(word, coeff).terms == _reduce_word(word).scale(coeff).terms
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS)
+def test_graded_dim_computed_matches_rewriter(tau):
+    for degree in range(13):
+        assert graded_dim_computed(degree, tau) == rewriter_graded_dim_computed(degree, tau)
+
+
+def test_normal_monomial_products_match_rewriter():
+    # multiplying normal forms goes through the fold on the joined word
+    monos = [m for d in range(4) for m in normal_monomials(d)]
+    for m1 in monos:
+        for m2 in monos:
+            left = NCElement(((m1, tau_poly(1)),))
+            right = NCElement(((m2, tau_poly(1)),))
+            assert (left * right).terms == _reduce_word(_monomial_word(m1) + _monomial_word(m2)).terms
