@@ -39,8 +39,6 @@ from .core import Echelon, RatMatrix, RatPoly, Vector, kernel_basis, rat
 
 GENERATORS = ("x", "y", "z")
 
-TauPoly = RatPoly
-
 
 def tau_poly(c=1, degree: int = 0) -> RatPoly:
     """c * tau^degree as an element of Q[tau]."""
@@ -188,7 +186,8 @@ def normal_form(word, coeff=1) -> NCElement:
     for ch in letters:
         if ch not in GENERATORS:
             raise ValueError(f"unknown generator {ch!r}")
-    return _reduce_word(letters).scale(rat(coeff))
+    element, c = _reduce_word(letters), rat(coeff)
+    return element if c == 1 else element.scale(c)
 
 
 def normal_monomials(degree: int) -> list[Monomial]:

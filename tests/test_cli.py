@@ -1,9 +1,19 @@
+import argparse
+import contextlib
+import csv
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from uhlenbeck.cli import dispatch, main
+import uhlenbeck
+from uhlenbeck.cli import build_parser, dispatch, main
 from uhlenbeck.quiver import monad_of_point
 from uhlenbeck.serialize import matrix_to_json, rep_to_json
 
@@ -241,6 +251,16 @@ def test_wrong_shape_input_file_is_domain_error(argv_head, content, field, tmp_p
 # ---------------------------------------------------------------------------
 # size caps and deep counting arguments
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+class SizedText:
+    """An argv item that ``format(n)`` expands to a text argument of size n."""
+
+    def __init__(self, expand):
+        self.format = expand
+
+
 # Each capped command with its most expensive choice of the other flags.
 CAPPED = [
     (["nc", "dims", "--max-degree", "{}"], "max-degree", 48),
@@ -248,6 +268,23 @@ CAPPED = [
     (["ic", "strata", "--n", "{}"], "n", 26),
     (["ic", "audit", "--n", "{}"], "n", 26),
     (["ic", "fixed-points", "--n", "{}"], "n", 22),
+    (["ic", "betti", "--n", "{}"], "n", 6000),
+    (["cm", "fixed-points", "--n", "{}"], "n", 4000),
+    (
+        ["cm", "sample", "--tau", "3/7", "--n", "{}", "--spectrum", SizedText(lambda n: ",".join(f"{i}/{i + 2}" for i in range(n)))],
+        "n",
+        100,
+    ),
+    (["bvar", "components", "--k", "{}", "--tau", "3/7"], "k", 12),
+    (["bvar", "jordan", "--k", "{}", "--u=-7/3", "--tau", "5/7"], "k", 80),
+    (["bvar", "fiber", "--samples", "16", "--lambda", SizedText(lambda n: ",".join(["2"] + ["1"] * (n - 2)))], "lambda size", 10),
+    (["bvar", "fiber", "--lambda", "2,1,1,1,1,1,1,1,1", "--samples", "{}"], "samples", 16),
+    (["nc", "normal-form", "--tau", "3/7", "--word", SizedText(lambda n: ("yyxx" * n)[:n])], "word length", 800),
+    (
+        ["quiver", "stability", "--rep", str(DATA / "rep_252.json"), "--theta0=-5,0,5", "--theta1=1,0,-1", "--budget", "{}"],
+        "budget",
+        64,
+    ),
 ]
 
 
@@ -274,3 +311,214 @@ def test_deep_counting_arguments_end_in_an_envelope(capsys):
     assert main(["cm", "fixed-points", "--n", "2000"]) == 0
     count = json.loads(capsys.readouterr().out)["payload"]["count"]
     assert count == 4720819175619413888601432406799959512200344166  # p(2000)
+
+
+def test_malformed_seed_variable_is_domain_error(monkeypatch):
+    monkeypatch.setenv("UHL_SEED", "abc")
+    code, envelope = dispatch(["ic", "betti", "--n", "2"])
+    assert code == 1 and envelope["status"] == "error" and "UHL_SEED" in envelope["error"]
+    # an explicit --seed wins without reading the variable
+    assert run_ok(["bvar", "fiber", "--lambda", "2", "--seed", "4"])["meta"]["seed"] == 4
+
+
+# ---------------------------------------------------------------------------
+# the command table as a whole
+
+
+def table_commands() -> dict[str, argparse.ArgumentParser]:
+    """Each command's name and parser, read from the command table."""
+    found = {}
+
+    def walk(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    if sub.get_default("run") is None:
+                        walk(sub)
+                    else:
+                        found[sub.get_default("name")] = sub
+
+    walk(build_parser())
+    return found
+
+
+def test_readme_lists_the_declared_caps():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `uhl ([^`]+)` \| (.+?) \| (\d+) \|$", readme, re.M)
+    listed = {(command, size.strip("`").removeprefix("--"), int(cap)) for command, size, cap in rows}
+    declared = {
+        (name, flag, limit) for name, parser in table_commands().items() for flag, limit, *_ in parser.get_default("caps")
+    }
+    assert listed == declared
+
+
+def run_main(argv) -> tuple[int, str]:
+    """main(argv) with stdout and stderr captured; returns (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue()
+
+
+def assert_envelope(argv):
+    """Exit 0 or 1 with a JSON envelope (or a CSV table), or exit 2 from argparse."""
+    code, out = run_main(argv)
+    if code == 2:
+        assert out == "", argv
+        return
+    assert code in (0, 1), argv
+    if code == 0 and "--csv" in argv and not out.startswith("{"):
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and len({len(row) for row in rows}) == 1, argv
+        return
+    envelope = json.loads(out)
+    assert set(envelope) >= {"status", "payload", "meta"}, argv
+    assert envelope["status"] == ("ok" if code == 0 else "error"), argv
+
+
+def test_fuzz_command_lines(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    rep = monad_of_point((Fraction(1), Fraction(2)), Fraction(1))
+    (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(rep)))
+    (tmp_path / "junk.json").write_text("{not json")
+    paths = st.sampled_from([str(tmp_path / name) for name in ("rep.json", "junk.json", "missing.json")])
+    rationals = st.sampled_from(["1", "0", "-2", "3/7", "t", "1/0", "x", ""])
+    thetas = st.sampled_from(["-1,0,1", "1,0,-1", "0,0,0", "1,0", "a,b,c", "1/0,0,0"])
+    text = {
+        "tau": rationals,
+        "u": rationals,
+        "theta0": thetas,
+        "theta1": thetas,
+        "spectrum": st.sampled_from(["0,1,3", "1,2", "1,1,2", "0,1/0", "", "x"]),
+        "word": st.text("xyz q", max_size=8),
+        "lam": st.sampled_from(["", "0", "3", "2,1", "1,2", "2,0", "-1", "x", ","]),
+        "rep": paths,
+        "pair": paths,
+        "triple": paths,
+        "out": st.just(str(tmp_path / "report")),
+    }
+    # measured caps: the flag they measure and a text of a given size
+    measured = {"word length": ("word", lambda n: "y" * n), "lambda size": ("lam", str)}
+    commands = table_commands()
+
+    def argv_for(name):
+        parser = commands[name]
+        above = {}  # flag dest -> values above its cap
+        for flag, limit, *size in parser.get_default("caps"):
+            dest, build = measured[flag] if size else (flag.replace("-", "_"), str)
+            above[dest] = st.integers(limit + 1, limit + 10**6).map(build)
+        parts = []
+        for action in parser._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            option = action.option_strings[0]
+            if action.nargs == 0:
+                parts.append(st.sampled_from([[], [option]]))
+                continue
+            values = st.integers(-3, 4).map(str) if action.type is int else text[action.dest]
+            if action.dest in above:
+                values = values | above[action.dest]
+            given_value = values.map(lambda v, option=option: [f"{option}={v}"])
+            parts.append(given_value if action.required else st.just([]) | given_value)
+        parts.append(st.sampled_from([[], [], [], [], [], ["--bogus"], ["stray"]]))
+        return st.tuples(*parts).map(lambda ps: name.split() + [a for p in ps for a in p])
+
+    @settings(max_examples=160, derandomize=True, deadline=None, database=None)
+    @given(st.sampled_from(sorted(commands)).flatmap(argv_for))
+    def check(argv):
+        assert_envelope(argv)
+
+    check()
+
+
+def test_fuzz_input_files(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    rationals = st.one_of(st.integers(-3, 3), st.sampled_from(["1", "-1/2", "3/7", "0", "1/0", "x", "", 1.5, True, None]))
+    small = st.integers(0, 2)
+
+    def matrix(rows, cols):
+        entries = st.lists(st.lists(rationals, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+        return entries.map(lambda e: {"rows": rows, "cols": cols, "entries": e})
+
+    def rep(dim):
+        r1, r2, r3 = dim
+        maps = {
+            "F": st.fixed_dictionaries({a: matrix(r2, r1) for a in ("xi", "eta", "zeta")}),
+            "G": st.fixed_dictionaries({a: matrix(r3, r2) for a in ("xi", "eta", "zeta")}),
+        }
+        return st.fixed_dictionaries({"dim": st.just(list(dim)), "tau": rationals, **maps})
+
+    def triple(k):
+        vector = st.lists(rationals, min_size=k, max_size=k)
+        return st.fixed_dictionaries({"Y": matrix(k, k), "Z": matrix(k, k), "v": vector, "tau": rationals})
+
+    def pair(k):
+        return st.fixed_dictionaries({"X": matrix(k, k), "Y": matrix(k, k)})
+
+    keys = ["dim", "F", "G", "tau", "X", "Y", "Z", "v", "rows", "cols", "entries", "xi", "eta", "zeta"]
+    junk = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3) | st.tuples(small, small).flatmap(lambda rc: matrix(*rc)),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.sampled_from(keys), children, max_size=4),
+        max_leaves=8,
+    )
+    contents = {
+        "rep": st.tuples(small, small, small).flatmap(rep),
+        "triple": st.integers(0, 3).flatmap(triple),
+        "pair": st.integers(0, 3).flatmap(pair),
+    }
+    heads = {
+        "rep": [
+            ["quiver", "check"],
+            ["quiver", "check", "--tau", "1"],
+            ["quiver", "stability", "--theta0=0,0,0"],
+            ["quiver", "stability", "--theta0=-1,0,1", "--theta1=1,0,-1", "--budget", "2"],
+        ],
+        "triple": [["bvar", "check"], ["bvar", "check", "--tau", "1"]],
+        "pair": [["cm", "verify"], ["cm", "verify", "--tau", "2"]],
+    }
+    path = tmp_path / "input.json"
+    cases = st.sampled_from(sorted(heads)).flatmap(
+        lambda kind: st.tuples(
+            st.sampled_from(heads[kind]).map(lambda head: head + [f"--{kind}", str(path)]),
+            (contents[kind] | junk).map(json.dumps) | st.text(max_size=12),
+        )
+    )
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(cases)
+    def check(case):
+        argv, text = case
+        path.write_text(text, encoding="utf-8")
+        assert_envelope(argv)
+
+    check()
+
+
+def test_seeded_commands_are_byte_identical_across_hash_seeds(tmp_path):
+    commands = [
+        ["bvar", "fiber", "--lambda", "3,2", "--seed", "5"],
+        ["quiver", "stability", "--rep", str(DATA / "rep_252.json"), "--theta0=5,-4,5", "--theta1=1,0,-1", "--budget", "8", "--seed", "3"],
+        ["ic", "strata", "--n", "6", "--csv"],
+        ["nc", "normal-form", "--word", "zyxzyxyx"],
+        ["report", "--n", "6", "--out", str(tmp_path / "report")],
+    ]
+    launch = "import sys; from uhlenbeck.cli import main; sys.exit(main())"
+    src = str(Path(uhlenbeck.__file__).resolve().parents[1])
+    outputs = {}
+    for hash_seed in ("0", "1"):
+        env = {k: v for k, v in os.environ.items() if k != "UHL_SEED"}
+        env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        runs = [subprocess.run([sys.executable, "-c", launch, *argv], env=env, capture_output=True, check=True) for argv in commands]
+        tables = {p.name: p.read_bytes() for p in sorted((tmp_path / "report").iterdir())}
+        outputs[hash_seed] = ([run.stdout for run in runs], tables)
+    assert len(outputs["0"][1]) == 4
+    assert outputs["0"] == outputs["1"]
