@@ -65,9 +65,18 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _load_input(path: str, from_json, tau_flag: str | None, kind: str, meta: dict):
-    """The object stored in an input file; its tau must agree with --tau and goes into meta."""
-    obj = from_json(_load_json(path))
+def _input(args, flag: str):
+    """The object in the file named by --<flag>, read and validated once per command line."""
+    if "input" not in vars(args):
+        reader = {"rep": rep_from_json, "triple": triple_from_json, "pair": pair_from_json}[flag]
+        args.input = reader(_load_json(getattr(args, flag)))
+    return args.input
+
+
+def _load_input(args, flag: str, kind: str, meta: dict):
+    """The object in the --<flag> file; its tau must agree with --tau and goes into meta."""
+    obj = _input(args, flag)
+    tau_flag = getattr(args, "tau", None)
     if tau_flag is not None and parse_fraction(tau_flag) != obj.tau:
         raise DomainError(f"--tau disagrees with the tau stored in the {kind} file")
     meta["tau"] = fraction_to_str(obj.tau)
@@ -90,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     """Every command once: its arguments, payload function, caps and CSV table.
 
     A cap ``(flag, limit)`` bounds an integer flag; ``(name, limit, size)``
-    bounds ``size(args)``, measured from a text flag.  Each limit is set so
+    bounds ``size(args)``, measured from a text flag or read from the input
+    file by its validating reader.  Each limit is set so
     that the most expensive accepted argv takes under two seconds in a
     subprocess on a 2-vCPU x86-64 host; README.md lists the caps.
     """
@@ -119,21 +129,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--tau", default="1")
 
-    p = command("quiver check", _quiver_check)
+    p = command("quiver check", _quiver_check, ("rep size", 240, lambda a: sum(_input(a, "rep").dim)))
     p.add_argument("--rep", required=True)
     p.add_argument("--tau", default=None)
-    p = command("quiver stability", _quiver_stability, ("budget", 64))
+    # the search cost grows with both, so the two caps go together
+    p = command(
+        "quiver stability",
+        _quiver_stability,
+        ("rep size", 9, lambda a: sum(_input(a, "rep").dim)),
+        ("budget", 32),
+    )
     p.add_argument("--rep", required=True)
     p.add_argument("--theta0", required=True)
     p.add_argument("--theta1", default=None)
-    p.add_argument("--budget", type=int, default=48)
+    p.add_argument("--budget", type=int, default=32)
     p.add_argument("--seed", type=int, default=None)
     p = command("quiver alpha", lambda a, meta: {"alpha": list(quiver.alpha(a.r, a.d, a.n))})
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
 
-    p = command("cm verify", _cm_verify)
+    p = command("cm verify", _cm_verify, ("pair size", 80, lambda a: _input(a, "pair")[0].rows))
     p.add_argument("--pair", required=True)
     p.add_argument("--tau", default="1")
     p = command("cm sample", _cm_sample, ("n", 100))
@@ -147,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True)
 
-    p = command("bvar check", _bvar_check)
+    p = command("bvar check", _bvar_check, ("triple size", 50, lambda a: _input(a, "triple").size))
     p.add_argument("--triple", required=True)
     p.add_argument("--tau", default=None)
     p = command("bvar jordan", _bvar_jordan, ("k", 80))
@@ -227,19 +243,20 @@ def _nc_dims(args, meta) -> dict:
 
 
 def _quiver_check(args, meta) -> dict:
-    rep = _load_input(args.rep, rep_from_json, args.tau, "representation", meta)
+    rep = _load_input(args, "rep", "representation", meta)
     report = quiver.check_relations(rep)
     return {"ok": report.ok, "failures": list(report.failures)}
 
 
 def _quiver_stability(args, meta) -> dict:
-    rep = _load_input(args.rep, rep_from_json, None, "representation", meta)
+    rep = _load_input(args, "rep", "representation", meta)
     theta0 = _parse_theta(args.theta0)
     theta1 = _parse_theta(args.theta1) if args.theta1 else None
-    if quiver.slope(theta0, rep.dim) != 0:
-        raise DomainError("total slope of theta0 must vanish on the dimension vector")
-    if rep.dim == (1, 2, 1) and theta1 is None:
-        verdict, witness = quiver.decide_stability_121(rep, theta0)
+    for name, theta in (("theta0", theta0), ("theta1", theta1)):
+        if theta is not None and quiver.slope(theta, rep.dim) != 0:
+            raise DomainError(f"total slope of {name} must vanish on the dimension vector")
+    if rep.dim[0] <= 1 and rep.dim[2] <= 1:
+        verdict, witness = quiver.decide_stability_121(rep, theta0, theta1)
     else:
         witness = quiver.find_destabilizer(rep, theta0, theta1, budget=args.budget, seed=meta["seed"])
         verdict = "unstable" if witness else "unknown"
@@ -253,7 +270,7 @@ def _quiver_stability(args, meta) -> dict:
 
 
 def _cm_verify(args, meta) -> dict:
-    x, y = pair_from_json(_load_json(args.pair))
+    x, y = _input(args, "pair")
     result = calogero.verify_cm(x, y, parse_fraction(args.tau))
     payload = {
         "member": result.member,
@@ -278,7 +295,7 @@ def _cm_sample(args, meta) -> dict:
 
 
 def _bvar_check(args, meta) -> dict:
-    triple = _load_input(args.triple, triple_from_json, args.tau, "triple", meta)
+    triple = _load_input(args, "triple", "triple", meta)
     check = bvariety.check_btriple(triple)
     payload = {
         "ok": check.ok,

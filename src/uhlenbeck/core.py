@@ -728,7 +728,7 @@ def char_poly(m: RatMatrix) -> RatPoly:
         col = {i: a[i * n + r] for i in range(r + 1, n) if a[i * n + r]}
         diags = [1, -a[r * n + r]]
         for j in range(size - 1):
-            if j:
+            if j and row and col:  # an empty R or C makes every R A^j C zero
                 col = _int_apply(a, n, range(r + 1, n), col)
             diags.append(-sum([x * col[i] for i, x in row.items() if i in col]))
         vec = [sum([diags[i - j] * vec[j] for j in range(min(i, size - 1) + 1)]) for i in range(size + 1)]

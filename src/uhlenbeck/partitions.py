@@ -59,12 +59,10 @@ class Partition:
         return "+".join(str(p) for p in self.parts) if self.parts else "0"
 
 
-def partitions(n: int, max_part: int | None = None) -> list[Partition]:
+def partitions(n: int) -> list[Partition]:
     """All partitions of n in reverse lexicographic order, largest part first."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if max_part is None:
-        max_part = n
     out: list[Partition] = []
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
@@ -74,7 +72,7 @@ def partitions(n: int, max_part: int | None = None) -> list[Partition]:
         for first in range(min(remaining, cap), 0, -1):
             rec(remaining - first, first, prefix + (first,))
 
-    rec(n, max_part, ())
+    rec(n, n, ())
     return out
 
 

@@ -14,8 +14,8 @@ identity per basis element of the degree-two multiplication kernel:
 
 The module also carries numeric sheaf invariants (rank, degree, second Chern
 class), the standard dimension vector and polarization formulas, and exact
-slope-stability decision procedures: complete at dimension (1,2,1), witness
-search elsewhere.
+slope-stability decision procedures: exact where r1, r3 <= 1, witness search
+elsewhere.
 """
 
 from __future__ import annotations
@@ -305,76 +305,57 @@ def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
     return out
 
 
-def _subrep_classes_121(rep: QuiverRep) -> list[tuple[DimVector, tuple[Subspace, Subspace, Subspace]]]:
-    """All realizable proper nonzero subrepresentation dimension classes.
-
-    At dimension (1,2,1) the constraints are: U2 must contain the image of F
-    when U1 is everything, and U3 may be zero only when G kills U2, i.e. when
-    U2 lies inside the joint kernel K of the G maps.  Both conditions reduce
-    to comparisons against the two distinguished subspaces im F and K, so the
-    enumeration below is exhaustive.
-    """
-    imf = _f_image(rep)
-    ker = _joint_kernel(_maps(rep.G))
-    f = imf.dim
-    kdim = ker.dim
-    imf_in_ker = ker.contains_subspace(imf)
-    v2_full = Subspace.full(2)
-
-    out = []
-    for u1 in (0, 1):
-        for u2 in range(0, 3):
-            if u1 == 1 and u2 < f:
-                continue
-            for u3 in (0, 1):
-                dims = (u1, u2, u3)
-                if dims == (0, 0, 0) or dims == (1, 2, 1):
-                    continue
-                base = imf if u1 == 1 else Subspace.zero(2)
-                if u3 == 1:
-                    sub2 = _extend_to_dim(base, v2_full, u2)
-                else:
-                    realizable = (u2 <= kdim) if u1 == 0 else (imf_in_ker and f <= u2 <= kdim)
-                    if not realizable:
-                        continue
-                    sub2 = _extend_to_dim(base, ker, u2)
-                sub1 = Subspace.full(1) if u1 else Subspace.zero(1)
-                sub3 = Subspace.full(1) if u3 else Subspace.zero(1)
-                closure_dims, spaces = generated_subrep(rep, sub1, sub2, sub3)
-                if closure_dims != dims:
-                    raise AssertionError(f"witness construction drifted: {closure_dims} != {dims}")
-                out.append((dims, spaces))
-    return out
-
-
-def decide_stability_121(rep: QuiverRep, theta: Polarization) -> tuple[str, StabilityWitness | None]:
-    """Exact stability decision at dimension vector (1,2,1).
-
-    Returns ("stable", None), ("semistable", witness with slope zero) or
-    ("unstable", destabilizing witness).  The polarization must pair to zero
-    against (1,2,1).
-    """
-    if rep.dim != (1, 2, 1):
-        raise ValueError(f"exact decision only at dimension (1,2,1); got {rep.dim}")
-    if slope(theta, rep.dim) != 0:
-        raise ValueError("total slope must vanish")
-    worst: tuple[Fraction, DimVector, tuple] | None = None
-    for dims, spaces in _subrep_classes_121(rep):
-        s = slope(theta, dims)
-        if worst is None or s < worst[0]:
-            worst = (s, dims, spaces)
-    assert worst is not None
-    s, dims, spaces = worst
-    witness = StabilityWitness(dims, (s,), spaces)
-    if s < 0:
-        return "unstable", witness
-    if s == 0:
-        return "semistable", witness
-    return "stable", None
-
-
 def _lex_slopes(thetas: tuple[Polarization, ...], dims: DimVector) -> tuple[Fraction, ...]:
     return tuple(slope(t, dims) for t in thetas)
+
+
+def decide_stability_121(
+    rep: QuiverRep, theta: Polarization, theta_tiebreak: Polarization | None = None
+) -> tuple[str, StabilityWitness | None]:
+    """Exact stability decision wherever r1, r3 <= 1 (the name dates from (1,2,1)).
+
+    There U1 is 0 or V1, U3 is 0 or V3, and U2 is any subspace between low
+    (im F when U1 = V1, else 0) and high (the joint kernel K of the G maps
+    when U3 = 0 < r3, else V2).  The least (slope tuple, dimension vector)
+    over these classes (u1, d2, u3), proper and nonzero, decides; slope
+    tuples compare lexicographically, theta first, and every polarization
+    must pair to zero with rep.dim.  Returns ("stable", None), ("semistable",
+    witness with zero slopes) or ("unstable", destabilizing witness); a rep
+    with no proper nonzero class is stable.
+    """
+    r1, r2, r3 = rep.dim
+    if r1 > 1 or r3 > 1:
+        raise ValueError(f"exact decision needs r1, r3 <= 1; got {rep.dim}")
+    thetas = (theta,) if theta_tiebreak is None else (theta, theta_tiebreak)
+    if any(slope(t, rep.dim) != 0 for t in thetas):
+        raise ValueError("total slope must vanish")
+    imf, ker, v2 = _f_image(rep), _joint_kernel(_maps(rep.G)), Subspace.full(r2)
+    least = None
+    for u1 in range(r1 + 1):
+        for u3 in range(r3 + 1):
+            low, high = (imf if u1 else Subspace.zero(r2)), (ker if u3 < r3 else v2)
+            if not high.contains_subspace(low):
+                continue
+            for d2 in range(low.dim, high.dim + 1):
+                dims = (u1, d2, u3)
+                if dims == (0, 0, 0) or dims == rep.dim:
+                    continue
+                key = (_lex_slopes(thetas, dims), dims)
+                if least is None or key < least[0]:
+                    least = (key, low, high)
+    if least is None:
+        return "stable", None
+    (slopes, dims), low, high = least
+    u1, d2, u3 = dims
+    sub1 = Subspace.full(r1) if u1 else Subspace.zero(r1)
+    sub3 = Subspace.full(r3) if u3 else Subspace.zero(r3)
+    closure_dims, spaces = generated_subrep(rep, sub1, _extend_to_dim(low, high, d2), sub3)
+    if closure_dims != dims:
+        raise AssertionError(f"witness construction drifted: {closure_dims} != {dims}")
+    zero = tuple(Fraction(0) for _ in thetas)
+    if slopes > zero:
+        return "stable", None
+    return ("unstable" if slopes < zero else "semistable"), StabilityWitness(dims, slopes, spaces)
 
 
 def find_destabilizer(
@@ -451,7 +432,7 @@ def find_destabilizer(
     return None
 
 
-def sample_relation_rep(dim: DimVector, tau, seed: int = 0, value_range: int = 3) -> QuiverRep | None:
+def sample_relation_rep(dim: DimVector, tau, seed: int = 0) -> QuiverRep | None:
     """Random representation satisfying the relations: draw F, solve for G.
 
     The six identities are linear in the G-block once F is fixed, so a random
@@ -462,7 +443,7 @@ def sample_relation_rep(dim: DimVector, tau, seed: int = 0, value_range: int = 3
     tau = rat(tau)
     rng = random.Random(seed)
     F = {
-        a: RatMatrix.from_rows([[rng.randint(-value_range, value_range) for _ in range(r1)] for _ in range(r2)])
+        a: RatMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r1)] for _ in range(r2)])
         for a in ARROWS
     }
     # unknowns: entries of G_xi, G_eta, G_zeta, flattened in that order
@@ -485,7 +466,7 @@ def sample_relation_rep(dim: DimVector, tau, seed: int = 0, value_range: int = 3
     kb = kernel_basis(RatMatrix.from_rows(rows)) if rows else []
     if not kb:
         return None
-    coeffs = [rng.randint(-value_range, value_range) for _ in kb]
+    coeffs = [rng.randint(-3, 3) for _ in kb]
     flat = [sum((c * v[i] for c, v in zip(coeffs, kb)), Fraction(0)) for i in range(nunk)]
     G = {}
     for ai, a in enumerate(ARROWS):

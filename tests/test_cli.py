@@ -4,7 +4,9 @@ import csv
 import io
 import json
 import os
+import random
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -13,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import uhlenbeck
+from uhlenbeck import quiver
 from uhlenbeck.cli import build_parser, dispatch, main
+from uhlenbeck.core import RatMatrix
 from uhlenbeck.quiver import monad_of_point
 from uhlenbeck.serialize import matrix_to_json, rep_to_json
 
@@ -125,6 +129,47 @@ def test_stability_lexicographic_pair(tmp_path):
     out = run_ok(["quiver", "stability", "--theta0", "0,0,0", "--theta1", "1,0,-1", "--rep", str(path)])
     assert out["payload"]["verdict"] == "unstable"
     assert out["payload"]["witness"]["slopes"] == ["0", "-1"]
+
+
+def write_rep(path, rep) -> str:
+    path.write_text(json.dumps(rep_to_json(rep)))
+    return str(path)
+
+
+def test_stability_is_exact_at_alpha_101(tmp_path):
+    # (1,3,1) = alpha(1,0,1) with both of its polarizations: no search, no "unknown"
+    theta0, theta1 = quiver.polarizations(1, 0, 1)
+    verdicts = set()
+    reps = [quiver.sample_relation_rep((1, 3, 1), Fraction(3, 7), seed=seed) for seed in range(4)]
+    zero = quiver.QuiverRep((1, 3, 1), {a: RatMatrix.zero(3, 1) for a in quiver.ARROWS}, {a: RatMatrix.zero(1, 3) for a in quiver.ARROWS}, Fraction(1))
+    for rep in [r for r in reps if r is not None] + [zero]:
+        path = write_rep(tmp_path / "rep.json", rep)
+        out = run_ok(["quiver", "stability", "--theta0=-1,0,1", "--theta1=3,-2,3", "--rep", path])
+        verdict, witness = quiver.decide_stability_121(rep, theta0, theta1)
+        assert out["payload"]["verdict"] == verdict != "unknown"
+        assert out["payload"].get("witness", {}).get("dim") == (list(witness.dim) if witness else None)
+        verdicts.add(verdict)
+    assert len(verdicts) >= 2
+
+
+@pytest.mark.parametrize("dim", [(0, 0, 0), (0, 3, 0), (1, 0, 1), (0, 4, 1), (1, 3, 0), (1, 5, 1), (1, 7, 1)])
+def test_stability_never_unknown_where_r1_r3_at_most_one(dim, tmp_path):
+    r1, r2, r3 = dim
+    rng = random.Random(sum(dim))
+    thetas = [(0, 0, 0), (-r3, 0, r1), (r2, -r1 - r3, r2)]
+    for _ in range(4):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(random_rep_json(rng, dim)))
+        for t0 in thetas:
+            for t1 in thetas:
+                argv = ["quiver", "stability", "--theta0=" + ",".join(map(str, t0)), "--theta1=" + ",".join(map(str, t1))]
+                assert run_ok(argv + ["--rep", str(path)])["payload"]["verdict"] != "unknown"
+
+
+def test_stability_tiebreak_must_vanish(tmp_path):
+    path = write_rep(tmp_path / "rep.json", monad_of_point((Fraction(1), Fraction(2)), Fraction(1)))
+    code, envelope = dispatch(["quiver", "stability", "--theta0=-1,0,1", "--theta1=1,1,1", "--rep", path])
+    assert code == 1 and envelope["error"] == "total slope of theta1 must vanish on the dimension vector"
 
 
 def test_bvar_fiber():
@@ -283,7 +328,7 @@ CAPPED = [
     (
         ["quiver", "stability", "--rep", str(DATA / "rep_252.json"), "--theta0=-5,0,5", "--theta1=1,0,-1", "--budget", "{}"],
         "budget",
-        64,
+        32,
     ),
 ]
 
@@ -294,6 +339,58 @@ def test_size_caps(argv, flag, cap):
     code, envelope = dispatch([a.format(cap + 1) for a in argv])
     assert code == 1 and envelope["status"] == "error"
     assert envelope["error"] == f"{argv[0]} {argv[1]} is limited to {flag} <= {cap}"
+
+
+def random_matrix_json(rng, rows, cols) -> dict:
+    entries = [[f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in range(cols)] for _ in range(rows)]
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def random_rep_json(rng, dim) -> dict:
+    r1, r2, r3 = dim
+    return {
+        "dim": list(dim),
+        "F": {a: random_matrix_json(rng, r2, r1) for a in ("xi", "eta", "zeta")},
+        "G": {a: random_matrix_json(rng, r3, r2) for a in ("xi", "eta", "zeta")},
+        "tau": "1",
+    }
+
+
+# Each file-reading command with a random input file of size n, the most
+# expensive kind measured: dense random matrices with entries p/q, |p| <= 3,
+# q <= 3 (random pairs are non-members, random triples fail the checks).
+FILE_CAPPED = [
+    (["quiver", "check", "--rep"], "rep size", 240, lambda rng, n: random_rep_json(rng, (n // 3, n - 2 * (n // 3), n // 3))),
+    (
+        ["quiver", "stability", "--theta0=-4,0,2", "--theta1=4,0,-2", "--budget", "32", "--rep"],
+        "rep size",
+        9,
+        lambda rng, n: random_rep_json(rng, (2, 3, n - 5)),
+    ),
+    (["cm", "verify", "--tau", "1", "--pair"], "pair size", 80, lambda rng, n: {"X": random_matrix_json(rng, n, n), "Y": random_matrix_json(rng, n, n)}),
+    (
+        ["bvar", "check", "--triple"],
+        "triple size",
+        50,
+        lambda rng, n: {
+            "Y": random_matrix_json(rng, n, n),
+            "Z": random_matrix_json(rng, n, n),
+            "v": [str(rng.randint(-3, 3)) for _ in range(n)],
+            "tau": "1",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, size, cap, content", FILE_CAPPED, ids=[" ".join(case[0][:2]) for case in FILE_CAPPED])
+def test_file_size_caps(argv, size, cap, content, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content(random.Random(cap), cap)))
+    # the command ran to its payload (a random pair is a non-member: exit 1 with its ranks)
+    assert dispatch(argv + [str(path)])[1]["payload"] is not None
+    path.write_text(json.dumps(content(random.Random(cap), cap + 1)))
+    code, envelope = dispatch(argv + [str(path)])
+    assert code == 1 and envelope["error"] == f"{argv[0]} {argv[1]} is limited to {size} <= {cap}"
 
 
 def test_report_cap(tmp_path):
@@ -411,6 +508,8 @@ def test_fuzz_command_lines(tmp_path):
         parser = commands[name]
         above = {}  # flag dest -> values above its cap
         for flag, limit, *size in parser.get_default("caps"):
+            if size and flag not in measured:
+                continue  # read from an input file: test_file_size_caps covers it
             dest, build = measured[flag] if size else (flag.replace("-", "_"), str)
             above[dest] = st.integers(limit + 1, limit + 10**6).map(build)
         parts = []
@@ -522,3 +621,40 @@ def test_seeded_commands_are_byte_identical_across_hash_seeds(tmp_path):
         outputs[hash_seed] = ([run.stdout for run in runs], tables)
     assert len(outputs["0"][1]) == 4
     assert outputs["0"] == outputs["1"]
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def readme_examples() -> list[tuple[list[str], str | None]]:
+    """The ``uhl ...`` lines of README's Command line block: argv and the ``# ...`` note."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, note = line.partition("#")
+        if command.startswith("uhl "):
+            examples.append((shlex.split(command)[1:], note.strip() or None))
+    return examples
+
+
+def test_readme_examples_run(tmp_path):
+    examples = readme_examples()
+    run = [(argv, note) for argv, note in examples if not {"--rep", "--pair", "--triple"} & set(argv)]
+    assert len(examples) == 19 and len(run) == 14
+    for argv, note in run:
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "tables")
+        code, out = run_main(argv)
+        assert code == 0, argv
+        if note is None:
+            continue
+        try:
+            expected = json.loads(note)
+        except ValueError:
+            continue  # a remark, not a result
+        payload = json.loads(out)["payload"]
+        assert expected == payload or expected in payload.values(), argv
+

@@ -646,6 +646,34 @@ def test_power_char_poly_and_jordan_type_match_pinned_fraction_products(n):
                 assert nilpotent_jordan_type(m) == expected
 
 
+@pytest.mark.parametrize("shape", ["lower", "upper", "blocks"])
+def test_char_poly_of_structured_matrices_matches_oracle_and_diagonal(shape):
+    # rows or columns with no entries past the diagonal take the shortcut in
+    # char_poly; triangular and block-diagonal inputs have many of them
+    rng = random.Random(7520)
+    for n in range(9):
+        for kind in PRODUCT_KINDS:
+            m = _product_input(rng, kind, n, n)
+            if shape == "blocks":
+                cuts = sorted(rng.sample(range(1, n), min(2, n - 1))) if n > 1 else []
+                block = [sum(i >= c for c in cuts) for i in range(n)]
+                keep = [block[i] == block[j] for i in range(n) for j in range(n)]
+            else:
+                keep = [(i >= j) == (shape == "lower") or i == j for i in range(n) for j in range(n)]
+            m = RatMatrix(n, n, tuple(x if k else Fraction(0) for x, k in zip(m.entries, keep)))
+            cp = char_poly(m)
+            assert cp == _char_poly_oracle(m) and _all_fractions(cp.coeffs)
+            expected = RatPoly.one()
+            if shape == "blocks":
+                for b in sorted(set(block)):
+                    idx = [i for i in range(n) if block[i] == b]
+                    expected = expected * _char_poly_oracle(RatMatrix.from_rows([[m.entry(i, j) for j in idx] for i in idx]))
+            else:
+                for i in range(n):
+                    expected = expected * RatPoly([-m.entry(i, i), 1])
+            assert cp == expected
+
+
 def test_jordan_type_of_conjugated_nilpotents_matches_pinned_rank_sequence():
     rng = random.Random(7550)
     for k in range(1, 7):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -552,3 +553,216 @@ def test_destabilizer_search_matches_pinned_search_without_g():
             new = find_destabilizer(rep, theta, tiebreak, budget=budget, seed=3)
             old = _old_find_destabilizer(rep, theta, tiebreak, budget=budget, seed=3)
             assert _witness_key(new) == _witness_key(old)
+
+
+# ---------------------------------------------------------------------------
+# pinned (1,2,1) decision
+#
+# Verbatim copies of _subrep_classes_121 and decide_stability_121 from before
+# the interval argument replaced the enumeration of the twelve candidate
+# classes.  At (1,2,1) every verdict, witness dimension, slope and witness
+# subspace basis must come out identical.
+
+from uhlenbeck.quiver import _extend_to_dim, _f_image, _joint_kernel, _maps  # noqa: E402
+
+
+def _old_subrep_classes_121(rep: QuiverRep) -> list[tuple[tuple, tuple[Subspace, Subspace, Subspace]]]:
+    """All realizable proper nonzero subrepresentation dimension classes.
+
+    At dimension (1,2,1) the constraints are: U2 must contain the image of F
+    when U1 is everything, and U3 may be zero only when G kills U2, i.e. when
+    U2 lies inside the joint kernel K of the G maps.  Both conditions reduce
+    to comparisons against the two distinguished subspaces im F and K, so the
+    enumeration below is exhaustive.
+    """
+    imf = _f_image(rep)
+    ker = _joint_kernel(_maps(rep.G))
+    f = imf.dim
+    kdim = ker.dim
+    imf_in_ker = ker.contains_subspace(imf)
+    v2_full = Subspace.full(2)
+
+    out = []
+    for u1 in (0, 1):
+        for u2 in range(0, 3):
+            if u1 == 1 and u2 < f:
+                continue
+            for u3 in (0, 1):
+                dims = (u1, u2, u3)
+                if dims == (0, 0, 0) or dims == (1, 2, 1):
+                    continue
+                base = imf if u1 == 1 else Subspace.zero(2)
+                if u3 == 1:
+                    sub2 = _extend_to_dim(base, v2_full, u2)
+                else:
+                    realizable = (u2 <= kdim) if u1 == 0 else (imf_in_ker and f <= u2 <= kdim)
+                    if not realizable:
+                        continue
+                    sub2 = _extend_to_dim(base, ker, u2)
+                sub1 = Subspace.full(1) if u1 else Subspace.zero(1)
+                sub3 = Subspace.full(1) if u3 else Subspace.zero(1)
+                closure_dims, spaces = generated_subrep(rep, sub1, sub2, sub3)
+                if closure_dims != dims:
+                    raise AssertionError(f"witness construction drifted: {closure_dims} != {dims}")
+                out.append((dims, spaces))
+    return out
+
+
+def _old_decide_stability_121(rep: QuiverRep, theta: Polarization) -> tuple[str, StabilityWitness | None]:
+    """Exact stability decision at dimension vector (1,2,1).
+
+    Returns ("stable", None), ("semistable", witness with slope zero) or
+    ("unstable", destabilizing witness).  The polarization must pair to zero
+    against (1,2,1).
+    """
+    if rep.dim != (1, 2, 1):
+        raise ValueError(f"exact decision only at dimension (1,2,1); got {rep.dim}")
+    if slope(theta, rep.dim) != 0:
+        raise ValueError("total slope must vanish")
+    worst: tuple[Fraction, tuple, tuple] | None = None
+    for dims, spaces in _old_subrep_classes_121(rep):
+        s = slope(theta, dims)
+        if worst is None or s < worst[0]:
+            worst = (s, dims, spaces)
+    assert worst is not None
+    s, dims, spaces = worst
+    witness = StabilityWitness(dims, (s,), spaces)
+    if s < 0:
+        return "unstable", witness
+    if s == 0:
+        return "semistable", witness
+    return "stable", None
+
+
+def _with_maps(rep, F=None, G=None):
+    return QuiverRep(rep.dim, F or rep.F, G or rep.G, rep.tau)
+
+
+def _sampled_121_reps():
+    """(1,2,1) relation reps at three taus, point monads, and monads with G = 0, F = 0 or both."""
+    rng = random.Random(811)
+    reps = []
+    for tau in (ONE, Fraction(3, 7), Fraction(2)):
+        while sum(r.tau == tau for r in reps) < 6:
+            rep = sample_relation_rep((1, 2, 1), tau, seed=rng.randint(0, 10**6))
+            if rep is not None:
+                reps.append(rep)
+    zero_f = {a: RatMatrix.zero(2, 1) for a in ARROWS}
+    zero_g = {a: RatMatrix.zero(1, 2) for a in ARROWS}
+    for h in [(1, 0), (0, 1), (1, -2), (3, 1), (-2, 5)]:
+        monad = monad_of_point(h, Fraction(3, 7))
+        reps += [monad, _with_maps(monad, G=zero_g), _with_maps(monad, F=zero_f)]
+    reps.append(zero_rep((1, 2, 1)))
+    return reps
+
+
+def _polarization_grid(dim):
+    """Polarizations pairing to zero with dim: t1, t2 in -3 .. 3 with t3 solved for, or,
+    when r3 = 0, the (t1, t2) that pair to zero on their own, with t3 = t1 - t2."""
+    r1, r2, r3 = dim
+    out = []
+    for t1 in range(-3, 4):
+        for t2 in range(-3, 4):
+            if r3:
+                out.append(Polarization(t1, t2, Fraction(-t1 * r1 - t2 * r2, r3)))
+            elif t1 * r1 + t2 * r2 == 0:
+                out.append(Polarization(t1, t2, t1 - t2))
+    return out
+
+
+def test_decide_matches_pinned_121_decision():
+    reps = _sampled_121_reps()
+    thetas = _polarization_grid((1, 2, 1))
+    verdicts = set()
+    for rep in reps:
+        for theta in thetas:
+            verdict, witness = decide_stability_121(rep, theta)
+            old_verdict, old_witness = _old_decide_stability_121(rep, theta)
+            assert (verdict, _witness_key(witness)) == (old_verdict, _witness_key(old_witness))
+            verdicts.add(verdict)
+    assert len(reps) * len(thetas) == 49 * 34 and verdicts == {"stable", "semistable", "unstable"}
+
+
+def _assert_witness_is_subrep(rep, witness):
+    u1, u2, u3 = witness.subspaces
+    assert (u1.dim, u2.dim, u3.dim) == witness.dim
+    assert all(u2.contains_subspace(u1.image_under(rep.F[a])) for a in ARROWS)
+    assert all(u3.contains_subspace(u2.image_under(rep.G[a])) for a in ARROWS)
+
+
+def _reached_classes(rep):
+    """Dimension classes of the closures of U1 in {0, V1}, U3 in {0, V3} and U2
+    among small-integer lines, planes and hyperplanes, im F, the joint kernel K
+    of the G maps, and the meets of K with all of these."""
+    r1, r2, r3 = rep.dim
+    # one vector per line: the first nonzero entry is 1
+    vectors = [v for v in itertools.product(range(-1, 2), repeat=r2) if any(v) and next(x for x in v if x) == 1]
+    lines = [Subspace(r2, [v]) for v in vectors]
+    planes = [Subspace(r2, [v, w]) for v, w in itertools.combinations(vectors, 2)]
+    hyperplanes = [kernel_space(RatMatrix.from_rows([v])) for v in vectors]
+    imf = Subspace.full(r1).image_under(*(rep.F[a] for a in ARROWS))
+    ker = kernel_space(RatMatrix.vstack([rep.G[a] for a in ARROWS])) if r3 else Subspace.full(r2)
+    seeds = set(lines + planes + hyperplanes + [Subspace.zero(r2), Subspace.full(r2), imf, ker])
+    seeds |= {ker.intersect(s) for s in seeds}
+    reached = set()
+    for u1 in (Subspace.zero(r1), Subspace.full(r1)):
+        for u3 in (Subspace.zero(r3), Subspace.full(r3)):
+            for u2 in seeds:
+                reached.add(generated_subrep(rep, u1, u2, u3)[0])
+    return reached - {(0, 0, 0), rep.dim}
+
+
+def _hand_built_130(seed):
+    # alpha(2, 1, 1) = (1, 3, 0); sample_relation_rep has no G to solve for there
+    rng = random.Random(seed)
+    F = {a: RatMatrix.from_rows([[rng.randint(-2, 2)] for _ in range(3)]) for a in ARROWS}
+    return QuiverRep(alpha(2, 1, 1), F, {a: RatMatrix(0, 3, ()) for a in ARROWS}, ONE)
+
+
+@pytest.mark.parametrize("rdn", [(1, 0, 1), (2, 0, 1), (2, 1, 1)])
+def test_decide_matches_brute_force_oracle_beyond_121(rdn):
+    dim = alpha(*rdn)
+    rng = random.Random(812)
+    reps = [zero_rep(dim), _hand_built_130(0)] if dim == (1, 3, 0) else [zero_rep(dim)]
+    while len(reps) < 5:
+        seed = rng.randint(0, 10**6)
+        rep = _hand_built_130(seed) if dim == (1, 3, 0) else sample_relation_rep(dim, Fraction(3, 7), seed=seed)
+        if rep is not None:
+            reps.append(rep)
+    grid = _polarization_grid(dim)
+    theta0, theta1 = polarizations(*rdn)
+    pairs = [(t, None) for t in grid] + [(theta0, theta1), (theta1, theta0), (Polarization(0, 0, 0), theta0)]
+    verdicts = set()
+    for rep in reps:
+        reached = _reached_classes(rep)
+        for theta, tiebreak in pairs:
+            thetas = (theta,) if tiebreak is None else (theta, tiebreak)
+            least = min(tuple(slope(t, d) for t in thetas) for d in reached)
+            zero = (0,) * len(thetas)
+            verdict, witness = decide_stability_121(rep, theta, tiebreak)
+            verdicts.add(verdict)
+            if verdict == "stable":
+                assert witness is None and least > zero
+                continue
+            _assert_witness_is_subrep(rep, witness)
+            assert witness.dim in reached and witness.slopes == least
+            assert (least < zero) if verdict == "unstable" else (least == zero)
+    # (1, 4, 1) is never stable: (0, 1, 0), (0, 0, 1) and (1, f, 1) with f = dim im F <= 3
+    # are always classes, and positive slopes t2, t3 on the first two give the third (f - 4) t2
+    assert verdicts == ({"semistable", "unstable"} if dim == (1, 4, 1) else {"stable", "semistable", "unstable"})
+
+
+def test_decide_without_proper_classes_is_stable():
+    for dim in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+        assert decide_stability_121(zero_rep(dim), Polarization(0, 0, 0)) == ("stable", None)
+
+
+def test_decide_rejects_large_ends_and_nonvanishing_tiebreak():
+    theta0, theta1 = polarizations(1, 0, 2)
+    with pytest.raises(ValueError):
+        decide_stability_121(zero_rep(alpha(1, 0, 2)), theta0, theta1)  # (2, 5, 2)
+    for dim in [(2, 3, 1), (1, 3, 2), (2, 0, 0)]:
+        with pytest.raises(ValueError):
+            decide_stability_121(zero_rep(dim), Polarization(0, 0, 0))
+    with pytest.raises(ValueError):
+        decide_stability_121(zero_rep((1, 2, 1)), Polarization(-1, 0, 1), Polarization(1, 1, 1))
