@@ -33,6 +33,7 @@ from .core import (
     kernel_basis,
     krylov_span_dim,
     nilpotent_jordan_type,
+    rank,
     rat,
     solve_linear,
     squarefree_factorization,
@@ -311,7 +312,7 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
         return 0
     zeros = [Fraction(0)] * k
     gv = RatMatrix.from_rows([zeros * i + list(triple.v) + zeros * (k - 1 - i) for i in range(k)])
-    return len(kernel_basis(RatMatrix.vstack([commutant_system([triple.Y, triple.Z]), gv])))
+    return k * k - rank(RatMatrix.vstack([commutant_system([triple.Y, triple.Z]), gv]))
 
 
 # ---------------------------------------------------------------------------

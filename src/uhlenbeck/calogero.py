@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import RatMatrix, commutant_system, kernel_basis, rank, rat
+from .core import RatMatrix, commutant_system, rank, rat
 from .partitions import partition_count
 
 
@@ -114,7 +114,7 @@ def joint_centralizer_dim(x: RatMatrix, y: RatMatrix) -> int:
     """
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("X and Y must be square of equal size")
-    return len(kernel_basis(commutant_system([x, y])))
+    return x.rows**2 - rank(commutant_system([x, y]))
 
 
 def cm_fixed_point_count(n: int) -> int:

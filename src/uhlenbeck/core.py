@@ -20,18 +20,29 @@ the pivot recovers that row exactly.  Hence ``rref``, every kernel basis
 (one vector per free column, with 1 there and 0 at the other free columns)
 and every ``Subspace.basis`` are canonical.
 
-All products go through the integer form of a matrix: a = d * m with d the
-lcm of the entry denominators, computed once per matrix and kept.  ``@``,
-``power`` and ``apply`` multiply the integer entries, skipping zeros, and
-build one Fraction per nonzero output entry, as entry / d1 d2 (d^k for a
-k-th power).  ``char_poly`` runs Berkowitz's division-free algorithm on a
-and divides the coefficient of t^i by d^(n-i), since det(tI - a/d) =
-d^-n det(dt I - a).  Where only a span or a rank is wanted
-(``Subspace.image_under``, ``Subspace.intersect``, ``krylov_span_dim``,
-``nilpotent_jordan_type``), the integer products go straight into an
-``Echelon``: scaling a vector changes neither.  A Fraction is always stored
-in lowest terms, so every product, power and polynomial is the same value,
-digit for digit, as the one the Fraction arithmetic computed.
+A RatMatrix is stored in integer form (d, a): a the row-major integer
+numerators and d the least common denominator, so the matrix is a / d and
+gcd(d, *a) = 1.  Because d is the least one, equal matrices have equal
+forms, and ``==`` and ``hash`` compare them.  The Fraction ``entries`` are
+derived from (d, a) on first use and kept.  ``+``, ``-``, ``scale``,
+``commutator``, ``is_zero`` and ``commutant_system`` are integer
+operations: sums go over the lcm of the two denominators, and every result
+is divided once by the gcd of d and its numerators.  ``@``, ``power`` and
+``apply`` multiply the integer entries, skipping zeros.  ``char_poly`` runs
+Berkowitz's division-free algorithm on a and divides the coefficient of
+t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).  ``rank``,
+``rref`` and ``kernel_basis`` feed the integer rows of a straight into an
+``Echelon``, as ``Subspace.image_under``, ``Subspace.intersect``,
+``krylov_span_dim`` and ``nilpotent_jordan_type`` feed integer products:
+scaling a row changes neither the span nor the rank.  A Fraction is always
+stored in lowest terms, so every entry, product, power and polynomial is
+the same value, digit for digit, as the one the Fraction arithmetic
+computed.
+
+``poly_gcd`` and ``squarefree_factorization`` work on primitive integer
+polynomials: gcds by the primitive remainder sequence, quotients by exact
+division in Z[t], and the factors are made monic only at the end.
+``divmod`` of two RatPolys is one pseudo-division of their integer forms.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -64,6 +75,12 @@ def rat(x) -> Fraction:
 
 def vector(entries: Iterable) -> Vector:
     return tuple(rat(x) for x in entries)
+
+
+def _clear(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, [d x for x in xs]) with d the least common denominator of xs."""
+    d = lcm(*[x.denominator for x in xs])
+    return d, [x.numerator for x in xs] if d == 1 else [x.numerator * (d // x.denominator) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +188,14 @@ class RatPoly:
         return result
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
+        """Division with remainder, by pseudo-division of the integer forms:
+        e (df f) = q (dg g) + r gives f = (q dg / e df) g + r / e df."""
         o = self._coerce(other)
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quot = [Fraction(0)] * max(len(rem) - len(o.coeffs) + 1, 0)
-        lead = o.leading
-        while len(rem) >= len(o.coeffs) and rem:
-            f = rem[-1] / lead
-            k = len(rem) - len(o.coeffs)
-            quot[k] = f
-            for j, b in enumerate(o.coeffs):
-                rem[k + j] -= f * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return RatPoly(quot, self.var), RatPoly(rem, self.var)
+        (df, f), (dg, g) = _clear(self.coeffs), _clear(o.coeffs)
+        q, r, e = _pseudo_divmod(f, g)
+        return RatPoly([Fraction(c * dg, e * df) for c in q], self.var), RatPoly([Fraction(c, e * df) for c in r], self.var)
 
     def __floordiv__(self, other) -> "RatPoly":
         return divmod(self, self._coerce(other))[0]
@@ -257,35 +267,86 @@ def poly_str(coeffs: Sequence, var: str, ascending: bool = False) -> str:
     return out
 
 
+def _int_sub(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f - g for integer polynomials (low degree first), with no trailing zeros."""
+    out = [x - y for x, y in zip_longest(f, g, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _primitive_poly(p: Sequence[int]) -> list[int]:
+    """An integer polynomial over its content, with positive lead."""
+    p = _int_sub(p, ())
+    g = gcd(*p) if p and p[-1] > 0 else -gcd(*p)
+    return [c // g for c in p] if p and g != 1 else p
+
+
+def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], int]:
+    """(q, r, e) with e f = q g + r, deg r < deg g and e != 0 an integer.
+
+    Long division that scales by lead(g) / gcd(lead(g), lead(r)) before each
+    step.  When lead(g) > 0 and g divides f in Z[t], every scale is 1 and q is
+    the exact quotient.
+    """
+    q, r, n, e = [0] * max(len(f) - len(g) + 1, 0), f, len(g), 1
+    while len(r) >= n:
+        h = gcd(g[-1], r[-1])
+        x, y, k = g[-1] // h, r[-1] // h, len(r) - n
+        q, r, e = [x * c for c in q], [x * c for c in r], x * e
+        q[k] += y
+        for j, b in enumerate(g):
+            r[k + j] -= y * b
+        r = _int_sub(r, ())
+    return q, r, e
+
+
+def _int_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd in Z[t] with positive lead, by the primitive remainder
+    sequence (Collins, Brown): every pseudo-remainder is made primitive."""
+    while g:
+        f, g = g, _primitive_poly(_pseudo_divmod(f, g)[1])
+    return _primitive_poly(f)
+
+
+def _int_derivative(p: list[int]) -> list[int]:
+    return [k * c for k, c in enumerate(p)][1:]
+
+
+def _monic(p: list[int], var: str) -> RatPoly:
+    return RatPoly([Fraction(c, p[-1]) for c in p], var)
+
+
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd in Q[t] (gcd with 0 is the monic normalization)."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    return _monic(_int_gcd(_clear(a.coeffs)[1], _clear(b.coeffs)[1]), a.var)
 
 
 def squarefree_factorization(f: RatPoly) -> list[tuple[RatPoly, int]]:
     """Yun's algorithm: monic squarefree factors with multiplicities.
 
     Returns pairs (g, m), g monic squarefree nonconstant, with
-    f = lead(f) * prod g^m, ordered by increasing multiplicity.
+    f = lead(f) * prod g^m, ordered by increasing multiplicity.  Runs on
+    the primitive integer form of f: by Gauss's lemma each quotient by a
+    primitive gcd stays in Z[t], and c and d carry one common rational
+    factor against the monic algorithm's, so the gcds agree up to scale.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    f = f.monic()
     if f.degree == 0:
         return []
     out: list[tuple[RatPoly, int]] = []
-    g = poly_gcd(f, f.derivative())
-    c = f // g
-    d = f.derivative() // g - c.derivative()
+    p = _primitive_poly(_clear(f.coeffs)[1])
+    g = _int_gcd(p, _int_derivative(p))
+    c = _pseudo_divmod(p, g)[0]
+    d = _int_sub(_pseudo_divmod(_int_derivative(p), g)[0], _int_derivative(c))
     i = 1
-    while c.degree > 0:
-        a = poly_gcd(c, d)
-        if a.degree > 0:
-            out.append((a, i))
-        c = c // a
-        d = d // a - c.derivative()
+    while len(c) > 1:
+        a = _int_gcd(c, d)
+        if len(a) > 1:
+            out.append((_monic(a, f.var), i))
+        c = _pseudo_divmod(c, a)[0]
+        d = _int_sub(_pseudo_divmod(d, a)[0], _int_derivative(c))
         i += 1
     return out
 
@@ -294,19 +355,46 @@ def squarefree_factorization(f: RatPoly) -> list[tuple[RatPoly, int]]:
 # matrices
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RatMatrix:
-    """Immutable dense matrix of Fractions, row-major."""
+    """Immutable dense matrix over Q, row-major, stored as self = _a / _d with
+    _a integer, _d > 0 and gcd(_d, *_a) = 1 (see the module docstring)."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    _d: int
+    _a: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
+        self._fill(rows, cols, *_clear(entries))
+        object.__setattr__(self, "entries", tuple(entries))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, d: int, a: Sequence[int]) -> "RatMatrix":
+        """The matrix a / d for integers a and d > 0, brought to lowest terms."""
+        g = gcd(d, *a) if d != 1 else 1
+        out = cls.__new__(cls)
+        out._fill(rows, cols, d // g, a if g == 1 else [x // g for x in a])
+        return out
+
+    def _fill(self, rows: int, cols: int, d: int, a: Sequence[int]):
+        # attribute by attribute, so instances share one key table
+        fill = object.__setattr__
+        fill(self, "rows", rows)
+        fill(self, "cols", cols)
+        fill(self, "_d", d)
+        fill(self, "_a", tuple(a))
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        return _over(self._a, self._d)
+
+    def __repr__(self):
+        return f"RatMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "RatMatrix":
@@ -327,17 +415,17 @@ class RatMatrix:
     def zero(cls, rows: int, cols: int | None = None) -> "RatMatrix":
         if cols is None:
             cols = rows
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls._of(rows, cols, 1, [0] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, tuple(Fraction(1 if i == j else 0) for i in range(n) for j in range(n)))
+        return cls._of(n, n, 1, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "RatMatrix":
         d = [rat(x) for x in diag]
         n = len(d)
-        return cls(n, n, tuple(d[i] if i == j else Fraction(0) for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(d[i] if i == j else _ZERO for i in range(n) for j in range(n)))
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -357,59 +445,52 @@ class RatMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self._a)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
-        return RatMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        d, (a, b) = _common([self, other])
+        return RatMatrix._of(self.rows, self.cols, d, [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._same_shape(other)
-        return RatMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        d, (a, b) = _common([self, other])
+        return RatMatrix._of(self.rows, self.cols, d, [x - y for x, y in zip(a, b)])
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return RatMatrix._of(self.rows, self.cols, self._d, [-x for x in self._a])
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return RatMatrix._of(self.rows, self.cols, self._d * c.denominator, [c.numerator * x for x in self._a])
 
     def _same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
 
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """(d, a) with d the lcm of the entry denominators and self = a / d."""
-        d = lcm(*[x.denominator for x in self.entries])
-        if d == 1:
-            return d, tuple([x.numerator for x in self.entries])
-        return d, tuple([x.numerator * (d // x.denominator) for x in self.entries])
-
     def _times(self, vec: dict[int, int]) -> dict[int, int]:
         """a v for the integer form a and a sparse integer v, sparse."""
-        return _int_apply(self._integer_form[1], self.cols, range(self.rows), vec)
+        return _int_apply(self._a, self.cols, range(self.rows), vec)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        d1, a = self._integer_form
-        d2, b = other._integer_form
-        return RatMatrix(self.rows, other.cols, _over(_int_matmul(a, b, self.rows, self.cols, other.cols), d1 * d2))
+        product = _int_matmul(self._a, other._a, self.rows, self.cols, other.cols)
+        return RatMatrix._of(self.rows, other.cols, self._d * other._d, product)
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
         w = vector(v)
         if len(w) != self.cols:
             raise ValueError("vector length does not match column count")
-        dw = lcm(*[x.denominator for x in w])
-        out = self._times({j: x.numerator * (dw // x.denominator) for j, x in enumerate(w) if x})
-        return _over([out.get(i, 0) for i in range(self.rows)], self._integer_form[0] * dw)
+        dw, ints = _clear(w)
+        out = self._times({j: x for j, x in enumerate(ints) if x})
+        return _over([out.get(i, 0) for i in range(self.rows)], self._d * dw)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entry(i, i) for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(self._a[:: self.cols + 1]), self._d)
 
     def power(self, k: int) -> "RatMatrix":
         """self^k, by repeated squaring of the integer form and one division by d^k."""
@@ -420,15 +501,14 @@ class RatMatrix:
         n = self.rows
         if k == 0:
             return RatMatrix.identity(n)
-        d, base = self._integer_form
-        den = d**k
+        den, base = self._d**k, self._a
         result = None
         while True:
             if k & 1:
                 result = base if result is None else _int_matmul(result, base, n, n, n)
             k >>= 1
             if not k:
-                return RatMatrix(n, n, _over(result, den))
+                return RatMatrix._of(n, n, den, result)
             base = _int_matmul(base, base, n, n, n)
 
     def commutator(self, other: "RatMatrix") -> "RatMatrix":
@@ -436,27 +516,22 @@ class RatMatrix:
 
     @staticmethod
     def block_diag(blocks: Sequence["RatMatrix"]) -> "RatMatrix":
-        rows = sum(b.rows for b in blocks)
-        cols = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        r0 = c0 = 0
-        for b in blocks:
+        cols, c0 = sum(b.cols for b in blocks), 0
+        d, forms = _common(blocks)
+        out: list[int] = []
+        for b, a in zip(blocks, forms):
             for i in range(b.rows):
-                for j in range(b.cols):
-                    out[r0 + i][c0 + j] = b.entry(i, j)
-            r0 += b.rows
+                out += [0] * c0 + list(a[i * b.cols : (i + 1) * b.cols]) + [0] * (cols - c0 - b.cols)
             c0 += b.cols
-        return RatMatrix.from_rows(out) if rows and cols else RatMatrix(rows, cols, ())
+        return RatMatrix._of(sum(b.rows for b in blocks), cols, d, out)
 
     @staticmethod
     def vstack(blocks: Sequence["RatMatrix"]) -> "RatMatrix":
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("column mismatch in vstack")
-        ents: list[Fraction] = []
-        for b in blocks:
-            ents.extend(b.entries)
-        return RatMatrix(sum(b.rows for b in blocks), cols, tuple(ents))
+        d, forms = _common(blocks)
+        return RatMatrix._of(sum(b.rows for b in blocks), cols, d, list(chain.from_iterable(forms)))
 
     def __str__(self):
         return "\n".join("[" + "  ".join(str(x) for x in self.row(i)) + "]" for i in range(self.rows))
@@ -488,6 +563,12 @@ def _int_apply(a: Sequence[int], cols: int, rows: range, vec: dict[int, int]) ->
     return out
 
 
+def _common(mats: Sequence[RatMatrix]) -> tuple[int, list[Sequence[int]]]:
+    """(d, [d m for m in mats]): the integer forms over the lcm d of their denominators."""
+    d = lcm(*[m._d for m in mats])
+    return d, [m._a if m._d == d else [x * (d // m._d) for x in m._a] for m in mats]
+
+
 def _over(ints: Iterable[int], d: int) -> tuple[Fraction, ...]:
     """The entries x / d in lowest terms, one Fraction per nonzero x."""
     if d == 1:
@@ -504,18 +585,19 @@ def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
     """
     k = mats[0].rows
     kk = k * k
-    entries = [_ZERO] * (len(mats) * kk * kk)
+    d, forms = _common(mats)
+    out = [0] * (len(mats) * kk * kk)
     r = 0
-    for m in mats:
+    for a in forms:
         for i in range(k):
             for j in range(k):
                 for t in range(k):
-                    entries[r + i * k + t] = m.entry(t, j)
-                    entries[r + t * k + j] = -m.entry(i, t)
+                    out[r + i * k + t] = a[t * k + j]
+                    out[r + t * k + j] = -a[i * k + t]
                 # (gm)[i, j] and (mg)[i, j] both have a g[i, j] term
-                entries[r + i * k + j] = m.entry(j, j) - m.entry(i, i)
+                out[r + i * k + j] = a[j * k + j] - a[i * k + i]
                 r += kk
-    return RatMatrix(len(mats) * kk, kk, tuple(entries))
+    return RatMatrix._of(len(mats) * kk, kk, d, out)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +613,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     """The nonzero (column, rational) entries, scaled by one rational to coprime integers."""
     row = {j: x for j, x in entries if x}
-    den = lcm(*[x.denominator for x in row.values()])
-    return _primitive({j: x.numerator * (den // x.denominator) for j, x in row.items()})
+    return _primitive(dict(zip(row, _clear(list(row.values()))[1])))
 
 
 def _cancel(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
@@ -647,14 +728,22 @@ def _kernel(ech: Echelon, pivots: list[int], ncols: int) -> list[Vector]:
     return [tuple(v) for v in vecs.values()]
 
 
-def _row_echelon(m: RatMatrix) -> Echelon:
-    return Echelon(enumerate(m.row(i)) for i in range(m.rows))
+def _row_echelon(a: Sequence[int], rows: int, cols: int) -> Echelon:
+    """Echelon of the rows of a row-major integer matrix, such as the integer
+    form of a RatMatrix: each row goes in over its content, which is the
+    integer row ``Echelon.add`` makes of any positive multiple of it."""
+    ech = Echelon()
+    for i in range(rows):
+        row = {j: x for j, x in enumerate(a[i * cols : (i + 1) * cols]) if x}
+        if row:
+            ech._insert(_primitive(row))
+    return ech
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     if not m.rows:
         return m, ()
-    ech = _row_echelon(m)
+    ech = _row_echelon(m._a, m.rows, m.cols)
     pivots = ech.reduce()
     entries = []
     for c in pivots:
@@ -664,12 +753,12 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 
 def rank(m: RatMatrix) -> int:
-    return _row_echelon(m).rank
+    return _row_echelon(m._a, m.rows, m.cols).rank
 
 
 def kernel_basis(m: RatMatrix) -> list[Vector]:
     """Deterministic basis of the right kernel {v : m v = 0}."""
-    ech = _row_echelon(m)
+    ech = _row_echelon(m._a, m.rows, m.cols)
     return _kernel(ech, ech.reduce(), m.cols)
 
 
@@ -682,8 +771,8 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | Non
     bb = vector(b)
     if len(bb) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    n = m.cols
-    ech = Echelon(chain(enumerate(m.row(i)), ((n, bb[i]),)) for i in range(m.rows))
+    n, a = m.cols, m._a
+    ech = Echelon(chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),)) for i in range(m.rows))
     pivots = ech.reduce()
     if n in ech.rows:
         return None
@@ -696,8 +785,8 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | Non
 def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    ech = Echelon(chain(enumerate(m.row(i)), ((n + i, _ONE),)) for i in range(n))
+    n, a = m.rows, m._a
+    ech = Echelon(chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)) for i in range(n))
     pivots = ech.reduce()
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -720,7 +809,7 @@ def char_poly(m: RatMatrix) -> RatPoly:
     if not m.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    d, a = m._integer_form
+    d, a = m._d, m._a
     vec = [1]  # det(tI - a[r:, r:]), highest degree first
     for r in range(n - 1, -1, -1):
         size = n - r
@@ -758,11 +847,11 @@ def nilpotent_jordan_type(z: RatMatrix) -> Partition:
     k = z.rows
     if k == 0:
         return Partition()
-    a = z._integer_form[1]
+    a = z._a
     ranks = [k]
     power = a
     while True:
-        ech = Echelon(enumerate(power[i * k : (i + 1) * k]) for i in range(k))
+        ech = _row_echelon(power, k, k)
         if ech.rank == ranks[-1]:
             raise NotNilpotentError("matrix is not nilpotent")
         ranks.append(ech.rank)

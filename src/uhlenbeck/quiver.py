@@ -293,16 +293,19 @@ def _joint_kernel(maps: list[RatMatrix]) -> Subspace:
 
 
 def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
-    """Grow base to the target dimension using vectors of `inside` first."""
-    out = base
-    for v in inside.basis:
-        if out.dim >= target:
-            return out
-        if not out.contains(v):
-            out = Subspace(out.ambient, list(out.basis) + [v])
-    if out.dim < target:
+    """Grow base to the target dimension using vectors of `inside` first.
+
+    The basis vectors of `inside` are tried in order, each through its integer
+    echelon row (a positive multiple of it), on one copy of base's echelon.
+    """
+    ech, rows = base._echelon.copy(), inside._echelon.rows
+    for c in sorted(rows):
+        if ech.rank >= target:
+            break
+        ech._insert(rows[c])
+    if ech.rank < target:
         raise ValueError("cannot extend to requested dimension")
-    return out
+    return Subspace._spanned(base.ambient, ech)
 
 
 def _lex_slopes(thetas: tuple[Polarization, ...], dims: DimVector) -> tuple[Fraction, ...]:

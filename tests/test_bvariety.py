@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_invertible, rand_matrix
+from test_core import PRODUCT_KINDS, _old_commutant_system, _old_commutator, _old_is_zero, _old_scale, _old_sub, _product_input
 from uhlenbeck.bvariety import (
+    _require_valid,
     BTriple,
     check_btriple,
     commutator_system_solvable,
@@ -23,7 +25,7 @@ from uhlenbeck.bvariety import (
     translate,
     triple_stabilizer_dim,
 )
-from uhlenbeck.core import NotNilpotentError, RatMatrix, RatPoly, Subspace, char_poly, nilpotent_jordan_type
+from uhlenbeck.core import NotNilpotentError, RatMatrix, RatPoly, Subspace, char_poly, kernel_basis, krylov_span_dim, nilpotent_jordan_type, rat
 from uhlenbeck.partitions import Partition, partitions
 
 ONE = Fraction(1)
@@ -363,3 +365,66 @@ def test_fiber_probe_regular_block_measures_k_minus_one():
 def test_distinct_support_fiber_is_point():
     probe = distinct_fiber_probe([0, 1, 3], ONE, samples=5, seed=4)
     assert probe.cyclic_found and probe.measured == 0
+
+
+# ---------------------------------------------------------------------------
+# checks, stabilizers and pencils pinned to the Fraction code they replaced
+
+
+def _old_triple_stabilizer_dim(triple: BTriple) -> int:
+    k = triple.size
+    if k == 0:
+        return 0
+    zeros = [Fraction(0)] * k
+    gv = RatMatrix.from_rows([zeros * i + list(triple.v) + zeros * (k - 1 - i) for i in range(k)])
+    system = _old_commutant_system([triple.Y, triple.Z])
+    # RatMatrix.vstack as it was: the entry tuples concatenated
+    return len(kernel_basis(RatMatrix(system.rows + gv.rows, gv.cols, system.entries + gv.entries)))
+
+
+def _old_support_poly_p(triple: BTriple, p: int) -> RatPoly:
+    _require_valid(triple)
+    twisted = _old_sub(triple.Y, _old_scale(triple.Z.power(2), rat(triple.tau) * p))
+    return char_poly(twisted)
+
+
+def _old_check(triple: BTriple) -> tuple[bool, bool, bool]:
+    y, z, v, tau = triple.Y, triple.Z, triple.v, rat(triple.tau)
+    k = y.rows
+    comm_ok = _old_commutator(y, z) == _old_scale(z.power(3), tau)
+    nil_ok = _old_is_zero(z.power(k)) if k else True
+    return comm_ok, nil_ok, krylov_span_dim([y, z], v) == k
+
+
+def _pinned_triples():
+    """Valid triples shaped as the benchmark draws them (Jordan pieces, direct
+    sums, a conjugation with fractional entries), and random invalid ones."""
+    rng = random.Random(8600)
+    for k in range(1, 6):
+        for lam in partitions(k):
+            for tau in (Fraction(2), Fraction(-3, 2), Fraction(2**66 + 1, 7)):
+                us = rng.sample(range(-9, 10), len(lam.parts))
+                pieces = [jordan_triple(p, Fraction(u, 3), tau) for p, u in zip(lam.parts, us)]
+                triple = pieces[0]
+                for piece in pieces[1:]:
+                    triple = direct_sum(triple, piece)
+                g = rand_invertible(rng, k, -2, 2) @ RatMatrix.diagonal([Fraction(1, rng.randint(1, 4)) for _ in range(k)])
+                yield conjugate_triple(triple, g)
+        for kind in PRODUCT_KINDS:
+            v = tuple(_product_input(rng, kind, k, 1).entries)
+            yield BTriple(_product_input(rng, kind, k, k), _product_input(rng, "mixed", k, k), v, Fraction(3, 5))
+
+
+def test_check_stabilizer_and_pencil_match_pinned_fraction_code():
+    valid = 0
+    for triple in _pinned_triples():
+        report = check_btriple(triple)
+        assert (report.commutator_ok, report.nilpotent_ok, report.cyclic_ok) == _old_check(triple)
+        assert triple_stabilizer_dim(triple) == _old_triple_stabilizer_dim(triple)
+        if not report.ok:
+            continue
+        valid += 1
+        for p in range(5):
+            new, old = support_poly_p(triple, p), _old_support_poly_p(triple, p)
+            assert (new.coeffs, new.var) == (old.coeffs, old.var) and all(type(c) is Fraction for c in new.coeffs)
+    assert valid >= 3 * sum(len(partitions(k)) for k in range(1, 6))

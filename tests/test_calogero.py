@@ -4,14 +4,24 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_invertible
+from test_core import (
+    _diagonal_cancelling_pairs,
+    _old_add,
+    _old_commutant_system,
+    _old_commutator,
+    _old_scale,
+    _old_sub,
+    _product_input,
+)
 from uhlenbeck.calogero import (
+    CMVerifyResult,
     cm_fixed_point_count,
     joint_centralizer_dim,
     rescale,
     sample_cm,
     verify_cm,
 )
-from uhlenbeck.core import RatMatrix, inverse
+from uhlenbeck.core import RatMatrix, inverse, kernel_basis, rank, rat
 from uhlenbeck.partitions import partitions
 
 
@@ -113,3 +123,57 @@ def test_fixed_point_counts():
     assert cm_fixed_point_count(4) == 5
     for n in range(11):
         assert cm_fixed_point_count(n) == len(partitions(n))
+
+
+# ---------------------------------------------------------------------------
+# membership and centralizers pinned to the Fraction code they replaced
+
+
+def _old_verify_cm(x: RatMatrix, y: RatMatrix, tau) -> CMVerifyResult:
+    tau = rat(tau)
+    if tau == 0:
+        raise ValueError("tau must be nonzero")
+    if not (x.is_square and y.is_square and x.rows == y.rows):
+        raise ValueError("X and Y must be square of equal size")
+    n = x.rows
+    if n == 0:
+        return CMVerifyResult(True, ("minus", "plus"), 0, 0)
+    comm = _old_commutator(x, y)
+    tau_id = _old_scale(RatMatrix.identity(n), tau)
+    r_plus = rank(_old_sub(comm, tau_id))
+    r_minus = rank(_old_add(comm, tau_id))
+    signs = tuple(s for s, r in (("minus", r_minus), ("plus", r_plus)) if r == 1)
+    return CMVerifyResult(bool(signs), signs, r_plus, r_minus)
+
+
+def _old_joint_centralizer_dim(x: RatMatrix, y: RatMatrix) -> int:
+    if not (x.is_square and y.is_square and x.rows == y.rows):
+        raise ValueError("X and Y must be square of equal size")
+    return len(kernel_basis(_old_commutant_system([x, y])))
+
+
+def _pinned_pairs():
+    """Sampled and conjugated members, pairs whose [X, Y] -/+ tau I has zeros on
+    the diagonal, and random non-members with mixed and huge entries."""
+    rng = random.Random(8500)
+    for n in range(0, 7):
+        for tau in (Fraction(1), Fraction(-3, 2), Fraction(2**65 + 7, 3)):
+            if n:
+                pair = sample_cm(n, rng.sample(range(-9, 10), n), tau)
+                g = rand_invertible(rng, n, -2, 2)
+                yield pair.X, pair.Y, tau
+                yield g @ pair.X @ inverse(g), g @ pair.Y @ inverse(g), tau
+            for kind_x, kind_y in [("zero", "zero"), ("identity", "mixed"), ("integer", "big"), ("mixed", "mixed")]:
+                yield _product_input(rng, kind_x, n, n), _product_input(rng, kind_y, n, n), tau
+        if n >= 2:
+            yield _diagonal_cancelling_pairs(rng, n)
+
+
+def test_verify_cm_and_centralizer_match_pinned_fraction_code():
+    members = 0
+    for x, y, tau in _pinned_pairs():
+        result = verify_cm(x, y, tau)
+        assert result == _old_verify_cm(x, y, tau) and repr(result) == repr(_old_verify_cm(x, y, tau))
+        assert joint_centralizer_dim(x, y) == _old_joint_centralizer_dim(x, y)
+        members += result.member
+    assert members >= 30

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from uhlenbeck.core import (
     poly_gcd,
     rank,
     rref,
+    rat,
     solve_linear,
     squarefree_factorization,
     vector,
@@ -835,3 +837,230 @@ def test_non_nilpotent_inputs_raise_where_sympy_says_not_nilpotent():
             with pytest.raises(NotNilpotentError, match="matrix is not nilpotent"):
                 nilpotent_jordan_type(m)
     assert raised > len(cases) // 3
+
+
+# ---------------------------------------------------------------------------
+# entrywise arithmetic, commutant systems and squarefree factors pinned to
+# the Fraction code they replaced (verbatim copies, methods as functions)
+
+
+def _old_add(self, other: "RatMatrix") -> "RatMatrix":
+    self._same_shape(other)
+    return RatMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+
+def _old_sub(self, other: "RatMatrix") -> "RatMatrix":
+    self._same_shape(other)
+    return RatMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+
+def _old_neg(self) -> "RatMatrix":
+    return RatMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+
+
+def _old_scale(self, c) -> "RatMatrix":
+    c = rat(c)
+    return RatMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+
+
+def _old_commutator(self, other: "RatMatrix") -> "RatMatrix":
+    return _old_sub(self @ other, other @ self)
+
+
+def _old_is_zero(self) -> bool:
+    return all(x == 0 for x in self.entries)
+
+
+def _old_commutant_system(mats) -> RatMatrix:
+    k = mats[0].rows
+    kk = k * k
+    entries = [Fraction(0)] * (len(mats) * kk * kk)
+    r = 0
+    for m in mats:
+        for i in range(k):
+            for j in range(k):
+                for t in range(k):
+                    entries[r + i * k + t] = m.entry(t, j)
+                    entries[r + t * k + j] = -m.entry(i, t)
+                # (gm)[i, j] and (mg)[i, j] both have a g[i, j] term
+                entries[r + i * k + j] = m.entry(j, j) - m.entry(i, i)
+                r += kk
+    return RatMatrix(len(mats) * kk, kk, tuple(entries))
+
+
+def _old_poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+def _old_squarefree_factorization(f: RatPoly) -> list[tuple[RatPoly, int]]:
+    if f.is_zero:
+        raise ValueError("cannot factor the zero polynomial")
+    f = f.monic()
+    if f.degree == 0:
+        return []
+    out: list[tuple[RatPoly, int]] = []
+    g = _old_poly_gcd(f, f.derivative())
+    c = f // g
+    d = f.derivative() // g - c.derivative()
+    i = 1
+    while c.degree > 0:
+        a = _old_poly_gcd(c, d)
+        if a.degree > 0:
+            out.append((a, i))
+        c = c // a
+        d = d // a - c.derivative()
+        i += 1
+    return out
+
+
+def assert_pinned(new: RatMatrix, old: RatMatrix):
+    """Equal values, equal repr (so equal entry types) and Fraction entries only."""
+    assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+    assert _all_fractions(new.entries)
+
+
+def _diagonal_cancelling_pairs(rng: random.Random, n: int):
+    """(x, y, tau) with [x, y] = tau (E_00 - E_11) plus a multiple of E_01, so
+    [x, y] - tau I and [x, y] + tau I each have a zero on the diagonal."""
+    tau = Fraction(rng.choice([1, -3, 2**65 + 1]), rng.randint(1, 5))
+    x = [[Fraction(0)] * n for _ in range(n)]
+    y = [[Fraction(0)] * n for _ in range(n)]
+    x[0][1], y[1][0], y[0][0] = Fraction(1), tau, Fraction(rng.randint(-4, 4), 3)
+    return RatMatrix.from_rows(x), RatMatrix.from_rows(y), tau
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+def test_entrywise_arithmetic_matches_pinned_fraction_code(shape):
+    rows, cols, _ = shape
+    rng = random.Random(8100 + 100 * rows + 10 * cols)
+    for kind_a, kind_b in itertools.product(PRODUCT_KINDS, repeat=2):
+        a, b = _product_input(rng, kind_a, rows, cols), _product_input(rng, kind_b, rows, cols)
+        assert_pinned(a + b, _old_add(a, b))
+        assert_pinned(a - b, _old_sub(a, b))
+        assert_pinned(-a, _old_neg(a))
+        for c in (0, -1, Fraction(3, 7), Fraction(-(2**66) - 1, 5), _random_entry(rng)):
+            assert_pinned(a.scale(c), _old_scale(a, c))
+        for m in (a, b, a - a, a + b, _old_scale(a, 0)):
+            assert m.is_zero == _old_is_zero(m)
+        s, t = _product_input(rng, kind_a, rows, rows), _product_input(rng, kind_b, rows, rows)
+        assert_pinned(s.commutator(t), _old_commutator(s, t))
+        assert_pinned(s.commutator(s), _old_commutator(s, s))
+    with pytest.raises(ValueError):
+        RatMatrix.zero(2, 3) + RatMatrix.zero(3, 2)
+    with pytest.raises(ValueError):
+        RatMatrix.zero(2, 3) - RatMatrix.zero(2, 2)
+
+
+def test_commutator_plus_minus_tau_with_zero_diagonal_entries_matches_pinned_fraction_code():
+    rng = random.Random(8150)
+    for n in range(2, 6):
+        for _ in range(4):
+            x, y, tau = _diagonal_cancelling_pairs(rng, n)
+            comm, old_comm = x.commutator(y), _old_commutator(x, y)
+            assert_pinned(comm, old_comm)
+            tau_id, old_tau_id = RatMatrix.identity(n).scale(tau), _old_scale(RatMatrix.identity(n), tau)
+            assert_pinned(tau_id, old_tau_id)
+            for new, old in ((comm - tau_id, _old_sub(old_comm, old_tau_id)), (comm + tau_id, _old_add(old_comm, old_tau_id))):
+                assert_pinned(new, old)
+                assert any(new.entry(i, i) == 0 for i in range(n)) and rank(new) == rank(old)
+
+
+def test_commutant_system_matches_pinned_fraction_code():
+    rng = random.Random(8200)
+    for k in range(5):
+        for kind_a, kind_b in itertools.product(PRODUCT_KINDS, repeat=2):
+            a, b = _product_input(rng, kind_a, k, k), _product_input(rng, kind_b, k, k)
+            assert_pinned(commutant_system([a]), _old_commutant_system([a]))
+            assert_pinned(commutant_system([a, b]), _old_commutant_system([a, b]))
+            assert rank(commutant_system([a, b])) == rank(_old_commutant_system([a, b]))
+
+
+def _random_factored_poly(rng: random.Random, var: str, most: int = 4) -> RatPoly:
+    f = RatPoly([_random_entry(rng) or Fraction(1)], var)
+    for _ in range(rng.randint(0, most)):
+        factor = RatPoly([_random_entry(rng) for _ in range(rng.randint(1, 3))] + [_random_entry(rng) or 1], var)
+        f = f * factor ** rng.randint(1, 4)
+    return f
+
+
+def test_squarefree_factorization_and_gcd_match_pinned_fraction_code():
+    rng = random.Random(8300)
+    t = RatPoly.variable()
+    polys = [RatPoly([Fraction(-7, 3)]), (t - Fraction(7, 3)) ** 12, (t**2 + 1) ** 3 * (t - 2**70) ** 2, t**5 * (t + 1)]
+    polys += [char_poly(_product_input(rng, kind, n, n)) for n in range(1, 6) for kind in PRODUCT_KINDS]
+    polys += [_random_factored_poly(rng, var) for var in ("t", "tau") for _ in range(40)]
+    for f in polys:
+        new, old = squarefree_factorization(f), _old_squarefree_factorization(f)
+        assert [(g.coeffs, g.var, m) for g, m in new] == [(g.coeffs, g.var, m) for g, m in old]
+        assert all(_all_fractions(g.coeffs) for g, _ in new)
+        # the pinned Euclid in Fractions swells on coprime inputs, so gcds are
+        # pinned on the smaller polynomials only
+        g = _random_factored_poly(rng, f.var, most=2)
+        if f.degree > 12:
+            continue
+        for a, b in ((f, g), (g, f), (f * g, f), (f, RatPoly.zero(f.var)), (RatPoly.zero(f.var), g)):
+            gcd_new, gcd_old = poly_gcd(a, b), _old_poly_gcd(a, b)
+            assert (gcd_new.coeffs, gcd_new.var) == (gcd_old.coeffs, gcd_old.var) and _all_fractions(gcd_new.coeffs)
+    with pytest.raises(ValueError):
+        squarefree_factorization(RatPoly.zero())
+
+
+def test_equal_matrices_reached_by_different_routes_are_equal_with_equal_hash():
+    # equality and hash compare the stored integer form, so every route to the
+    # same matrix must reach the least common denominator
+    rng = random.Random(8400)
+    for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (3, 4), (4, 4)]:
+        for kind_a, kind_b in itertools.product(PRODUCT_KINDS, repeat=2):
+            a, b = _product_input(rng, kind_a, rows, cols), _product_input(rng, kind_b, rows, cols)
+            direct = RatMatrix.from_rows(a.row_lists()) if rows else RatMatrix(0, cols, ())
+            p, q = rng.choice([(2, 3), (-5, 7), (2**65 + 3, 9)])
+            routes = [
+                (a + b) - b,
+                b + (a - b),
+                a.scale(Fraction(p, q)).scale(Fraction(q, p)),
+                a.scale(6) + a.scale(-5),
+                -(-a),
+                RatMatrix.vstack([a]),
+                RatMatrix.block_diag([a]),
+            ]
+            if rows == cols:
+                routes += [a @ RatMatrix.identity(cols), a.power(1), a + a.commutator(b) - b.commutator(a).scale(-1)]
+            for m in routes:
+                assert m == direct and hash(m) == hash(direct) and repr(m) == repr(direct)
+            zero = RatMatrix.zero(rows, cols)
+            for m in (a - a, a.scale(0), b.scale(Fraction(1, 3)) - b.scale(Fraction(1, 3))):
+                assert m == zero and hash(m) == hash(zero) and m.is_zero
+
+
+def _old_divmod(self: RatPoly, other) -> tuple[RatPoly, RatPoly]:
+    o = self._coerce(other)
+    if o.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(self.coeffs)
+    quot = [Fraction(0)] * max(len(rem) - len(o.coeffs) + 1, 0)
+    lead = o.leading
+    while len(rem) >= len(o.coeffs) and rem:
+        f = rem[-1] / lead
+        k = len(rem) - len(o.coeffs)
+        quot[k] = f
+        for j, b in enumerate(o.coeffs):
+            rem[k + j] -= f * b
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return RatPoly(quot, self.var), RatPoly(rem, self.var)
+
+
+def test_poly_divmod_matches_pinned_fraction_division():
+    rng = random.Random(8500)
+    polys = [RatPoly.zero(), RatPoly([Fraction(-2, 3)]), RatPoly([0, 0, 1]), RatPoly([1, 2 ** 70, Fraction(3, 2 ** 66)])]
+    polys += [_random_factored_poly(rng, "t", most=2) for _ in range(60)]
+    for f in polys:
+        for g in polys[1:8] + [_random_factored_poly(rng, "t", most=1) for _ in range(3)]:
+            new, old = divmod(f, g), _old_divmod(f, g)
+            assert [(p.coeffs, p.var) for p in new] == [(p.coeffs, p.var) for p in old]
+            assert all(_all_fractions(p.coeffs) for p in new)
+            assert f // g == old[0] and f % g == old[1] and divmod(f, 3) == _old_divmod(f, 3)
+        with pytest.raises(ZeroDivisionError):
+            divmod(f, RatPoly.zero())

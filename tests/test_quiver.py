@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_invertible, rand_matrix
+from uhlenbeck import quiver
 from uhlenbeck.core import RatMatrix, RatPoly, Subspace, column_space, kernel_space
 from uhlenbeck.ncalgebra import dual_relation_kernel
 from uhlenbeck.quiver import (
@@ -766,3 +767,49 @@ def test_decide_rejects_large_ends_and_nonvanishing_tiebreak():
             decide_stability_121(zero_rep(dim), Polarization(0, 0, 0))
     with pytest.raises(ValueError):
         decide_stability_121(zero_rep((1, 2, 1)), Polarization(-1, 0, 1), Polarization(1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# pinned extension of the witness subspace
+
+
+def _old_extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
+    """Grow base to the target dimension using vectors of `inside` first."""
+    out = base
+    for v in inside.basis:
+        if out.dim >= target:
+            return out
+        if not out.contains(v):
+            out = Subspace(out.ambient, list(out.basis) + [v])
+    if out.dim < target:
+        raise ValueError("cannot extend to requested dimension")
+    return out
+
+
+def test_extend_to_dim_matches_pinned_extension():
+    rng = random.Random(813)
+    for _ in range(80):
+        n = rng.randint(0, 7)
+        inside = _random_seed_subspace(rng, n)
+        base = inside.intersect(_random_seed_subspace(rng, n)) if rng.random() < 0.7 else _random_seed_subspace(rng, n)
+        for target in range(n + 2):
+            try:
+                expected = _old_extend_to_dim(base, inside, target)
+            except ValueError:
+                with pytest.raises(ValueError, match="cannot extend"):
+                    quiver._extend_to_dim(base, inside, target)
+            else:
+                got = quiver._extend_to_dim(base, inside, target)
+                assert got == expected and got.basis == expected.basis
+
+
+def test_decide_witnesses_match_pinned_extension(monkeypatch):
+    # the (1, 120, 1) case has a witness with d2 = 117, so the extension adds
+    # over a hundred vectors to a one-dimensional base
+    cases = [(rep, theta) for rep in _sampled_121_reps() for theta in _polarization_grid((1, 2, 1))]
+    cases.append((sample_relation_rep((1, 120, 1), ONE, seed=0), Polarization(0, -1, 120)))
+    new = [decide_stability_121(rep, theta) for rep, theta in cases]
+    monkeypatch.setattr(quiver, "_extend_to_dim", _old_extend_to_dim)
+    old = [decide_stability_121(rep, theta) for rep, theta in cases]
+    assert [(v, _witness_key(w)) for v, w in new] == [(v, _witness_key(w)) for v, w in old]
+    assert new[-1][0] == "unstable" and new[-1][1].dim == (0, 117, 0)
