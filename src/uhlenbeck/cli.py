@@ -98,9 +98,9 @@ def _default_seed() -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Every command once: its arguments, payload function, caps and CSV table.
 
-    A cap ``(flag, limit)`` bounds an integer flag; ``(name, limit, size)``
-    bounds ``size(args)``, measured from a text flag or read from the input
-    file by its validating reader.  Each limit is set so
+    A cap ``(flag, limit)`` holds an integer flag between 0 and limit;
+    ``(name, limit, size)`` holds ``size(args)`` there, measured from a text
+    flag or read from the input file by its validating reader.  Each limit is set so
     that the most expensive accepted argv takes under two seconds in a
     subprocess on a 2-vCPU x86-64 host; README.md lists the caps.
     """
@@ -443,6 +443,8 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
             value = size[0](args) if size else getattr(args, flag.replace("-", "_"))
             if value > limit:
                 raise DomainError(f"{args.name} is limited to {flag} <= {limit}")
+            if value < 0:
+                raise DomainError(f"{args.name} needs {flag} >= 0")
         payload = args.run(args, meta)
     except (DomainError, ValueError, OSError, KeyError) as exc:
         return 1, {"status": "error", "error": str(exc), "payload": getattr(exc, "payload", None), "meta": meta}

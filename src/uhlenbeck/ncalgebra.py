@@ -1,32 +1,30 @@
-"""The graded algebra with [x,y] = tau z^2, z central, and its quadratic dual.
+"""The graded algebra with [x,y] = tau z^2, z central, its quadratic dual and
+the polynomials of its relation pencil, all multiplied by one fold.
 
-The normal monomials x^a y^b z^c form a basis of the algebra.  Because z is
+Each has a basis of keys and a rule for a key times one generator.  A key is
+spelled by a word in the generators, so a product of two keys folds the
+letters of the second into the first one at a time, each by the rule
+(``TauCombination.fold``); every partial product is already in the basis.
+Coefficients live in Q[tau], so one rule serves the generic parameter and
+every rational specialization, including tau = 0 (the commutative plane).
+
+The algebra has the normal monomials x^a y^b z^c as keys.  Because z is
 central and, by induction on b from y x = x y - tau z^2,
-
-    y^b x = x y^b - b tau z^2 y^(b-1),
-
-a normal monomial times a generator is again a combination of normal
-monomials, in closed form:
+y^b x = x y^b - b tau z^2 y^(b-1), its rule is
 
     x^a y^b z^c . z = x^a y^b z^(c+1),
     x^a y^b z^c . y = x^a y^(b+1) z^c,
     x^a y^b z^c . x = x^(a+1) y^b z^c - b tau x^a y^(b-1) z^(c+2).
 
-A word is the product of its letters, so folding the letters in one at a
-time from the left, each by this rule, gives its normal form: every partial
-product is already written in the basis, and nothing is left to rewrite.
-Coefficients live in Q[tau], so one rule serves the generic parameter and
-every rational specialization, including tau = 0 (the commutative plane).
-``graded_dim_computed`` applies the rule with tau already specialized.
-
 The quadratic dual is the twisted exterior algebra on xi, eta, zeta with
-xi^2 = eta^2 = 0, anticommuting distinct letters, and
+xi^2 = eta^2 = 0, anticommuting distinct letters, and zeta^2 = -2 tau xi eta,
+the sign forced by zeta^2 + tau(xi eta - eta xi) = 0 and eta xi = -xi eta.
+Its keys are the sorted square-free words, and its rule moves the generator
+left past each larger letter, with a sign for each.  The pencil polynomials
+are keyed by the exponents (i, j, k) of u^i v^j w^k; the rule adds 1 to one.
 
-    zeta^2 = -2 tau xi eta,
-
-the sign being forced by zeta^2 + tau(xi eta - eta xi) = 0 together with
-eta xi = -xi eta.  Both kernels of the degree-two multiplication maps are
-computed by exact linear algebra, not read off from the presentation.
+Both kernels of the degree-two multiplication maps are computed by exact
+linear algebra, not read off from the presentation.
 """
 
 from __future__ import annotations
@@ -53,7 +51,9 @@ class TauCombination:
     """Finite Q[tau]-linear combination of basis keys (tuples), sparse.
 
     Terms are sorted by (len(key), key) with zero coefficients dropped, so
-    equal combinations have equal ``terms``.
+    equal combinations have equal ``terms``.  A subclass is an algebra:
+    ``times(key, letter)`` gives a key times a generator as (key, integer,
+    power of tau) terms, and ``word(key)`` spells a key in generators.
     """
 
     terms: tuple[tuple[tuple, RatPoly], ...]
@@ -87,13 +87,29 @@ class TauCombination:
         factor = c if isinstance(c, RatPoly) else tau_poly(rat(c))
         return type(self).from_dict({k: coeff * factor for k, coeff in self.terms})
 
-    def bilinear(self, other, product):
-        """The product extending product(key1, key2) -> combination over Q[tau]."""
+    @classmethod
+    def fold(cls, start: tuple, word):
+        """start . word, folding the letters in one at a time by ``times``.
+
+        Under each rule here a key is only ever reached from a given start
+        and word with one power of tau, so each coefficient is an integer
+        times it.
+        """
+        terms = {start: (1, 0)}  # key -> (integer, power of tau)
+        for g in word:
+            folded: dict[tuple, tuple[int, int]] = {}
+            for key, (coeff, k) in terms.items():
+                for key2, c2, k2 in cls.times(key, g):
+                    folded[key2] = (folded.get(key2, (0,))[0] + coeff * c2, k + k2)
+            terms = folded
+        return cls.from_dict({key: tau_poly(c, k) for key, (c, k) in terms.items()})
+
+    def __mul__(self, other):
         out: dict[tuple, RatPoly] = {}
         for k1, c1 in self.terms:
             for k2, c2 in other.terms:
                 c = c1 * c2
-                for k, coeff in product(k1, k2).terms:
+                for k, coeff in self.fold(k1, self.word(k2)).terms:
                     out[k] = out.get(k, RatPoly.zero("tau")) + coeff * c
         return type(self).from_dict(out)
 
@@ -111,8 +127,22 @@ class TauCombination:
 class NCElement(TauCombination):
     """Element of the algebra in normal form: {(a,b,c): coefficient in Q[tau]}."""
 
-    def __mul__(self, other: "NCElement") -> "NCElement":
-        return self.bilinear(other, lambda m1, m2: _reduce_word(_monomial_word(m1) + _monomial_word(m2)))
+    @staticmethod
+    def times(m: Monomial, g: str) -> tuple[tuple[Monomial, int, int], ...]:
+        """x^a y^b z^c . g in normal form, as (monomial, integer, power of tau) terms."""
+        a, b, c = m
+        if g == "z":
+            return (((a, b, c + 1), 1, 0),)
+        if g == "y":
+            return (((a, b + 1, c), 1, 0),)
+        if b:
+            return (((a + 1, b, c), 1, 0), ((a, b - 1, c + 2), -b, 1))
+        return (((a + 1, b, c), 1, 0),)
+
+    @staticmethod
+    def word(m: Monomial) -> tuple[str, ...]:
+        a, b, c = m
+        return ("x",) * a + ("y",) * b + ("z",) * c
 
     def __str__(self):
         if not self.terms:
@@ -131,46 +161,8 @@ def monomial_str(m: Monomial) -> str:
     return " ".join(parts) if parts else "1"
 
 
-def _monomial_word(m: Monomial) -> tuple[str, ...]:
-    a, b, c = m
-    return ("x",) * a + ("y",) * b + ("z",) * c
-
-
-def _times_generator(m: Monomial, g: str) -> tuple[tuple[Monomial, int, int], ...]:
-    """x^a y^b z^c . g in normal form, as (monomial, integer, power of tau) terms."""
-    a, b, c = m
-    if g == "z":
-        return (((a, b, c + 1), 1, 0),)
-    if g == "y":
-        return (((a, b + 1, c), 1, 0),)
-    if b:
-        return (((a + 1, b, c), 1, 0), ((a, b - 1, c + 2), -b, 1))
-    return (((a + 1, b, c), 1, 0),)
-
-
-# Normal forms of whole words, as asked for by ``normal_form`` and products.
+# Normal forms of whole words, as asked for by ``normal_form``.
 _reduce_cache: dict[tuple[str, ...], NCElement] = {}
-
-
-def _reduce_word(word: tuple[str, ...]) -> NCElement:
-    """Normal form of a word, folding its letters in by ``_times_generator``.
-
-    A monomial is only ever reached with one power of tau, one for every two
-    z's beyond the word's own, so each coefficient is an integer times it.
-    """
-    cached = _reduce_cache.get(word)
-    if cached is not None:
-        return cached
-    terms = {(0, 0, 0): (1, 0)}  # monomial -> (integer, power of tau)
-    for g in word:
-        folded: dict[Monomial, tuple[int, int]] = {}
-        for m, (coeff, k) in terms.items():
-            for m2, c2, k2 in _times_generator(m, g):
-                folded[m2] = (folded.get(m2, (0,))[0] + coeff * c2, k + k2)
-        terms = folded
-    result = NCElement.from_dict({m: tau_poly(c, k) for m, (c, k) in terms.items()})
-    _reduce_cache[word] = result
-    return result
 
 
 def normal_form(word, coeff=1) -> NCElement:
@@ -186,7 +178,10 @@ def normal_form(word, coeff=1) -> NCElement:
     for ch in letters:
         if ch not in GENERATORS:
             raise ValueError(f"unknown generator {ch!r}")
-    element, c = _reduce_word(letters), rat(coeff)
+    element = _reduce_cache.get(letters)
+    if element is None:
+        element = _reduce_cache[letters] = NCElement.fold((0, 0, 0), letters)
+    c = rat(coeff)
     return element if c == 1 else element.scale(c)
 
 
@@ -218,7 +213,7 @@ def graded_dim_computed(degree: int, tau) -> int:
     span = Echelon()
     for m in normal_monomials(degree - 1):
         for g in GENERATORS:
-            span.add((index[m2], c * t**k) for m2, c, k in _times_generator(m, g))
+            span.add((index[m2], c * t**k) for m2, c, k in NCElement.times(m, g))
     return span.rank
 
 
@@ -246,32 +241,32 @@ DUAL_BASIS: tuple[DualWord, ...] = (
 class DualElement(TauCombination):
     """Element of the dual algebra on the canonical square-free basis."""
 
+    @staticmethod
+    def times(w: DualWord, g: str) -> tuple[tuple[DualWord, int, int], ...]:
+        """A sorted square-free word times a generator, as (word, integer, power of tau) terms."""
+        if g in w:
+            # zeta zeta = -2 tau xi eta; a repeated xi or eta, or a longer
+            # word ending in zeta times zeta (xi or eta twice), gives 0
+            return ((("xi", "eta"), -2, 1),) if w == ("zeta",) else ()
+        i = sum(1 for h in w if _DUAL_ORDER[h] < _DUAL_ORDER[g])
+        return ((w[:i] + (g,) + w[i:], (-1) ** (len(w) - i), 0),)
+
+    @staticmethod
+    def word(w: DualWord) -> DualWord:
+        return w
+
     def __str__(self):
         if not self.terms:
             return "0"
         return " + ".join(f"({c}) {'.'.join(w) if w else '1'}" for w, c in self.terms)
 
 
-def _dual_reduce(word: DualWord) -> DualElement:
-    """Reduce a dual word: sort letters with signs, kill squares, expand zeta^2."""
-    for i in range(len(word) - 1):
-        a, b = word[i], word[i + 1]
-        if a == b:
-            if a in ("xi", "eta"):
-                return DualElement.zero()
-            # zeta zeta = -2 tau xi eta, from the defining relation and eta xi = -xi eta
-            return _dual_reduce(word[:i] + ("xi", "eta") + word[i + 2 :]).scale(tau_poly(-2, 1))
-        if _DUAL_ORDER[a] > _DUAL_ORDER[b]:
-            return _dual_reduce(word[:i] + (b, a) + word[i + 2 :]).scale(-1)
-    return DualElement(((word, tau_poly(1)),))
-
-
 def dual_word(letters) -> DualElement:
-    return _dual_reduce(tuple(letters))
+    return DualElement.fold((), letters)
 
 
 def dual_multiply(a: DualElement, b: DualElement) -> DualElement:
-    return a.bilinear(b, lambda w1, w2: _dual_reduce(w1 + w2))
+    return a * b
 
 
 def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
@@ -281,16 +276,12 @@ def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
     so the expected (1, 3, 3, 1, 0, ...) profile is verified, not assumed.
     """
     t = rat(tau)
+    index = {w: j for j, w in enumerate(DUAL_BASIS)}
     dims = []
     for degree in range(max_degree + 1):
-        if degree == 0:
-            dims.append(1)
-            continue
-        index = {w: j for j, w in enumerate(DUAL_BASIS)}
         span = Echelon()
         for letters in product(DUAL_GENERATORS, repeat=degree):
-            elem = _dual_reduce(letters)
-            span.add((index[w], v) for w, v in elem.coefficients_at(t).items())
+            span.add((index[w], v) for w, v in dual_word(letters).coefficients_at(t).items())
         dims.append(span.rank)
     return tuple(dims)
 
@@ -303,22 +294,25 @@ PAIR_ORDER: tuple[tuple[str, str], ...] = tuple((g1, g2) for g1 in GENERATORS fo
 DUAL_PAIR_ORDER: tuple[tuple[str, str], ...] = tuple((g1, g2) for g1 in DUAL_GENERATORS for g2 in DUAL_GENERATORS)
 
 
+def _pair_kernel(pairs, reduce, keys2, tau) -> list[Vector]:
+    """Kernel at a rational tau of g1 (x) g2 -> reduce(g1 g2) in the basis keys2."""
+    t = rat(tau)
+    index = {k: i for i, k in enumerate(keys2)}
+    cols = []
+    for pair in pairs:
+        col = [Fraction(0)] * len(keys2)
+        for k, v in reduce(pair).coefficients_at(t).items():
+            col[index[k]] = v
+        cols.append(col)
+    return kernel_basis(RatMatrix.from_columns(cols))
+
+
 def relation_kernel(tau) -> list[Vector]:
     """Basis of Ker(A_1 (x) A_1 -> A_2) at a rational tau.
 
     Vectors are coordinates in the ordered pair basis ``PAIR_ORDER``.
     """
-    t = rat(tau)
-    mono2 = normal_monomials(2)
-    index = {m: i for i, m in enumerate(mono2)}
-    cols = []
-    for g1, g2 in PAIR_ORDER:
-        elem = normal_form(g1 + g2)
-        col = [Fraction(0)] * len(mono2)
-        for m, v in elem.coefficients_at(t).items():
-            col[index[m]] = v
-        cols.append(col)
-    return kernel_basis(RatMatrix.from_columns(cols))
+    return _pair_kernel(PAIR_ORDER, normal_form, normal_monomials(2), tau)
 
 
 def dual_relation_kernel(tau) -> list[Vector]:
@@ -327,17 +321,7 @@ def dual_relation_kernel(tau) -> list[Vector]:
     This six-dimensional kernel is the relation set imposed on quiver
     representations; coordinates follow ``DUAL_PAIR_ORDER``.
     """
-    t = rat(tau)
-    words2 = [w for w in DUAL_BASIS if len(w) == 2]
-    index = {w: i for i, w in enumerate(words2)}
-    cols = []
-    for g1, g2 in DUAL_PAIR_ORDER:
-        elem = _dual_reduce((g1, g2))
-        col = [Fraction(0)] * len(words2)
-        for w, v in elem.coefficients_at(t).items():
-            col[index[w]] = v
-        cols.append(col)
-    return kernel_basis(RatMatrix.from_columns(cols))
+    return _pair_kernel(DUAL_PAIR_ORDER, dual_word, [w for w in DUAL_BASIS if len(w) == 2], tau)
 
 
 def pair_tensor(coeffs: dict[tuple[str, str], Fraction], dual: bool = False) -> Vector:
@@ -354,72 +338,40 @@ def pair_tensor(coeffs: dict[tuple[str, str], Fraction], dual: bool = False) -> 
 # polynomials in u, v, w, tau and the moduli pencil determinant
 
 
-@dataclass(frozen=True)
-class MPoly:
-    """Multivariate polynomial over Q in the fixed variables u, v, w, tau."""
-
-    terms: tuple[tuple[tuple[int, int, int, int], Fraction], ...]
+class MPoly(TauCombination):
+    """Polynomial in u, v, w over Q[tau]: {(i, j, k): coefficient of u^i v^j w^k}."""
 
     VARS = ("u", "v", "w", "tau")
 
-    @classmethod
-    def from_dict(cls, d: dict[tuple[int, int, int, int], Fraction]) -> "MPoly":
-        return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
+    @staticmethod
+    def times(e: Monomial, letter: str) -> tuple[tuple[Monomial, int, int], ...]:
+        i = "uvw".index(letter)
+        return ((e[:i] + (e[i] + 1,) + e[i + 1 :], 1, 0),)
+
+    @staticmethod
+    def word(e: Monomial) -> tuple[str, ...]:
+        return ("u",) * e[0] + ("v",) * e[1] + ("w",) * e[2]
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        exps = [0, 0, 0, 0]
-        exps[cls.VARS.index(name)] = 1
-        return cls(((tuple(exps), Fraction(1)),))
-
-    @classmethod
-    def const(cls, c) -> "MPoly":
-        c = rat(c)
-        return cls((((0, 0, 0, 0), c),)) if c != 0 else cls(())
-
-    def __add__(self, other: "MPoly") -> "MPoly":
-        d = dict(self.terms)
-        for e, c in other.terms:
-            d[e] = d.get(e, Fraction(0)) + c
-        return MPoly.from_dict(d)
-
-    def __sub__(self, other: "MPoly") -> "MPoly":
-        return self + other.scale(-1)
+        if name == "tau":
+            return cls((((0, 0, 0), tau_poly(1, 1)),))
+        return cls.fold((0, 0, 0), (name,))
 
     def __neg__(self) -> "MPoly":
         return self.scale(-1)
 
-    def scale(self, c) -> "MPoly":
-        c = rat(c)
-        return MPoly.from_dict({e: c * v for e, v in self.terms})
-
-    def __mul__(self, other: "MPoly") -> "MPoly":
-        d: dict[tuple[int, int, int, int], Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
-        return MPoly.from_dict(d)
-
     def substitute(self, **values) -> Fraction:
-        vals = [rat(values[name]) for name in self.VARS]
-        total = Fraction(0)
-        for e, c in self.terms:
-            term = c
-            for base, exp in zip(vals, e):
-                term *= base**exp
-            total += term
-        return total
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        u, v, w, tau = (rat(values[name]) for name in self.VARS)
+        return sum((c(tau) * u**i * v**j * w**k for (i, j, k), c in self.terms), Fraction(0))
 
     def __str__(self):
-        if not self.terms:
+        # one piece per monomial u^i v^j w^k tau^d, ordered by (i, j, k, d)
+        expanded = sorted((e + (d,), c) for e, poly in self.terms for d, c in enumerate(poly.coeffs) if c != 0)
+        if not expanded:
             return "0"
         pieces = []
-        for e, c in self.terms:
+        for e, c in expanded:
             mono = "*".join(
                 (name if k == 1 else f"{name}^{k}") for name, k in zip(self.VARS, e) if k > 0
             )
@@ -442,7 +394,7 @@ def relation_pencil_matrix() -> list[list[MPoly]]:
     below; its degeneration locus cuts out the length-one module space.
     """
     u, v, w, tau = (MPoly.var(n) for n in MPoly.VARS)
-    zero = MPoly.const(0)
+    zero = MPoly.zero()
     return [
         [zero, w, v],
         [-w, zero, u],
@@ -453,7 +405,7 @@ def relation_pencil_matrix() -> list[list[MPoly]]:
 def artin_moduli_determinant() -> MPoly:
     """Determinant of the relation pencil matrix, as a polynomial in u,v,w,tau."""
     m = relation_pencil_matrix()
-    det = MPoly.const(0)
+    det = MPoly.zero()
     det = det + m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
     det = det - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
     det = det + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])

@@ -365,7 +365,8 @@ def find_destabilizer(
     rep: QuiverRep,
     theta: Polarization,
     theta_tiebreak: Polarization | None = None,
-    budget: int = 48,
+    *,
+    budget: int,
     seed: int = 0,
 ) -> StabilityWitness | None:
     """One-sided destabilizer search over generated subrepresentations.

@@ -341,6 +341,23 @@ def test_size_caps(argv, flag, cap):
     assert envelope["error"] == f"{argv[0]} {argv[1]} is limited to {flag} <= {cap}"
 
 
+# the capped integer flags (the other caps measure a text or a file, never negative)
+CAPPED_INTEGERS = [case for case in CAPPED if "{}" in case[0]]
+
+
+@pytest.mark.parametrize("argv, flag, cap", CAPPED_INTEGERS, ids=[" ".join(case[0][:2]) + " " + case[1] for case in CAPPED_INTEGERS])
+def test_negative_capped_integers_are_rejected(argv, flag, cap):
+    code, envelope = dispatch([a.format(-1) for a in argv])
+    assert code == 1 and envelope["status"] == "error"
+    assert envelope["error"] == f"{argv[0]} {argv[1]} needs {flag} >= 0"
+
+
+def test_negative_report_size_is_rejected(tmp_path):
+    code, envelope = dispatch(["report", "--n", "-1", "--out", str(tmp_path / "t")])
+    assert code == 1 and envelope["error"] == "report needs n >= 0"
+    assert not (tmp_path / "t").exists()
+
+
 def random_matrix_json(rng, rows, cols) -> dict:
     entries = [[f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in range(cols)] for _ in range(rows)]
     return {"rows": rows, "cols": cols, "entries": entries}

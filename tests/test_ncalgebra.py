@@ -1,13 +1,18 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from uhlenbeck.core import Echelon, Subspace, rat
+from uhlenbeck.core import Echelon, RatMatrix, RatPoly, Subspace, kernel_basis, rat
 from uhlenbeck.ncalgebra import (
+    DUAL_BASIS,
+    DUAL_GENERATORS,
     DUAL_PAIR_ORDER,
     GENERATORS,
+    PAIR_ORDER,
+    DualElement,
     MPoly,
     NCElement,
     artin_moduli_determinant,
@@ -22,6 +27,7 @@ from uhlenbeck.ncalgebra import (
     normal_monomials,
     pair_tensor,
     relation_kernel,
+    relation_pencil_matrix,
     tau_poly,
 )
 
@@ -295,3 +301,287 @@ def test_normal_monomial_products_match_rewriter():
             left = NCElement(((m1, tau_poly(1)),))
             right = NCElement(((m2, tau_poly(1)),))
             assert (left * right).terms == _reduce_word(_monomial_word(m1) + _monomial_word(m2)).terms
+
+
+# ---------------------------------------------------------------------------
+# the one fold against the three mechanisms it replaced
+#
+# The functions and the class below are verbatim copies of the earlier
+# engines, renamed with ``_old``/``Old`` (and ``bilinear`` moved out of its
+# class): the recursive rewriter of the dual, its product, the dict
+# arithmetic of ``MPoly`` with the pencil, and the two kernel builders.
+
+
+def _old_bilinear(self, other, product):
+    """The product extending product(key1, key2) -> combination over Q[tau]."""
+    out: dict[tuple, RatPoly] = {}
+    for k1, c1 in self.terms:
+        for k2, c2 in other.terms:
+            c = c1 * c2
+            for k, coeff in product(k1, k2).terms:
+                out[k] = out.get(k, RatPoly.zero("tau")) + coeff * c
+    return type(self).from_dict(out)
+
+
+_DUAL_ORDER = {"xi": 0, "eta": 1, "zeta": 2}
+
+
+def _old_dual_reduce(word) -> DualElement:
+    """Reduce a dual word: sort letters with signs, kill squares, expand zeta^2."""
+    for i in range(len(word) - 1):
+        a, b = word[i], word[i + 1]
+        if a == b:
+            if a in ("xi", "eta"):
+                return DualElement.zero()
+            # zeta zeta = -2 tau xi eta, from the defining relation and eta xi = -xi eta
+            return _old_dual_reduce(word[:i] + ("xi", "eta") + word[i + 2 :]).scale(tau_poly(-2, 1))
+        if _DUAL_ORDER[a] > _DUAL_ORDER[b]:
+            return _old_dual_reduce(word[:i] + (b, a) + word[i + 2 :]).scale(-1)
+    return DualElement(((word, tau_poly(1)),))
+
+
+def _old_dual_multiply(a: DualElement, b: DualElement) -> DualElement:
+    return _old_bilinear(a, b, lambda w1, w2: _old_dual_reduce(w1 + w2))
+
+
+def _old_dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
+    t = rat(tau)
+    dims = []
+    for degree in range(max_degree + 1):
+        if degree == 0:
+            dims.append(1)
+            continue
+        index = {w: j for j, w in enumerate(DUAL_BASIS)}
+        span = Echelon()
+        for letters in product(DUAL_GENERATORS, repeat=degree):
+            elem = _old_dual_reduce(letters)
+            span.add((index[w], v) for w, v in elem.coefficients_at(t).items())
+        dims.append(span.rank)
+    return tuple(dims)
+
+
+def _old_relation_kernel(tau):
+    t = rat(tau)
+    mono2 = normal_monomials(2)
+    index = {m: i for i, m in enumerate(mono2)}
+    cols = []
+    for g1, g2 in PAIR_ORDER:
+        elem = normal_form(g1 + g2)
+        col = [Fraction(0)] * len(mono2)
+        for m, v in elem.coefficients_at(t).items():
+            col[index[m]] = v
+        cols.append(col)
+    return kernel_basis(RatMatrix.from_columns(cols))
+
+
+def _old_dual_relation_kernel(tau):
+    t = rat(tau)
+    words2 = [w for w in DUAL_BASIS if len(w) == 2]
+    index = {w: i for i, w in enumerate(words2)}
+    cols = []
+    for g1, g2 in DUAL_PAIR_ORDER:
+        elem = _old_dual_reduce((g1, g2))
+        col = [Fraction(0)] * len(words2)
+        for w, v in elem.coefficients_at(t).items():
+            col[index[w]] = v
+        cols.append(col)
+    return kernel_basis(RatMatrix.from_columns(cols))
+
+
+@dataclass(frozen=True)
+class OldMPoly:
+    """Multivariate polynomial over Q in the fixed variables u, v, w, tau."""
+
+    terms: tuple[tuple[tuple[int, int, int, int], Fraction], ...]
+
+    VARS = ("u", "v", "w", "tau")
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(tuple(sorted((e, c) for e, c in d.items() if c != 0)))
+
+    @classmethod
+    def var(cls, name: str):
+        exps = [0, 0, 0, 0]
+        exps[cls.VARS.index(name)] = 1
+        return cls(((tuple(exps), Fraction(1)),))
+
+    @classmethod
+    def const(cls, c):
+        c = rat(c)
+        return cls((((0, 0, 0, 0), c),)) if c != 0 else cls(())
+
+    def __add__(self, other):
+        d = dict(self.terms)
+        for e, c in other.terms:
+            d[e] = d.get(e, Fraction(0)) + c
+        return OldMPoly.from_dict(d)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = rat(c)
+        return OldMPoly.from_dict({e: c * v for e, v in self.terms})
+
+    def __mul__(self, other):
+        d = {}
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
+                e = tuple(a + b for a, b in zip(e1, e2))
+                d[e] = d.get(e, Fraction(0)) + c1 * c2
+        return OldMPoly.from_dict(d)
+
+    def substitute(self, **values) -> Fraction:
+        vals = [rat(values[name]) for name in self.VARS]
+        total = Fraction(0)
+        for e, c in self.terms:
+            term = c
+            for base, exp in zip(vals, e):
+                term *= base**exp
+            total += term
+        return total
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        pieces = []
+        for e, c in self.terms:
+            mono = "*".join(
+                (name if k == 1 else f"{name}^{k}") for name, k in zip(self.VARS, e) if k > 0
+            )
+            if not mono:
+                pieces.append(str(c))
+            elif c == 1:
+                pieces.append(mono)
+            elif c == -1:
+                pieces.append("-" + mono)
+            else:
+                pieces.append(f"{c}*{mono}")
+        return " + ".join(pieces)
+
+
+def _old_relation_pencil_matrix():
+    u, v, w, tau = (OldMPoly.var(n) for n in OldMPoly.VARS)
+    zero = OldMPoly.const(0)
+    return [
+        [zero, w, v],
+        [-w, zero, u],
+        [-v, -u, -(tau * w)],
+    ]
+
+
+def _old_artin_moduli_determinant():
+    m = _old_relation_pencil_matrix()
+    det = OldMPoly.const(0)
+    det = det + m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+    det = det - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+    det = det + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    return det
+
+
+def assert_same_combination(new, old):
+    assert new.terms == old.terms
+    assert repr(new) == repr(old)
+    assert str(new) == str(old)
+    for tau in ORACLE_TAUS:
+        assert new.coefficients_at(tau) == old.coefficients_at(tau), tau
+
+
+def test_dual_words_match_old_rewriter():
+    words = [w for length in range(7) for w in product(DUAL_GENERATORS, repeat=length)]
+    assert len(words) == 1093
+    for word in words:
+        assert_same_combination(dual_word(word), _old_dual_reduce(word))
+
+
+def random_coefficient(rng) -> RatPoly:
+    return tau_poly(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(0, 2))
+
+
+def test_random_nc_products_match_old_product():
+    rng = random.Random(303)
+
+    def random_sum():
+        words = ("".join(rng.choice("xyz") for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 3)))
+        return sum((normal_form(w).scale(random_coefficient(rng)) for w in words), NCElement.zero())
+
+    for _ in range(150):
+        a, b = random_sum(), random_sum()
+        old = _old_bilinear(a, b, lambda m1, m2: _reduce_word(_monomial_word(m1) + _monomial_word(m2)))
+        assert_same_combination(a * b, old)
+
+
+def test_random_dual_products_match_old_product():
+    rng = random.Random(304)
+
+    def random_sum():
+        words = ([rng.choice(DUAL_GENERATORS) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(0, 4)))
+        return sum((dual_word(w).scale(random_coefficient(rng)) for w in words), DualElement.zero())
+
+    for _ in range(300):
+        a, b = random_sum(), random_sum()
+        old = _old_dual_multiply(a, b)
+        assert_same_combination(a * b, old)
+        assert_same_combination(dual_multiply(a, b), old)
+
+
+def old_layout(p: MPoly):
+    """The terms of an ``MPoly`` in the old layout: ((i, j, k, d), rational), sorted."""
+    return tuple(sorted((e + (d,), c) for e, poly in p.terms for d, c in enumerate(poly.coeffs) if c != 0))
+
+
+def assert_same_polynomial(new: MPoly, old: OldMPoly, rng):
+    assert old_layout(new) == old.terms
+    assert str(new) == str(old)
+    assert new.is_zero == old.is_zero
+    for tau in ORACLE_TAUS:
+        values = {n: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for n in "uvw"}
+        assert new.substitute(tau=tau, **values) == old.substitute(tau=tau, **values)
+
+
+def test_random_mpoly_arithmetic_matches_old_mpoly():
+    rng = random.Random(305)
+
+    def random_pair():
+        new, old = MPoly.zero(), OldMPoly.const(0)
+        for _ in range(rng.randint(0, 3)):
+            names = [rng.choice(MPoly.VARS) for _ in range(rng.randint(0, 3))]
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            term_new, term_old = MPoly(((((0, 0, 0), tau_poly(1)),))), OldMPoly.const(1)
+            for n in names:
+                term_new, term_old = term_new * MPoly.var(n), term_old * OldMPoly.var(n)
+            new, old = new + term_new.scale(c), old + term_old.scale(c)
+        return new, old
+
+    for _ in range(150):
+        (a, a_old), (b, b_old) = random_pair(), random_pair()
+        assert_same_polynomial(a, a_old, rng)
+        assert_same_polynomial(a + b, a_old + b_old, rng)
+        assert_same_polynomial(a - b, a_old - b_old, rng)
+        assert_same_polynomial(a * b, a_old * b_old, rng)
+        assert_same_polynomial(-a, -a_old, rng)
+
+
+def test_pencil_matches_old_mpoly():
+    rng = random.Random(306)
+    for row, old_row in zip(relation_pencil_matrix(), _old_relation_pencil_matrix()):
+        for entry, old_entry in zip(row, old_row):
+            assert_same_polynomial(entry, old_entry, rng)
+    det, old = artin_moduli_determinant(), _old_artin_moduli_determinant()
+    assert_same_polynomial(det, old, rng)
+    assert str(det) == "-w^3*tau"
+
+
+@pytest.mark.parametrize("tau", sorted(set(TAUS + ORACLE_TAUS)))
+def test_kernels_and_dual_dims_match_old_builders(tau):
+    assert relation_kernel(tau) == _old_relation_kernel(tau)
+    assert dual_relation_kernel(tau) == _old_dual_relation_kernel(tau)
+    assert dual_graded_dims(tau, 6) == _old_dual_graded_dims(tau, 6)
