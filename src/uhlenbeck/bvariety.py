@@ -238,21 +238,20 @@ def component_dimension(lam, tau) -> ComponentReport:
 
 @dataclass(frozen=True)
 class SupportDivisor:
-    """char poly of Y with its squarefree factorization over Q."""
+    """char poly of Y; its squarefree factorization over Q is read on demand."""
 
     poly: RatPoly
-    factors: tuple[tuple[RatPoly, int], ...]
 
     @property
     def degree(self) -> int:
         return self.poly.degree
 
-    @classmethod
-    def of_polynomial(cls, p: RatPoly) -> "SupportDivisor":
-        return cls(p, tuple(squarefree_factorization(p)) if p.degree > 0 else ())
+    @cached_property
+    def factors(self) -> tuple[tuple[RatPoly, int], ...]:
+        return tuple(squarefree_factorization(self.poly)) if self.poly.degree > 0 else ()
 
     def __mul__(self, other: "SupportDivisor") -> "SupportDivisor":
-        return SupportDivisor.of_polynomial(self.poly * other.poly)
+        return SupportDivisor(self.poly * other.poly)
 
     def __str__(self):
         if not self.factors:
@@ -263,7 +262,7 @@ class SupportDivisor:
 def support(triple: BTriple) -> SupportDivisor:
     """The degree-k spectrum divisor of Y, for a valid triple."""
     _require_valid(triple)
-    return SupportDivisor.of_polynomial(char_poly(triple.Y))
+    return SupportDivisor(char_poly(triple.Y))
 
 
 def support_poly_p(triple: BTriple, p: int) -> RatPoly:

@@ -393,39 +393,37 @@ def _report(args, meta) -> dict:
     """Write strata, stalk, Betti and fixed-point tables as CSV files."""
     n, out_dir = args.n, args.out
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def write(name: str, header: list[str], rows: list[list]):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        written.append(name)
-
     strata = ic.strata(n)
-    write(
-        "strata.csv",
-        ["m", "lambda", "dim", "codim", "open"],
-        [[st.m, st.lam.key, st.dim, 2 * n - st.dim, st.is_open] for st in strata],
-    )
     stalks = [(st, ic.ic_stalk(n, st.m, st.lam)) for st in strata]
-    write(
-        "stalks.csv",
-        ["m", "lambda", "stalk", "total"],
-        [[st.m, st.lam.key, s.to_str(), s.total] for st, s in stalks],
-    )
-    write(
-        "betti.csv",
-        ["n", "betti"],
-        [[k, " ".join(str(b) for b in ic.punctual_hilbert_betti(k))] for k in range(1, n + 1)],
-    )
-    write(
-        "fixed_points.csv",
-        ["m", "lambda", "k0", "kinf", "attracting"],
-        [[p.m, p.lam.key, p.k0, p.kinf, p.attracting] for p in ic.uhlenbeck_fixed_points(n)],
-    )
-    return {"out": out_dir, "files": written}
+    tables = [
+        (
+            "strata.csv",
+            ["m", "lambda", "dim", "codim", "open"],
+            [{"m": st.m, "lambda": st.lam.key, "dim": st.dim, "codim": 2 * n - st.dim, "open": st.is_open} for st in strata],
+        ),
+        (
+            "stalks.csv",
+            ["m", "lambda", "stalk", "total"],
+            [{"m": st.m, "lambda": st.lam.key, "stalk": s.to_str(), "total": s.total} for st, s in stalks],
+        ),
+        (
+            "betti.csv",
+            ["n", "betti"],
+            [{"n": k, "betti": " ".join(str(b) for b in ic.punctual_hilbert_betti(k))} for k in range(1, n + 1)],
+        ),
+        ("fixed_points.csv", ["m", "lambda", "k0", "kinf", "attracting"], _ic_fixed_points(args, meta)["points"]),
+    ]
+    for name, header, rows in tables:
+        with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
+            _write_csv(fh, header, rows)
+    return {"out": out_dir, "files": [name for name, _, _ in tables]}
+
+
+def _write_csv(fh, header: list[str], rows: list[dict]):
+    """A header line, then each row's values in header order (a key outside it raises ValueError)."""
+    writer = csv.DictWriter(fh, fieldnames=header)
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     code, envelope = run(args)
     table = envelope["payload"][args.csv] if code == 0 and getattr(args, "csv", None) else None
     if table:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(table[0]))
-        writer.writeheader()
-        writer.writerows(table)
+        _write_csv(sys.stdout, list(table[0]), table)
     else:
         sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     return code

@@ -9,9 +9,9 @@ Rows are reduced one at a time against pivots keyed by their lead column:
 an update cross-multiplies by the two lead entries and divides out the gcd
 of the result, touching only nonzero entries, so elimination does no
 Fraction arithmetic.  ``rank`` reads the pivot count off this forward pass.
-``rref``, ``kernel_basis``, ``solve_linear``, ``inverse`` and ``Subspace``
-also back-substitute on the integer rows, and build one Fraction per
-nonzero output entry, as entry / pivot.
+``rref``, ``kernel_basis``, ``solve_linear``, ``inverse`` and
+``Subspace.basis`` also back-substitute on the integer rows, and build one
+Fraction per nonzero output entry, as entry / pivot.
 
 The output does not depend on the order of the row operations.  The
 reduced row echelon form of a matrix is unique, and after back-substitution
@@ -20,24 +20,29 @@ the pivot recovers that row exactly.  Hence ``rref``, every kernel basis
 (one vector per free column, with 1 there and 0 at the other free columns)
 and every ``Subspace.basis`` are canonical.
 
-A RatMatrix is stored in integer form (d, a): a the row-major integer
-numerators and d the least common denominator, so the matrix is a / d and
-gcd(d, *a) = 1.  Because d is the least one, equal matrices have equal
-forms, and ``==`` and ``hash`` compare them.  The Fraction ``entries`` are
-derived from (d, a) on first use and kept.  ``+``, ``-``, ``scale``,
-``commutator``, ``is_zero`` and ``commutant_system`` are integer
-operations: sums go over the lcm of the two denominators, and every result
-is divided once by the gcd of d and its numerators.  ``@``, ``power`` and
-``apply`` multiply the integer entries, skipping zeros.  ``char_poly`` runs
-Berkowitz's division-free algorithm on a and divides the coefficient of
-t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).  ``rank``,
-``rref`` and ``kernel_basis`` feed the integer rows of a straight into an
-``Echelon``, as ``Subspace.image_under``, ``Subspace.intersect``,
-``krylov_span_dim`` and ``nilpotent_jordan_type`` feed integer products:
-scaling a row changes neither the span nor the rank.  A Fraction is always
-stored in lowest terms, so every entry, product, power and polynomial is
-the same value, digit for digit, as the one the Fraction arithmetic
-computed.
+Each value is stored in one form and the rest is derived when read.  A
+Subspace is its ambient dimension and the Echelon of a spanning set:
+``dim`` is the rank; ``sum``, ``intersect``, ``image_under`` and
+``contains`` work on the integer rows; ``basis``, ``==`` and ``hash``
+reduce the echelon in place and read the basis off it.  A RatMatrix is its
+integer form (d, a): a the row-major integer numerators and d the least
+common denominator, so the matrix is a / d and gcd(d, *a) = 1.  Because d
+is the least one, equal matrices have equal forms, and ``==`` and ``hash``
+compare them.  The constructor keeps no copy of the entries it is given:
+the Fraction ``entries`` are derived from (d, a) on first use and kept.
+``+``, ``-``, ``scale``, ``commutator``, ``is_zero`` and
+``commutant_system`` are integer operations: sums go over the lcm of the
+two denominators, and every result is divided once by the gcd of d and its
+numerators.  ``@``, ``power`` and ``apply`` multiply the integer entries,
+skipping zeros.  ``char_poly`` runs Berkowitz's division-free algorithm on
+a and divides the coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n
+det(dt I - a).  ``rank``, ``rref`` and ``kernel_basis`` feed the integer
+rows of a straight into an ``Echelon``, as ``Subspace.image_under``,
+``Subspace.intersect``, ``krylov_span_dim`` and ``nilpotent_jordan_type``
+feed integer products: scaling a row changes neither the span nor the rank.
+A Fraction is always stored in lowest terms, so every entry, product, power
+and polynomial is the same value, digit for digit, as the one the Fraction
+arithmetic computed.
 
 ``poly_gcd`` and ``squarefree_factorization`` work on primitive integer
 polynomials: gcds by the primitive remainder sequence, quotients by exact
@@ -371,7 +376,6 @@ class RatMatrix:
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
         self._fill(rows, cols, *_clear(entries))
-        object.__setattr__(self, "entries", tuple(entries))
 
     @classmethod
     def _of(cls, rows: int, cols: int, d: int, a: Sequence[int]) -> "RatMatrix":
@@ -867,31 +871,24 @@ def nilpotent_jordan_type(z: RatMatrix) -> Partition:
 
 
 class Subspace:
-    """A subspace of Q^n, stored as a reduced-echelon row basis.
+    """A subspace of Q^n, stored only as the integer echelon of a spanning
+    set; ``basis``, ``==`` and ``hash`` read the canonical reduced form off it."""
 
-    The stored form is canonical, so equality of subspaces is tuple equality.
-    The integer echelon it was read from is kept too, for ``contains``,
-    ``contains_subspace`` and ``sum``.
-    """
-
-    __slots__ = ("ambient", "basis", "_echelon")
+    __slots__ = ("ambient", "_echelon")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
         rows = [vector(v) for v in vectors]
         for v in rows:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        self._assign(ambient, Echelon(enumerate(v) for v in rows))
-
-    def _assign(self, ambient: int, ech: Echelon):
         self.ambient = ambient
-        self._echelon = ech
-        self.basis: tuple[Vector, ...] = tuple(tuple(_fraction_row(ech.rows[c], c, 0, ambient)) for c in ech.reduce())
+        self._echelon = Echelon(enumerate(v) for v in rows)
 
     @classmethod
     def _spanned(cls, ambient: int, ech: Echelon) -> "Subspace":
         out = cls.__new__(cls)
-        out._assign(ambient, ech)
+        out.ambient = ambient
+        out._echelon = ech
         return out
 
     @classmethod
@@ -904,7 +901,13 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self._echelon.rank
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        """The rows of the reduced row echelon form, in pivot order."""
+        ech = self._echelon
+        return tuple(tuple(_fraction_row(ech.rows[c], c, 0, self.ambient)) for c in ech.reduce())
 
     def contains(self, v: Sequence) -> bool:
         return self._echelon.contains(enumerate(vector(v)))

@@ -295,11 +295,11 @@ def _joint_kernel(maps: list[RatMatrix]) -> Subspace:
 def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
     """Grow base to the target dimension using vectors of `inside` first.
 
-    The basis vectors of `inside` are tried in order, each through its integer
-    echelon row (a positive multiple of it), on one copy of base's echelon.
+    The basis vectors of `inside` are tried in order, each through its reduced
+    integer echelon row (a nonzero multiple of it), on one copy of base's echelon.
     """
     ech, rows = base._echelon.copy(), inside._echelon.rows
-    for c in sorted(rows):
+    for c in inside._echelon.reduce():
         if ech.rank >= target:
             break
         ech._insert(rows[c])
@@ -308,8 +308,12 @@ def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
     return Subspace._spanned(base.ambient, ech)
 
 
-def _lex_slopes(thetas: tuple[Polarization, ...], dims: DimVector) -> tuple[Fraction, ...]:
-    return tuple(slope(t, dims) for t in thetas)
+def _lex_slopes(rep: QuiverRep, theta: Polarization, tiebreak: Polarization | None):
+    """dims -> slope tuple in theta, then tiebreak; each must pair to zero with rep.dim."""
+    thetas = (theta,) if tiebreak is None else (theta, tiebreak)
+    if any(slope(t, rep.dim) != 0 for t in thetas):
+        raise ValueError("total slope must vanish")
+    return lambda dims: tuple(slope(t, dims) for t in thetas)
 
 
 def decide_stability_121(
@@ -329,9 +333,7 @@ def decide_stability_121(
     r1, r2, r3 = rep.dim
     if r1 > 1 or r3 > 1:
         raise ValueError(f"exact decision needs r1, r3 <= 1; got {rep.dim}")
-    thetas = (theta,) if theta_tiebreak is None else (theta, theta_tiebreak)
-    if any(slope(t, rep.dim) != 0 for t in thetas):
-        raise ValueError("total slope must vanish")
+    slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
     imf, ker, v2 = _f_image(rep), _joint_kernel(_maps(rep.G)), Subspace.full(r2)
     least = None
     for u1 in range(r1 + 1):
@@ -343,7 +345,7 @@ def decide_stability_121(
                 dims = (u1, d2, u3)
                 if dims == (0, 0, 0) or dims == rep.dim:
                     continue
-                key = (_lex_slopes(thetas, dims), dims)
+                key = (slopes_of(dims), dims)
                 if least is None or key < least[0]:
                     least = (key, low, high)
     if least is None:
@@ -355,7 +357,7 @@ def decide_stability_121(
     closure_dims, spaces = generated_subrep(rep, sub1, _extend_to_dim(low, high, d2), sub3)
     if closure_dims != dims:
         raise AssertionError(f"witness construction drifted: {closure_dims} != {dims}")
-    zero = tuple(Fraction(0) for _ in thetas)
+    zero = slopes_of((0, 0, 0))
     if slopes > zero:
         return "stable", None
     return ("unstable" if slopes < zero else "semistable"), StabilityWitness(dims, slopes, spaces)
@@ -376,10 +378,8 @@ def find_destabilizer(
     lexicographically below zero.  None means only that the search failed;
     it certifies semistability only where the exact decision applies.
     """
-    if slope(theta, rep.dim) != 0:
-        raise ValueError("total slope must vanish")
-    thetas = (theta,) if theta_tiebreak is None else (theta, theta_tiebreak)
-    zero_tuple = tuple(Fraction(0) for _ in thetas)
+    slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
+    zero_tuple = slopes_of((0, 0, 0))
     r1, r2, r3 = rep.dim
     F, G = _maps(rep.F), _maps(rep.G)
 
@@ -430,7 +430,7 @@ def find_destabilizer(
                 if dims == (0, 0, 0) or dims == rep.dim or dims in seen_dims:
                     continue
                 seen_dims.add(dims)
-                slopes = _lex_slopes(thetas, dims)
+                slopes = slopes_of(dims)
                 if slopes < zero_tuple:
                     return StabilityWitness(dims, slopes, (u1, s2, s3))
     return None

@@ -241,6 +241,7 @@ def test_report_n0(tmp_path):
     run_ok(["report", "--n", "0", "--out", str(tmp_path / "t0")])
     strata_lines = (tmp_path / "t0" / "strata.csv").read_text().strip().splitlines()
     assert len(strata_lines) == 2  # header + single stratum
+    assert (tmp_path / "t0" / "betti.csv").read_bytes() == b"n,betti\r\n"  # no rows: header only
 
 
 def test_csv_output(capsys):

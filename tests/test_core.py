@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -224,6 +225,28 @@ def test_subspace_sum_intersect_dims():
         assert s.dim + i.dim == u.dim + w.dim
         assert u.contains_subspace(i) and w.contains_subspace(i)
         assert s.contains_subspace(u) and s.contains_subspace(w)
+
+
+def test_subspace_dim_eq_and_hash_do_not_depend_on_reading_basis():
+    # reading basis reduces the stored echelon in place; dim, == and hash must
+    # give the same answers on a subspace whose basis was never read
+    rng = random.Random(1130)
+    for _ in range(60):
+        n = rng.randint(0, 6)
+        a, b = ([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, n + 1))] for _ in range(2))
+        m = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]) if n else None
+
+        def spaces():
+            u, w = Subspace(n, a), Subspace(n, b)
+            return [u, u.sum(w), u.intersect(w)] + ([u.image_under(m)] if n else [])
+
+        read = spaces()
+        bases = [s.basis for s in read]
+        for fresh, again, s, basis in zip(spaces(), spaces(), read, bases):
+            assert fresh.dim == s.dim == len(basis)
+            assert hash(fresh) == hash(s)
+            assert again == s and s == Subspace(n, [[3 * x for x in v] for v in reversed(basis)])
+            assert s.basis == basis
 
 
 def test_column_and_kernel_space():
@@ -1029,6 +1052,11 @@ def test_equal_matrices_reached_by_different_routes_are_equal_with_equal_hash():
                 routes += [a @ RatMatrix.identity(cols), a.power(1), a + a.commutator(b) - b.commutator(a).scale(-1)]
             for m in routes:
                 assert m == direct and hash(m) == hash(direct) and repr(m) == repr(direct)
+            # the constructor with int entries: d times a, for d the lcm of a's denominators
+            d = lcm(*(x.denominator for x in a.entries))
+            scaled = RatMatrix(rows, cols, tuple(int(x * d) for x in a.entries))
+            assert scaled == direct.scale(d) and hash(scaled) == hash(direct.scale(d))
+            assert repr(scaled) == repr(direct.scale(d))
             zero = RatMatrix.zero(rows, cols)
             for m in (a - a, a.scale(0), b.scale(Fraction(1, 3)) - b.scale(Fraction(1, 3))):
                 assert m == zero and hash(m) == hash(zero) and m.is_zero

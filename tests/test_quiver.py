@@ -513,8 +513,12 @@ def _witness_key(w):
     return None if w is None else (w.dim, w.slopes, tuple(s.basis for s in w.subspaces))
 
 
+def _random_seed_rows(rng, n):
+    return [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+
+
 def _random_seed_subspace(rng, n):
-    return Subspace(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))])
+    return Subspace(n, _random_seed_rows(rng, n))
 
 
 def test_destabilizer_search_matches_pinned_search():
@@ -753,6 +757,16 @@ def test_decide_matches_brute_force_oracle_beyond_121(rdn):
     assert verdicts == ({"semistable", "unstable"} if dim == (1, 4, 1) else {"stable", "semistable", "unstable"})
 
 
+def test_both_procedures_reject_a_nonvanishing_tiebreak():
+    # theta0 pairs to zero with (2, 5, 2) and (1, 2, 1), (1, 0, 0) with neither
+    theta0, _ = polarizations(1, 0, 2)
+    rep = sample_relation_rep(alpha(1, 0, 2), ONE, seed=2)
+    with pytest.raises(ValueError, match="total slope must vanish"):
+        find_destabilizer(rep, theta0, Polarization(1, 0, 0), budget=4)
+    with pytest.raises(ValueError, match="total slope must vanish"):
+        decide_stability_121(monad_of_point((ONE, ONE), ONE), Polarization(-1, 0, 1), Polarization(1, 0, 0))
+
+
 def test_decide_without_proper_classes_is_stable():
     for dim in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
         assert decide_stability_121(zero_rep(dim), Polarization(0, 0, 0)) == ("stable", None)
@@ -787,19 +801,29 @@ def _old_extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspac
 
 
 def test_extend_to_dim_matches_pinned_extension():
+    # _extend_to_dim runs first, on fresh subspaces: reading inside.basis, as
+    # the pinned copy does, reduces inside's echelon in place, and an
+    # extension through unreduced rows picks other vectors
     rng = random.Random(813)
     for _ in range(80):
         n = rng.randint(0, 7)
-        inside = _random_seed_subspace(rng, n)
-        base = inside.intersect(_random_seed_subspace(rng, n)) if rng.random() < 0.7 else _random_seed_subspace(rng, n)
+        inside_rows = _random_seed_rows(rng, n)
+        meet = rng.random() < 0.7
+        other_rows = _random_seed_rows(rng, n)
+
+        def spaces():
+            inside, other = Subspace(n, inside_rows), Subspace(n, other_rows)
+            return (inside.intersect(other) if meet else other), inside
+
         for target in range(n + 2):
             try:
-                expected = _old_extend_to_dim(base, inside, target)
-            except ValueError:
+                got = quiver._extend_to_dim(*spaces(), target)
+            except ValueError as exc:
+                assert "cannot extend" in str(exc)
                 with pytest.raises(ValueError, match="cannot extend"):
-                    quiver._extend_to_dim(base, inside, target)
+                    _old_extend_to_dim(*spaces(), target)
             else:
-                got = quiver._extend_to_dim(base, inside, target)
+                expected = _old_extend_to_dim(*spaces(), target)
                 assert got == expected and got.basis == expected.basis
 
 
