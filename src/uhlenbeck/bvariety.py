@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     NotNilpotentError,
@@ -41,8 +41,7 @@ from .core import (
 from .partitions import Partition
 
 
-@dataclass(frozen=True)
-class TripleCheck:
+class TripleCheck(NamedTuple):
     ok: bool
     commutator_ok: bool
     nilpotent_ok: bool
@@ -206,8 +205,7 @@ def orbit_dimension(lam) -> int:
     return k * k - sum(c * c for c in lam.conjugate().parts)
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(NamedTuple):
     lam: Partition
     k: int
     orbit_dim: int
@@ -318,8 +316,7 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
 # fiber probes
 
 
-@dataclass(frozen=True)
-class FiberProbe:
+class FiberProbe(NamedTuple):
     lam: Partition
     k: int
     u: Fraction

@@ -14,24 +14,21 @@ which was fixed here by direct computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import RatMatrix, commutant_system, rank, rat
 from .partitions import partition_count
 
 
-@dataclass(frozen=True)
-class CMPair:
+class CMPair(NamedTuple):
     X: RatMatrix
     Y: RatMatrix
     tau: Fraction
     sign: str  # "plus" or "minus"
 
 
-@dataclass(frozen=True)
-class CMVerifyResult:
+class CMVerifyResult(NamedTuple):
     member: bool
     signs: tuple[str, ...]
     rank_plus: int

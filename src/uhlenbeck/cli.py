@@ -21,6 +21,7 @@ import sys
 from . import __version__, bvariety, calogero, ic, ncalgebra, quiver
 from .partitions import Partition, partitions
 from .serialize import (
+    digits,
     fraction_to_str,
     matrix_to_json,
     pair_from_json,
@@ -61,8 +62,9 @@ def _parse_theta(text: str) -> quiver.Polarization:
 
 
 def _load_json(path: str) -> dict:
+    # JSON integers go through the digit bound before int() meets them
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_int=lambda text: int(parse_fraction(text)))
 
 
 def _input(args, flag: str):
@@ -122,7 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(name=name, run=run, caps=caps)
         return p
 
-    p = command("nc normal-form", _nc_normal_form, ("word length", 800, lambda a: len(a.word)))
+    # each coefficient at a rational tau has about (word length / 2) * (tau digits) digits
+    p = command(
+        "nc normal-form",
+        _nc_normal_form,
+        ("word length", 800, lambda a: len(a.word)),
+        ("word length * tau digits", 6400, lambda a: len(a.word) * (1 if a.tau == "t" else digits(a.tau))),
+    )
     p.add_argument("--tau", default="t", help="rational value, or 't' for symbolic")
     p.add_argument("--word", required=True)
     p = command("nc dims", _nc_dims, ("max-degree", 48))
@@ -152,7 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("cm verify", _cm_verify, ("pair size", 80, lambda a: _input(a, "pair")[0].rows))
     p.add_argument("--pair", required=True)
     p.add_argument("--tau", default="1")
-    p = command("cm sample", _cm_sample, ("n", 100))
+    # the integer form of the entries tau / (x_i - x_j) grows with these digits
+    p = command(
+        "cm sample",
+        _cm_sample,
+        ("n", 100),
+        ("spectrum and tau digits", 190, lambda a: sum(map(digits, [a.tau, *a.spectrum.split(",")]))),
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spectrum", required=True, help="comma-separated distinct rationals")
     p.add_argument("--tau", default="1")
@@ -272,12 +286,7 @@ def _quiver_stability(args, meta) -> dict:
 def _cm_verify(args, meta) -> dict:
     x, y = _input(args, "pair")
     result = calogero.verify_cm(x, y, parse_fraction(args.tau))
-    payload = {
-        "member": result.member,
-        "signs": list(result.signs),
-        "rank_plus": result.rank_plus,
-        "rank_minus": result.rank_minus,
-    }
+    payload = result._asdict()
     if not result.member:
         raise DomainError("pair is not a member", payload)
     return payload
@@ -297,12 +306,7 @@ def _cm_sample(args, meta) -> dict:
 def _bvar_check(args, meta) -> dict:
     triple = _load_input(args, "triple", "triple", meta)
     check = bvariety.check_btriple(triple)
-    payload = {
-        "ok": check.ok,
-        "commutator_ok": check.commutator_ok,
-        "nilpotent_ok": check.nilpotent_ok,
-        "cyclic_ok": check.cyclic_ok,
-    }
+    payload = check._asdict()
     if check.ok:
         payload["support"] = str(bvariety.support(triple).poly)
     return payload

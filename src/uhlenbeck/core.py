@@ -10,8 +10,10 @@ an update cross-multiplies by the two lead entries and divides out the gcd
 of the result, touching only nonzero entries, so elimination does no
 Fraction arithmetic.  ``rank`` reads the pivot count off this forward pass.
 ``rref``, ``kernel_basis``, ``solve_linear``, ``inverse`` and
-``Subspace.basis`` also back-substitute on the integer rows, and build one
-Fraction per nonzero output entry, as entry / pivot.
+``Subspace.basis`` also back-substitute on the integer rows.  The kernel,
+solution and basis vectors hold one Fraction per nonzero entry, as entry /
+pivot; ``rref`` and ``inverse`` write their integer form over the lcm of
+the pivots.
 
 The output does not depend on the order of the row operations.  The
 reduced row echelon form of a matrix is unique, and after back-substitution
@@ -24,7 +26,8 @@ Each value is stored in one form and the rest is derived when read.  A
 Subspace is its ambient dimension and the Echelon of a spanning set:
 ``dim`` is the rank; ``sum``, ``intersect``, ``image_under`` and
 ``contains`` work on the integer rows; ``basis``, ``==`` and ``hash``
-reduce the echelon in place and read the basis off it.  A RatMatrix is its
+reduce the echelon in place, and ``==`` and ``hash`` compare its rows,
+each with a positive lead, without building the basis.  A RatMatrix is its
 integer form (d, a): a the row-major integer numerators and d the least
 common denominator, so the matrix is a / d and gcd(d, *a) = 1.  Because d
 is the least one, equal matrices have equal forms, and ``==`` and ``hash``
@@ -744,16 +747,28 @@ def _row_echelon(a: Sequence[int], rows: int, cols: int) -> Echelon:
     return ech
 
 
+def _reduced_matrix(ech: Echelon, pivots: list[int], start: int, stop: int, rows: int) -> RatMatrix:
+    """The rows x (stop - start) matrix whose i-th row is columns start..stop-1
+    of row / row[lead] for the i-th pivot row, then zero rows; written in
+    integer form over d, the lcm of the pivot entries."""
+    d = lcm(*[ech.rows[c][c] for c in pivots])
+    width = stop - start
+    a = [0] * (rows * width)
+    for i, c in enumerate(pivots):
+        row = ech.rows[c]
+        s = d // row[c]
+        for j, v in row.items():
+            if start <= j < stop:
+                a[i * width + j - start] = v * s
+    return RatMatrix._of(rows, width, d, a)
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     if not m.rows:
         return m, ()
     ech = _row_echelon(m._a, m.rows, m.cols)
     pivots = ech.reduce()
-    entries = []
-    for c in pivots:
-        entries.extend(_fraction_row(ech.rows[c], c, 0, m.cols))
-    entries.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
-    return RatMatrix(m.rows, m.cols, tuple(entries)), tuple(pivots)
+    return _reduced_matrix(ech, pivots, 0, m.cols, m.rows), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
@@ -794,10 +809,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
     pivots = ech.reduce()
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    entries = []
-    for c in pivots:
-        entries.extend(_fraction_row(ech.rows[c], c, n, 2 * n))
-    return RatMatrix(n, n, tuple(entries))
+    return _reduced_matrix(ech, pivots, n, 2 * n, n)
 
 
 def char_poly(m: RatMatrix) -> RatPoly:
@@ -872,7 +884,8 @@ def nilpotent_jordan_type(z: RatMatrix) -> Partition:
 
 class Subspace:
     """A subspace of Q^n, stored only as the integer echelon of a spanning
-    set; ``basis``, ``==`` and ``hash`` read the canonical reduced form off it."""
+    set; ``basis``, ``==`` and ``hash`` read the canonical reduced form off it
+    (``==`` and ``hash`` in its integer rows)."""
 
     __slots__ = ("ambient", "_echelon")
 
@@ -960,11 +973,20 @@ class Subspace:
                 ech._insert(_primitive(m._times(row)))
         return Subspace._spanned(rows, ech)
 
+    def _key(self) -> tuple:
+        """The reduced integer rows in pivot order, each with a positive lead: each
+        is primitive and a multiple of its row of ``basis``, so as canonical."""
+        rows = self._echelon.rows
+        return tuple(
+            tuple(sorted(rows[c].items() if rows[c][c] > 0 else [(j, -v) for j, v in rows[c].items()]))
+            for c in self._echelon.reduce()
+        )
+
     def __eq__(self, other):
-        return isinstance(other, Subspace) and self.ambient == other.ambient and self.basis == other.basis
+        return isinstance(other, Subspace) and self.ambient == other.ambient and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.ambient, self.basis))
+        return hash((self.ambient, self._key()))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import RatPoly, poly_str
 from .partitions import Partition, partition_count, partition_count_by_length, partitions
@@ -110,8 +111,7 @@ def punctual_hilbert_betti(n: int) -> list[int]:
     return [partition_count_by_length(n, k) for k in range(1, n + 1)]
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     m: int
     lam: Partition
 
@@ -135,8 +135,7 @@ def strata(n: int) -> list[Stratum]:
     return out
 
 
-@dataclass(frozen=True)
-class SmallnessRow:
+class SmallnessRow(NamedTuple):
     stratum: Stratum
     codim: int
     fiber_bound: int
@@ -163,8 +162,7 @@ def smallness_audit(n: int) -> list[SmallnessRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class UhlenbeckFixedPoint:
+class UhlenbeckFixedPoint(NamedTuple):
     m: int
     lam: Partition
     k0: int

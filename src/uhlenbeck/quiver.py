@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import random
+from typing import NamedTuple
 
 from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, rat
 
@@ -83,8 +84,7 @@ class QuiverRep:
                 raise ValueError(f"G_{a} must be {r3}x{r2}")
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
@@ -277,8 +277,7 @@ def generated_subrep(
     return (u1.dim, s2.dim, s3.dim), (u1, s2, s3)
 
 
-@dataclass(frozen=True)
-class StabilityWitness:
+class StabilityWitness(NamedTuple):
     dim: DimVector
     slopes: tuple[Fraction, ...]
     subspaces: tuple[Subspace, Subspace, Subspace]

@@ -3,11 +3,18 @@
 Matrix encoding: {"rows": r, "cols": c, "entries": [["p/q", ...], ...]} with
 entries nested row by row and each rational written "p/q" (or "p" when the
 denominator is one).
+
+Every rational read here, from a flag or from an input file, has at most
+MAX_DIGITS digits in its numerator and in its denominator, and so does the
+least common denominator of each matrix's entries: longer integers would
+cost more than the CLI's size caps allow and, past 4300 digits, could not
+be printed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .bvariety import BTriple
 from .core import RatMatrix, Vector, rat
@@ -19,15 +26,39 @@ def fraction_to_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+MAX_DIGITS = 50
+
+_LIMIT = 10**MAX_DIGITS
+_TOO_LONG = f"rationals are limited to {MAX_DIGITS} digits in numerator and denominator"
+
+
 def parse_fraction(s) -> Fraction:
+    """An int, a Fraction or a text "p/q" (or "p", or a decimal) of at most MAX_DIGITS digits."""
     if isinstance(s, bool):
         raise ValueError("booleans are not rationals")
-    if isinstance(s, (int, str, Fraction)):
-        try:
-            return rat(s)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in rational {s!r}") from None
-    raise ValueError(f"cannot parse rational from {s!r}")
+    if not isinstance(s, (int, str, Fraction)):
+        raise ValueError(f"cannot parse rational from {s!r}")
+    # a text this long, or one with an exponent, can spell an integer too long to
+    # build; a shorter text is read, and its value checked
+    if isinstance(s, str):
+        if len(s) > 4 * MAX_DIGITS:
+            raise ValueError(_TOO_LONG)
+        if "e" in s.lower():
+            raise ValueError(f"exponents are not accepted in rational {s!r}")
+    try:
+        x = rat(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational {s!r}") from None
+    if max(abs(x.numerator), x.denominator) >= _LIMIT:
+        raise ValueError(_TOO_LONG)
+    return x
+
+
+def digits(s) -> int:
+    """The number of digits of the longer of the numerator and denominator of
+    the rational s, as read by ``parse_fraction``."""
+    x = parse_fraction(s)
+    return len(str(max(abs(x.numerator), x.denominator)))
 
 
 def matrix_to_json(m: RatMatrix) -> dict:
@@ -70,7 +101,13 @@ def _matrix(d, where: str) -> RatMatrix:
             raise ValueError(f"field '{where}.entries' row {i} must be a JSON array")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValueError(f"entry grid of {where!r} does not match rows/cols")
-    return RatMatrix(rows, cols, tuple(parse_fraction(x) for row in entries for x in row))
+    values = tuple(parse_fraction(x) for row in entries for x in row)
+    d = 1
+    for x in values:
+        d = lcm(d, x.denominator)
+        if d >= _LIMIT:
+            raise ValueError(f"the entries of {where!r} are limited to a common denominator of {MAX_DIGITS} digits")
+    return RatMatrix(rows, cols, values)
 
 
 def matrix_from_json(d: dict) -> RatMatrix:

@@ -411,6 +411,54 @@ def test_file_size_caps(argv, size, cap, content, tmp_path):
     assert code == 1 and envelope["error"] == f"{argv[0]} {argv[1]} is limited to {size} <= {cap}"
 
 
+TOO_LONG = "rationals are limited to 50 digits in numerator and denominator"
+FIFTY = "7" * 49 + "1/" + "3" * 49 + "1"  # 50 digits over 50 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bvar", "jordan", "--k", "80", "--u=-" + FIFTY, "--tau", "5/7"],
+        ["bvar", "fiber", "--lambda", "2,1,1,1,1,1,1,1,1", "--samples", "16", "--u=" + FIFTY, "--tau=" + FIFTY],
+        ["nc", "dims", "--max-degree", "48", "--tau=-" + FIFTY],
+    ],
+    ids=["bvar jordan", "bvar fiber", "nc dims"],
+)
+def test_rationals_at_the_digit_bound_run_and_above_it_are_refused(argv):
+    # the output of bvar jordan has about k * 50 digits per coefficient, under
+    # the 4300 that int -> str allows
+    run_ok(argv)
+    for longer in ("7" + FIFTY, "7" * 60, "7" * 4000, "7" * 4000 + "/7"):
+        code, envelope = dispatch([a.replace(FIFTY, longer) for a in argv])
+        assert code == 1 and envelope["error"] == TOO_LONG
+
+
+def test_joint_digit_caps():
+    # nc normal-form: word length * tau digits; each coefficient at tau has
+    # about (word length / 2) * (tau digits) digits
+    word = "yx" * 400
+    run_ok(["nc", "normal-form", "--word", word, "--tau=77777777/11"])
+    for tau in ("777777777/11", "777777777777/11"):
+        code, envelope = dispatch(["nc", "normal-form", "--word", word, "--tau=" + tau])
+        assert code == 1 and envelope["error"] == "nc normal-form is limited to word length * tau digits <= 6400"
+    run_ok(["nc", "normal-form", "--word", word, "--tau", "t"])
+    # cm sample: the digits of the spectrum and of tau, 2 * 89 + 12 = 190 at the cap
+    spectrum = "--spectrum=" + ",".join(str(i) for i in range(10, 99))
+    run_ok(["cm", "sample", "--n", "89", spectrum, "--tau=123456789012"])
+    code, envelope = dispatch(["cm", "sample", "--n", "89", spectrum, "--tau=1234567890123"])
+    assert code == 1 and envelope["error"] == "cm sample is limited to spectrum and tau digits <= 190"
+
+
+def test_long_integers_in_input_files_are_refused(tmp_path):
+    # json would build the integer with int(), which refuses 4300 digits and more
+    path = tmp_path / "pair.json"
+    for entry in ("7" * 51, "7" * 5000):
+        matrix = '{"rows": 1, "cols": 1, "entries": [[%s]]}' % entry
+        path.write_text('{"X": %s, "Y": %s}' % (matrix, matrix))
+        code, envelope = dispatch(["cm", "verify", "--pair", str(path)])
+        assert code == 1 and envelope["error"] == TOO_LONG
+
+
 def test_report_cap(tmp_path):
     code, envelope = dispatch(["report", "--n", "21", "--out", str(tmp_path / "t")])
     assert code == 1 and envelope["error"] == "report is limited to n <= 20"
@@ -503,14 +551,17 @@ def test_fuzz_command_lines(tmp_path):
     (tmp_path / "rep.json").write_text(json.dumps(rep_to_json(rep)))
     (tmp_path / "junk.json").write_text("{not json")
     paths = st.sampled_from([str(tmp_path / name) for name in ("rep.json", "junk.json", "missing.json")])
-    rationals = st.sampled_from(["1", "0", "-2", "3/7", "t", "1/0", "x", ""])
+    # long rationals: up to the digit bound and past it, past int()'s 4300 digits too
+    sevens = st.integers(40, 5000).map(lambda n: "7" * n)
+    long_rationals = sevens | sevens.map(lambda s: s + "/7") | sevens.map(lambda s: "-1/" + s)
+    rationals = st.sampled_from(["1", "0", "-2", "3/7", "t", "1/0", "x", "", "1e3"]) | long_rationals
     thetas = st.sampled_from(["-1,0,1", "1,0,-1", "0,0,0", "1,0", "a,b,c", "1/0,0,0"])
     text = {
         "tau": rationals,
         "u": rationals,
         "theta0": thetas,
         "theta1": thetas,
-        "spectrum": st.sampled_from(["0,1,3", "1,2", "1,1,2", "0,1/0", "", "x"]),
+        "spectrum": st.sampled_from(["0,1,3", "1,2", "1,1,2", "0,1/0", "", "x"]) | long_rationals.map(lambda s: "0,1," + s),
         "word": st.text("xyz q", max_size=8),
         "lam": st.sampled_from(["", "0", "3", "2,1", "1,2", "2,0", "-1", "x", ","]),
         "rep": paths,
@@ -527,7 +578,7 @@ def test_fuzz_command_lines(tmp_path):
         above = {}  # flag dest -> values above its cap
         for flag, limit, *size in parser.get_default("caps"):
             if size and flag not in measured:
-                continue  # read from an input file: test_file_size_caps covers it
+                continue  # read from an input file or joint: test_file_size_caps and test_joint_digit_caps cover it
             dest, build = measured[flag] if size else (flag.replace("-", "_"), str)
             above[dest] = st.integers(limit + 1, limit + 10**6).map(build)
         parts = []

@@ -247,6 +247,13 @@ def test_subspace_dim_eq_and_hash_do_not_depend_on_reading_basis():
             assert hash(fresh) == hash(s)
             assert again == s and s == Subspace(n, [[3 * x for x in v] for v in reversed(basis)])
             assert s.basis == basis
+    # == and hash read the integer rows with a positive lead: negated and
+    # rescaled spanning vectors give the same space, one flipped sign does not
+    u = Subspace(3, [[1, 2, 0], [0, 1, -1]])
+    w = Subspace(3, [[-2, -4, 0], [0, Fraction(-1, 3), Fraction(1, 3)]])
+    assert u == w and hash(u) == hash(w)
+    assert Subspace(2, [[-1, 1]]) == Subspace(2, [[3, -3]]) and hash(Subspace(2, [[-1, 1]])) == hash(Subspace(2, [[3, -3]]))
+    assert Subspace(3, [[1, 2, 0], [0, 1, 1]]) != u and Subspace(2, [[1, 1]]) != Subspace(2, [[1, -1]])
 
 
 def test_column_and_kernel_space():

@@ -10,6 +10,8 @@ from uhlenbeck.bvariety import jordan_triple
 from uhlenbeck.core import RatMatrix
 from uhlenbeck.quiver import monad_of_point
 from uhlenbeck.serialize import (
+    MAX_DIGITS,
+    digits,
     fraction_to_str,
     matrix_from_json,
     matrix_to_json,
@@ -34,6 +36,36 @@ def test_fraction_strings():
         parse_fraction(True)
     with pytest.raises(ValueError):
         parse_fraction(0.5)
+
+
+def test_rationals_have_a_digit_bound():
+    long = "9" * MAX_DIGITS
+    for text in (long, "-" + long, f"{long}/{long[:-1]}8", f" -{long}/{long[:-1]}7 "):
+        x = parse_fraction(text)
+        assert digits(x) == MAX_DIGITS and parse_fraction(x) == x
+    assert parse_fraction(10**MAX_DIGITS - 1) == 10**MAX_DIGITS - 1
+    too_long = "rationals are limited to 50 digits in numerator and denominator"
+    # one digit over, in the numerator, the denominator or an int; and a text
+    # long enough that int() would refuse it
+    for value in ("1" + long, f"1/1{long}", 10**MAX_DIGITS, -(10**MAX_DIGITS), "7" * 4000, f"{'7' * 4000}/7"):
+        with pytest.raises(ValueError, match=too_long):
+            parse_fraction(value)
+    # an exponent could spell a huge integer in a few characters
+    for text in ("1e3", "2E-1", "1e999999999"):
+        with pytest.raises(ValueError, match="exponents are not accepted"):
+            parse_fraction(text)
+    assert parse_fraction("0.25") == Fraction(1, 4)
+
+
+def test_matrix_entries_share_a_bounded_denominator():
+    # each entry is within the bound; their common denominator is the product of the
+    # primes, 65 digits, so the integer form is refused before it is built
+    primes = [10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079, 10091, 10093, 10099, 10103, 10111]
+    entries = [[f"1/{p}" for p in primes]]
+    with pytest.raises(ValueError, match="limited to a common denominator of 50 digits"):
+        matrix_from_json({"rows": 1, "cols": len(primes), "entries": entries})
+    ok = matrix_from_json({"rows": 1, "cols": 12, "entries": [row[:12] for row in entries]})
+    assert ok.entry(0, 11) == Fraction(1, 10103)
 
 
 def test_matrix_roundtrip():
