@@ -95,7 +95,7 @@ def _require_valid(triple: BTriple):
 
 def jordan_nilpotent(lam) -> RatMatrix:
     """Block-diagonal lower-shift nilpotent with block sizes lam."""
-    parts = tuple(lam.parts) if isinstance(lam, Partition) else tuple(lam)
+    parts = tuple(lam)
     blocks = [
         RatMatrix.from_rows([[1 if i == j + 1 else 0 for j in range(p)] for i in range(p)]) for p in parts
     ]
@@ -112,7 +112,7 @@ def depth_major_nilpotent(lam) -> RatMatrix:
     below the diagonal, which makes the triangular strata of fiber_probe as
     large as possible.
     """
-    parts = tuple(lam.parts) if isinstance(lam, Partition) else tuple(lam)
+    parts = tuple(lam)
     positions = sorted((depth, block) for block, p in enumerate(parts) for depth in range(p))
     index = {pos: t for t, pos in enumerate(positions)}
     k = sum(parts)
@@ -200,7 +200,7 @@ def solve_Y_space(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatrix]]:
 
 def orbit_dimension(lam) -> int:
     """dim of the conjugacy class of a nilpotent of Jordan type lam."""
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    lam = Partition(tuple(lam))
     k = lam.size
     return k * k - sum(c * c for c in lam.conjugate().parts)
 
@@ -220,7 +220,7 @@ def component_dimension(lam, tau) -> ComponentReport:
     the solution dimension comes from the exact linear solve, not from the
     conjugate-partition formula.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    lam = Partition(tuple(lam))
     k = lam.size
     z = jordan_nilpotent(lam)
     _, hom = solve_Y_space(z, tau)
@@ -271,7 +271,7 @@ def support_poly_p(triple: BTriple, p: int) -> RatPoly:
     and it must be independent of p.
     """
     _require_valid(triple)
-    twisted = triple.Y - triple.Z.power(2).scale(rat(triple.tau) * p)
+    twisted = RatMatrix.combination([1, -rat(triple.tau) * p], [triple.Y, triple.Z.power(2)])
     return char_poly(twisted)
 
 
@@ -288,9 +288,8 @@ def direct_sum(t1: BTriple, t2: BTriple) -> BTriple:
 
 def translate(triple: BTriple, c) -> BTriple:
     """(Y, Z, v) -> (Y + cI, Z, v); shifts the support by c."""
-    c = rat(c)
-    k = triple.size
-    return BTriple(triple.Y + RatMatrix.identity(k).scale(c), triple.Z, triple.v, triple.tau)
+    y = RatMatrix.combination([1, c], [triple.Y, RatMatrix.identity(triple.size)])
+    return BTriple(y, triple.Z, triple.v, triple.tau)
 
 
 def conjugate_triple(triple: BTriple, g: RatMatrix) -> BTriple:
@@ -342,7 +341,7 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     measurements on these strata together with the k-1 upper bound;
     exactness of the bound is not asserted.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    lam = Partition(tuple(lam))
     u, tau = rat(u), rat(tau)
     k = lam.size
     presentations = [jordan_nilpotent(lam)]
@@ -351,10 +350,9 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
         presentations.append(depth)
 
     rng = random.Random(seed)
-    sample_dims: list[int] = []
+    sample_dims: list[int | None] = []
     stratum_dim = 0
     solution_dim = 0
-    cyclic_found = False
     target = (RatPoly.variable("t") - u) ** k if k else RatPoly.one()
     for z in presentations:
         y0, hom = solve_Y_space(z, tau)
@@ -362,28 +360,35 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
         base, directions = _triangular_stratum(y0, hom, u, k)
         stratum_dim = max(stratum_dim, len(directions))
         for _ in range(max(samples, 1)):
-            y = base + _combine(directions, [rng.randint(-3, 3) for _ in directions], k)
+            y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
             if char_poly(y) != target:
                 raise AssertionError("stratum member lost the degenerate support")
-            v = _sample_cyclic_vector(rng, y, z)
-            if v is None:
-                continue
-            cyclic_found = True
-            sample_dims.append(_stratum_image_dim(y, z, v, hom, directions))
-    measured = max(sample_dims) if sample_dims else None
-    return FiberProbe(
-        lam, k, u, tau, solution_dim, stratum_dim, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found
-    )
+            sample_dims.append(_sample_dim(rng, y, z, hom, directions))
+    return _probe(lam, u, tau, solution_dim, stratum_dim, sample_dims)
 
 
-def _sample_cyclic_vector(rng: random.Random, y: RatMatrix, z: RatMatrix) -> Vector | None:
-    """Up to 24 random draws of v in [-5, 5]^k; the first one cyclic for (y, z)."""
+def _sample_dim(
+    rng: random.Random, y: RatMatrix, z: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]
+) -> int | None:
+    """The stratum's image dimension at (y, v) for the first of up to 24 random
+    draws of v in [-5, 5]^k that is cyclic for (y, z); None if none is."""
     k = y.rows
     for _ in range(24):
-        cand = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
-        if krylov_span_dim([y, z], cand) == k:
-            return cand
+        v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
+        if krylov_span_dim([y, z], v) == k:
+            return _stratum_image_dim(y, z, v, centralizer, directions)
     return None
+
+
+def _probe(
+    lam: Partition, u: Fraction, tau: Fraction, solution_dim: int, stratum_dim: int, dims: Sequence[int | None]
+) -> FiberProbe:
+    """The report of a probe whose samples measured dims, None where no cyclic
+    vector was found; cyclic_found says whether one ever was."""
+    found = tuple(d for d in dims if d is not None)
+    measured = max(found) if found else None
+    k = lam.size
+    return FiberProbe(lam, k, u, tau, solution_dim, stratum_dim, found, measured, max(k - 1, 0), bool(found))
 
 
 def _triangular_stratum(
@@ -397,18 +402,9 @@ def _triangular_stratum(
     if solved is None:
         raise AssertionError("lower-triangular stratum is always nonempty")
     c0, cker = solved
-    base = y0 + _combine(hom, c0, k)
-    directions = [_combine(hom, cv, k) for cv in cker]
+    base = RatMatrix.combination([1, *c0], [y0, *hom])
+    directions = [RatMatrix.combination(cv, hom) for cv in cker]
     return base, directions
-
-
-def _combine(mats: Sequence[RatMatrix], coeffs: Sequence, size: int) -> RatMatrix:
-    out = RatMatrix.zero(size, size)
-    for m, c in zip(mats, coeffs):
-        c = rat(c)
-        if c != 0:
-            out = out + m.scale(c)
-    return out
 
 
 def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
@@ -455,14 +451,5 @@ def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 
     y = RatMatrix.diagonal(us)
     joint = pair_centralizer_basis(y, z)
     rng = random.Random(seed)
-    sample_dims = []
-    cyclic_found = False
-    for _ in range(max(samples, 1)):
-        v = _sample_cyclic_vector(rng, y, z)
-        if v is None:
-            continue
-        cyclic_found = True
-        sample_dims.append(_stratum_image_dim(y, z, v, joint, []))
-    measured = max(sample_dims) if sample_dims else None
-    lam = Partition((1,) * k) if k else Partition()
-    return FiberProbe(lam, k, us[0] if us else Fraction(0), tau, len(joint), 0, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found)
+    sample_dims = [_sample_dim(rng, y, z, joint, []) for _ in range(max(samples, 1))]
+    return _probe(Partition((1,) * k), us[0] if us else Fraction(0), tau, len(joint), 0, sample_dims)

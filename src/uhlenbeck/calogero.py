@@ -53,10 +53,10 @@ def verify_cm(x: RatMatrix, y: RatMatrix, tau) -> CMVerifyResult:
     n = x.rows
     if n == 0:
         return CMVerifyResult(True, ("minus", "plus"), 0, 0)
-    comm = x.commutator(y)
-    tau_id = RatMatrix.identity(n).scale(tau)
-    r_plus = rank(comm - tau_id)
-    r_minus = rank(comm + tau_id)
+    # reduce the commutator once, first: on sampled members it collapses to tau (J - I)
+    terms = [x.commutator(y), RatMatrix.identity(n)]
+    r_plus = rank(RatMatrix.combination([1, -tau], terms))
+    r_minus = rank(RatMatrix.combination([1, tau], terms))
     signs = tuple(s for s, r in (("minus", r_minus), ("plus", r_plus)) if r == 1)
     return CMVerifyResult(bool(signs), signs, r_plus, r_minus)
 

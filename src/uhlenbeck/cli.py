@@ -64,7 +64,10 @@ def _parse_theta(text: str) -> quiver.Polarization:
 def _load_json(path: str) -> dict:
     # JSON integers go through the digit bound before int() meets them
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_int=lambda text: int(parse_fraction(text)))
+        try:
+            return json.load(fh, parse_int=lambda text: int(parse_fraction(text)))
+        except RecursionError:
+            raise ValueError(f"input file {path!r} is nested too deeply") from None
 
 
 def _input(args, flag: str):

@@ -36,10 +36,12 @@ the Fraction ``entries`` are derived from (d, a) on first use and kept.
 ``+``, ``-``, ``scale``, ``commutator``, ``is_zero`` and
 ``commutant_system`` are integer operations: sums go over the lcm of the
 two denominators, and every result is divided once by the gcd of d and its
-numerators.  ``@``, ``power`` and ``apply`` multiply the integer entries,
-skipping zeros.  ``char_poly`` runs Berkowitz's division-free algorithm on
-a and divides the coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n
-det(dt I - a).  ``rank``, ``rref`` and ``kernel_basis`` feed the integer
+numerators.  ``RatMatrix.combination`` owns every longer matrix sum: sum c_i
+M_i goes over one lcm and is divided once, not once per term.  ``@``,
+``power`` and ``apply`` multiply the integer entries, skipping zeros.
+``char_poly`` runs Berkowitz's division-free algorithm on a and divides the
+coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).
+``rank``, ``rref`` and ``kernel_basis`` feed the integer
 rows of a straight into an ``Echelon``, as ``Subspace.image_under``,
 ``Subspace.intersect``, ``krylov_span_dim`` and ``nilpotent_jordan_type``
 feed integer products: scaling a row changes neither the span nor the rank.
@@ -51,6 +53,8 @@ arithmetic computed.
 polynomials: gcds by the primitive remainder sequence, quotients by exact
 division in Z[t], and the factors are made monic only at the end.
 ``divmod`` of two RatPolys is one pseudo-division of their integer forms.
+``convolve`` owns polynomial products: a RatPoly product convolves the
+integer forms and divides once by the product of their denominators.
 """
 
 from __future__ import annotations
@@ -170,16 +174,8 @@ class RatPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "RatPoly":
-        o = self._coerce(other)
-        if self.is_zero or o.is_zero:
-            return RatPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out, self.var)
+        (df, f), (dg, g) = _clear(self.coeffs), _clear(self._coerce(other).coeffs)
+        return RatPoly(_over(convolve(f, g), df * dg), self.var)
 
     __rmul__ = __mul__
 
@@ -272,6 +268,17 @@ def poly_str(coeffs: Sequence, var: str, ascending: bool = False) -> str:
     out = terms[0]
     for term in terms[1:]:
         out += ("-" + term[1:]) if term.startswith("-") else ("+" + term)
+    return out
+
+
+def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials (low degree first), skipping the
+    zero coefficients of f."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
     return out
 
 
@@ -466,6 +473,25 @@ class RatMatrix:
 
     def __neg__(self) -> "RatMatrix":
         return RatMatrix._of(self.rows, self.cols, self._d, [-x for x in self._a])
+
+    @classmethod
+    def combination(cls, coeffs: Sequence, mats: Sequence["RatMatrix"]) -> "RatMatrix":
+        """sum c_i m_i for rationals c_i and at least one matrix, all of one shape:
+        the integer forms summed over d, the lcm of the denominators of the c_i
+        m_i, and divided once by the gcd of d and the sum."""
+        first = mats[0]
+        terms = []
+        for c, m in zip(coeffs, mats, strict=True):
+            first._same_shape(m)
+            c = c if type(c) is int else rat(c)  # an int has a numerator and a denominator too
+            if c:
+                terms.append((c.numerator, c.denominator * m._d, m._a))
+        d = lcm(*[den for _, den, _ in terms])
+        out = [0] * (first.rows * first.cols)
+        for i, (num, den, a) in enumerate(terms):
+            s = num * (d // den)
+            out = [x + s * y for x, y in zip(out, a)] if i else [s * y for y in a]
+        return cls._of(first.rows, first.cols, d, out)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)

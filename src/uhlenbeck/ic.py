@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import RatPoly, poly_str
+from .core import RatPoly, convolve, poly_str
 from .partitions import Partition, partition_count, partition_count_by_length, partitions
 
 
@@ -85,18 +85,12 @@ def length_counting_poly(k: int) -> RatPoly:
 
 def ic_stalk(n: int, m: int, lam) -> GradedStalk:
     """IC stalk on the stratum (m, lam): q^{2m} times the product over parts."""
-    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    lam = Partition(tuple(lam))
     if m < 0 or m + lam.size != n:
         raise ValueError(f"need m + |lam| = n with m >= 0; got m={m}, |lam|={lam.size}, n={n}")
     coeffs = [0] * (2 * m) + [1]
     for part in lam:
-        factor = _length_counts(part)
-        out = [0] * (len(coeffs) + len(factor) - 1)
-        for i, a in enumerate(coeffs):
-            if a:
-                for j, b in enumerate(factor):
-                    out[i + j] += a * b
-        coeffs = out
+        coeffs = convolve(coeffs, _length_counts(part))
     return GradedStalk(tuple(coeffs))
 
 

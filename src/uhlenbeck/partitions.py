@@ -20,10 +20,10 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if any(p <= 0 for p in parts):
-            raise ValueError(f"partition parts must be positive: {parts}")
+        if any(type(p) is not int or p <= 0 for p in parts):  # no floats, no bools
+            raise ValueError(f"partition parts must be positive integers: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
 

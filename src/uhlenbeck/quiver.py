@@ -91,12 +91,10 @@ class RelationReport(NamedTuple):
 
 def check_relations(rep: QuiverRep) -> RelationReport:
     """Exact check of the six factorization identities."""
-    r1, _, r3 = rep.dim
     failures = []
     for name, terms in RELATIONS:
-        residual = RatMatrix.zero(r3, r1)
-        for g, f, c, p in terms:
-            residual = residual + (rep.G[g] @ rep.F[f]).scale(c * rep.tau**p)
+        coeffs = [c * rep.tau**p for _, _, c, p in terms]
+        residual = RatMatrix.combination(coeffs, [rep.G[g] @ rep.F[f] for g, f, _, _ in terms])
         if not residual.is_zero:
             failures.append(name)
     return RelationReport(not failures, tuple(failures))
@@ -109,16 +107,7 @@ def relation_tensor_residual(rep: QuiverRep, tensor: Vector) -> RatMatrix:
     arrow applied.  Used to cross-check the hard-coded identities against the
     computed multiplication kernel.
     """
-    r1, _, r3 = rep.dim
-    out = RatMatrix.zero(r3, r1)
-    idx = 0
-    for a in ARROWS:
-        for b in ARROWS:
-            c = tensor[idx]
-            idx += 1
-            if c != 0:
-                out = out + (rep.G[b] @ rep.F[a]).scale(c)
-    return out
+    return RatMatrix.combination(tensor, [rep.G[b] @ rep.F[a] for a in ARROWS for b in ARROWS])
 
 
 # ---------------------------------------------------------------------------

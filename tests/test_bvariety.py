@@ -7,17 +7,22 @@ from conftest import rand_invertible, rand_matrix
 from test_core import PRODUCT_KINDS, _old_commutant_system, _old_commutator, _old_is_zero, _old_scale, _old_sub, _product_input
 from uhlenbeck.bvariety import (
     _require_valid,
+    _stratum_image_dim,
+    _triangular_stratum,
     BTriple,
+    FiberProbe,
     check_btriple,
     commutator_system_solvable,
     component_dimension,
     conjugate_triple,
+    depth_major_nilpotent,
     direct_sum,
     distinct_fiber_probe,
     fiber_probe,
     jordan_nilpotent,
     jordan_triple,
     orbit_dimension,
+    pair_centralizer_basis,
     solve_commutator_system,
     solve_Y_space,
     support,
@@ -25,7 +30,7 @@ from uhlenbeck.bvariety import (
     translate,
     triple_stabilizer_dim,
 )
-from uhlenbeck.core import NotNilpotentError, RatMatrix, RatPoly, Subspace, char_poly, kernel_basis, krylov_span_dim, nilpotent_jordan_type, rat
+from uhlenbeck.core import NotNilpotentError, RatMatrix, RatPoly, Subspace, char_poly, kernel_basis, krylov_span_dim, nilpotent_jordan_type, rat, solve_linear
 from uhlenbeck.partitions import Partition, partitions
 
 ONE = Fraction(1)
@@ -428,3 +433,181 @@ def test_check_stabilizer_and_pencil_match_pinned_fraction_code():
             new, old = support_poly_p(triple, p), _old_support_poly_p(triple, p)
             assert (new.coeffs, new.var) == (old.coeffs, old.var) and all(type(c) is Fraction for c in new.coeffs)
     assert valid >= 3 * sum(len(partitions(k)) for k in range(1, 6))
+
+
+# ---------------------------------------------------------------------------
+# pencils, translations and fiber probes pinned to the term-by-term sums they
+# replaced (verbatim copies)
+
+
+def _old_support_twist(triple: BTriple, p: int) -> RatMatrix:
+    return triple.Y - triple.Z.power(2).scale(rat(triple.tau) * p)
+
+
+def _old_translate(triple: BTriple, c) -> BTriple:
+    c = rat(c)
+    k = triple.size
+    return BTriple(triple.Y + RatMatrix.identity(k).scale(c), triple.Z, triple.v, triple.tau)
+
+
+def _random_shift(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-(2**40), 2**40), rng.randint(1, 2**20))
+
+
+def test_pencil_twist_and_translate_match_pinned_sums(monkeypatch):
+    import uhlenbeck.bvariety as bvariety
+
+    twisted = []
+    monkeypatch.setattr(bvariety, "char_poly", lambda m: twisted.append(m) or char_poly(m))
+    rng = random.Random(8700)
+    for triple in _pinned_triples():
+        for c in (0, 4, Fraction(-7, 3), Fraction(2**65 + 1, 6), _random_shift(rng)):
+            new, old = translate(triple, c), _old_translate(triple, c)
+            assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+            assert all(type(x) is Fraction for x in new.Y.entries)
+        if not triple.check.ok:
+            continue
+        for p in range(5):
+            twisted.clear()
+            support_poly_p(triple, p)
+            (new,) = twisted
+            old = _old_support_twist(triple, p)
+            assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+            assert all(type(x) is Fraction for x in new.entries)
+
+
+def _old_combine(mats, coeffs, size: int) -> RatMatrix:
+    out = RatMatrix.zero(size, size)
+    for m, c in zip(mats, coeffs):
+        c = rat(c)
+        if c != 0:
+            out = out + m.scale(c)
+    return out
+
+
+def _old_triangular_stratum(y0, hom, u, k):
+    coords = [(i, j) for i in range(k) for j in range(k) if i <= j]
+    rows = [[h.entry(i, j) for h in hom] for (i, j) in coords]
+    rhs = [(u if i == j else Fraction(0)) - y0.entry(i, j) for (i, j) in coords]
+    solved = solve_linear(RatMatrix.from_rows(rows) if rows else RatMatrix(0, len(hom), ()), rhs)
+    if solved is None:
+        raise AssertionError("lower-triangular stratum is always nonempty")
+    c0, cker = solved
+    base = y0 + _old_combine(hom, c0, k)
+    directions = [_old_combine(hom, cv, k) for cv in cker]
+    return base, directions
+
+
+def _old_sample_cyclic_vector(rng, y, z):
+    k = y.rows
+    for _ in range(24):
+        cand = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
+        if krylov_span_dim([y, z], cand) == k:
+            return cand
+    return None
+
+
+def _old_fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
+    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    u, tau = rat(u), rat(tau)
+    k = lam.size
+    presentations = [jordan_nilpotent(lam)]
+    depth = depth_major_nilpotent(lam)
+    if depth != presentations[0]:
+        presentations.append(depth)
+
+    rng = random.Random(seed)
+    sample_dims: list[int] = []
+    stratum_dim = 0
+    solution_dim = 0
+    cyclic_found = False
+    target = (RatPoly.variable("t") - u) ** k if k else RatPoly.one()
+    for z in presentations:
+        y0, hom = solve_Y_space(z, tau)
+        solution_dim = len(hom)
+        base, directions = _old_triangular_stratum(y0, hom, u, k)
+        stratum_dim = max(stratum_dim, len(directions))
+        for _ in range(max(samples, 1)):
+            y = base + _old_combine(directions, [rng.randint(-3, 3) for _ in directions], k)
+            if char_poly(y) != target:
+                raise AssertionError("stratum member lost the degenerate support")
+            v = _old_sample_cyclic_vector(rng, y, z)
+            if v is None:
+                continue
+            cyclic_found = True
+            sample_dims.append(_stratum_image_dim(y, z, v, hom, directions))
+    measured = max(sample_dims) if sample_dims else None
+    return FiberProbe(
+        lam, k, u, tau, solution_dim, stratum_dim, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found
+    )
+
+
+def _old_distinct_fiber_probe(spectrum, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
+    us = [rat(s) for s in spectrum]
+    if len(set(us)) != len(us):
+        raise ValueError("spectrum must be multiplicity-free")
+    tau = rat(tau)
+    k = len(us)
+    z = RatMatrix.zero(k)
+    y = RatMatrix.diagonal(us)
+    joint = pair_centralizer_basis(y, z)
+    rng = random.Random(seed)
+    sample_dims = []
+    cyclic_found = False
+    for _ in range(max(samples, 1)):
+        v = _old_sample_cyclic_vector(rng, y, z)
+        if v is None:
+            continue
+        cyclic_found = True
+        sample_dims.append(_stratum_image_dim(y, z, v, joint, []))
+    measured = max(sample_dims) if sample_dims else None
+    lam = Partition((1,) * k) if k else Partition()
+    return FiberProbe(lam, k, us[0] if us else Fraction(0), tau, len(joint), 0, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found)
+
+
+def assert_same_probe(new: FiberProbe, old: FiberProbe):
+    assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+    assert type(new.u) is Fraction and type(new.tau) is Fraction
+
+
+def test_triangular_strata_match_pinned_sums():
+    no_directions = 0
+    for k in range(5):
+        for lam in partitions(k):
+            for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5)), (Fraction(2**65 + 1, 9), -2)):
+                u, tau = Fraction(u), Fraction(tau)
+                for z in (jordan_nilpotent(lam), depth_major_nilpotent(lam)):
+                    y0, hom = solve_Y_space(z, tau)
+                    base, directions = _triangular_stratum(y0, hom, u, k)
+                    old_base, old_directions = _old_triangular_stratum(y0, hom, u, k)
+                    assert len(directions) == len(old_directions)
+                    for new, old in zip([base, *directions], [old_base, *old_directions]):
+                        assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+                    no_directions += not directions
+    assert no_directions >= 6
+
+
+def test_fiber_probes_match_pinned_code():
+    # (1, 1) and (1, 1, 1) draw strata members with no cyclic vector, so some
+    # samples measure nothing
+    cyclic_missed = 0
+    for k in range(5):
+        for lam in partitions(k):
+            for u, tau, samples, seed in ((0, 1, 1, 0), (Fraction(-7, 3), Fraction(3, 5), 3, 5), (Fraction(1, 2), -2, 6, 11)):
+                new, old = fiber_probe(lam, u, tau, samples, seed), _old_fiber_probe(lam, u, tau, samples, seed)
+                assert_same_probe(new, old)
+                assert fiber_probe(lam.parts, u, tau, samples, seed) == new
+                cyclic_missed += len(new.sample_dims) < samples * (1 + (depth_major_nilpotent(lam) != jordan_nilpotent(lam)))
+    assert cyclic_missed >= 1
+    # with one sample, some seeds draw only members without a cyclic vector
+    for lam in ((1, 1), (1, 1, 1)):
+        probes = [(fiber_probe(lam, 0, 1, 1, seed), _old_fiber_probe(lam, 0, 1, 1, seed)) for seed in range(13)]
+        for new, old in probes:
+            assert_same_probe(new, old)
+        assert any(not new.cyclic_found and new.measured is None for new, _ in probes)
+    for spectrum in ([], [0], [Fraction(1, 2), -3], [0, 1, Fraction(-5, 7), 3], list(range(6))):
+        for tau, samples, seed in ((1, 1, 0), (Fraction(3, 5), 4, 7), (-2, 0, 3)):
+            new = distinct_fiber_probe(spectrum, tau, samples, seed)
+            assert_same_probe(new, _old_distinct_fiber_probe(spectrum, tau, samples, seed))
+    with pytest.raises(ValueError, match="multiplicity-free"):
+        distinct_fiber_probe([1, 1], 1)

@@ -12,6 +12,7 @@ from test_core import (
     _old_scale,
     _old_sub,
     _product_input,
+    assert_pinned,
 )
 from uhlenbeck.calogero import (
     CMVerifyResult,
@@ -177,3 +178,29 @@ def test_verify_cm_and_centralizer_match_pinned_fraction_code():
         assert joint_centralizer_dim(x, y) == _old_joint_centralizer_dim(x, y)
         members += result.member
     assert members >= 30
+
+
+def _old_verify_cm_matrices(x: RatMatrix, y: RatMatrix, tau) -> list[RatMatrix]:
+    """The two matrices whose ranks verify_cm read before ``combination``
+    (verbatim expressions: a commutator, then -/+ a scaled identity)."""
+    tau = rat(tau)
+    n = x.rows
+    comm = x.commutator(y)
+    tau_id = RatMatrix.identity(n).scale(tau)
+    return [comm - tau_id, comm + tau_id]
+
+
+def test_verify_cm_ranks_the_pinned_matrices(monkeypatch):
+    import uhlenbeck.calogero as calogero
+
+    ranked = []
+    monkeypatch.setattr(calogero, "rank", lambda m: ranked.append(m) or rank(m))
+    for x, y, tau in _pinned_pairs():
+        ranked.clear()
+        result = verify_cm(x, y, tau)
+        if not x.rows:
+            assert ranked == [] and result == _old_verify_cm(x, y, tau)
+            continue
+        assert len(ranked) == 2
+        for new, old in zip(ranked, _old_verify_cm_matrices(x, y, tau)):
+            assert_pinned(new, old)

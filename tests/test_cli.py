@@ -16,10 +16,12 @@ import pytest
 
 import uhlenbeck
 from uhlenbeck import quiver
+from uhlenbeck.bvariety import jordan_triple
+from uhlenbeck.calogero import sample_cm
 from uhlenbeck.cli import build_parser, dispatch, main
 from uhlenbeck.core import RatMatrix
 from uhlenbeck.quiver import monad_of_point
-from uhlenbeck.serialize import matrix_to_json, rep_to_json
+from uhlenbeck.serialize import matrix_to_json, pair_to_json, rep_to_json, triple_to_json
 
 
 def run_ok(argv):
@@ -459,6 +461,19 @@ def test_long_integers_in_input_files_are_refused(tmp_path):
         assert code == 1 and envelope["error"] == TOO_LONG
 
 
+@pytest.mark.parametrize(
+    "argv", [["quiver", "check", "--tau", "1", "--rep"], ["bvar", "check", "--triple"], ["cm", "verify", "--pair"]]
+)
+@pytest.mark.parametrize("opening,closing", [("[", "]"), ('{"X": ', "}")])
+def test_deeply_nested_input_files_are_domain_errors(argv, opening, closing, tmp_path, capsys):
+    # json.load recurses once per level, so 100,000 levels exceed the recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text(opening * 100_000 + "1" + closing * 100_000)
+    assert main(argv + [str(path)]) == 1
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["status"] == "error" and envelope["error"] == f"input file {str(path)!r} is nested too deeply"
+
+
 def test_report_cap(tmp_path):
     code, envelope = dispatch(["report", "--n", "21", "--out", str(tmp_path / "t")])
     assert code == 1 and envelope["error"] == "report is limited to n <= 20"
@@ -710,10 +725,19 @@ def readme_examples() -> list[tuple[list[str], str | None]]:
 
 
 def test_readme_examples_run(tmp_path):
+    pair = sample_cm(3, [0, 1, 3], 2)
+    files = {
+        "rep.json": rep_to_json(monad_of_point((1, 2), 1)),
+        "rep131.json": rep_to_json(quiver.sample_relation_rep((1, 3, 1), 1, seed=0)),
+        "pair.json": pair_to_json(pair.X, pair.Y),
+        "triple.json": triple_to_json(jordan_triple(4, Fraction(1, 2), 1)),
+    }
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content), encoding="utf-8")
     examples = readme_examples()
-    run = [(argv, note) for argv, note in examples if not {"--rep", "--pair", "--triple"} & set(argv)]
-    assert len(examples) == 19 and len(run) == 14
-    for argv, note in run:
+    assert len(examples) == 19 and sum(bool(files.keys() & set(argv)) for argv, _ in examples) == 5
+    for argv, note in examples:
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
         if "--out" in argv:
             argv[argv.index("--out") + 1] = str(tmp_path / "tables")
         code, out = run_main(argv)

@@ -15,6 +15,7 @@ from uhlenbeck.core import (
     char_poly,
     column_space,
     commutant_system,
+    convolve,
     determinant,
     inverse,
     kernel_basis,
@@ -1099,3 +1100,73 @@ def test_poly_divmod_matches_pinned_fraction_division():
             assert f // g == old[0] and f % g == old[1] and divmod(f, 3) == _old_divmod(f, 3)
         with pytest.raises(ZeroDivisionError):
             divmod(f, RatPoly.zero())
+
+
+# ---------------------------------------------------------------------------
+# linear combinations and polynomial products pinned to the term-by-term code
+# they replaced
+
+
+COEFFICIENTS = [0, 1, -1, 3, Fraction(-3, 7), Fraction(5, 6), Fraction(2**66 + 1, 35), "2/9"]
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES)
+def test_combination_matches_pinned_term_by_term_sums(shape):
+    rows, cols, _ = shape
+    rng = random.Random(8600 + 100 * rows + 10 * cols)
+    for terms in range(1, 5):
+        for _ in range(8):
+            mats = [_product_input(rng, rng.choice(PRODUCT_KINDS), rows, cols) for _ in range(terms)]
+            coeffs = [rng.choice(COEFFICIENTS + [_random_entry(rng)]) for _ in range(terms)]
+            if rng.random() < 0.3:  # a term that cancels the first one
+                mats.append(mats[0].scale(Fraction(1, 3)))
+                coeffs.append(-3 * rat(coeffs[0]))
+            new = RatMatrix.combination(coeffs, mats)
+            chain, old = RatMatrix.zero(rows, cols), RatMatrix.zero(rows, cols)
+            for c, m in zip(coeffs, mats):
+                chain = chain + m.scale(c)
+                old = _old_add(old, _old_scale(m, c))
+            assert_pinned(new, chain)
+            assert_pinned(new, old)
+
+
+def test_combination_rejects_a_shape_or_count_mismatch():
+    a, b = RatMatrix.zero(2, 3), RatMatrix.identity(2)
+    with pytest.raises(ValueError) as old:
+        a + b.scale(5)
+    with pytest.raises(ValueError) as new:
+        RatMatrix.combination([1, 5], [a, b])
+    assert str(new.value) == str(old.value) == "shape mismatch: 2x3 vs 2x2"
+    with pytest.raises(ValueError):
+        RatMatrix.combination([1, 2], [a])
+    with pytest.raises(ValueError):
+        RatMatrix.combination([1], [a, a])
+
+
+def _old_mul(self, other) -> RatPoly:
+    o = self._coerce(other)
+    if self.is_zero or o.is_zero:
+        return RatPoly.zero(self.var)
+    out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+    for i, a in enumerate(self.coeffs):
+        if a == 0:
+            continue
+        for j, b in enumerate(o.coeffs):
+            out[i + j] += a * b
+    return RatPoly(out, self.var)
+
+
+def test_poly_product_matches_pinned_fraction_product():
+    rng = random.Random(8700)
+    polys = [RatPoly.zero(), RatPoly.zero("q"), RatPoly([Fraction(-2, 3)]), RatPoly([0, 0, 1], "q")]
+    polys += [RatPoly([1, 2**70, Fraction(3, 2**66)]), RatPoly([Fraction(1, 6), 0, Fraction(-5, 4)])]
+    polys += [RatPoly([_random_entry(rng) for _ in range(rng.randint(0, 6))], rng.choice("tq")) for _ in range(40)]
+    for f in polys:
+        for g in polys[:6] + rng.sample(polys, 8) + [0, 3, Fraction(-5, 4)]:
+            new, old = f * g, _old_mul(f, g)
+            assert (new.coeffs, new.var, repr(new), hash(new)) == (old.coeffs, old.var, repr(old), hash(old))
+            assert _all_fractions(new.coeffs)
+            if not isinstance(g, RatPoly):
+                assert ((g * f).coeffs, (g * f).var) == (old.coeffs, old.var)
+    assert convolve([], [1, 2]) == convolve([3], []) == []
+    assert convolve([0, 2, 0], [1, -1]) == [0, 2, -2, 0]

@@ -8,6 +8,7 @@ import pytest
 from uhlenbeck.core import RatPoly
 from uhlenbeck.ic import (
     GradedStalk,
+    _length_counts,
     ic_stalk,
     length_counting_poly,
     punctual_hilbert_betti,
@@ -278,6 +279,38 @@ def test_integer_stalks_match_ratpoly_stalks():
                 assert type(new.coefficient(shift)) is int
                 assert new.coefficient(shift) == old.coefficient(shift)
             assert new.to_str() == old.to_str() == str(new)
+
+
+def _old_integer_ic_stalk(n: int, m: int, lam) -> GradedStalk:
+    """The integer stalk as computed before ``convolve`` (verbatim copy)."""
+    lam = lam if isinstance(lam, Partition) else Partition(tuple(lam))
+    if m < 0 or m + lam.size != n:
+        raise ValueError(f"need m + |lam| = n with m >= 0; got m={m}, |lam|={lam.size}, n={n}")
+    coeffs = [0] * (2 * m) + [1]
+    for part in lam:
+        factor = _length_counts(part)
+        out = [0] * (len(coeffs) + len(factor) - 1)
+        for i, a in enumerate(coeffs):
+            if a:
+                for j, b in enumerate(factor):
+                    out[i + j] += a * b
+        coeffs = out
+    return GradedStalk(tuple(coeffs))
+
+
+def test_integer_stalks_match_pinned_integer_loop():
+    cases = [(n, st.m, st.lam) for n in range(13) for st in strata(n)]
+    cases += [(20, 10, (4, 3, 2, 1)), (30, 0, (30,)), (24, 0, (1,) * 24), (0, 0, ())]
+    for n, m, lam in cases:
+        new, old = ic_stalk(n, m, lam), _old_integer_ic_stalk(n, m, lam)
+        assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+        assert all(type(c) is int for c in new.coeffs)
+    for n, m, lam in ((3, -1, (4,)), (3, 1, (1,)), (0, 1, ())):
+        with pytest.raises(ValueError) as new:
+            ic_stalk(n, m, lam)
+        with pytest.raises(ValueError) as old:
+            _old_integer_ic_stalk(n, m, lam)
+        assert str(new.value) == str(old.value)
 
 
 def test_length_counting_poly_matches_old_enumeration():

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
+from uhlenbeck.bvariety import component_dimension, fiber_probe, orbit_dimension
+from uhlenbeck.ic import ic_stalk
 from uhlenbeck.partitions import Partition, partition_count, partition_count_by_length, partitions
 
 
@@ -14,6 +18,28 @@ def test_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
+
+
+@pytest.mark.parametrize("parts", [(2.5, 1), (2.0, 1), (True,), (2, False), ("2", 1), (Fraction(2), 1), (None,)])
+def test_parts_must_be_integers(parts):
+    # int() would have truncated 2.5 to 2 and read True as 1
+    with pytest.raises(ValueError, match="partition parts must be positive integers"):
+        Partition(parts)
+
+
+def test_partition_like_arguments_are_validated():
+    assert ic_stalk(3, 0, [2, 1]) == ic_stalk(3, 0, Partition((2, 1)))
+    assert orbit_dimension((2, 1)) == orbit_dimension(Partition((2, 1))) == 4
+    assert component_dimension([2, 1], 1) == component_dimension(Partition((2, 1)), 1)
+    assert fiber_probe(iter((2, 1)), 0, 1, samples=1) == fiber_probe(Partition((2, 1)), 0, 1, samples=1)
+    for call in (
+        lambda: ic_stalk(3, 0, (2.5, 0.5)),
+        lambda: orbit_dimension((True, True)),
+        lambda: component_dimension((2.0, 1), 1),
+        lambda: fiber_probe((1.5,), 0, 1),
+    ):
+        with pytest.raises(ValueError, match="partition parts must be positive integers"):
+            call()
 
 
 def test_enumeration_order():

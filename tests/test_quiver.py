@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_invertible, rand_matrix
+from test_core import PRODUCT_KINDS, _product_input, _random_entry, assert_pinned
 from uhlenbeck import quiver
 from uhlenbeck.core import RatMatrix, RatPoly, Subspace, column_space, kernel_space
 from uhlenbeck.ncalgebra import dual_relation_kernel
@@ -837,3 +838,78 @@ def test_decide_witnesses_match_pinned_extension(monkeypatch):
     old = [decide_stability_121(rep, theta) for rep, theta in cases]
     assert [(v, _witness_key(w)) for v, w in new] == [(v, _witness_key(w)) for v, w in old]
     assert new[-1][0] == "unstable" and new[-1][1].dim == (0, 117, 0)
+
+
+# ---------------------------------------------------------------------------
+# relation residuals pinned to the term-by-term sums they replaced (verbatim
+# copies; the old check also hands back its residuals for the comparison)
+
+
+def _old_check_relations(rep: QuiverRep):
+    r1, _, r3 = rep.dim
+    failures = []
+    residuals = []
+    for name, terms in quiver.RELATIONS:
+        residual = RatMatrix.zero(r3, r1)
+        for g, f, c, p in terms:
+            residual = residual + (rep.G[g] @ rep.F[f]).scale(c * rep.tau**p)
+        residuals.append(residual)
+        if not residual.is_zero:
+            failures.append(name)
+    return quiver.RelationReport(not failures, tuple(failures)), residuals
+
+
+def _old_relation_tensor_residual(rep: QuiverRep, tensor) -> RatMatrix:
+    r1, _, r3 = rep.dim
+    out = RatMatrix.zero(r3, r1)
+    idx = 0
+    for a in ARROWS:
+        for b in ARROWS:
+            c = tensor[idx]
+            idx += 1
+            if c != 0:
+                out = out + (rep.G[b] @ rep.F[a]).scale(c)
+    return out
+
+
+def _pinned_reps():
+    """Sampled relation reps and point monads at several tau, zero reps, reps
+    with an empty vertex, and random reps with mixed and huge entries."""
+    rng = random.Random(8800)
+    for tau in (ONE, Fraction(3, 7), Fraction(-2), Fraction(2**65 + 1, 9)):
+        yield monad_of_point((1, 2), tau)
+        yield monad_of_point((Fraction(-5, 3), 0), tau)
+        for dim in ((1, 2, 1), (1, 3, 1), (2, 5, 2), (1, 1, 1), (0, 2, 1), (1, 2, 0)):
+            rep = sample_relation_rep(dim, tau, seed=rng.randint(0, 10**6))
+            if rep is not None:
+                yield rep
+            yield zero_rep(dim, tau)
+            r1, r2, r3 = dim
+            kinds = [rng.choice(PRODUCT_KINDS) for _ in range(6)]
+            F = {a: _product_input(rng, kind, r2, r1) for a, kind in zip(ARROWS, kinds)}
+            G = {a: _product_input(rng, kind, r3, r2) for a, kind in zip(ARROWS, kinds[3:])}
+            yield QuiverRep(dim, F, G, tau)
+
+
+def test_relation_checks_and_residuals_match_pinned_sums(monkeypatch):
+    rng = random.Random(8801)
+    computed = []
+    combination = RatMatrix.combination
+    monkeypatch.setattr(
+        RatMatrix, "combination", lambda coeffs, mats: computed.append(combination(coeffs, mats)) or computed[-1]
+    )
+    valid = 0
+    for rep in _pinned_reps():
+        computed.clear()
+        report = check_relations(rep)
+        old_report, old_residuals = _old_check_relations(rep)
+        assert report == old_report and repr(report) == repr(old_report)
+        assert len(computed) == len(old_residuals)
+        for new, old in zip(computed, old_residuals):
+            assert_pinned(new, old)
+        valid += report.ok
+        tensors = [(0,) * 9, *dual_relation_kernel(rep.tau)]
+        tensors += [tuple(_random_entry(rng) for _ in range(9)) for _ in range(3)]
+        for tensor in tensors:
+            assert_pinned(relation_tensor_residual(rep, tensor), _old_relation_tensor_residual(rep, tensor))
+    assert valid >= 30
