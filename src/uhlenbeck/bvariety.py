@@ -32,7 +32,6 @@ from .core import (
     inverse,
     kernel_basis,
     krylov_span_dim,
-    nilpotent_jordan_type,
     rank,
     rat,
     solve_linear,
@@ -75,7 +74,7 @@ class BTriple:
         if len(v) != k:
             raise ValueError("vector length must match the matrix size")
         comm_ok = y.commutator(z) == z.power(3).scale(tau)
-        nil_ok = z.power(k).is_zero if k else True
+        nil_ok = z.is_nilpotent
         cyc_ok = krylov_span_dim([y, z], v) == k
         return TripleCheck(comm_ok and nil_ok and cyc_ok, comm_ok, nil_ok, cyc_ok)
 
@@ -99,8 +98,6 @@ def jordan_nilpotent(lam) -> RatMatrix:
     blocks = [
         RatMatrix.from_rows([[1 if i == j + 1 else 0 for j in range(p)] for i in range(p)]) for p in parts
     ]
-    if not blocks:
-        return RatMatrix(0, 0, ())
     return RatMatrix.block_diag(blocks)
 
 
@@ -155,35 +152,27 @@ def solve_commutator_system(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatri
     """
     tau = rat(tau)
     k = z.rows
-    if k == 0:
-        return RatMatrix(0, 0, ()), []
     rhs = z.power(3).scale(tau).entries
     solved = solve_linear(commutant_system([z]), rhs)
     if solved is None:
         return None
     particular, hom = solved
-    to_mat = lambda flat: RatMatrix(k, k, tuple(flat))
-    return to_mat(particular), [to_mat(h) for h in hom]
+    return RatMatrix(k, k, particular), [RatMatrix(k, k, h) for h in hom]
 
 
 def commutator_system_solvable(z: RatMatrix, tau) -> bool:
     """Whether [Y, Z] = tau Z^3 has a solution Y.
 
-    The powers of Z are used first as an inconsistency certificate: pairing
-    the system against a centralizer element W gives tr((YZ - ZY) W) = 0, so
-    tr(tau Z^3 W) != 0 for some W = Z^j proves there is no solution without
-    running the elimination.  The certificate only ever answers
-    "unsolvable"; everything else falls through to the exact solve, so the
-    result is identical to ``solve_commutator_system(z, tau) is not None``.
+    With tau != 0 a solution forces Z nilpotent: pairing the system against
+    W = Z^j gives tr(tau Z^(3+j)) = tr((YZ - ZY) Z^j) = 0 for every j, and k
+    consecutive power sums of the eigenvalues vanish only when all of them
+    are 0.  So a non-nilpotent Z is rejected without the elimination;
+    everything else falls through to the exact solve, and the result is
+    identical to ``solve_commutator_system(z, tau) is not None``.
     """
     tau = rat(tau)
-    k = z.rows
-    if tau != 0:
-        power = z.power(3)
-        for _ in range(k + 1):
-            if power.trace() != 0:
-                return False
-            power = power @ z
+    if tau != 0 and not z.is_nilpotent:
+        return False
     return solve_commutator_system(z, tau) is not None
 
 
@@ -191,7 +180,8 @@ def solve_Y_space(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatrix]]:
     """Y-solution space over a nilpotent Z; rejects non-nilpotent input."""
     if not z.is_square:
         raise ValueError("Z must be square")
-    nilpotent_jordan_type(z)  # raises NotNilpotentError otherwise
+    if not z.is_nilpotent:
+        raise NotNilpotentError("matrix is not nilpotent")
     solved = solve_commutator_system(z, tau)
     if solved is None:
         raise AssertionError("commutator system must be solvable for nilpotent Z")
@@ -301,13 +291,11 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
     """dim of the homogeneous stabilizer system gY=Yg, gZ=Zg, gv=0.
 
     Zero means the affine system gY=Yg, gZ=Zg, gv=v has the identity as its
-    only solution, i.e. the conjugation action is free at this triple.
+    only solution, i.e. the conjugation action is free at this triple.  On
+    row-major flattened g, g -> gv is I (x) v^T.
     """
     k = triple.size
-    if k == 0:
-        return 0
-    zeros = [Fraction(0)] * k
-    gv = RatMatrix.from_rows([zeros * i + list(triple.v) + zeros * (k - 1 - i) for i in range(k)])
+    gv = RatMatrix.identity(k).kron(RatMatrix(1, k, triple.v))
     return k * k - rank(RatMatrix.vstack([commutant_system([triple.Y, triple.Z]), gv]))
 
 
@@ -418,20 +406,16 @@ def _stratum_image_dim(
 ) -> int:
     """Local dimension of the stratum's image in the conjugation quotient.
 
-    Tangent to the slice at (y, v): stratum directions on Y plus all of V.
-    Tangent to the residual group orbit: g in the centralizer of Z acting by
-    ([g, Y], g v).  The image dimension is dim slice - dim(overlap), which
-    equals dim(slice + orbit) - dim orbit.
+    Tangent to the slice at (y, v): stratum directions D on Y plus all of V.
+    Tangent to the residual group orbit: g in the centralizer C of Z acting
+    by ([g, Y], g v).  The image dimension is dim slice - dim(overlap), which
+    equals dim(slice + orbit) - dim orbit; the slice holds all of V, so
+    dim(slice + orbit) = k + dim(D + [C, y]).
     """
     k = y.rows
-    amb = k * k + k
-    slice_vecs = [d.entries + (Fraction(0),) * k for d in directions]
-    slice_vecs += [
-        tuple(Fraction(0) for _ in range(k * k)) + tuple(Fraction(1 if i == j else 0) for j in range(k))
-        for i in range(k)
-    ]
-    orbit_vecs = [g.commutator(y).entries + g.apply(v) for g in centralizer]
-    return Subspace(amb, slice_vecs + orbit_vecs).dim - Subspace(amb, orbit_vecs).dim
+    comms = [g.commutator(y) for g in centralizer]
+    orbit = Subspace(k * k + k, [c.entries + g.apply(v) for c, g in zip(comms, centralizer)])
+    return k + Subspace(k * k, [m.entries for m in [*directions, *comms]]).dim - orbit.dim
 
 
 def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 0) -> FiberProbe:

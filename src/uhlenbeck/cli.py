@@ -168,10 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
         "cm sample",
         _cm_sample,
         ("n", 100),
-        ("spectrum and tau digits", 190, lambda a: sum(map(digits, [a.tau, *a.spectrum.split(",")]))),
+        ("spectrum and tau digits", 190, lambda a: sum(map(digits, [a.tau, *a.spectrum]))),
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--spectrum", required=True, help="comma-separated distinct rationals")
+    # an empty --spectrum= is no values, for n = 0
+    p.add_argument(
+        "--spectrum", required=True, type=lambda s: s.split(",") if s else [], help="comma-separated distinct rationals"
+    )
     p.add_argument("--tau", default="1")
     p = command(
         "cm fixed-points",
@@ -296,7 +299,7 @@ def _cm_verify(args, meta) -> dict:
 
 
 def _cm_sample(args, meta) -> dict:
-    spectrum = [parse_fraction(s) for s in args.spectrum.split(",")]
+    spectrum = [parse_fraction(s) for s in args.spectrum]
     pair = calogero.sample_cm(args.n, spectrum, parse_fraction(args.tau))
     return {
         "X": matrix_to_json(pair.X),

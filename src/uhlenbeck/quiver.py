@@ -91,10 +91,11 @@ class RelationReport(NamedTuple):
 
 def check_relations(rep: QuiverRep) -> RelationReport:
     """Exact check of the six factorization identities."""
+    products = {(g, f): rep.G[g] @ rep.F[f] for g in ARROWS for f in ARROWS}
     failures = []
     for name, terms in RELATIONS:
         coeffs = [c * rep.tau**p for _, _, c, p in terms]
-        residual = RatMatrix.combination(coeffs, [rep.G[g] @ rep.F[f] for g, f, _, _ in terms])
+        residual = RatMatrix.combination(coeffs, [products[g, f] for g, f, _, _ in terms])
         if not residual.is_zero:
             failures.append(name)
     return RelationReport(not failures, tuple(failures))
@@ -438,30 +439,18 @@ def sample_relation_rep(dim: DimVector, tau, seed: int = 0) -> QuiverRep | None:
         a: RatMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r1)] for _ in range(r2)])
         for a in ARROWS
     }
-    # unknowns: entries of G_xi, G_eta, G_zeta, flattened in that order
-    nunk = 3 * r3 * r2
-    rows: list[list[Fraction]] = []
-
-    def g_entry_index(arrow_idx: int, i: int, j: int) -> int:
-        return arrow_idx * r3 * r2 + i * r2 + j
-
-    # entry (i, j) of an identity is sum_t c tau^p G_g[i, t] F_f[t, j]
-    for _, terms in RELATIONS:
-        for i in range(r3):
-            for j in range(r1):
-                row = [Fraction(0)] * nunk
-                for g_arrow, f_arrow, c, p in terms:
-                    gi, coeff = ARROWS.index(g_arrow), c * tau**p
-                    for t in range(r2):
-                        row[g_entry_index(gi, i, t)] += coeff * F[f_arrow].entry(t, j)
-                rows.append(row)
-    kb = kernel_basis(RatMatrix.from_rows(rows)) if rows else []
+    # unknowns: G_xi, G_eta, G_zeta, flattened row-major in that order; G F
+    # flattens to (I (x) F^T) G, so G_g F_f is e_g (x) I (x) F_f^T on them
+    units = {a: RatMatrix.from_rows([[int(a == b) for b in ARROWS]]) for a in ARROWS}
+    blocks = {f: RatMatrix.identity(r3).kron(F[f].transpose()) for f in ARROWS}
+    rows = [
+        RatMatrix.combination([c * tau**p for *_, c, p in terms], [units[g].kron(blocks[f]) for g, f, _, _ in terms])
+        for _, terms in RELATIONS
+    ]
+    kb = kernel_basis(RatMatrix.vstack(rows)) if r1 * r3 else []
     if not kb:
         return None
     coeffs = [rng.randint(-3, 3) for _ in kb]
-    flat = [sum((c * v[i] for c, v in zip(coeffs, kb)), Fraction(0)) for i in range(nunk)]
-    G = {}
-    for ai, a in enumerate(ARROWS):
-        ents = flat[ai * r3 * r2 : (ai + 1) * r3 * r2]
-        G[a] = RatMatrix(r3, r2, tuple(ents))
+    flat = RatMatrix.combination(coeffs, [RatMatrix(1, len(v), v) for v in kb]).entries
+    G = {a: RatMatrix(r3, r2, flat[i * r3 * r2 : (i + 1) * r3 * r2]) for i, a in enumerate(ARROWS)}
     return QuiverRep(dim, F, G, tau)

@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_invertible, rand_matrix
-from test_core import PRODUCT_KINDS, _old_commutant_system, _old_commutator, _old_is_zero, _old_scale, _old_sub, _product_input
+from test_core import (
+    PRODUCT_KINDS,
+    _old_commutant_system,
+    _old_commutator,
+    _old_is_zero,
+    _old_scale,
+    _old_sub,
+    _product_input,
+    assert_pinned,
+)
 from uhlenbeck.bvariety import (
     _require_valid,
     _stratum_image_dim,
@@ -30,7 +39,20 @@ from uhlenbeck.bvariety import (
     translate,
     triple_stabilizer_dim,
 )
-from uhlenbeck.core import NotNilpotentError, RatMatrix, RatPoly, Subspace, char_poly, kernel_basis, krylov_span_dim, nilpotent_jordan_type, rat, solve_linear
+from uhlenbeck.core import (
+    NotNilpotentError,
+    RatMatrix,
+    RatPoly,
+    Subspace,
+    char_poly,
+    commutant_system,
+    inverse,
+    kernel_basis,
+    krylov_span_dim,
+    nilpotent_jordan_type,
+    rat,
+    solve_linear,
+)
 from uhlenbeck.partitions import Partition, partitions
 
 ONE = Fraction(1)
@@ -405,6 +427,8 @@ def _pinned_triples():
     """Valid triples shaped as the benchmark draws them (Jordan pieces, direct
     sums, a conjugation with fractional entries), and random invalid ones."""
     rng = random.Random(8600)
+    empty = RatMatrix(0, 0, ())
+    yield BTriple(empty, empty, (), Fraction(3, 5))
     for k in range(1, 6):
         for lam in partitions(k):
             for tau in (Fraction(2), Fraction(-3, 2), Fraction(2**66 + 1, 7)):
@@ -432,7 +456,7 @@ def test_check_stabilizer_and_pencil_match_pinned_fraction_code():
         for p in range(5):
             new, old = support_poly_p(triple, p), _old_support_poly_p(triple, p)
             assert (new.coeffs, new.var) == (old.coeffs, old.var) and all(type(c) is Fraction for c in new.coeffs)
-    assert valid >= 3 * sum(len(partitions(k)) for k in range(1, 6))
+    assert valid >= 3 * sum(len(partitions(k)) for k in range(1, 6)) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -611,3 +635,198 @@ def test_fiber_probes_match_pinned_code():
             assert_same_probe(new, _old_distinct_fiber_probe(spectrum, tau, samples, seed))
     with pytest.raises(ValueError, match="multiplicity-free"):
         distinct_fiber_probe([1, 1], 1)
+
+
+# ---------------------------------------------------------------------------
+# one nilpotency test and the Kronecker-form stabilizer and slice, pinned to
+# the code they replaced (verbatim copies)
+
+
+def _old_solve_commutator_system(z: RatMatrix, tau):
+    tau = rat(tau)
+    k = z.rows
+    if k == 0:
+        return RatMatrix(0, 0, ()), []
+    rhs = z.power(3).scale(tau).entries
+    solved = solve_linear(commutant_system([z]), rhs)
+    if solved is None:
+        return None
+    particular, hom = solved
+    to_mat = lambda flat: RatMatrix(k, k, tuple(flat))
+    return to_mat(particular), [to_mat(h) for h in hom]
+
+
+def _old_commutator_system_solvable(z: RatMatrix, tau) -> bool:
+    tau = rat(tau)
+    k = z.rows
+    if tau != 0:
+        power = z.power(3)
+        for _ in range(k + 1):
+            if power.trace() != 0:
+                return False
+            power = power @ z
+    return _old_solve_commutator_system(z, tau) is not None
+
+
+def _old_solve_Y_space(z: RatMatrix, tau):
+    if not z.is_square:
+        raise ValueError("Z must be square")
+    nilpotent_jordan_type(z)  # raises NotNilpotentError otherwise
+    solved = _old_solve_commutator_system(z, tau)
+    if solved is None:
+        raise AssertionError("commutator system must be solvable for nilpotent Z")
+    return solved
+
+
+def _old_stratum_image_dim(y, z, v, centralizer, directions) -> int:
+    k = y.rows
+    amb = k * k + k
+    slice_vecs = [d.entries + (Fraction(0),) * k for d in directions]
+    slice_vecs += [
+        tuple(Fraction(0) for _ in range(k * k)) + tuple(Fraction(1 if i == j else 0) for j in range(k))
+        for i in range(k)
+    ]
+    orbit_vecs = [g.commutator(y).entries + g.apply(v) for g in centralizer]
+    return Subspace(amb, slice_vecs + orbit_vecs).dim - Subspace(amb, orbit_vecs).dim
+
+
+def _outcome(call):
+    """('ok', value) or ('raised', exception type, message)."""
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def _assert_same_solution(new, old):
+    assert (new is None) == (old is None)
+    if new is None:
+        return
+    (y, hom), (old_y, old_hom) = new, old
+    assert type(hom) is type(old_hom) is list and len(hom) == len(old_hom)
+    for m, old_m in zip([y, *hom], [old_y, *old_hom]):
+        assert_pinned(m, old_m)
+
+
+TAUS = (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(2**65 + 1, 7))
+
+
+def _solver_inputs():
+    """Conjugated Jordan types up to k = 5 (with mixed denominators), random
+    matrices (mostly not nilpotent) and non-square ones."""
+    rng = random.Random(8940)
+    yield RatMatrix(0, 0, ())
+    for k in range(1, 6):
+        for lam in partitions(k):
+            g = rand_invertible(rng, k, -2, 2) @ RatMatrix.diagonal([Fraction(1, rng.randint(1, 4)) for _ in range(k)])
+            yield g @ jordan_nilpotent(lam) @ inverse(g)
+        for kind in PRODUCT_KINDS:
+            yield _product_input(rng, kind, k, k)
+        yield rand_matrix(rng, k, k, -2, 2)
+    yield RatMatrix.zero(2, 3)
+    yield RatMatrix.zero(0, 2)
+
+
+def test_solvability_and_Y_space_match_pinned_code():
+    nilpotent = non_nilpotent = 0
+    for z in _solver_inputs():
+        for tau in TAUS:
+            new, old = _outcome(lambda: commutator_system_solvable(z, tau)), _outcome(lambda: _old_commutator_system_solvable(z, tau))
+            if z.rows == 0 and z.cols and tau == 0:
+                # a 0 x n Z now raises like every other non-square Z; the
+                # old k == 0 shortcut called it solvable
+                assert old == ("ok", True) and new == ("raised", ValueError, "power of a non-square matrix")
+                continue
+            assert new == old
+            new, old = _outcome(lambda: solve_Y_space(z, tau)), _outcome(lambda: _old_solve_Y_space(z, tau))
+            assert new[:1] == old[:1]
+            if new[0] == "raised":
+                assert new == old
+                non_nilpotent += new[1] is NotNilpotentError and new[2] == "matrix is not nilpotent"
+                continue
+            _assert_same_solution(new[1], old[1])
+            nilpotent += 1
+            if z.is_square:
+                _assert_same_solution(solve_commutator_system(z, tau), _old_solve_commutator_system(z, tau))
+                # the nilpotency shortcut never changes the answer of the exact solve
+                assert commutator_system_solvable(z, tau) == (solve_commutator_system(z, tau) is not None)
+    assert nilpotent >= len(TAUS) * sum(len(partitions(k)) for k in range(6)) and non_nilpotent >= 40
+    with pytest.raises(ValueError) as exc:
+        solve_Y_space(RatMatrix.zero(2, 3), 1)
+    assert str(exc.value) == "Z must be square"
+
+
+def test_solvability_against_the_exact_solve():
+    # tau = 0 is always solvable (Y = 0); tau != 0 exactly when Z is nilpotent
+    rng = random.Random(8945)
+    cases = [z for z in _solver_inputs() if z.is_square]
+    cases += [rand_matrix(rng, k, k, -3, 3) for k in range(1, 6) for _ in range(6)]
+    for z in cases:
+        for tau in TAUS[:3]:
+            solvable = commutator_system_solvable(z, tau)
+            assert solvable == (solve_commutator_system(z, tau) is not None)
+            assert solvable == (tau == 0 or z.is_nilpotent)
+
+
+def test_stratum_image_dim_matches_pinned_slice():
+    rng = random.Random(8950)
+    checked = 0
+    for k in range(5):
+        for lam in partitions(k):
+            for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5))):
+                for z in (jordan_nilpotent(lam), depth_major_nilpotent(lam)):
+                    y0, hom = solve_Y_space(z, tau)
+                    base, directions = _triangular_stratum(y0, hom, Fraction(u), k)
+                    for _ in range(3):
+                        y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
+                        v = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k))
+                        assert _stratum_image_dim(y, z, v, hom, directions) == _old_stratum_image_dim(y, z, v, hom, directions)
+                        checked += 1
+    # centralizers of (y, 0) for diagonal y, and arbitrary matrices as directions
+    for k in range(5):
+        y = RatMatrix.diagonal([rng.randint(-4, 4) for _ in range(k)])
+        z = RatMatrix.zero(k)
+        joint = pair_centralizer_basis(y, z)
+        mats = [rand_matrix(rng, k, k, -2, 2) for _ in range(rng.randint(0, 3))]
+        for directions in ([], mats):
+            for centralizer in (joint, mats, []):
+                v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
+                new, old = _stratum_image_dim(y, z, v, centralizer, directions), _old_stratum_image_dim(y, z, v, centralizer, directions)
+                assert type(new) is type(old) is int and new == old
+                checked += 1
+    assert checked > 100
+
+
+def test_support_multiplies_under_direct_sums_of_disjoint_supports():
+    tau = Fraction(3, 5)
+    a, b = jordan_triple(2, 1, tau), jordan_triple(3, -2, tau)
+    s = support(direct_sum(a, b))
+    assert s == support(a) * support(b) and s.degree == 5 == support(a).degree + support(b).degree
+    assert str(s) == "(t-1)^2 * (t+2)^3"
+    c = translate(direct_sum(jordan_triple(1, 0, tau), jordan_triple(1, 4, tau)), Fraction(1, 2))
+    s = support(direct_sum(c, jordan_triple(2, 7, tau)))
+    assert s == support(c) * support(jordan_triple(2, 7, tau))
+    assert str(s) == "(t^2-5*t+9/4) * (t-7)^2"
+    empty = BTriple(RatMatrix(0, 0, ()), RatMatrix(0, 0, ()), (), tau)
+    assert support(empty).degree == 0 and str(support(empty)) == "1" and support(empty) * s == s
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: BTriple(RatMatrix.zero(2), RatMatrix.zero(2), (ONE, ONE), 0).check, "tau must be nonzero"),
+        (lambda: BTriple(RatMatrix.zero(2), RatMatrix.zero(3), (ONE, ONE), 1).check, "Y and Z must be square of equal size"),
+        (lambda: BTriple(RatMatrix.zero(2, 3), RatMatrix.zero(2, 3), (ONE, ONE), 1).check, "Y and Z must be square of equal size"),
+        (lambda: BTriple(RatMatrix.zero(2), RatMatrix.zero(2), (ONE,), 1).check, "vector length must match the matrix size"),
+        (lambda: jordan_triple(0, 0, 1), "k must be at least 1"),
+        (lambda: jordan_triple(2, 0, 0), "tau must be nonzero"),
+        (lambda: solve_Y_space(RatMatrix.zero(2, 3), 1), "Z must be square"),
+        (lambda: solve_Y_space(RatMatrix.identity(2), 1), "matrix is not nilpotent"),
+        (lambda: direct_sum(jordan_triple(1, 0, 1), jordan_triple(1, 1, 2)), "tau mismatch"),
+        (lambda: distinct_fiber_probe([1, 1], 1), "spectrum must be multiplicity-free"),
+    ],
+)
+def test_bvariety_rejects_malformed_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

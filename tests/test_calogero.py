@@ -204,3 +204,22 @@ def test_verify_cm_ranks_the_pinned_matrices(monkeypatch):
         assert len(ranked) == 2
         for new, old in zip(ranked, _old_verify_cm_matrices(x, y, tau)):
             assert_pinned(new, old)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_cm(RatMatrix.zero(2), RatMatrix.zero(2), 0), "tau must be nonzero"),
+        (lambda: verify_cm(RatMatrix.zero(2), RatMatrix.zero(3), 1), "X and Y must be square of equal size"),
+        (lambda: sample_cm(2, [0, 1], 0), "tau must be nonzero"),
+        (lambda: sample_cm(2, [0], 1), "spectrum length must equal n"),
+        (lambda: sample_cm(2, [1, Fraction(2, 2)], 1), "spectrum values must be pairwise distinct"),
+        (lambda: sample_cm(2, [0, 1], 1, diagonal=[5]), "diagonal length must equal n"),
+        (lambda: joint_centralizer_dim(RatMatrix.zero(2, 3), RatMatrix.zero(2, 3)), "X and Y must be square of equal size"),
+        (lambda: joint_centralizer_dim(RatMatrix.zero(2), RatMatrix.zero(3)), "X and Y must be square of equal size"),
+    ],
+)
+def test_calogero_rejects_malformed_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -77,6 +77,19 @@ def test_cm_sample_then_verify_roundtrip(tmp_path):
     assert "minus" in verified["payload"]["signs"]
 
 
+def test_cm_sample_empty_spectrum_is_the_empty_pair(tmp_path):
+    envelope = run_ok(["cm", "sample", "--n", "0", "--spectrum="])
+    empty = {"rows": 0, "cols": 0, "entries": []}
+    assert envelope["payload"] == {"X": empty, "Y": empty, "tau": "1", "sign": "minus"}
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps({"X": empty, "Y": empty}))
+    assert run_ok(["cm", "verify", "--pair", str(pair_path)])["payload"]["member"] is True
+    assert run_ok(["cm", "fixed-points", "--n", "0"])["payload"]["count"] == 1
+    for argv in (["--n", "1", "--spectrum="], ["--n", "1", "--spectrum", ""], ["--spectrum=", "--n", "1", "--tau=2/3"]):
+        code, envelope = dispatch(["cm", "sample", *argv])
+        assert code == 1 and envelope["error"] == "spectrum length must equal n"
+
+
 def test_quiver_check_and_stability(tmp_path):
     rep = monad_of_point((Fraction(1), Fraction(2)), Fraction(1))
     rep_path = tmp_path / "rep.json"

@@ -1170,3 +1170,141 @@ def test_poly_product_matches_pinned_fraction_product():
                 assert ((g * f).coeffs, (g * f).var) == (old.coeffs, old.var)
     assert convolve([], [1, 2]) == convolve([3], []) == []
     assert convolve([0, 2, 0], [1, -1]) == [0, 2, -2, 0]
+
+
+# ---------------------------------------------------------------------------
+# transposes, Kronecker products and nilpotency tests, and the column spaces
+# and full subspaces built from them, pinned to the code they replaced
+# (verbatim copies)
+
+
+def _old_from_columns(cols) -> RatMatrix:
+    if not cols:
+        return RatMatrix(0, 0, ())
+    n = len(cols[0])
+    return RatMatrix.from_rows([[col[i] for col in cols] for i in range(n)])
+
+
+def _old_full(ambient: int) -> Subspace:
+    return Subspace(ambient, [tuple(Fraction(1 if i == j else 0) for j in range(ambient)) for i in range(ambient)])
+
+
+def _old_column_space(m: RatMatrix) -> Subspace:
+    return Subspace(m.rows, [m.column(j) for j in range(m.cols)])
+
+
+def _old_nilpotent_ok(z: RatMatrix) -> bool:
+    """BTriple.check's nilpotency test, with k the size of z."""
+    k = z.rows
+    return z.power(k).is_zero if k else True
+
+
+def assert_same_subspace(new: Subspace, old: Subspace):
+    assert type(new) is type(old) and new == old and hash(new) == hash(old) and repr(new) == repr(old)
+    assert new.basis == old.basis and new._echelon.rows == old._echelon.rows
+
+
+KRON_SHAPES = [(0, 0), (0, 2), (3, 0), (1, 1), (2, 3), (3, 1), (1, 4), (2, 2)]
+
+
+def test_transpose_and_kron_match_their_entrywise_definitions():
+    rng = random.Random(8900)
+    for rows, cols in KRON_SHAPES:
+        for kind in PRODUCT_KINDS:
+            a = _product_input(rng, kind, rows, cols)
+            expected = RatMatrix(cols, rows, tuple(a.entry(i, j) for j in range(cols) for i in range(rows)))
+            assert_pinned(a.transpose(), expected)
+            assert_pinned(a.transpose().transpose(), a)
+    for (r1, c1), (r2, c2) in itertools.product(KRON_SHAPES, repeat=2):
+        for kind_a, kind_b in itertools.product(PRODUCT_KINDS[2:], repeat=2):
+            a, b = _product_input(rng, kind_a, r1, c1), _product_input(rng, kind_b, r2, c2)
+            entries = [a.entry(i, j) * b.entry(k, l) for i in range(r1) for k in range(r2) for j in range(c1) for l in range(c2)]
+            product = a.kron(b)
+            assert (product.rows, product.cols) == (r1 * r2, c1 * c2)
+            assert_pinned(product, RatMatrix(r1 * r2, c1 * c2, tuple(entries)))
+            assert_pinned(product.transpose(), a.transpose().kron(b.transpose()))
+    # the denominators of a kron can cancel against the numerators
+    assert_pinned(RatMatrix.from_rows([[Fraction(2, 3)]]).kron(RatMatrix.from_rows([[Fraction(3, 2)]])), RatMatrix.identity(1))
+
+
+def test_from_columns_full_and_column_space_match_pinned_code():
+    rng = random.Random(8910)
+    assert_pinned(RatMatrix.from_columns([]), _old_from_columns([]))
+    for rows, cols in KRON_SHAPES + [(5, 2), (2, 5), (4, 4)]:
+        for kind in PRODUCT_KINDS:
+            m = _product_input(rng, kind, rows, cols)
+            assert_same_subspace(column_space(m), _old_column_space(m))
+            if rows and cols:
+                columns = [m.column(j) for j in range(cols)]
+                assert_pinned(RatMatrix.from_columns(columns), _old_from_columns(columns))
+                assert_pinned(RatMatrix.from_columns([list(c) for c in columns]), m)
+    for n in range(7):
+        assert_same_subspace(Subspace.full(n), _old_full(n))
+    # columns of length zero keep their count now; the index loop lost it
+    assert (RatMatrix.from_columns([(), ()]).rows, RatMatrix.from_columns([(), ()]).cols) == (0, 2)
+    assert (_old_from_columns([(), ()]).rows, _old_from_columns([(), ()]).cols) == (0, 0)
+
+
+def test_commutant_system_is_a_stack_of_kronecker_sums():
+    # the single-pass writer stays: built with kron it was several times slower
+    rng = random.Random(8920)
+    for k in range(7):
+        eye = RatMatrix.identity(k)
+        for kind_a, kind_b in itertools.product(PRODUCT_KINDS, repeat=2):
+            a, b = _product_input(rng, kind_a, k, k), _product_input(rng, kind_b, k, k)
+            for mats in ([a], [a, b], [b, a, b]):
+                expected = RatMatrix.vstack([eye.kron(m.transpose()) - m.kron(eye) for m in mats])
+                assert_pinned(commutant_system(mats), expected)
+
+
+def test_is_nilpotent_matches_the_pinned_power_test_and_the_jordan_type():
+    rng = random.Random(8930)
+    cases = [RatMatrix.zero(0), RatMatrix.zero(3), RatMatrix.identity(2), RatMatrix.diagonal([0, 0, Fraction(1, 7)])]
+    for k in range(1, 6):
+        for lam in partitions(k):
+            g = rand_invertible(rng, k, -2, 2) @ RatMatrix.diagonal([Fraction(1, rng.randint(1, 4)) for _ in range(k)])
+            z = g @ jordan_nilpotent(lam) @ inverse(g)
+            cases += [z, z + RatMatrix.identity(k).scale(Fraction(1, 2**65 + 1)), z.scale(Fraction(-(2**66), 9))]
+        cases += [_product_input(rng, kind, k, k) for kind in PRODUCT_KINDS]
+        cases += [_random_elimination_input(rng, k, k) for _ in range(4)]
+    nilpotent = 0
+    for z in cases:
+        try:
+            nilpotent_jordan_type(z)
+            expected = True
+        except NotNilpotentError:
+            expected = False
+        assert type(z.is_nilpotent) is bool and z.is_nilpotent == _old_nilpotent_ok(z) == expected
+        nilpotent += expected
+    assert 30 < nilpotent < len(cases) - 30
+    for m in (RatMatrix.zero(2, 3), RatMatrix.zero(0, 2)):
+        with pytest.raises(ValueError) as exc:
+            m.is_nilpotent
+        assert str(exc.value) == "power of a non-square matrix"
+
+
+_A = RatMatrix.from_rows([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RatMatrix(-1, 2, ()), "negative matrix dimensions"),
+        (lambda: RatMatrix(2, 2, (1, 2, 3)), "entry count does not match rows*cols"),
+        (lambda: RatMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: RatMatrix.zero(2, 3).trace(), "trace of a non-square matrix"),
+        (lambda: RatMatrix.zero(2, 3).power(2), "power of a non-square matrix"),
+        (lambda: _A.power(-1), "negative power"),
+        (lambda: RatMatrix.vstack([_A, RatMatrix.zero(1, 3)]), "column mismatch in vstack"),
+        (lambda: solve_linear(_A, [1, 2, 3]), "right-hand side length mismatch"),
+        (lambda: inverse(RatMatrix.zero(2, 3)), "inverse of a non-square matrix"),
+        (lambda: nilpotent_jordan_type(RatMatrix.zero(3, 2)), "Jordan type of a non-square matrix"),
+        (lambda: Subspace(3, [(1, 2)]), "vector length does not match ambient dimension"),
+        (lambda: Subspace.full(2).sum(Subspace.full(3)), "ambient mismatch"),
+        (lambda: Subspace.full(2).intersect(Subspace.zero(3)), "ambient mismatch"),
+    ],
+)
+def test_core_rejects_malformed_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -913,3 +913,104 @@ def test_relation_checks_and_residuals_match_pinned_sums(monkeypatch):
         for tensor in tensors:
             assert_pinned(relation_tensor_residual(rep, tensor), _old_relation_tensor_residual(rep, tensor))
     assert valid >= 30
+
+
+def test_check_relations_computes_each_product_once(monkeypatch):
+    calls = []
+    matmul = RatMatrix.__matmul__
+    monkeypatch.setattr(RatMatrix, "__matmul__", lambda a, b: calls.append((a.rows, b.cols)) or matmul(a, b))
+    checked = 0
+    for rep in _pinned_reps():
+        calls.clear()
+        check_relations(rep)
+        r1, _, r3 = rep.dim
+        assert calls == [(r3, r1)] * 9
+        checked += 1
+    assert checked > 40
+
+
+# ---------------------------------------------------------------------------
+# the sampler's Kronecker-form system pinned to the index loop it replaced
+# (verbatim copy)
+
+
+def _old_sample_relation_rep(dim, tau, seed: int = 0):
+    r1, r2, r3 = dim
+    tau = quiver.rat(tau)
+    rng = random.Random(seed)
+    F = {
+        a: RatMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r1)] for _ in range(r2)])
+        for a in ARROWS
+    }
+    # unknowns: entries of G_xi, G_eta, G_zeta, flattened in that order
+    nunk = 3 * r3 * r2
+    rows: list[list[Fraction]] = []
+
+    def g_entry_index(arrow_idx: int, i: int, j: int) -> int:
+        return arrow_idx * r3 * r2 + i * r2 + j
+
+    # entry (i, j) of an identity is sum_t c tau^p G_g[i, t] F_f[t, j]
+    for _, terms in quiver.RELATIONS:
+        for i in range(r3):
+            for j in range(r1):
+                row = [Fraction(0)] * nunk
+                for g_arrow, f_arrow, c, p in terms:
+                    gi, coeff = ARROWS.index(g_arrow), c * tau**p
+                    for t in range(r2):
+                        row[g_entry_index(gi, i, t)] += coeff * F[f_arrow].entry(t, j)
+                rows.append(row)
+    kb = quiver.kernel_basis(RatMatrix.from_rows(rows)) if rows else []
+    if not kb:
+        return None
+    coeffs = [rng.randint(-3, 3) for _ in kb]
+    flat = [sum((c * v[i] for c, v in zip(coeffs, kb)), Fraction(0)) for i in range(nunk)]
+    G = {}
+    for ai, a in enumerate(ARROWS):
+        ents = flat[ai * r3 * r2 : (ai + 1) * r3 * r2]
+        G[a] = RatMatrix(r3, r2, tuple(ents))
+    return QuiverRep(dim, F, G, tau)
+
+
+def test_sample_relation_rep_matches_pinned_index_loop():
+    rng = random.Random(8960)
+    dims = [(1, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 2), (2, 5, 1), (1, 1, 1), (2, 3, 2), (3, 7, 3)]
+    empty_ends = [(0, 2, 1), (1, 2, 0), (0, 0, 0), (0, 3, 0), (2, 0, 2)]
+    found = 0
+    for dim in dims + empty_ends:
+        for tau in (ONE, Fraction(3, 7), Fraction(0), Fraction(-(2**65) - 1, 9)):
+            for seed in (0, rng.randint(0, 10**6)):
+                new, old = sample_relation_rep(dim, tau, seed), _old_sample_relation_rep(dim, tau, seed)
+                if dim in empty_ends or new is None:
+                    assert new is None and old is None
+                    continue
+                assert type(new) is type(old) is QuiverRep
+                assert new == old and repr(new) == repr(old) and type(new.tau) is Fraction
+                for a in ARROWS:
+                    assert_pinned(new.F[a], old.F[a])
+                    assert_pinned(new.G[a], old.G[a])
+                assert check_relations(new).ok
+                found += any(not new.G[a].is_zero for a in ARROWS)
+    assert found >= 2 * len(dims)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: QuiverRep((1, 1, 1), {}, {}, 1), "missing arrow matrix for xi"),
+        (
+            lambda: QuiverRep((1, 2, 1), {a: RatMatrix.zero(2, 1) for a in ("xi", "eta")}, zero_rep((1, 2, 1)).G, 1),
+            "missing arrow matrix for zeta",
+        ),
+        (lambda: QuiverRep((1, 2, 1), zero_rep((2, 2, 1)).F, zero_rep((1, 2, 1)).G, 1), "F_xi must be 2x1"),
+        (lambda: QuiverRep((1, 2, 1), zero_rep((1, 2, 1)).F, zero_rep((1, 2, 2)).G, 1), "G_xi must be 1x2"),
+        (lambda: rep_direct_sum(zero_rep((1, 2, 1)), zero_rep((1, 2, 1), Fraction(2))), "tau mismatch"),
+        (
+            lambda: generated_subrep(zero_rep((1, 2, 1)), Subspace.zero(1), Subspace.zero(3), Subspace.zero(1)),
+            "seed subspaces do not match the dimension vector",
+        ),
+    ],
+)
+def test_quiver_rejects_malformed_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
