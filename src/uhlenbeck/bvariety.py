@@ -161,19 +161,20 @@ def solve_commutator_system(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatri
 
 
 def commutator_system_solvable(z: RatMatrix, tau) -> bool:
-    """Whether [Y, Z] = tau Z^3 has a solution Y.
+    """Whether [Y, Z] = tau Z^3 has a solution Y: exactly when Z is nilpotent
+    or tau = 0, so no system is solved.
 
-    With tau != 0 a solution forces Z nilpotent: pairing the system against
-    W = Z^j gives tr(tau Z^(3+j)) = tr((YZ - ZY) Z^j) = 0 for every j, and k
-    consecutive power sums of the eigenvalues vanish only when all of them
-    are 0.  So a non-nilpotent Z is rejected without the elimination;
-    everything else falls through to the exact solve, and the result is
-    identical to ``solve_commutator_system(z, tau) is not None``.
+    Only if: with tau != 0, pairing the system against W = Z^j gives
+    tr(tau Z^(3+j)) = tr((YZ - ZY) Z^j) = 0 for every j, and k consecutive
+    power sums of the eigenvalues vanish only when all of them are 0.
+    If: at tau = 0, Y = 0 is a solution.  A nilpotent Z is g J g^-1 for its
+    rational Jordan form J.  On a lower-shift block of J (J e_i = e_(i+1)),
+    Y e_i = tau i e_(i+2) gives [Y, J] e_i = tau e_(i+3) = tau J^3 e_i, so
+    g Y g^-1 solves the system for Z.  ``is_nilpotent`` is read first, so a
+    non-square Z raises as ``solve_commutator_system`` does.
     """
     tau = rat(tau)
-    if tau != 0 and not z.is_nilpotent:
-        return False
-    return solve_commutator_system(z, tau) is not None
+    return z.is_nilpotent or tau == 0
 
 
 def solve_Y_space(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatrix]]:
@@ -234,7 +235,7 @@ class SupportDivisor:
     def degree(self) -> int:
         return self.poly.degree
 
-    @cached_property
+    @property
     def factors(self) -> tuple[tuple[RatPoly, int], ...]:
         return tuple(squarefree_factorization(self.poly)) if self.poly.degree > 0 else ()
 
@@ -242,9 +243,7 @@ class SupportDivisor:
         return SupportDivisor(self.poly * other.poly)
 
     def __str__(self):
-        if not self.factors:
-            return str(self.poly)
-        return " * ".join(f"({f})^{m}" if m > 1 else f"({f})" for f, m in self.factors)
+        return " * ".join(f"({f})^{m}" if m > 1 else f"({f})" for f, m in self.factors) or str(self.poly)
 
 
 def support(triple: BTriple) -> SupportDivisor:

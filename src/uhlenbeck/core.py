@@ -10,10 +10,10 @@ an update cross-multiplies by the two lead entries and divides out the gcd
 of the result, touching only nonzero entries, so elimination does no
 Fraction arithmetic.  ``rank`` reads the pivot count off this forward pass.
 ``rref``, ``kernel_basis``, ``solve_linear``, ``inverse`` and
-``Subspace.basis`` also back-substitute on the integer rows.  The kernel,
-solution and basis vectors hold one Fraction per nonzero entry, as entry /
-pivot; ``rref`` and ``inverse`` write their integer form over the lcm of
-the pivots.
+``Subspace.basis`` also back-substitute on the integer rows.  A kernel
+vector holds one Fraction per nonzero entry and a solution one per pivot,
+as entry / pivot; ``_reduced_matrix`` writes every reduced row that ``rref``,
+``inverse`` and ``Subspace.basis`` return, over the lcm of the pivots.
 
 The output does not depend on the order of the row operations.  The
 reduced row echelon form of a matrix is unique, and after back-substitution
@@ -31,8 +31,9 @@ each with a positive lead, without building the basis.  A RatMatrix is its
 integer form (d, a): a the row-major integer numerators and d the least
 common denominator, so the matrix is a / d and gcd(d, *a) = 1.  Because d
 is the least one, equal matrices have equal forms, and ``==`` and ``hash``
-compare them.  The constructor keeps no copy of the entries it is given:
-the Fraction ``entries`` are derived from (d, a) on first use and kept.
+compare them.  Nothing else is kept: ``entries``, ``entry``, ``row`` and
+``column`` build only the Fractions they return, from (d, a) on each read,
+and ``from_rows`` and ``diagonal`` clear int entries as they are.
 ``+``, ``-``, ``scale``, ``commutator``, ``is_zero``, ``transpose``, ``kron``
 and ``commutant_system`` (I (x) m^T - m (x) I per m, written in one pass:
 built with ``kron`` it timed 3-6x slower) are integer operations: sums go
@@ -64,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -406,7 +406,7 @@ class RatMatrix:
         fill(self, "_d", d)
         fill(self, "_a", tuple(a))
 
-    @cached_property
+    @property
     def entries(self) -> tuple[Fraction, ...]:
         return _over(self._a, self._d)
 
@@ -419,7 +419,7 @@ class RatMatrix:
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(rat(x) for row in rows for x in row))
+        return cls(r, c, [x if type(x) is int else rat(x) for row in rows for x in row])  # _clear reads ints as they are
 
     @classmethod
     def from_columns(cls, cols: Sequence[Sequence]) -> "RatMatrix":
@@ -437,18 +437,23 @@ class RatMatrix:
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "RatMatrix":
-        d = [rat(x) for x in diag]
-        n = len(d)
-        return cls(n, n, tuple(d[i] if i == j else _ZERO for i in range(n) for j in range(n)))
+        d, a = _clear([x if type(x) is int else rat(x) for x in diag])
+        return cls._of(len(a), len(a), d, [x if i == j else 0 for i, x in enumerate(a) for j in range(len(a))])
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) of a {self.rows}x{self.cols} matrix")
+        return _over((self._a[i * self.cols + j],), self._d)[0]
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} of a {self.rows}x{self.cols} matrix")
+        return _over(self._a[i * self.cols : (i + 1) * self.cols], self._d)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} of a {self.rows}x{self.cols} matrix")
+        return _over(self._a[j :: self.cols], self._d)
 
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -752,16 +757,6 @@ class Echelon:
         return cols
 
 
-def _fraction_row(row: dict[int, int], lead: int, start: int, stop: int) -> list[Fraction]:
-    """Columns start..stop-1 of row / row[lead], one Fraction per nonzero entry."""
-    p = row[lead]
-    out = [_ZERO] * (stop - start)
-    for j, v in row.items():
-        if start <= j < stop:
-            out[j - start] = Fraction(v, p)
-    return out
-
-
 def _kernel(ech: Echelon, pivots: list[int], ncols: int) -> list[Vector]:
     """Kernel basis of the first ncols columns of a reduced echelon form: one
     vector per free column f, with 1 at f and 0 at the other free columns."""
@@ -839,7 +834,7 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | Non
         return None
     x = [_ZERO] * n
     for c in pivots:
-        x[c] = _fraction_row(ech.rows[c], c, n, n + 1)[0]
+        x[c] = Fraction(ech.rows[c].get(n, 0), ech.rows[c][c])
     return tuple(x), _kernel(ech, pivots, n)
 
 
@@ -962,7 +957,8 @@ class Subspace:
     def basis(self) -> tuple[Vector, ...]:
         """The rows of the reduced row echelon form, in pivot order."""
         ech = self._echelon
-        return tuple(tuple(_fraction_row(ech.rows[c], c, 0, self.ambient)) for c in ech.reduce())
+        m = _reduced_matrix(ech, ech.reduce(), 0, self.ambient, ech.rank)
+        return tuple(m.row(i) for i in range(m.rows))
 
     def contains(self, v: Sequence) -> bool:
         return self._echelon.contains(enumerate(vector(v)))

@@ -1,5 +1,7 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -12,14 +14,18 @@ from test_core import (
     _old_scale,
     _old_sub,
     _product_input,
+    _random_factored_poly,
     assert_pinned,
+    assert_same_read,
 )
+from uhlenbeck import bvariety
 from uhlenbeck.bvariety import (
     _require_valid,
     _stratum_image_dim,
     _triangular_stratum,
     BTriple,
     FiberProbe,
+    SupportDivisor,
     check_btriple,
     commutator_system_solvable,
     component_dimension,
@@ -52,6 +58,7 @@ from uhlenbeck.core import (
     nilpotent_jordan_type,
     rat,
     solve_linear,
+    squarefree_factorization,
 )
 from uhlenbeck.partitions import Partition, partitions
 
@@ -830,3 +837,48 @@ def test_bvariety_rejects_malformed_input_with_its_message(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_solvability_never_solves_the_system(monkeypatch):
+    # the closed form never reaches the exact solve, which the tests above use as its oracle
+    cases = list(_solver_inputs())
+    expected = [[_outcome(lambda: commutator_system_solvable(z, tau)) for tau in TAUS] for z in cases]
+
+    def refuse(z, tau):
+        raise AssertionError("commutator_system_solvable solved the system")
+
+    monkeypatch.setattr(bvariety, "solve_commutator_system", refuse)
+    assert [[_outcome(lambda: commutator_system_solvable(z, tau)) for tau in TAUS] for z in cases] == expected
+    assert commutator_system_solvable(jordan_nilpotent((3, 1)), "2/3") and not commutator_system_solvable(RatMatrix.identity(2), 1)
+    assert commutator_system_solvable(RatMatrix.identity(2), "0")
+
+
+# ---------------------------------------------------------------------------
+# the support divisor reads its factors on demand, pinned to the cached copy
+
+
+@dataclass(frozen=True)
+class _OldSupportDivisor:
+    poly: RatPoly
+
+    @cached_property
+    def factors(self) -> tuple[tuple[RatPoly, int], ...]:
+        return tuple(squarefree_factorization(self.poly)) if self.poly.degree > 0 else ()
+
+    def __str__(self):
+        if not self.factors:
+            return str(self.poly)
+        return " * ".join(f"({f})^{m}" if m > 1 else f"({f})" for f, m in self.factors)
+
+
+def test_support_divisor_factors_and_text_match_the_pinned_cached_copy():
+    rng = random.Random(9500)
+    polys = [RatPoly.zero(), RatPoly.constant(Fraction(-7, 3)), T, (T - 1) ** 3 * (T + Fraction(2, 5))]
+    polys += [_random_factored_poly(rng, "t") for _ in range(40)]
+    polys += [char_poly(jordan_triple(k, Fraction(-7, 3), Fraction(3, 5)).Y) for k in range(1, 5)]
+    for poly in polys:
+        new, old = SupportDivisor(poly), _OldSupportDivisor(poly)
+        assert_same_read(new.factors, old.factors)
+        assert str(new) == str(old)
+        assert "factors" not in vars(new)
+    assert any(new.factors for new in map(SupportDivisor, polys)) and any(not SupportDivisor(p).factors for p in polys)

@@ -1,17 +1,23 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 import pytest
 
 from conftest import rand_invertible, rand_matrix
+from uhlenbeck import core
 from uhlenbeck.bvariety import jordan_nilpotent
 from uhlenbeck.core import (
+    Echelon,
     NotNilpotentError,
     RatMatrix,
     RatPoly,
     Subspace,
+    Vector,
+    _kernel,
+    _over,
     char_poly,
     column_space,
     commutant_system,
@@ -1308,3 +1314,215 @@ def test_core_rejects_malformed_input_with_its_message(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# one stored form: the accessors, constructors and reduced-row readers pinned
+# to the code that kept a Fraction copy or read rows through _fraction_row
+# (verbatim copies, methods as functions or on a stand-in)
+
+
+class _OldReads:
+    """The cached ``entries`` and the accessors that read it, on a copy of the
+    integer form of a RatMatrix."""
+
+    def __init__(self, m: RatMatrix):
+        self.rows, self.cols, self._d, self._a = m.rows, m.cols, m._d, m._a
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        return _over(self._a, self._d)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.entries[i * self.cols + j]
+
+    def row(self, i: int) -> Vector:
+        return self.entries[i * self.cols : (i + 1) * self.cols]
+
+    def column(self, j: int) -> Vector:
+        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+
+
+def _old_from_rows(rows) -> RatMatrix:
+    r = len(rows)
+    c = len(rows[0]) if r else 0
+    if any(len(row) != c for row in rows):
+        raise ValueError("ragged rows")
+    return RatMatrix(r, c, tuple(rat(x) for row in rows for x in row))
+
+
+def _old_diagonal(diag) -> RatMatrix:
+    d = [rat(x) for x in diag]
+    n = len(d)
+    return RatMatrix(n, n, tuple(d[i] if i == j else Fraction(0) for i in range(n) for j in range(n)))
+
+
+def _old_fraction_row(row: dict[int, int], lead: int, start: int, stop: int) -> list[Fraction]:
+    p = row[lead]
+    out = [Fraction(0)] * (stop - start)
+    for j, v in row.items():
+        if start <= j < stop:
+            out[j - start] = Fraction(v, p)
+    return out
+
+
+def _old_basis(s: Subspace) -> tuple[Vector, ...]:
+    ech = s._echelon
+    return tuple(tuple(_old_fraction_row(ech.rows[c], c, 0, s.ambient)) for c in ech.reduce())
+
+
+def _old_solve_linear(m: RatMatrix, b):
+    bb = vector(b)
+    if len(bb) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    n, a = m.cols, m._a
+    ech = Echelon(itertools.chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),)) for i in range(m.rows))
+    pivots = ech.reduce()
+    if n in ech.rows:
+        return None
+    x = [Fraction(0)] * n
+    for c in pivots:
+        x[c] = _old_fraction_row(ech.rows[c], c, n, n + 1)[0]
+    return tuple(x), _kernel(ech, pivots, n)
+
+
+def assert_same_read(new, old):
+    """Equal value, repr and type, down to every entry, and equal hash."""
+    assert new == old and repr(new) == repr(old) and hash(new) == hash(old)
+    assert type(new) is type(old)
+    if isinstance(new, tuple):
+        for x, y in zip(new, old):
+            assert_same_read(x, y)
+
+
+def _mixed_entry(rng: random.Random):
+    """An int, a bool, a 'p/q' or integer string, or a Fraction with a mixed
+    or huge denominator."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-9, 9) * (rng.random() < 0.7)
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" if rng.random() < 0.7 else str(rng.randint(-(2**70), 2**70))
+    return _random_entry(rng)
+
+
+READ_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (2, 3), (3, 2), (5, 5)]
+
+
+def _read_inputs(rng: random.Random, rows: int, cols: int):
+    """Matrices of one shape: all-int, mixed entries and Fraction-only; 0 x n
+    matrices, which from_rows cannot write, come from zero and the constructor."""
+    if not rows:
+        return [RatMatrix.zero(0, cols), RatMatrix(0, cols, ())]
+    grids = [[[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]]
+    grids += [[[_mixed_entry(rng) for _ in range(cols)] for _ in range(rows)] for _ in range(4)]
+    return [RatMatrix.from_rows(g) for g in grids] + [_random_elimination_input(rng, rows, cols)]
+
+
+@pytest.mark.parametrize("shape", READ_SHAPES)
+def test_matrix_reads_match_the_pinned_cached_entries(shape):
+    rows, cols = shape
+    rng = random.Random(9100 + 10 * rows + cols)
+    for m in _read_inputs(rng, rows, cols):
+        old = _OldReads(m)
+        assert_same_read(m.entries, old.entries)
+        for i in range(rows):
+            assert_same_read(m.row(i), old.row(i))
+            for j in range(cols):
+                assert_same_read(m.entry(i, j), old.entry(i, j))
+        for j in range(cols):
+            assert_same_read(m.column(j), old.column(j))
+        assert m.row_lists() == [list(old.row(i)) for i in range(rows)]
+        # every read builds its Fractions afresh; the matrix keeps its integer form only
+        assert set(vars(m)) == {"rows", "cols", "_d", "_a"}
+
+
+@pytest.mark.parametrize("shape", READ_SHAPES)
+def test_from_rows_and_diagonal_match_the_pinned_fraction_constructors(shape):
+    rows, cols = shape
+    rng = random.Random(9200 + 10 * rows + cols)
+    for _ in range(6):
+        grid = [[_mixed_entry(rng) for _ in range(cols)] for _ in range(rows)]
+        new, old = RatMatrix.from_rows(grid), _old_from_rows(grid)
+        assert_pinned(new, old)
+        assert_same_read(new.entries, old.entries)
+        diag = grid[0] if rows else []
+        assert_pinned(RatMatrix.diagonal(diag), _old_diagonal(diag))
+        assert_same_read(RatMatrix.diagonal(diag).entries, _old_diagonal(diag).entries)
+        assert set(vars(new)) == {"rows", "cols", "_d", "_a"}
+
+
+def test_int_entries_reach_the_integer_form_without_rat(monkeypatch):
+    calls = []
+
+    def counting_rat(x):
+        calls.append(x)
+        return rat(x)
+
+    monkeypatch.setattr(core, "rat", counting_rat)
+    rng = random.Random(9300)
+    for rows, cols in READ_SHAPES:
+        if rows:
+            grid = [[rng.randint(-(2**66), 2**66) for _ in range(cols)] for _ in range(rows)]
+            assert_pinned(RatMatrix.from_rows(grid), _old_from_rows(grid))
+            assert_pinned(RatMatrix.diagonal(grid[0]), _old_diagonal(grid[0]))
+    assert calls == []  # the old copies call this module's rat, not core's
+    RatMatrix.from_rows([[1, "2/3"], [True, Fraction(1, 2)]])
+    RatMatrix.diagonal(["1/2", 3])
+    assert calls == ["2/3", True, Fraction(1, 2), "1/2"]
+    for call in (lambda: RatMatrix.from_rows([[1, 0.5]]), lambda: RatMatrix.diagonal([2, 0.5])):
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == "not an exact rational: 0.5"
+    with pytest.raises(TypeError) as exc:
+        _old_from_rows([[1, 0.5]])
+    assert str(exc.value) == "not an exact rational: 0.5"
+
+
+@pytest.mark.parametrize("shape", ELIMINATION_SHAPES)
+def test_basis_and_particular_solution_match_the_pinned_fraction_rows(shape):
+    rows, cols = shape
+    rng = random.Random(9400 + 31 * rows + cols)
+    for _ in range(8):
+        m = _random_elimination_input(rng, rows, cols)
+        space = Subspace(cols, m.row_lists())
+        assert_same_read(space.basis, _old_basis(Subspace(cols, m.row_lists())))
+        assert_same_read(space.basis, _old_basis(space))
+        for b in ([_random_entry(rng) for _ in range(rows)], m.apply([_random_entry(rng) for _ in range(cols)]), [0] * rows):
+            new, old = solve_linear(m, b), _old_solve_linear(m, b)
+            assert (new is None) == (old is None)
+            if new is not None:
+                assert_same_read(new[0], old[0])
+                assert new[1] == old[1]
+
+
+_M23 = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("m", [_M23, RatMatrix.zero(0, 3), RatMatrix.zero(3, 0)], ids=["2x3", "0x3", "3x0"])
+def test_accessors_reject_every_index_outside_the_matrix(m):
+    for i in range(-3, m.rows + 3):
+        for j in range(-3, m.cols + 3):
+            if 0 <= i < m.rows and 0 <= j < m.cols:
+                assert m.entry(i, j) == m.entries[i * m.cols + j]
+            else:
+                with pytest.raises(IndexError):
+                    m.entry(i, j)
+        if 0 <= i < m.rows:
+            assert m.row(i) == m.entries[i * m.cols : (i + 1) * m.cols]
+        else:
+            with pytest.raises(IndexError):
+                m.row(i)
+    for j in range(-3, m.cols + 3):
+        if 0 <= j < m.cols:
+            assert m.column(j) == tuple(m.entries[i * m.cols + j] for i in range(m.rows))
+        else:
+            with pytest.raises(IndexError):
+                m.column(j)
+    if m is _M23:
+        # each of these read a wrong entry or an empty row before the check
+        for call in (lambda: m.entry(0, 3), lambda: m.entry(0, -1), lambda: m.entry(-1, 0), lambda: m.row(2), lambda: m.row(-1), lambda: m.column(3)):
+            with pytest.raises(IndexError):
+                call()
