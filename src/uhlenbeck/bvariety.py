@@ -290,12 +290,22 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
     """dim of the homogeneous stabilizer system gY=Yg, gZ=Zg, gv=0.
 
     Zero means the affine system gY=Yg, gZ=Zg, gv=v has the identity as its
-    only solution, i.e. the conjugation action is free at this triple.  On
-    row-major flattened g, g -> gv is I (x) v^T.
+    only solution, i.e. the conjugation action is free at this triple.
+
+    It is 0 whenever v is cyclic for (Y, Z), and then no system is built.
+    Proof: if g commutes with Y and Z and gv = 0, then g w(Y, Z) v =
+    w(Y, Z) g v = 0 for every word w in Y and Z.  Those vectors span Q^k,
+    so g = 0.  Cyclicity is read from the triple's stored check, or, at
+    tau = 0 where ``check`` raises, from a Krylov closure.  Otherwise the
+    kernel of the k^2-column system is measured: on row-major flattened g,
+    g -> gv is I (x) v^T.
     """
-    k = triple.size
-    gv = RatMatrix.identity(k).kron(RatMatrix(1, k, triple.v))
-    return k * k - rank(RatMatrix.vstack([commutant_system([triple.Y, triple.Z]), gv]))
+    y, z, v, k = triple.Y, triple.Z, triple.v, triple.size
+    cyclic = triple.check.cyclic_ok if rat(triple.tau) else krylov_span_dim([y, z], v) == k
+    if cyclic:
+        return 0
+    gv = RatMatrix.identity(k).kron(RatMatrix(1, k, v))
+    return k * k - rank(RatMatrix.vstack([commutant_system([y, z]), gv]))
 
 
 # ---------------------------------------------------------------------------

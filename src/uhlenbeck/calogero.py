@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .core import RatMatrix, commutant_system, rank, rat
+from .core import RatMatrix, _int_matmul, commutant_system, krylov_span_dim, rank, rat
 from .partitions import partition_count
 
 
@@ -105,13 +105,32 @@ def rescale(pair: CMPair) -> CMPair:
 
 
 def joint_centralizer_dim(x: RatMatrix, y: RatMatrix) -> int:
-    """dim {g : gX = Xg and gY = Yg}, via the exact combined Sylvester system.
+    """dim {g : gX = Xg and gY = Yg}.
 
     Equals 1 exactly when the conjugation action is free at (X, Y).
+
+    When the all-ones vector u is cyclic for X, the centralizer of X is
+    Q[X] with basis I, X, ..., X^(n-1) (Frobenius).  Proof: u, Xu, ...,
+    X^(n-1) u is a basis, so gu = p(X) u for some p of degree < n.  If
+    gX = Xg, then (g - p(X)) X^j u = X^j (g - p(X)) u = 0 for every j, so
+    g = p(X); and the powers are independent, since they are on u.  The
+    joint centralizer is then the kernel of p -> [p(X), Y] on Q[X], and
+    [I, Y] = 0, so its dimension is n minus the rank of the rows
+    vec([X^i, Y]), i = 1..n-1.  Those rows are written from the integer
+    forms x and y of X and Y as x^i y - y x^i, a multiple of [X^i, Y] that
+    has the same rank.  Otherwise the kernel of the n^2-column commutant
+    system is measured.
     """
     if not (x.is_square and y.is_square and x.rows == y.rows):
         raise ValueError("X and Y must be square of equal size")
-    return x.rows**2 - rank(commutant_system([x, y]))
+    n = x.rows
+    if krylov_span_dim([x], [1] * n) < n:
+        return n * n - rank(commutant_system([x, y]))
+    xa, left, right, rows = x._a, y._a, y._a, []
+    for _ in range(1, n):
+        left, right = _int_matmul(xa, left, n, n, n), _int_matmul(right, xa, n, n, n)
+        rows += [p - q for p, q in zip(left, right)]
+    return n - rank(RatMatrix._of(max(n - 1, 0), n * n, 1, rows))
 
 
 def cm_fixed_point_count(n: int) -> int:

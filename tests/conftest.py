@@ -34,3 +34,21 @@ def rand_fraction(rng: random.Random, lo: int = -5, hi: int = 5) -> Fraction:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240811)
+
+
+@pytest.fixture
+def commutant_calls(monkeypatch) -> list:
+    """The matrix lists of every commutant_system call bvariety and calogero
+    make during the test: each call builds one k^2-column system."""
+    from uhlenbeck import bvariety, calogero
+    from uhlenbeck.core import commutant_system
+
+    calls = []
+
+    def counting(mats):
+        calls.append(mats)
+        return commutant_system(mats)
+
+    for module in (bvariety, calogero):
+        monkeypatch.setattr(module, "commutant_system", counting)
+    return calls

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import rand_invertible, rand_matrix
+from test_bvariety import _old_triple_stabilizer_dim
 from uhlenbeck.bvariety import (
     check_btriple,
     commutator_system_solvable,
@@ -25,7 +26,7 @@ from uhlenbeck.bvariety import (
     triple_stabilizer_dim,
 )
 from uhlenbeck.calogero import cm_fixed_point_count, joint_centralizer_dim, sample_cm, verify_cm
-from uhlenbeck.core import NotNilpotentError, RatPoly, nilpotent_jordan_type
+from uhlenbeck.core import NotNilpotentError, RatPoly, commutant_system, kernel_basis, nilpotent_jordan_type
 from uhlenbeck.ic import (
     ic_stalk,
     smallness_audit,
@@ -171,7 +172,9 @@ def test_c07_free_action():
         if not check_btriple(triple).ok:
             continue
         produced += 1
-        if triple_stabilizer_dim(triple) != 0:
+        # the exact route: the kernel of the k^2-column stabilizer system
+        exact = _old_triple_stabilizer_dim(triple)
+        if exact != 0 or triple_stabilizer_dim(triple) != exact:
             bad += 1
     report(7, "free-action-stabilizers", bad == 0, f"nontrivial={bad}")
 
@@ -281,7 +284,9 @@ def test_c13_calogero_moser():
         result = verify_cm(pair.X, pair.Y, Fraction(2))
         if not result.member:
             bad.append(("member", n))
-        if joint_centralizer_dim(pair.X, pair.Y) != 1:
+        # the exact route: the kernel of the n^2-column commutant system
+        exact = len(kernel_basis(commutant_system([pair.X, pair.Y])))
+        if exact != 1 or joint_centralizer_dim(pair.X, pair.Y) != exact:
             bad.append(("centralizer", n))
     for n in range(0, 11):
         if cm_fixed_point_count(n) != len(partitions(n)):

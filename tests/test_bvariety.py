@@ -466,6 +466,83 @@ def test_check_stabilizer_and_pencil_match_pinned_fraction_code():
     assert valid >= 3 * sum(len(partitions(k)) for k in range(1, 6)) + 1
 
 
+def _jordan_sum(rng: random.Random, lam: Partition, tau) -> BTriple:
+    """The direct sum of Jordan triples of block sizes lam at distinct integer eigenvalues."""
+    us = rng.sample(range(-9, 10), len(lam.parts))
+    pieces = [jordan_triple(p, Fraction(u), tau) for p, u in zip(lam.parts, us)]
+    triple = pieces[0]
+    for piece in pieces[1:]:
+        triple = direct_sum(triple, piece)
+    return triple
+
+
+def _stabilizer_fallback_triples():
+    """Triples whose v is not cyclic for (Y, Z), and triples at tau = 0, where
+    ``check`` raises; each shape also conjugated by a rational matrix."""
+    rng = random.Random(8700)
+    zero, tau = Fraction(0), Fraction(-3, 2)
+    empty = RatMatrix(0, 0, ())
+    shapes = []
+    for k in range(1, 5):
+        for lam in partitions(k):
+            triple = _jordan_sum(rng, lam, tau)
+            shapes.append(BTriple(triple.Y, triple.Z, (zero,) * k, tau))  # v = 0
+            shapes.append(BTriple(triple.Y, triple.Z, triple.v, zero))  # tau = 0, v cyclic
+            shapes.append(BTriple(triple.Y, triple.Z, (zero,) * k, zero))  # tau = 0, v = 0
+    for a, b in [((2, 1), (3, -2)), ((1, 0), (2, 5)), ((3, 4), (1, 4))]:
+        first, second = jordan_triple(a[0], Fraction(a[1]), tau), jordan_triple(b[0], Fraction(b[1]), tau)
+        both = direct_sum(first, second)
+        shapes.append(BTriple(both.Y, both.Z, first.v + (zero,) * second.size, tau))  # v inside one block
+        shapes.append(BTriple(both.Y, both.Z, (zero,) * first.size + second.v, tau))
+    for p in (1, 2, 3):
+        piece = jordan_triple(p, Fraction(2), tau)
+        shapes.append(direct_sum(piece, piece))  # two equal Jordan pieces
+    for k in range(1, 5):
+        y, z = _product_input(rng, "mixed", k, k), _product_input(rng, "integer", k, k)
+        shapes.append(BTriple(y, z, tuple(_product_input(rng, "integer", k, 1).entries), zero))
+    shapes += [BTriple(empty, empty, (), zero), BTriple(empty, empty, (), tau)]  # k = 0
+    for triple in shapes:
+        yield triple
+        k = triple.size
+        if k:
+            g = rand_invertible(rng, k, -2, 2) @ RatMatrix.diagonal([Fraction(1, rng.randint(1, 3)) for _ in range(k)])
+            yield conjugate_triple(triple, g)
+
+
+def test_stabilizer_fallbacks_match_the_exact_system(commutant_calls):
+    # the k^2-column system is built exactly when v is not cyclic, and at
+    # tau = 0 the stabilizer is measured, not refused
+    routes = {True: 0, False: 0}
+    nontrivial = 0
+    for triple in _stabilizer_fallback_triples():
+        commutant_calls.clear()
+        cyclic = krylov_span_dim([triple.Y, triple.Z], triple.v) == triple.size
+        dim = triple_stabilizer_dim(triple)
+        assert dim == _old_triple_stabilizer_dim(triple)
+        assert len(commutant_calls) == (0 if cyclic else 1)
+        routes[cyclic] += 1
+        nontrivial += dim > 0
+    assert routes[True] >= 20 and routes[False] >= 40 and nontrivial >= 40
+
+
+def test_sampled_points_build_no_commutant_system(commutant_calls):
+    # valid triples and Calogero-Moser members, drawn as the benchmark draws
+    # them, are decided without a k^2-column system
+    from uhlenbeck.calogero import joint_centralizer_dim, sample_cm
+
+    rng = random.Random(8800)
+    for k in range(1, 6):
+        for lam in partitions(k):
+            tau = Fraction(rng.choice([1, 2, -3]), rng.choice([1, 2]))
+            triple = conjugate_triple(_jordan_sum(rng, lam, tau), rand_invertible(rng, k, -2, 2))
+            assert check_btriple(triple).ok and triple_stabilizer_dim(triple) == 0
+    for n in range(0, 8):
+        for tau in (Fraction(1), Fraction(2), Fraction(-3, 2)):
+            pair = sample_cm(n, rng.sample(range(-9, 10), n), tau, [rng.randint(-3, 3) for _ in range(n)])
+            assert joint_centralizer_dim(pair.X, pair.Y) == min(n, 1)
+    assert commutant_calls == []
+
+
 # ---------------------------------------------------------------------------
 # pencils, translations and fiber probes pinned to the term-by-term sums they
 # replaced (verbatim copies)
@@ -825,6 +902,8 @@ def test_support_multiplies_under_direct_sums_of_disjoint_supports():
         (lambda: BTriple(RatMatrix.zero(2), RatMatrix.zero(3), (ONE, ONE), 1).check, "Y and Z must be square of equal size"),
         (lambda: BTriple(RatMatrix.zero(2, 3), RatMatrix.zero(2, 3), (ONE, ONE), 1).check, "Y and Z must be square of equal size"),
         (lambda: BTriple(RatMatrix.zero(2), RatMatrix.zero(2), (ONE,), 1).check, "vector length must match the matrix size"),
+        (lambda: triple_stabilizer_dim(BTriple(RatMatrix.zero(2), RatMatrix.zero(3), (ONE, ONE), 1)), "Y and Z must be square of equal size"),
+        (lambda: triple_stabilizer_dim(BTriple(RatMatrix.zero(2), RatMatrix.zero(3), (ONE, ONE), 0)), "all matrices must be square of the vector's size"),
         (lambda: jordan_triple(0, 0, 1), "k must be at least 1"),
         (lambda: jordan_triple(2, 0, 0), "tau must be nonzero"),
         (lambda: solve_Y_space(RatMatrix.zero(2, 3), 1), "Z must be square"),

@@ -22,7 +22,7 @@ from uhlenbeck.calogero import (
     sample_cm,
     verify_cm,
 )
-from uhlenbeck.core import RatMatrix, inverse, kernel_basis, rank, rat
+from uhlenbeck.core import RatMatrix, inverse, kernel_basis, krylov_span_dim, rank, rat
 from uhlenbeck.partitions import partitions
 
 
@@ -178,6 +178,53 @@ def test_verify_cm_and_centralizer_match_pinned_fraction_code():
         assert joint_centralizer_dim(x, y) == _old_joint_centralizer_dim(x, y)
         members += result.member
     assert members >= 30
+
+
+def _centralizer_route_pairs():
+    """Pairs for both routes of joint_centralizer_dim: X = 0, scalar X,
+    diag(0, 0, 1) and a nonderogatory X on which the all-ones vector is not
+    cyclic take the commutant system; n = 0 and 1, conjugated members with
+    non-diagonal X and nonderogatory X with a larger joint centralizer take Q[X]."""
+    rng = random.Random(8900)
+
+    def ys(n):
+        return [RatMatrix.zero(n), RatMatrix.identity(n), _product_input(rng, "integer", n, n), _product_input(rng, "mixed", n, n)]
+
+    for n in (0, 1):
+        for y in ys(n):
+            yield RatMatrix.zero(n), y
+    for n in (2, 3, 4):
+        for x in (RatMatrix.zero(n), RatMatrix.identity(n).scale(Fraction(-5, 3))):
+            for y in ys(n):
+                yield x, y
+    for x in (RatMatrix.diagonal([0, 0, 1]), RatMatrix.from_rows([[1, 1], [0, 2]])):
+        for y in [*ys(x.rows), x, x.power(2)]:
+            yield x, y
+    for n in range(2, 7):
+        pair = sample_cm(n, rng.sample(range(-9, 10), n), Fraction(-3, 2))
+        g = rand_invertible(rng, n, -2, 2) @ RatMatrix.diagonal([Fraction(1, rng.randint(1, 3)) for _ in range(n)])
+        x = g @ pair.X @ inverse(g)
+        yield x, g @ pair.Y @ inverse(g)
+        for y in [*ys(n), x.power(2), RatMatrix.combination([1, 2], [x, x.power(n - 1)])]:
+            yield x, y
+        yield pair.X, RatMatrix.diagonal(rng.sample(range(-9, 10), n))
+
+
+def test_centralizer_routes_match_the_exact_kernel(commutant_calls):
+    # the n^2-column system is built exactly when the all-ones vector is not
+    # cyclic for X; both routes agree with the kernel of the old system
+    routes = {True: 0, False: 0}
+    wide = 0
+    for x, y in _centralizer_route_pairs():
+        commutant_calls.clear()
+        n = x.rows
+        cyclic = krylov_span_dim([x], [1] * n) == n
+        dim = joint_centralizer_dim(x, y)
+        assert dim == _old_joint_centralizer_dim(x, y)
+        assert len(commutant_calls) == (0 if cyclic else 1)
+        routes[cyclic] += 1
+        wide += cyclic and dim > 1
+    assert routes[True] >= 30 and routes[False] >= 30 and wide >= 10
 
 
 def _old_verify_cm_matrices(x: RatMatrix, y: RatMatrix, tau) -> list[RatMatrix]:
