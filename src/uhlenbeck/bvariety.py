@@ -32,6 +32,7 @@ from .core import (
     inverse,
     kernel_basis,
     krylov_span_dim,
+    matrix_system,
     rank,
     rat,
     solve_linear,
@@ -297,14 +298,14 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
     w(Y, Z) g v = 0 for every word w in Y and Z.  Those vectors span Q^k,
     so g = 0.  Cyclicity is read from the triple's stored check, or, at
     tau = 0 where ``check`` raises, from a Krylov closure.  Otherwise the
-    kernel of the k^2-column system is measured: on row-major flattened g,
-    g -> gv is I (x) v^T.
+    kernel of the k^2-column system is measured: the commutant rows stacked
+    over the rows of g -> gv.
     """
     y, z, v, k = triple.Y, triple.Z, triple.v, triple.size
     cyclic = triple.check.cyclic_ok if rat(triple.tau) else krylov_span_dim([y, z], v) == k
     if cyclic:
         return 0
-    gv = RatMatrix.identity(k).kron(RatMatrix(1, k, v))
+    gv = matrix_system([[(1, RatMatrix.identity(k), RatMatrix(k, 1, v))]])
     return k * k - rank(RatMatrix.vstack([commutant_system([y, z]), gv]))
 
 

@@ -34,14 +34,18 @@ is the least one, equal matrices have equal forms, and ``==`` and ``hash``
 compare them.  Nothing else is kept: ``entries``, ``entry``, ``row`` and
 ``column`` build only the Fractions they return, from (d, a) on each read,
 and ``from_rows`` and ``diagonal`` clear int entries as they are.
-``+``, ``-``, ``scale``, ``commutator``, ``is_zero``, ``transpose``, ``kron``
-and ``commutant_system`` (I (x) m^T - m (x) I per m, written in one pass:
-built with ``kron`` it timed 3-6x slower) are integer operations: sums go
-over the lcm of the two denominators, and every result is divided once by
-the gcd of d and its numerators.  ``RatMatrix.combination`` owns every longer
-matrix sum: sum c_i M_i goes over one lcm and is divided once, not once per
-term.  ``@``, ``power`` and ``apply`` multiply the integer entries, skipping
-zeros; ``is_nilpotent`` is self^n = 0, by the repeated squaring of ``power``.
+``+``, ``-``, ``scale``, ``commutator``, ``is_zero`` and ``transpose`` are
+integer operations: sums go over the lcm of the two denominators, and every
+result is divided once by the gcd of d and its numerators.
+``RatMatrix.combination`` owns every longer matrix sum: sum c_i M_i goes over
+one lcm and is divided once, not once per term.  ``matrix_system`` writes
+every linear system in a matrix unknown X, sum c A X B per equation on
+row-major X: each term adds the products of the nonzero entries of A and B
+at precomputed flat offsets, over one denominator.  A block unknown is a
+vertical stack, and a block row of the identity picks out a block.
+``commutant_system`` (g -> [g, m] per m) is one such call.  ``@``, ``power``
+and ``apply`` multiply the integer entries, skipping zeros; ``is_nilpotent``
+is self^n = 0, by the repeated squaring of ``power``.
 ``char_poly`` runs Berkowitz's division-free algorithm on a and divides the
 coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).
 ``rank``, ``rref``, ``kernel_basis`` and ``Subspace.full`` (of the identity)
@@ -506,13 +510,6 @@ class RatMatrix:
         a, n = self._a, self.cols
         return RatMatrix._of(n, self.rows, self._d, [x for j in range(n) for x in a[j::n]])
 
-    def kron(self, other: "RatMatrix") -> "RatMatrix":
-        """The Kronecker product self (x) other: block (i, j) is self[i, j] other."""
-        a, p, q = self._a, self.cols, other.cols
-        rows_b = [other._a[k * q : (k + 1) * q] for k in range(other.rows)]
-        out = [x * y for i in range(self.rows) for rb in rows_b for x in a[i * p : (i + 1) * p] for y in rb]
-        return RatMatrix._of(self.rows * other.rows, p * q, self._d * other._d, out)
-
     def _same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
@@ -630,28 +627,40 @@ def _over(ints: Iterable[int], d: int) -> tuple[Fraction, ...]:
     return tuple([Fraction(x, d) if x else _ZERO for x in ints])
 
 
-def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
-    """Matrix of g -> ([g, m] for m in mats) on row-major flattened g.
+def matrix_system(equations: Sequence[Sequence[tuple]]) -> RatMatrix:
+    """Matrix of X -> (sum c A X B for each equation) on row-major flattened X:
+    the stack of sum c A (x) B^T over the equations, in order.  Each equation
+    is a list of terms (c, A, B) with A m x p and B q x r, one m x r for each
+    equation and one p x q, the shape of X, for all of them."""
+    p, q = equations[0][0][1].cols, equations[0][0][2].rows
+    width, height, terms = p * q, 0, []
+    for equation in equations:
+        m, r = equation[0][1].rows, equation[0][2].cols
+        for c, a, b in equation:
+            if (a.rows, a.cols, b.rows, b.cols) != (m, p, q, r):
+                raise ValueError(f"term {a.rows}x{a.cols} X {b.rows}x{b.cols} does not match {m}x{p} X {q}x{r}")
+            c = c if type(c) is int else rat(c)
+            if c:
+                terms.append((c.numerator, c.denominator * a._d * b._d, a, b, height, r))
+        height += m * r
+    d = lcm(*[den for _, den, *_ in terms])
+    out = [0] * (height * width)
+    for num, den, a, b, top, r in terms:
+        # A[i, s] B[t, j] lands in row top + i r + j, column s q + t
+        s = num * (d // den)
+        offsets_a = [((top + n // p * r) * width + n % p * q, s * x) for n, x in enumerate(a._a) if x]
+        offsets_b = [(n % r * width + n // r, y) for n, y in enumerate(b._a) if y]
+        for o, x in offsets_a:
+            for o2, y in offsets_b:
+                out[o + o2] += x * y
+    return RatMatrix._of(height, width, d, out)
 
-    Row (m, i, j) holds the coefficients of (gm - mg)[i, j], so the kernel is
-    the joint centralizer of mats and, with a right-hand side, the system
-    solves Sylvester equations [g, m] = c.  All mats must be k x k.
-    """
-    k = mats[0].rows
-    kk = k * k
-    d, forms = _common(mats)
-    out = [0] * (len(mats) * kk * kk)
-    r = 0
-    for a in forms:
-        for i in range(k):
-            for j in range(k):
-                for t in range(k):
-                    out[r + i * k + t] = a[t * k + j]
-                    out[r + t * k + j] = -a[i * k + t]
-                # (gm)[i, j] and (mg)[i, j] both have a g[i, j] term
-                out[r + i * k + j] = a[j * k + j] - a[i * k + i]
-                r += kk
-    return RatMatrix._of(len(mats) * kk, kk, d, out)
+
+def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
+    """Matrix of g -> ([g, m] for m in mats), all k x k: its kernel is the joint
+    centralizer of mats, and it solves the Sylvester equations [g, m] = c."""
+    eye = RatMatrix.identity(mats[0].rows)
+    return matrix_system([[(1, eye, m), (-1, m, eye)] for m in mats])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 import random
 from typing import NamedTuple
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
 
 ARROWS = ("xi", "eta", "zeta")
 
@@ -428,8 +428,10 @@ def find_destabilizer(
 def sample_relation_rep(dim: DimVector, tau, seed: int = 0) -> QuiverRep | None:
     """Random representation satisfying the relations: draw F, solve for G.
 
-    The six identities are linear in the G-block once F is fixed, so a random
-    kernel element gives a valid representation.  Returns None when the only
+    The six identities are linear in G once F is fixed, one ``matrix_system``
+    equation each in the stacked unknown X = (G_xi; G_eta; G_zeta), where
+    G_g = E_g X for E_g the g-th block row of the identity.  A random kernel
+    element gives a valid representation.  Returns None when the only
     solution is G = 0 and the zero solution is rejected by the caller.
     """
     r1, r2, r3 = dim
@@ -439,15 +441,10 @@ def sample_relation_rep(dim: DimVector, tau, seed: int = 0) -> QuiverRep | None:
         a: RatMatrix.from_rows([[rng.randint(-3, 3) for _ in range(r1)] for _ in range(r2)])
         for a in ARROWS
     }
-    # unknowns: G_xi, G_eta, G_zeta, flattened row-major in that order; G F
-    # flattens to (I (x) F^T) G, so G_g F_f is e_g (x) I (x) F_f^T on them
-    units = {a: RatMatrix.from_rows([[int(a == b) for b in ARROWS]]) for a in ARROWS}
-    blocks = {f: RatMatrix.identity(r3).kron(F[f].transpose()) for f in ARROWS}
-    rows = [
-        RatMatrix.combination([c * tau**p for *_, c, p in terms], [units[g].kron(blocks[f]) for g, f, _, _ in terms])
-        for _, terms in RELATIONS
-    ]
-    kb = kernel_basis(RatMatrix.vstack(rows)) if r1 * r3 else []
+    eye = [[int(i == j) for j in range(3 * r3)] for i in range(3 * r3)]
+    E = {a: RatMatrix.from_rows(eye[g * r3 : (g + 1) * r3]) for g, a in enumerate(ARROWS)}
+    system = matrix_system([[(c * tau**p, E[g], F[f]) for g, f, c, p in terms] for _, terms in RELATIONS])
+    kb = kernel_basis(system) if r1 * r3 else []
     if not kb:
         return None
     coeffs = [rng.randint(-3, 3) for _ in kb]

@@ -29,6 +29,7 @@ from uhlenbeck.calogero import cm_fixed_point_count, joint_centralizer_dim, samp
 from uhlenbeck.core import NotNilpotentError, RatPoly, commutant_system, kernel_basis, nilpotent_jordan_type
 from uhlenbeck.ic import (
     ic_stalk,
+    punctual_hilbert_betti,
     smallness_audit,
     strata,
     uhlenbeck_fixed_point_count,
@@ -298,3 +299,41 @@ def test_c13_calogero_moser():
         if sum(1 for p in points if p.attracting) != 1:
             bad.append(("attracting", n))
     report(13, "calogero-moser-fixed-points", not bad, str(bad[:4]))
+
+
+def _tangent_weights(arm_legs: list[tuple[int, int]], N: int) -> list[int]:
+    """Weights of the tangent space to Hilb^n(C^2) at the monomial ideal I_lam
+    under the subgroup (1, N): (l(s)+1, -a(s)) and (-l(s), a(s)+1) for each
+    box s of lam, given its arm a(s) and leg l(s)."""
+    return [w for a, l in arm_legs for w in ((l + 1) - N * a, -l + N * (a + 1))]
+
+
+def test_c14_punctual_hilbert_cells_from_torus_weights():
+    # Ellingsrud-Stromme: for N > n no weight vanishes, and the cell of I_lam
+    # in the punctual Hilbert scheme has dimension (positive weights) - (n + 1)
+    bad = []
+    for n in range(1, 31):
+        cells = {N: Counter() for N in (n + 1, 2 * n + 3, 5 * n)}
+        for lam in partitions(n):
+            conj = lam.conjugate().parts
+            arm_legs = [(row - j - 1, conj[j] - i - 1) for i, row in enumerate(lam.parts) for j in range(row)]
+            for N, counts in cells.items():
+                weights = _tangent_weights(arm_legs, N)
+                if 0 in weights:
+                    bad.append(("zero-weight", n, N, lam.parts))
+                counts[sum(w > 0 for w in weights) - (n + 1)] += 1
+        # the largest cell is the fiber bound n - 1 that C03 reads over the
+        # stratum (0, (n)); the audit walks every stratum, so up to C03's n = 12
+        if n <= 12:
+            deepest = [r for r in smallness_audit(n) if r.stratum.m == 0 and r.stratum.lam.parts == (n,)]
+            if [r.fiber_bound for r in deepest] != [n - 1]:
+                bad.append(("fiber-bound", n))
+        betti = punctual_hilbert_betti(n)
+        for N, counts in cells.items():
+            if sorted(counts) != list(range(n)) or [counts[d] for d in range(n)] != betti:
+                bad.append(("betti", n, N))
+            if sum(counts.values()) != partition_count(n):
+                bad.append(("cell-count", n, N))
+            if max(counts) != n - 1:
+                bad.append(("largest-cell", n, N, max(counts)))
+    report(14, "punctual-hilbert-cells", not bad, str(bad[:4]))

@@ -68,6 +68,34 @@ def test_sampler_diagonal_freedom():
         assert verify_cm(pair.X, pair.Y, tau).member
 
 
+def test_sampler_and_rescale_trust_the_rank_one_proof(monkeypatch):
+    # [X, Y] + tau I = tau J, so sample_cm verifies nothing and rescale
+    # verifies only its input
+    from uhlenbeck import calogero
+
+    calls = []
+
+    def counting(x, y, tau):
+        calls.append(tau)
+        return verify_cm(x, y, tau)
+
+    monkeypatch.setattr(calogero, "verify_cm", counting)
+    rng = random.Random(503)
+    for n in range(9):
+        for tau in (Fraction(1), Fraction(2), Fraction(-3, 2)):
+            diagonal = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            pair = sample_cm(n, rng.sample(range(-9, 10), n), tau, diagonal)
+            assert calls == []
+            result = verify_cm(pair.X, pair.Y, tau)
+            assert result.member and "minus" in result.signs and pair.sign == "minus"
+            if n >= 3:  # [X, Y] - tau I = tau (J - 2I) has rank n
+                assert result.signs == ("minus",) and result.rank_minus == 1
+            unit = rescale(pair)
+            assert calls == [tau]
+            calls.clear()
+            assert verify_cm(unit.X, unit.Y, 1).signs == result.signs
+
+
 def test_conjugation_invariance():
     rng = random.Random(502)
     tau = Fraction(3, 2)

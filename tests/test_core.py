@@ -16,6 +16,7 @@ from uhlenbeck.core import (
     RatPoly,
     Subspace,
     Vector,
+    _common,
     _kernel,
     _over,
     char_poly,
@@ -27,6 +28,7 @@ from uhlenbeck.core import (
     kernel_basis,
     kernel_space,
     krylov_span_dim,
+    matrix_system,
     nilpotent_jordan_type,
     poly_gcd,
     rank,
@@ -37,6 +39,7 @@ from uhlenbeck.core import (
     vector,
 )
 from uhlenbeck.partitions import Partition, partitions
+from uhlenbeck.quiver import ARROWS, RELATIONS
 
 
 def shift_matrix(k: int) -> RatMatrix:
@@ -925,6 +928,24 @@ def _old_commutant_system(mats) -> RatMatrix:
     return RatMatrix(len(mats) * kk, kk, tuple(entries))
 
 
+def _single_pass_commutant_system(mats) -> RatMatrix:
+    k = mats[0].rows
+    kk = k * k
+    d, forms = _common(mats)
+    out = [0] * (len(mats) * kk * kk)
+    r = 0
+    for a in forms:
+        for i in range(k):
+            for j in range(k):
+                for t in range(k):
+                    out[r + i * k + t] = a[t * k + j]
+                    out[r + t * k + j] = -a[i * k + t]
+                # (gm)[i, j] and (mg)[i, j] both have a g[i, j] term
+                out[r + i * k + j] = a[j * k + j] - a[i * k + i]
+                r += kk
+    return RatMatrix._of(len(mats) * kk, kk, d, out)
+
+
 def _old_poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     while not b.is_zero:
         a, b = b, a % b
@@ -1213,6 +1234,14 @@ def assert_same_subspace(new: Subspace, old: Subspace):
 KRON_SHAPES = [(0, 0), (0, 2), (3, 0), (1, 1), (2, 3), (3, 1), (1, 4), (2, 2)]
 
 
+def _kron(self, other: "RatMatrix") -> "RatMatrix":
+    """The Kronecker product self (x) other: block (i, j) is self[i, j] other."""
+    a, p, q = self._a, self.cols, other.cols
+    rows_b = [other._a[k * q : (k + 1) * q] for k in range(other.rows)]
+    out = [x * y for i in range(self.rows) for rb in rows_b for x in a[i * p : (i + 1) * p] for y in rb]
+    return RatMatrix._of(self.rows * other.rows, p * q, self._d * other._d, out)
+
+
 def test_transpose_and_kron_match_their_entrywise_definitions():
     rng = random.Random(8900)
     for rows, cols in KRON_SHAPES:
@@ -1225,12 +1254,12 @@ def test_transpose_and_kron_match_their_entrywise_definitions():
         for kind_a, kind_b in itertools.product(PRODUCT_KINDS[2:], repeat=2):
             a, b = _product_input(rng, kind_a, r1, c1), _product_input(rng, kind_b, r2, c2)
             entries = [a.entry(i, j) * b.entry(k, l) for i in range(r1) for k in range(r2) for j in range(c1) for l in range(c2)]
-            product = a.kron(b)
+            product = _kron(a, b)
             assert (product.rows, product.cols) == (r1 * r2, c1 * c2)
             assert_pinned(product, RatMatrix(r1 * r2, c1 * c2, tuple(entries)))
-            assert_pinned(product.transpose(), a.transpose().kron(b.transpose()))
+            assert_pinned(product.transpose(), _kron(a.transpose(), b.transpose()))
     # the denominators of a kron can cancel against the numerators
-    assert_pinned(RatMatrix.from_rows([[Fraction(2, 3)]]).kron(RatMatrix.from_rows([[Fraction(3, 2)]])), RatMatrix.identity(1))
+    assert_pinned(_kron(RatMatrix.from_rows([[Fraction(2, 3)]]), RatMatrix.from_rows([[Fraction(3, 2)]])), RatMatrix.identity(1))
 
 
 def test_from_columns_full_and_column_space_match_pinned_code():
@@ -1252,15 +1281,66 @@ def test_from_columns_full_and_column_space_match_pinned_code():
 
 
 def test_commutant_system_is_a_stack_of_kronecker_sums():
-    # the single-pass writer stays: built with kron it was several times slower
     rng = random.Random(8920)
     for k in range(7):
         eye = RatMatrix.identity(k)
         for kind_a, kind_b in itertools.product(PRODUCT_KINDS, repeat=2):
             a, b = _product_input(rng, kind_a, k, k), _product_input(rng, kind_b, k, k)
             for mats in ([a], [a, b], [b, a, b]):
-                expected = RatMatrix.vstack([eye.kron(m.transpose()) - m.kron(eye) for m in mats])
+                expected = RatMatrix.vstack([_kron(eye, m.transpose()) - _kron(m, eye) for m in mats])
                 assert_pinned(commutant_system(mats), expected)
+                assert_pinned(commutant_system(mats), _single_pass_commutant_system(mats))
+
+
+def _system_oracle(equations) -> RatMatrix:
+    """The stack of sum c (A (x) B^T) over the equations, summed entry by entry
+    in Fractions."""
+    blocks = []
+    for equation in equations:
+        terms = [(rat(c), _kron(a, b.transpose())) for c, a, b in equation]
+        rows, cols = terms[0][1].rows, terms[0][1].cols
+        entries = [sum((c * m.entries[n] for c, m in terms), Fraction(0)) for n in range(rows * cols)]
+        blocks.append(RatMatrix(rows, cols, tuple(entries)))
+    return RatMatrix.vstack(blocks)
+
+
+def _check_system(equations):
+    system = matrix_system(equations)
+    assert_pinned(system, _system_oracle(equations))
+    return system
+
+
+def test_matrix_system_matches_the_kronecker_sum_entrywise():
+    rng = random.Random(8925)
+    coeffs = [1, -1, 0, Fraction(3, 7), Fraction(-(2**66) - 1, 5)]
+    for (m, p), (q, r) in itertools.product(KRON_SHAPES, repeat=2):
+        for kind_a, kind_b in itertools.product(PRODUCT_KINDS, repeat=2):
+            a, b = _product_input(rng, kind_a, m, p), _product_input(rng, kind_b, q, r)
+            a2, b2 = _product_input(rng, kind_b, m, p), _product_input(rng, kind_a, q, r)
+            c, c2 = rng.choice(coeffs), rng.choice(coeffs)
+            system = _check_system([[(c, a, b)]])
+            assert (system.rows, system.cols) == (m * r, p * q)
+            _check_system([[(c, a, b), (c2, a2, b2)]])
+            # a zero coefficient writes nothing, and a term can cancel another
+            _check_system([[(0, a, b)]])
+            _check_system([[(c, a, b), (0, a2, b2), (-c, a, b)]])
+            # equations of different output shapes, stacked in order: the
+            # second is m x q, the third p x r
+            eye_p, eye_q = RatMatrix.identity(p), RatMatrix.identity(q)
+            _check_system([[(c, a, b)], [(c2, a2, eye_q), (1, a, eye_q)], [(c, eye_p, b2)]])
+
+
+def test_matrix_system_writes_the_relation_system_at_tau_zero():
+    # the unknown stacks G_xi, G_eta, G_zeta; E_g picks out G_g
+    rng = random.Random(8930)
+    for r1, r2, r3 in [(1, 2, 1), (1, 3, 1), (2, 5, 2), (3, 2, 1)]:
+        for tau in (Fraction(0), Fraction(3, 7)):
+            F = {a: rand_matrix(rng, r2, r1, -3, 3) for a in ARROWS}
+            eye = [[int(i == j) for j in range(3 * r3)] for i in range(3 * r3)]
+            E = {a: RatMatrix.from_rows(eye[g * r3 : (g + 1) * r3]) for g, a in enumerate(ARROWS)}
+            equations = [[(c * tau**p, E[g], F[f]) for g, f, c, p in terms] for _, terms in RELATIONS]
+            system = _check_system(equations)
+            assert (system.rows, system.cols) == (6 * r3 * r1, 3 * r3 * r2)
 
 
 def test_is_nilpotent_matches_the_pinned_power_test_and_the_jordan_type():
@@ -1302,6 +1382,8 @@ _A = RatMatrix.from_rows([[1, 2], [3, 4]])
         (lambda: RatMatrix.zero(2, 3).power(2), "power of a non-square matrix"),
         (lambda: _A.power(-1), "negative power"),
         (lambda: RatMatrix.vstack([_A, RatMatrix.zero(1, 3)]), "column mismatch in vstack"),
+        (lambda: matrix_system([[(1, _A, _A), (1, _A, RatMatrix.zero(2, 3))]]), "term 2x2 X 2x3 does not match 2x2 X 2x2"),
+        (lambda: matrix_system([[(1, _A, _A)], [(1, RatMatrix.zero(2, 3), _A)]]), "term 2x3 X 2x2 does not match 2x2 X 2x2"),
         (lambda: solve_linear(_A, [1, 2, 3]), "right-hand side length mismatch"),
         (lambda: inverse(RatMatrix.zero(2, 3)), "inverse of a non-square matrix"),
         (lambda: nilpotent_jordan_type(RatMatrix.zero(3, 2)), "Jordan type of a non-square matrix"),
