@@ -3,12 +3,13 @@
 Scalars are :class:`fractions.Fraction`; there are no floats anywhere, so
 every rank, kernel and characteristic polynomial below is exact.
 
-All elimination goes through one kernel, :class:`Echelon`.  Each input row
-is scaled once to coprime integers and stored sparse, as {column: int}.
-Rows are reduced one at a time against pivots keyed by their lead column:
-an update cross-multiplies by the two lead entries and divides out the gcd
-of the result, touching only nonzero entries, so elimination does no
-Fraction arithmetic.  ``rank`` reads the pivot count off this forward pass.
+All elimination goes through one type, :class:`Subspace`: a span is its
+row echelon form over the integers.  Each input row is scaled once to
+coprime integers and stored sparse, as {column: int}.  Rows are reduced one
+at a time against pivots keyed by their lead column: an update
+cross-multiplies by the two lead entries and divides out the gcd of the
+result, touching only nonzero entries, so elimination does no Fraction
+arithmetic.  ``rank`` reads the pivot count off this forward pass.
 ``rref``, ``kernel_basis``, ``solve_linear``, ``inverse`` and
 ``Subspace.basis`` also back-substitute on the integer rows.  A kernel
 vector holds one Fraction per nonzero entry and a solution one per pivot,
@@ -23,7 +24,7 @@ the pivot recovers that row exactly.  Hence ``rref``, every kernel basis
 and every ``Subspace.basis`` are canonical.
 
 Each value is stored in one form and the rest is derived when read.  A
-Subspace is its ambient dimension and the Echelon of a spanning set:
+Subspace is its ambient dimension and the echelon rows of a spanning set:
 ``dim`` is the rank; ``sum``, ``intersect``, ``image_under`` and
 ``contains`` work on the integer rows; ``basis``, ``==`` and ``hash``
 reduce the echelon in place, and ``==`` and ``hash`` compare its rows,
@@ -49,7 +50,7 @@ is self^n = 0, by the repeated squaring of ``power``.
 ``char_poly`` runs Berkowitz's division-free algorithm on a and divides the
 coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).
 ``rank``, ``rref``, ``kernel_basis`` and ``Subspace.full`` (of the identity)
-feed the integer rows of a straight into an ``Echelon``, as
+feed the integer rows of a straight into a scratch ``Subspace``, as
 ``Subspace.image_under`` (a ``column_space`` is the image of the full space),
 ``Subspace.intersect``, ``krylov_span_dim`` and ``nilpotent_jordan_type``
 feed integer products: scaling a row changes neither the span nor the rank.
@@ -698,75 +699,7 @@ def _cancel(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
     return _primitive(out)
 
 
-class Echelon:
-    """Row echelon form over the integers, grown one row at a time.
-
-    Each row is stored sparse, as {column: int} with coprime entries, under
-    its lead (smallest) column.  Rows are never changed in place, so copies
-    may share them.  Rows enter as (column, rational) pairs and are scaled to
-    integers once; from then on elimination is fraction-free (see
-    ``_cancel``).  The pivot count is the rank of everything added.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[tuple[int, Fraction]]] = ()):
-        self.rows: dict[int, dict[int, int]] = {}
-        for entries in rows:
-            self.add(entries)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def copy(self) -> "Echelon":
-        out = Echelon()
-        out.rows = dict(self.rows)
-        return out
-
-    def _remainder(self, row: dict[int, int]) -> dict[int, int]:
-        rows = self.rows
-        while row:
-            lead = min(row)
-            piv = rows.get(lead)
-            if piv is None:
-                break
-            row = _cancel(row, piv, lead)
-        return row
-
-    def _insert(self, row: dict[int, int]) -> bool:
-        row = self._remainder(row)
-        if row:
-            self.rows[min(row)] = row
-        return bool(row)
-
-    def add(self, entries: Iterable[tuple[int, Fraction]]) -> bool:
-        """Add a row given as (column, rational) pairs; True if the rank grew."""
-        return self._insert(_integer_row(entries))
-
-    def contains(self, entries: Iterable[tuple[int, Fraction]]) -> bool:
-        """Whether the row lies in the span of the rows added so far."""
-        return not self._remainder(_integer_row(entries))
-
-    def reduce(self) -> list[int]:
-        """Back-substitute to reduced form; returns the pivot columns in order.
-
-        Afterwards each row is zero in every pivot column but its own, so
-        row / row[lead] is the matching row of the reduced echelon form.
-        Rows are reduced from the right, so each one is cancelled only
-        against rows that are already reduced.
-        """
-        rows = self.rows
-        cols = sorted(rows)
-        for c in reversed(cols):
-            row = rows[c]
-            for j in [j for j in row if j != c and j in rows]:
-                row = _cancel(row, rows[j], j)
-            rows[c] = row
-        return cols
-
-
-def _kernel(ech: Echelon, pivots: list[int], ncols: int) -> list[Vector]:
+def _kernel(ech: Subspace, pivots: list[int], ncols: int) -> list[Vector]:
     """Kernel basis of the first ncols columns of a reduced echelon form: one
     vector per free column f, with 1 at f and 0 at the other free columns."""
     vecs = {f: [_ZERO] * ncols for f in range(ncols) if f not in ech.rows}
@@ -781,11 +714,11 @@ def _kernel(ech: Echelon, pivots: list[int], ncols: int) -> list[Vector]:
     return [tuple(v) for v in vecs.values()]
 
 
-def _row_echelon(a: Sequence[int], rows: int, cols: int) -> Echelon:
-    """Echelon of the rows of a row-major integer matrix, such as the integer
+def _row_space(a: Sequence[int], rows: int, cols: int) -> Subspace:
+    """Span of the rows of a row-major integer matrix, such as the integer
     form of a RatMatrix: each row goes in over its content, which is the
-    integer row ``Echelon.add`` makes of any positive multiple of it."""
-    ech = Echelon()
+    integer row ``Subspace.add`` makes of any positive multiple of it."""
+    ech = Subspace._empty(cols)
     for i in range(rows):
         row = {j: x for j, x in enumerate(a[i * cols : (i + 1) * cols]) if x}
         if row:
@@ -793,7 +726,7 @@ def _row_echelon(a: Sequence[int], rows: int, cols: int) -> Echelon:
     return ech
 
 
-def _reduced_matrix(ech: Echelon, pivots: list[int], start: int, stop: int, rows: int) -> RatMatrix:
+def _reduced_matrix(ech: Subspace, pivots: list[int], start: int, stop: int, rows: int) -> RatMatrix:
     """The rows x (stop - start) matrix whose i-th row is columns start..stop-1
     of row / row[lead] for the i-th pivot row, then zero rows; written in
     integer form over d, the lcm of the pivot entries."""
@@ -812,18 +745,18 @@ def _reduced_matrix(ech: Echelon, pivots: list[int], start: int, stop: int, rows
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
     if not m.rows:
         return m, ()
-    ech = _row_echelon(m._a, m.rows, m.cols)
+    ech = _row_space(m._a, m.rows, m.cols)
     pivots = ech.reduce()
     return _reduced_matrix(ech, pivots, 0, m.cols, m.rows), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    return _row_echelon(m._a, m.rows, m.cols).rank
+    return _row_space(m._a, m.rows, m.cols).dim
 
 
 def kernel_basis(m: RatMatrix) -> list[Vector]:
     """Deterministic basis of the right kernel {v : m v = 0}."""
-    ech = _row_echelon(m._a, m.rows, m.cols)
+    ech = _row_space(m._a, m.rows, m.cols)
     return _kernel(ech, ech.reduce(), m.cols)
 
 
@@ -837,7 +770,9 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | Non
     if len(bb) != m.rows:
         raise ValueError("right-hand side length mismatch")
     n, a = m.cols, m._a
-    ech = Echelon(chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),)) for i in range(m.rows))
+    ech = Subspace._empty(n + 1)
+    for i in range(m.rows):
+        ech.add(chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),)))
     pivots = ech.reduce()
     if n in ech.rows:
         return None
@@ -851,7 +786,9 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n, a = m.rows, m._a
-    ech = Echelon(chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)) for i in range(n))
+    ech = Subspace._empty(2 * n)
+    for i in range(n):
+        ech.add(chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)))
     pivots = ech.reduce()
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -913,11 +850,11 @@ def nilpotent_jordan_type(z: RatMatrix) -> Partition:
     ranks = [k]
     power = a
     while True:
-        ech = _row_echelon(power, k, k)
-        if ech.rank == ranks[-1]:
+        r = _row_space(power, k, k).dim
+        if r == ranks[-1]:
             raise NotNilpotentError("matrix is not nilpotent")
-        ranks.append(ech.rank)
-        if not ech.rank:
+        ranks.append(r)
+        if not r:
             break
         power = _int_matmul(power, a, k, k, k)
     conj = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
@@ -929,11 +866,16 @@ def nilpotent_jordan_type(z: RatMatrix) -> Partition:
 
 
 class Subspace:
-    """A subspace of Q^n, stored only as the integer echelon of a spanning
-    set; ``basis``, ``==`` and ``hash`` read the canonical reduced form off it
-    (``==`` and ``hash`` in its integer rows)."""
+    """A subspace of Q^n, stored only as the integer row echelon form of a
+    spanning set: ``rows`` maps each lead (smallest) column to its row, sparse,
+    as {column: int} with coprime entries.  Rows enter as (column, rational)
+    pairs, are scaled to integers once and then eliminated fraction-free (see
+    ``_cancel``); they are never changed in place, so copies may share them.
+    ``basis``, ``==`` and ``hash`` read the canonical reduced form off them.
+    ``add`` grows the space in place: add nothing to a space a set or dict holds.
+    """
 
-    __slots__ = ("ambient", "_echelon")
+    __slots__ = ("ambient", "rows")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
         rows = [vector(v) for v in vectors]
@@ -941,13 +883,15 @@ class Subspace:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
         self.ambient = ambient
-        self._echelon = Echelon(enumerate(v) for v in rows)
+        self.rows: dict[int, dict[int, int]] = {}
+        for v in rows:
+            self.add(enumerate(v))
 
     @classmethod
-    def _spanned(cls, ambient: int, ech: Echelon) -> "Subspace":
+    def _empty(cls, ambient: int) -> "Subspace":
         out = cls.__new__(cls)
         out.ambient = ambient
-        out._echelon = ech
+        out.rows = {}
         return out
 
     @classmethod
@@ -956,32 +900,74 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls._spanned(ambient, _row_echelon(RatMatrix.identity(ambient)._a, ambient, ambient))
+        return _row_space(RatMatrix.identity(ambient)._a, ambient, ambient)
 
     @property
     def dim(self) -> int:
-        return self._echelon.rank
+        return len(self.rows)
+
+    def copy(self) -> "Subspace":
+        out = Subspace._empty(self.ambient)
+        out.rows = dict(self.rows)
+        return out
+
+    def _remainder(self, row: dict[int, int]) -> dict[int, int]:
+        rows = self.rows
+        while row:
+            lead = min(row)
+            piv = rows.get(lead)
+            if piv is None:
+                break
+            row = _cancel(row, piv, lead)
+        return row
+
+    def _insert(self, row: dict[int, int]) -> bool:
+        row = self._remainder(row)
+        if row:
+            self.rows[min(row)] = row
+        return bool(row)
+
+    def add(self, entries: Iterable[tuple[int, Fraction]]) -> bool:
+        """Add the vector given as (column, rational) pairs, columns below the
+        ambient dimension; True if ``dim`` grew."""
+        return self._insert(_integer_row(entries))
+
+    def reduce(self) -> list[int]:
+        """Back-substitute to reduced form; returns the pivot columns in order.
+
+        Afterwards each row is zero in every pivot column but its own, so
+        row / row[lead] is the matching row of the reduced echelon form.
+        Rows are reduced from the right, so each one is cancelled only
+        against rows that are already reduced.
+        """
+        rows = self.rows
+        cols = sorted(rows)
+        for c in reversed(cols):
+            row = rows[c]
+            for j in [j for j in row if j != c and j in rows]:
+                row = _cancel(row, rows[j], j)
+            rows[c] = row
+        return cols
 
     @property
     def basis(self) -> tuple[Vector, ...]:
         """The rows of the reduced row echelon form, in pivot order."""
-        ech = self._echelon
-        m = _reduced_matrix(ech, ech.reduce(), 0, self.ambient, ech.rank)
+        m = _reduced_matrix(self, self.reduce(), 0, self.ambient, self.dim)
         return tuple(m.row(i) for i in range(m.rows))
 
     def contains(self, v: Sequence) -> bool:
-        return self._echelon.contains(enumerate(vector(v)))
+        return not self._remainder(_integer_row(enumerate(vector(v))))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(not self._echelon._remainder(row) for row in other._echelon.rows.values())
+        return all(not self._remainder(row) for row in other.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        ech = self._echelon.copy()
-        for row in other._echelon.rows.values():
-            ech._insert(row)
-        return Subspace._spanned(self.ambient, ech)
+        out = self.copy()
+        for row in other.rows.values():
+            out._insert(row)
+        return out
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: the rows (u | u) and (w | 0) span a space whose members
@@ -990,43 +976,45 @@ class Subspace:
         n = self.ambient
         if n != other.ambient:
             raise ValueError("ambient mismatch")
-        ech = Echelon()
-        for row in self._echelon.rows.values():
-            ech._insert({**row, **{n + j: v for j, v in row.items()}})
-        for row in other._echelon.rows.values():
-            ech._insert(row)
-        meet = Echelon()
-        for c, row in ech.rows.items():
+        both = Subspace._empty(2 * n)
+        for row in self.rows.values():
+            both._insert({**row, **{n + j: v for j, v in row.items()}})
+        for row in other.rows.values():
+            both._insert(row)
+        meet = Subspace._empty(n)
+        for c, row in both.rows.items():
             if c >= n:
                 meet.rows[c - n] = {j - n: v for j, v in row.items()}
-        return Subspace._spanned(n, meet)
+        return meet
 
     def image_under(self, *maps: RatMatrix) -> "Subspace":
         """Span of {m v : v in this subspace, m in maps}, by one elimination.
 
-        The maps must all act on this ambient space and share a row count,
-        which is the ambient dimension of the result.  With several maps this
-        is the sum of the single-map images, without building them.  The
-        integer rows of this subspace's echelon are multiplied by the integer
-        forms of the maps: each is a nonzero multiple of m v for a basis
-        vector v, so the span is the same.
+        The maps, at least one, must all act on this ambient space and share
+        a row count, which is the ambient dimension of the result.  With
+        several maps this is the sum of the single-map images, without
+        building them.  The integer rows of this subspace are multiplied by
+        the integer forms of the maps: each is a nonzero multiple of m v for
+        a basis vector v, so the span is the same.
         """
+        if not maps:
+            raise ValueError("image_under needs at least one map")
         rows = maps[0].rows
         if any(m.cols != self.ambient or m.rows != rows for m in maps):
             raise ValueError("maps must act on this ambient space and share a row count")
-        ech = Echelon()
+        out = Subspace._empty(rows)
         for m in maps:
-            for row in self._echelon.rows.values():
-                ech._insert(_primitive(m._times(row)))
-        return Subspace._spanned(rows, ech)
+            for row in self.rows.values():
+                out._insert(_primitive(m._times(row)))
+        return out
 
     def _key(self) -> tuple:
         """The reduced integer rows in pivot order, each with a positive lead: each
         is primitive and a multiple of its row of ``basis``, so as canonical."""
-        rows = self._echelon.rows
+        rows = self.rows
         return tuple(
             tuple(sorted(rows[c].items() if rows[c][c] > 0 else [(j, -v) for j, v in rows[c].items()]))
-            for c in self._echelon.reduce()
+            for c in self.reduce()
         )
 
     def __eq__(self, other):
@@ -1054,10 +1042,10 @@ def krylov_span_dim(mats: Sequence[RatMatrix], v: Sequence) -> int:
     for m in mats:
         if not m.is_square or m.rows != k:
             raise ValueError("all matrices must be square of the vector's size")
-    span = Echelon()
+    span = Subspace._empty(k)
     queue = [_integer_row(enumerate(w))]
-    while queue and span.rank < k:
+    while queue and span.dim < k:
         u = queue.pop()
         if span._insert(u):
             queue.extend(_primitive(m._times(u)) for m in mats)
-    return span.rank
+    return span.dim

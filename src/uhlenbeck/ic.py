@@ -71,15 +71,14 @@ class GradedStalk:
 
 @lru_cache(maxsize=None)
 def _length_counts(k: int) -> tuple[int, ...]:
-    """Coefficients of sum over mu |- k of q^{2 l(mu)}, by explicit enumeration."""
+    """Coefficients of sum over mu |- k of q^{2 l(mu)}: P(k, l) at q^{2l}."""
     coeffs = [0] * (2 * k + 1)
-    for mu in partitions(k):
-        coeffs[2 * mu.length] += 1
+    coeffs[::2] = [partition_count_by_length(k, l) for l in range(k + 1)]
     return tuple(coeffs)
 
 
 def length_counting_poly(k: int) -> RatPoly:
-    """sum over partitions mu of k of q^{2 l(mu)}, by explicit enumeration."""
+    """sum over partitions mu of k of q^{2 l(mu)}, from the counts by length."""
     return RatPoly(_length_counts(k), var="q")
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import Echelon, RatMatrix, RatPoly, Vector, kernel_basis, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, kernel_basis, rat
 
 GENERATORS = ("x", "y", "z")
 
@@ -210,11 +210,11 @@ def graded_dim_computed(degree: int, tau) -> int:
     if degree == 0:
         return 1
     index = {m: j for j, m in enumerate(normal_monomials(degree))}
-    span = Echelon()
+    span = Subspace(len(index))
     for m in normal_monomials(degree - 1):
         for g in GENERATORS:
             span.add((index[m2], c * t**k) for m2, c, k in NCElement.times(m, g))
-    return span.rank
+    return span.dim
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +279,10 @@ def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
     index = {w: j for j, w in enumerate(DUAL_BASIS)}
     dims = []
     for degree in range(max_degree + 1):
-        span = Echelon()
+        span = Subspace(len(index))
         for letters in product(DUAL_GENERATORS, repeat=degree):
             span.add((index[w], v) for w, v in dual_word(letters).coefficients_at(t).items())
-        dims.append(span.rank)
+        dims.append(span.dim)
     return tuple(dims)
 
 

@@ -2,9 +2,9 @@
 
 Partitions index nilpotent conjugacy classes, torus fixed points and the
 summands of intersection cohomology stalks, so the rest of the package leans
-on this module heavily.  Enumeration and counting are implemented by two
-independent routes (explicit recursion vs. dynamic programming) so they can
-cross-check each other in tests.
+on this module heavily.  Enumeration (explicit recursion) lists partitions,
+and one table, the counts of the partitions of n by length, answers every
+count without listing any, so the two routes cross-check each other in tests.
 """
 
 from __future__ import annotations
@@ -76,19 +76,11 @@ def partitions(n: int) -> list[Partition]:
     return out
 
 
-@lru_cache(maxsize=None)
 def partition_count(n: int) -> int:
-    """p(n), computed bottom-up by the bounded-part recurrence (no enumeration).
-
-    After pass k, ``table[r]`` counts the partitions of r into parts <= k.
-    """
+    """p(n), the sum of the counts by length (no enumeration)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table = [1] + [0] * n
-    for k in range(1, n + 1):
-        for r in range(k, n + 1):
-            table[r] += table[r - k]
-    return table[n]
+    return sum(_counts_by_length(n))
 
 
 @lru_cache(maxsize=None)

@@ -285,16 +285,16 @@ def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
     """Grow base to the target dimension using vectors of `inside` first.
 
     The basis vectors of `inside` are tried in order, each through its reduced
-    integer echelon row (a nonzero multiple of it), on one copy of base's echelon.
+    integer echelon row (a nonzero multiple of it), on one copy of base.
     """
-    ech, rows = base._echelon.copy(), inside._echelon.rows
-    for c in inside._echelon.reduce():
-        if ech.rank >= target:
+    out, rows = base.copy(), inside.rows
+    for c in inside.reduce():
+        if out.dim >= target:
             break
-        ech._insert(rows[c])
-    if ech.rank < target:
+        out.add(rows[c].items())
+    if out.dim < target:
         raise ValueError("cannot extend to requested dimension")
-    return Subspace._spanned(base.ambient, ech)
+    return out
 
 
 def _lex_slopes(rep: QuiverRep, theta: Polarization, tiebreak: Polarization | None):

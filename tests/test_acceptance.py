@@ -43,7 +43,7 @@ from uhlenbeck.ncalgebra import (
     graded_dim_computed,
     relation_kernel,
 )
-from uhlenbeck.partitions import Partition, partition_count, partition_count_by_length, partitions
+from uhlenbeck.partitions import Partition, partition_count, partitions
 from uhlenbeck.quiver import (
     alpha,
     check_relations,
@@ -85,12 +85,16 @@ def test_c01_ic_stalk_brute_force():
 
 
 def test_c02_stalk_betti_bridge():
+    # the deepest stalk's q^{2k} coefficient against the cells of dimension
+    # k - 1 of the punctual Hilbert scheme, counted from torus weights (C14)
     bad = []
     for n in range(1, 31):
         stalk = ic_stalk(n, 0, Partition((n,)))
+        cells, zero = _punctual_cells(n, (n + 1,))
         for k in range(1, n + 1):
-            if stalk.coefficient(2 * k) != partition_count_by_length(n, k):
+            if stalk.coefficient(2 * k) != cells[n + 1][k - 1]:
                 bad.append((n, k))
+        bad += zero
     report(2, "stalk-betti-bridge", not bad, str(bad[:4]))
 
 
@@ -308,20 +312,31 @@ def _tangent_weights(arm_legs: list[tuple[int, int]], N: int) -> list[int]:
     return [w for a, l in arm_legs for w in ((l + 1) - N * a, -l + N * (a + 1))]
 
 
+def _punctual_cells(n: int, Ns: tuple[int, ...]) -> tuple[dict[int, Counter], list[tuple]]:
+    """For each N in Ns, the cells of Hilb^n_0(C^2) counted by dimension, one
+    per monomial ideal I_lam, under the subgroup (1, N); and each
+    ("zero-weight", n, N, lam) where a tangent weight vanishes.
+
+    Ellingsrud-Stromme: for N > n no weight vanishes, and the cell of I_lam
+    in the punctual Hilbert scheme has dimension (positive weights) - (n + 1).
+    """
+    cells, zero = {N: Counter() for N in Ns}, []
+    for lam in partitions(n):
+        conj = lam.conjugate().parts
+        arm_legs = [(row - j - 1, conj[j] - i - 1) for i, row in enumerate(lam.parts) for j in range(row)]
+        for N, counts in cells.items():
+            weights = _tangent_weights(arm_legs, N)
+            if 0 in weights:
+                zero.append(("zero-weight", n, N, lam.parts))
+            counts[sum(w > 0 for w in weights) - (n + 1)] += 1
+    return cells, zero
+
+
 def test_c14_punctual_hilbert_cells_from_torus_weights():
-    # Ellingsrud-Stromme: for N > n no weight vanishes, and the cell of I_lam
-    # in the punctual Hilbert scheme has dimension (positive weights) - (n + 1)
     bad = []
     for n in range(1, 31):
-        cells = {N: Counter() for N in (n + 1, 2 * n + 3, 5 * n)}
-        for lam in partitions(n):
-            conj = lam.conjugate().parts
-            arm_legs = [(row - j - 1, conj[j] - i - 1) for i, row in enumerate(lam.parts) for j in range(row)]
-            for N, counts in cells.items():
-                weights = _tangent_weights(arm_legs, N)
-                if 0 in weights:
-                    bad.append(("zero-weight", n, N, lam.parts))
-                counts[sum(w > 0 for w in weights) - (n + 1)] += 1
+        cells, zero = _punctual_cells(n, (n + 1, 2 * n + 3, 5 * n))
+        bad += zero
         # the largest cell is the fiber bound n - 1 that C03 reads over the
         # stratum (0, (n)); the audit walks every stratum, so up to C03's n = 12
         if n <= 12:

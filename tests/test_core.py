@@ -10,7 +10,6 @@ from conftest import rand_invertible, rand_matrix
 from uhlenbeck import core
 from uhlenbeck.bvariety import jordan_nilpotent
 from uhlenbeck.core import (
-    Echelon,
     NotNilpotentError,
     RatMatrix,
     RatPoly,
@@ -222,6 +221,23 @@ def test_subspace_canonical_equality():
     a = Subspace(3, [(1, 2, 0), (0, 0, 1)])
     b = Subspace(3, [(2, 4, 2), (0, 0, 5)])
     assert a == b and a.dim == 2
+
+
+def test_subspace_add_reports_growth_and_copy_is_independent():
+    rng = random.Random(1801)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        s = Subspace(n)
+        for _ in range(n + 3):
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+            before, rows = s.dim, dict(s.rows)
+            t = s.copy()
+            grew = t.add(enumerate(v))
+            assert grew == (not s.contains(v)) and t.dim == before + grew and t.contains(v)
+            assert s.rows == rows and s.dim == before
+            s = t
+        assert s == Subspace(n, s.basis)
+    assert Subspace(2).add([(0, 0), (1, 0)]) is False
 
 
 def test_subspace_sum_intersect_dims():
@@ -1228,7 +1244,7 @@ def _old_nilpotent_ok(z: RatMatrix) -> bool:
 
 def assert_same_subspace(new: Subspace, old: Subspace):
     assert type(new) is type(old) and new == old and hash(new) == hash(old) and repr(new) == repr(old)
-    assert new.basis == old.basis and new._echelon.rows == old._echelon.rows
+    assert new.basis == old.basis and new.rows == old.rows
 
 
 KRON_SHAPES = [(0, 0), (0, 2), (3, 0), (1, 1), (2, 3), (3, 1), (1, 4), (2, 2)]
@@ -1390,6 +1406,7 @@ _A = RatMatrix.from_rows([[1, 2], [3, 4]])
         (lambda: Subspace(3, [(1, 2)]), "vector length does not match ambient dimension"),
         (lambda: Subspace.full(2).sum(Subspace.full(3)), "ambient mismatch"),
         (lambda: Subspace.full(2).intersect(Subspace.zero(3)), "ambient mismatch"),
+        (lambda: Subspace.full(2).image_under(), "image_under needs at least one map"),
     ],
 )
 def test_core_rejects_malformed_input_with_its_message(call, message):
@@ -1449,7 +1466,7 @@ def _old_fraction_row(row: dict[int, int], lead: int, start: int, stop: int) -> 
 
 
 def _old_basis(s: Subspace) -> tuple[Vector, ...]:
-    ech = s._echelon
+    ech = s
     return tuple(tuple(_old_fraction_row(ech.rows[c], c, 0, s.ambient)) for c in ech.reduce())
 
 
@@ -1458,7 +1475,9 @@ def _old_solve_linear(m: RatMatrix, b):
     if len(bb) != m.rows:
         raise ValueError("right-hand side length mismatch")
     n, a = m.cols, m._a
-    ech = Echelon(itertools.chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),)) for i in range(m.rows))
+    ech = Subspace(n + 1)
+    for i in range(m.rows):
+        ech.add(itertools.chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),)))
     pivots = ech.reduce()
     if n in ech.rows:
         return None

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from uhlenbeck.core import Echelon, RatMatrix, RatPoly, Subspace, kernel_basis, rat
+from uhlenbeck.core import RatMatrix, RatPoly, Subspace, kernel_basis, rat
 from uhlenbeck.ncalgebra import (
     DUAL_BASIS,
     DUAL_GENERATORS,
@@ -254,12 +254,12 @@ def rewriter_graded_dim_computed(degree: int, tau) -> int:
     if degree == 0:
         return 1
     index = {m: j for j, m in enumerate(normal_monomials(degree))}
-    span = Echelon()
+    span = Subspace(len(index))
     for m in normal_monomials(degree - 1):
         for g in GENERATORS:
             elem = _reduce_word(_monomial_word(m) + (g,))
             span.add((index[mono], v) for mono, v in elem.coefficients_at(t).items())
-    return span.rank
+    return span.dim
 
 
 ORACLE_TAUS = [Fraction(1), Fraction(3, 7), Fraction(0), Fraction(-2)]
@@ -352,11 +352,11 @@ def _old_dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
             dims.append(1)
             continue
         index = {w: j for j, w in enumerate(DUAL_BASIS)}
-        span = Echelon()
+        span = Subspace(len(index))
         for letters in product(DUAL_GENERATORS, repeat=degree):
             elem = _old_dual_reduce(letters)
             span.add((index[w], v) for w, v in elem.coefficients_at(t).items())
-        dims.append(span.rank)
+        dims.append(span.dim)
     return tuple(dims)
 
 
