@@ -16,7 +16,6 @@ linear strata and tangent spaces at sampled rational points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -38,7 +37,7 @@ from .core import (
     solve_linear,
     squarefree_factorization,
 )
-from .partitions import Partition
+from .partitions import Frozen, Partition
 
 
 class TripleCheck(NamedTuple):
@@ -48,12 +47,12 @@ class TripleCheck(NamedTuple):
     cyclic_ok: bool
 
 
-@dataclass(frozen=True)
-class BTriple:
-    Y: RatMatrix
-    Z: RatMatrix
-    v: Vector
-    tau: Fraction
+class BTriple(Frozen):
+    _fields = ("Y", "Z", "v", "tau")
+
+    def __init__(self, Y: RatMatrix, Z: RatMatrix, v: Vector, tau: Fraction):
+        for name, value in zip(self._fields, (Y, Z, v, tau)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -226,11 +225,13 @@ def component_dimension(lam, tau) -> ComponentReport:
 # supports
 
 
-@dataclass(frozen=True)
-class SupportDivisor:
+class SupportDivisor(Frozen):
     """char poly of Y; its squarefree factorization over Q is read on demand."""
 
-    poly: RatPoly
+    _fields = ("poly",)
+
+    def __init__(self, poly: RatPoly):
+        object.__setattr__(self, "poly", poly)
 
     @property
     def degree(self) -> int:

@@ -68,13 +68,12 @@ integer forms and divides once by the product of their denominators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .partitions import Partition
+from .partitions import Frozen, Partition
 
 Rat = Fraction
 
@@ -378,15 +377,11 @@ def squarefree_factorization(f: RatPoly) -> list[tuple[RatPoly, int]]:
 # matrices
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class RatMatrix:
+class RatMatrix(Frozen):
     """Immutable dense matrix over Q, row-major, stored as self = _a / _d with
     _a integer, _d > 0 and gcd(_d, *_a) = 1 (see the module docstring)."""
 
-    rows: int
-    cols: int
-    _d: int
-    _a: tuple[int, ...]
+    _fields = ("rows", "cols", "_d", "_a")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
         if rows < 0 or cols < 0:

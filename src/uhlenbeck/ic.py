@@ -15,16 +15,14 @@ numbers of the punctual Hilbert scheme of the plane.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .core import RatPoly, convolve, poly_str
-from .partitions import Partition, partition_count, partition_count_by_length, partitions
+from .partitions import Frozen, Partition, partition_count, partition_count_by_length, partitions
 
 
-@dataclass(frozen=True)
-class GradedStalk:
+class GradedStalk(Frozen):
     """Multiset of even shifts: ``coeffs[d]`` summands sit in shift d.
 
     The coefficients are plain nonnegative integers with no trailing zero,
@@ -32,14 +30,15 @@ class GradedStalk:
     the same data as a polynomial in q.
     """
 
-    coeffs: tuple[int, ...]
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __init__(self, coeffs: tuple[int, ...]):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("stalk coefficients must not end in a zero")
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(coeffs):
             if c != 0 and (k % 2 == 1 or type(c) is not int or c < 0):
                 raise ValueError("stalk polynomial must have nonnegative integer coefficients in even degrees")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def poly(self) -> RatPoly:

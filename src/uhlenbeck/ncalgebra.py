@@ -29,11 +29,10 @@ linear algebra, not read off from the presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, kernel_basis, rat
+from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, kernel_basis, rat
 
 GENERATORS = ("x", "y", "z")
 
@@ -46,8 +45,7 @@ def tau_poly(c=1, degree: int = 0) -> RatPoly:
 Monomial = tuple[int, int, int]  # exponents (a, b, c) of x^a y^b z^c
 
 
-@dataclass(frozen=True)
-class TauCombination:
+class TauCombination(Frozen):
     """Finite Q[tau]-linear combination of basis keys (tuples), sparse.
 
     Terms are sorted by (len(key), key) with zero coefficients dropped, so
@@ -56,7 +54,10 @@ class TauCombination:
     power of tau) terms, and ``word(key)`` spells a key in generators.
     """
 
-    terms: tuple[tuple[tuple, RatPoly], ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[tuple, RatPoly], ...]):
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, d: dict[tuple, RatPoly]):

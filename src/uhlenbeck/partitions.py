@@ -9,23 +9,58 @@ count without listing any, so the two routes cross-check each other in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Partition:
+class Frozen:
+    """Base of the package's value classes, here in its lowest module: ``==`` within
+    one class, ``hash`` and ``repr`` over ``_fields`` in order, and no assignment.
+    ``__init__`` sets each field by ``object.__setattr__``; no ``__slots__``, for ``cached_property``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # reads the fields in C, for a fast ==
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Partition(Frozen):
     """A weakly decreasing tuple of positive integers."""
 
-    parts: tuple[int, ...] = ()
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...] = ()):
+        parts = tuple(parts)
         if any(type(p) is not int or p <= 0 for p in parts):  # no floats, no bools
             raise ValueError(f"partition parts must be positive integers: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"partition parts must be weakly decreasing: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition with these parts, weakly decreasing positive ints already."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "parts", parts)
+        return out
 
     @property
     def size(self) -> int:
@@ -37,12 +72,12 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         if not self.parts:
-            return Partition()
+            return Partition._of(())
         cols = [0] * self.parts[0]
         for p in self.parts:
             for i in range(p):
                 cols[i] += 1
-        return Partition(tuple(cols))
+        return Partition._of(tuple(cols))
 
     def __iter__(self):
         return iter(self.parts)
@@ -67,7 +102,7 @@ def partitions(n: int) -> list[Partition]:
 
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._of(prefix))
             return
         for first in range(min(remaining, cap), 0, -1):
             rec(remaining - first, first, prefix + (first,))

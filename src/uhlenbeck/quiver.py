@@ -20,12 +20,11 @@ elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import random
 from typing import NamedTuple
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
+from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
 
 ARROWS = ("xi", "eta", "zeta")
 
@@ -44,9 +43,8 @@ RELATIONS: tuple[tuple[str, tuple[tuple[str, str, int, int], ...]], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Polarization:
-    theta: tuple[Fraction, Fraction, Fraction]
+class Polarization(Frozen):
+    _fields = ("theta",)
 
     def __init__(self, t1, t2, t3):
         object.__setattr__(self, "theta", (rat(t1), rat(t2), rat(t3)))
@@ -63,25 +61,22 @@ def slope(theta: Polarization, dim: DimVector) -> Fraction:
     return sum((t * d for t, d in zip(theta, dim)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class QuiverRep:
+class QuiverRep(Frozen):
     """Six matrices (F_a: r2 x r1, G_a: r3 x r2) and the parameter tau."""
 
-    dim: DimVector
-    F: dict[str, RatMatrix]
-    G: dict[str, RatMatrix]
-    tau: Fraction
+    _fields = ("dim", "F", "G", "tau")
 
-    def __post_init__(self):
-        r1, r2, r3 = self.dim
-        object.__setattr__(self, "tau", rat(self.tau))
+    def __init__(self, dim: DimVector, F: dict[str, RatMatrix], G: dict[str, RatMatrix], tau: Fraction):
+        r1, r2, r3 = dim
         for a in ARROWS:
-            if a not in self.F or a not in self.G:
+            if a not in F or a not in G:
                 raise ValueError(f"missing arrow matrix for {a}")
-            if (self.F[a].rows, self.F[a].cols) != (r2, r1):
+            if (F[a].rows, F[a].cols) != (r2, r1):
                 raise ValueError(f"F_{a} must be {r2}x{r1}")
-            if (self.G[a].rows, self.G[a].cols) != (r3, r2):
+            if (G[a].rows, G[a].cols) != (r3, r2):
                 raise ValueError(f"G_{a} must be {r3}x{r2}")
+        for name, value in zip(self._fields, (dim, F, G, rat(tau))):
+            object.__setattr__(self, name, value)
 
 
 class RelationReport(NamedTuple):
@@ -139,17 +134,16 @@ def polarizations(r: int, d: int, n: int) -> tuple[Polarization, Polarization]:
     return theta0, theta1
 
 
-@dataclass(frozen=True)
-class SheafNumerics:
+class SheafNumerics(Frozen):
     """(rank, degree, second Chern class) of a sheaf on the noncommutative plane."""
 
-    r: int
-    d: int
-    n: int
+    _fields = ("r", "d", "n")
 
-    def __post_init__(self):
-        if self.r < 0:
+    def __init__(self, r: int, d: int, n: int):
+        if r < 0:
             raise ValueError("rank must be nonnegative")
+        for name, value in zip(self._fields, (r, d, n)):
+            object.__setattr__(self, name, value)
 
     @property
     def ch2(self) -> Fraction:

@@ -57,6 +57,7 @@ def test_conjugate_involution_and_invariants():
     for n in range(9):
         for lam in partitions(n):
             conj = lam.conjugate()
+            assert Partition(lam.parts) == lam and Partition(conj.parts) == conj  # built unchecked, still valid
             assert conj.size == lam.size
             assert conj.conjugate() == lam
             if lam.parts:
@@ -65,7 +66,7 @@ def test_conjugate_involution_and_invariants():
 
 def test_count_by_length_sums_to_total():
     for n in range(1, 20):
-        assert sum(partition_count_by_length(n, k) for k in range(n + 1)) == partition_count(n)
+        assert sum(partition_count_by_length(n, k) for k in range(n + 1)) == len(partitions(n))
 
 
 def test_count_by_length_matches_enumeration():

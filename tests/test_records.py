@@ -1,17 +1,22 @@
-"""The field-only records keep the contract of a frozen dataclass.
+"""The field-only records and the value classes keep the contract of a frozen dataclass.
 
-Each record is pinned against a frozen-dataclass twin with the same name and
-fields: ``repr``, ``hash``, ``==`` between records and immutability match,
-and ``_asdict()`` has the twin's field names as keys.
+Each record and each value class is pinned against a frozen-dataclass twin
+with the same name and fields: ``repr``, ``hash``, ``==`` and immutability
+match, and a record's ``_asdict()`` has the twin's field names as keys.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, make_dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from uhlenbeck import bvariety, calogero, ic, quiver
-from uhlenbeck.core import Subspace
+import uhlenbeck
+from uhlenbeck import bvariety, calogero, ic, ncalgebra, quiver
+from uhlenbeck.core import RatMatrix, RatPoly, Subspace
 from uhlenbeck.partitions import Partition
 
 LAM = Partition((2, 1))
@@ -64,3 +69,77 @@ def test_record_properties_are_kept():
     assert calogero.CMVerifyResult(False, (), 2, 2).sign is None
     assert ic.Stratum(1, LAM).dim == 4 and not ic.Stratum(1, LAM).is_open
     assert ic.Stratum(3, Partition()).is_open
+
+
+REP = quiver.monad_of_point((Fraction(1), Fraction(2)), TAU)
+TRIPLE = bvariety.jordan_triple(3, 0, TAU)
+TERMS = (((0, 0, 0), ncalgebra.tau_poly(2)), ((1, 0, 0), ncalgebra.tau_poly(Fraction(1, 3), 1)))
+
+# (class, field names in order, field values -> instance, sample values, index of the field to change, changed value)
+VALUES = [
+    (RatMatrix, ("rows", "cols", "_d", "_a"), RatMatrix._of, (2, 2, 2, (2, 4, 6, 1)), 3, (2, 4, 6, 3)),
+    (ncalgebra.TauCombination, ("terms",), ncalgebra.TauCombination, (TERMS,), 0, TERMS[:1]),
+    (ncalgebra.NCElement, ("terms",), ncalgebra.NCElement, (TERMS,), 0, TERMS[1:]),
+    (ncalgebra.DualElement, ("terms",), ncalgebra.DualElement, (TERMS,), 0, ()),
+    (ncalgebra.MPoly, ("terms",), ncalgebra.MPoly, (TERMS,), 0, TERMS[:1]),
+    (Partition, ("parts",), Partition, ((2, 1),), 0, (3,)),
+    (quiver.Polarization, ("theta",), lambda theta: quiver.Polarization(*theta), ((Fraction(1), Fraction(-1, 2), TAU),), 0, (TAU,) * 3),
+    (quiver.QuiverRep, ("dim", "F", "G", "tau"), quiver.QuiverRep, (REP.dim, REP.F, REP.G, TAU), 3, Fraction(1)),
+    (quiver.SheafNumerics, ("r", "d", "n"), quiver.SheafNumerics, (1, 2, 3), 2, -3),
+    (ic.GradedStalk, ("coeffs",), ic.GradedStalk, ((1, 0, 2),), 0, (1,)),
+    (bvariety.BTriple, ("Y", "Z", "v", "tau"), bvariety.BTriple, (TRIPLE.Y, TRIPLE.Z, TRIPLE.v, TAU), 2, (0, 0, 1)),
+    (bvariety.SupportDivisor, ("poly",), bvariety.SupportDivisor, (RatPoly((0, 0, 1), var="y"),), 0, RatPoly((1, 1), var="y")),
+]
+
+
+@pytest.mark.parametrize("cls, names, build, values, index, changed", VALUES, ids=[case[0].__name__ for case in VALUES])
+def test_value_class_matches_its_frozen_dataclass_twin(cls, names, build, values, index, changed):
+    twin = make_dataclass(cls.__name__, names, frozen=True)
+    changed_values = (*values[:index], changed, *values[index + 1 :])
+    record, copy, other, twin_record = build(*values), build(*values), build(*changed_values), twin(*values)
+    assert cls._fields == names and all(getattr(record, name) == value for name, value in zip(names, values))
+    if cls is not RatMatrix:  # RatMatrix prints its entries, not its integer form
+        assert repr(record) == repr(twin_record) and repr(other) == repr(twin(*changed_values))
+    if build is cls:
+        assert cls(**dict(zip(names, values))) == record
+    try:
+        expected = hash(twin_record)
+    except TypeError:  # QuiverRep holds dicts
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected == hash(copy) and hash(other) == hash(twin(*changed_values))
+    assert record == copy and not record != copy
+    assert record != other and not record == other and twin_record != twin(*changed_values)
+    assert record.__eq__(twin_record) is NotImplemented and record.__eq__(values[0]) is NotImplemented
+    assert record != twin_record and record != values[0]
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, changed)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(twin_record, name, changed)
+    assert all(getattr(record, name) == value for name, value in zip(names, values))
+
+
+def test_value_classes_of_one_field_differ_by_class():
+    nc, dual = ncalgebra.NCElement(TERMS), ncalgebra.DualElement(TERMS)
+    assert nc != dual and not nc == dual and nc.terms == dual.terms
+    assert ncalgebra.TauCombination(TERMS) != nc
+
+
+def test_check_is_cached_on_a_frozen_triple():
+    checked, fresh = (bvariety.BTriple(TRIPLE.Y, TRIPLE.Z, TRIPLE.v, TAU) for _ in range(2))
+    assert checked.check is checked.check and checked.check.ok
+    assert "check" not in vars(fresh) and checked == fresh and hash(checked) == hash(fresh)
+
+
+def test_fresh_import_loads_neither_dataclasses_nor_inspect():
+    # one @dataclass in the package would bring both back into every fresh uhl process;
+    # -S leaves site-packages out, so only the package's own imports count
+    src = str(Path(uhlenbeck.__file__).resolve().parents[1])
+    probe = "import sys, uhlenbeck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
