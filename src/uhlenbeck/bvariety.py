@@ -92,13 +92,17 @@ def _require_valid(triple: BTriple):
         raise ValueError(f"invalid triple: {triple.check}")
 
 
+def _lower_shift(lam, key) -> RatMatrix:
+    """The nilpotent with block sizes lam sending basis vector (depth, block)
+    to (depth + 1, block), or to 0 at the end of its block, on the basis
+    sorted by key(depth, block)."""
+    basis = sorted(((depth, block) for block, p in enumerate(lam) for depth in range(p)), key=key)
+    return RatMatrix.from_rows([[int(pos == (depth + 1, block)) for depth, block in basis] for pos in basis])
+
+
 def jordan_nilpotent(lam) -> RatMatrix:
     """Block-diagonal lower-shift nilpotent with block sizes lam."""
-    parts = tuple(lam)
-    blocks = [
-        RatMatrix.from_rows([[1 if i == j + 1 else 0 for j in range(p)] for i in range(p)]) for p in parts
-    ]
-    return RatMatrix.block_diag(blocks)
+    return _lower_shift(lam, key=lambda pos: pos[::-1])
 
 
 def depth_major_nilpotent(lam) -> RatMatrix:
@@ -109,15 +113,7 @@ def depth_major_nilpotent(lam) -> RatMatrix:
     below the diagonal, which makes the triangular strata of fiber_probe as
     large as possible.
     """
-    parts = tuple(lam)
-    positions = sorted((depth, block) for block, p in enumerate(parts) for depth in range(p))
-    index = {pos: t for t, pos in enumerate(positions)}
-    k = sum(parts)
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for block, p in enumerate(parts):
-        for depth in range(p - 1):
-            rows[index[(depth + 1, block)]][index[(depth, block)]] = Fraction(1)
-    return RatMatrix.from_rows(rows) if k else RatMatrix(0, 0, ())
+    return _lower_shift(lam, key=None)
 
 
 def jordan_triple(k: int, u, tau) -> BTriple:

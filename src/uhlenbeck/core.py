@@ -49,8 +49,8 @@ and ``apply`` multiply the integer entries, skipping zeros; ``is_nilpotent``
 is self^n = 0, by the repeated squaring of ``power``.
 ``char_poly`` runs Berkowitz's division-free algorithm on a and divides the
 coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).
-``rank``, ``rref``, ``kernel_basis`` and ``Subspace.full`` (of the identity)
-feed the integer rows of a straight into a scratch ``Subspace``, as
+``rank``, ``rref`` and ``kernel_basis`` feed the integer rows of a straight
+into a scratch ``Subspace``, and ``Subspace.full`` writes the unit rows, as
 ``Subspace.image_under`` (a ``column_space`` is the image of the full space),
 ``Subspace.intersect``, ``krylov_span_dim`` and ``nilpotent_jordan_type``
 feed integer products: scaling a row changes neither the span nor the rank.
@@ -233,8 +233,8 @@ class RatPoly:
     def monic(self) -> "RatPoly":
         if self.is_zero:
             return self
-        lead = self.leading
-        return RatPoly((c / lead for c in self.coeffs), self.var)
+        a = _clear(self.coeffs)[1]  # self = a / d, so self / lead = a / a[-1]
+        return RatPoly([Fraction(c, a[-1]) for c in a], self.var)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
@@ -335,13 +335,9 @@ def _int_derivative(p: list[int]) -> list[int]:
     return [k * c for k, c in enumerate(p)][1:]
 
 
-def _monic(p: list[int], var: str) -> RatPoly:
-    return RatPoly([Fraction(c, p[-1]) for c in p], var)
-
-
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd in Q[t] (gcd with 0 is the monic normalization)."""
-    return _monic(_int_gcd(_clear(a.coeffs)[1], _clear(b.coeffs)[1]), a.var)
+    return RatPoly(_int_gcd(_clear(a.coeffs)[1], _clear(b.coeffs)[1]), a.var).monic()
 
 
 def squarefree_factorization(f: RatPoly) -> list[tuple[RatPoly, int]]:
@@ -366,7 +362,7 @@ def squarefree_factorization(f: RatPoly) -> list[tuple[RatPoly, int]]:
     while len(c) > 1:
         a = _int_gcd(c, d)
         if len(a) > 1:
-            out.append((_monic(a, f.var), i))
+            out.append((RatPoly(a, f.var).monic(), i))
         c = _pseudo_divmod(c, a)[0]
         d = _int_sub(_pseudo_divmod(d, a)[0], _int_derivative(c))
         i += 1
@@ -895,7 +891,9 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return _row_space(RatMatrix.identity(ambient)._a, ambient, ambient)
+        out = cls._empty(ambient)
+        out.rows = {i: {i: 1} for i in range(ambient)}
+        return out
 
     @property
     def dim(self) -> int:

@@ -30,7 +30,7 @@ linear algebra, not read off from the presentation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, kernel_basis, rat
 
@@ -51,7 +51,8 @@ class TauCombination(Frozen):
     Terms are sorted by (len(key), key) with zero coefficients dropped, so
     equal combinations have equal ``terms``.  A subclass is an algebra:
     ``times(key, letter)`` gives a key times a generator as (key, integer,
-    power of tau) terms, and ``word(key)`` spells a key in generators.
+    power of tau) terms, ``word(key)`` spells a key in generators and
+    ``key_str(key)`` prints it.
     """
 
     _fields = ("terms",)
@@ -124,6 +125,22 @@ class TauCombination(Frozen):
                 out[k] = v
         return out
 
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({c}) {self.key_str(k)}" for k, c in self.terms)
+
+
+def monomial_str(m: Monomial) -> str:
+    a, b, c = m
+    parts = []
+    for e, g in zip((a, b, c), GENERATORS):
+        if e == 1:
+            parts.append(g)
+        elif e > 1:
+            parts.append(f"{g}^{e}")
+    return " ".join(parts) if parts else "1"
+
 
 class NCElement(TauCombination):
     """Element of the algebra in normal form: {(a,b,c): coefficient in Q[tau]}."""
@@ -145,21 +162,7 @@ class NCElement(TauCombination):
         a, b, c = m
         return ("x",) * a + ("y",) * b + ("z",) * c
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c}) {monomial_str(m)}" for m, c in self.terms)
-
-
-def monomial_str(m: Monomial) -> str:
-    a, b, c = m
-    parts = []
-    for e, g in zip((a, b, c), GENERATORS):
-        if e == 1:
-            parts.append(g)
-        elif e > 1:
-            parts.append(f"{g}^{e}")
-    return " ".join(parts) if parts else "1"
+    key_str = staticmethod(monomial_str)
 
 
 # Normal forms of whole words, as asked for by ``normal_form``.
@@ -223,20 +226,12 @@ def graded_dim_computed(degree: int, tau) -> int:
 
 
 DUAL_GENERATORS = ("xi", "eta", "zeta")
-_DUAL_ORDER = {"xi": 0, "eta": 1, "zeta": 2}
+_DUAL_ORDER = {g: i for i, g in enumerate(DUAL_GENERATORS)}
 
 DualWord = tuple[str, ...]
 
-DUAL_BASIS: tuple[DualWord, ...] = (
-    (),
-    ("xi",),
-    ("eta",),
-    ("zeta",),
-    ("xi", "eta"),
-    ("xi", "zeta"),
-    ("eta", "zeta"),
-    ("xi", "eta", "zeta"),
-)
+# the sorted square-free words, shortest first
+DUAL_BASIS: tuple[DualWord, ...] = tuple(w for n in range(len(DUAL_GENERATORS) + 1) for w in combinations(DUAL_GENERATORS, n))
 
 
 class DualElement(TauCombination):
@@ -256,18 +251,13 @@ class DualElement(TauCombination):
     def word(w: DualWord) -> DualWord:
         return w
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c}) {'.'.join(w) if w else '1'}" for w, c in self.terms)
+    @staticmethod
+    def key_str(w: DualWord) -> str:
+        return ".".join(w) if w else "1"
 
 
 def dual_word(letters) -> DualElement:
     return DualElement.fold((), letters)
-
-
-def dual_multiply(a: DualElement, b: DualElement) -> DualElement:
-    return a * b
 
 
 def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:

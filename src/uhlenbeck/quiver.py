@@ -25,8 +25,9 @@ import random
 from typing import NamedTuple
 
 from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
+from .ncalgebra import DUAL_GENERATORS, DUAL_PAIR_ORDER
 
-ARROWS = ("xi", "eta", "zeta")
+ARROWS = DUAL_GENERATORS  # one F and one G per dual generator
 
 DimVector = tuple[int, int, int]
 
@@ -99,11 +100,11 @@ def check_relations(rep: QuiverRep) -> RelationReport:
 def relation_tensor_residual(rep: QuiverRep, tensor: Vector) -> RatMatrix:
     """Evaluate sum c_{ab} G_b F_a for a coordinate vector over ordered pairs.
 
-    Pair order matches ncalgebra.DUAL_PAIR_ORDER: (a, b) with a the first
-    arrow applied.  Used to cross-check the hard-coded identities against the
+    Pairs (a, b) follow ncalgebra.DUAL_PAIR_ORDER, with a the first arrow
+    applied.  Used to cross-check the hard-coded identities against the
     computed multiplication kernel.
     """
-    return RatMatrix.combination(tensor, [rep.G[b] @ rep.F[a] for a in ARROWS for b in ARROWS])
+    return RatMatrix.combination(tensor, [rep.G[b] @ rep.F[a] for a, b in DUAL_PAIR_ORDER])
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,39 @@ def test_depth_major_presentation_keeps_jordan_type():
             assert nilpotent_jordan_type(depth_major_nilpotent(lam)) == lam
 
 
+# Verbatim copies of the two nilpotent builders before they became two basis
+# orders of one lower shift, renamed with ``_old``.
+
+
+def _old_jordan_nilpotent(lam) -> RatMatrix:
+    """Block-diagonal lower-shift nilpotent with block sizes lam."""
+    parts = tuple(lam)
+    blocks = [
+        RatMatrix.from_rows([[1 if i == j + 1 else 0 for j in range(p)] for i in range(p)]) for p in parts
+    ]
+    return RatMatrix.block_diag(blocks)
+
+
+def _old_depth_major_nilpotent(lam) -> RatMatrix:
+    parts = tuple(lam)
+    positions = sorted((depth, block) for block, p in enumerate(parts) for depth in range(p))
+    index = {pos: t for t, pos in enumerate(positions)}
+    k = sum(parts)
+    rows = [[Fraction(0)] * k for _ in range(k)]
+    for block, p in enumerate(parts):
+        for depth in range(p - 1):
+            rows[index[(depth + 1, block)]][index[(depth, block)]] = Fraction(1)
+    return RatMatrix.from_rows(rows) if k else RatMatrix(0, 0, ())
+
+
+def test_nilpotent_builders_match_old_builders():
+    cases = [lam for n in range(9) for lam in partitions(n)]
+    assert cases[0] == Partition()
+    for lam in cases + [(), (2, 3, 1)]:
+        assert_pinned(jordan_nilpotent(lam), _old_jordan_nilpotent(lam))  # entrywise, by repr
+        assert_pinned(depth_major_nilpotent(lam), _old_depth_major_nilpotent(lam))
+
+
 def test_fiber_probe_regular_block_measures_k_minus_one():
     for k in (2, 3, 4):
         probe = fiber_probe(Partition((k,)), Fraction(1), ONE, samples=6, seed=2)

@@ -1291,6 +1291,9 @@ def test_from_columns_full_and_column_space_match_pinned_code():
                 assert_pinned(RatMatrix.from_columns([list(c) for c in columns]), m)
     for n in range(7):
         assert_same_subspace(Subspace.full(n), _old_full(n))
+        assert Subspace.full(n).rows == {i: {i: 1} for i in range(n)}
+    # each call writes its own rows, since ``add`` grows a space in place
+    assert Subspace.full(2).rows is not Subspace.full(2).rows
     # columns of length zero keep their count now; the index loop lost it
     assert (RatMatrix.from_columns([(), ()]).rows, RatMatrix.from_columns([(), ()]).cols) == (0, 2)
     assert (_old_from_columns([(), ()]).rows, _old_from_columns([(), ()]).cols) == (0, 0)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from uhlenbeck import ncalgebra
 from uhlenbeck.core import RatMatrix, RatPoly, Subspace, kernel_basis, rat
 from uhlenbeck.ncalgebra import (
     DUAL_BASIS,
@@ -17,7 +18,6 @@ from uhlenbeck.ncalgebra import (
     NCElement,
     artin_moduli_determinant,
     dual_graded_dims,
-    dual_multiply,
     dual_relation_kernel,
     dual_word,
     graded_dim,
@@ -107,17 +107,17 @@ def test_normal_monomials_degree():
 
 
 def test_dual_squares_vanish():
-    assert dual_multiply(dual_word(["xi"]), dual_word(["xi"])).is_zero
-    assert dual_multiply(dual_word(["eta"]), dual_word(["eta"])).is_zero
+    assert (dual_word(["xi"]) * dual_word(["xi"])).is_zero
+    assert (dual_word(["eta"]) * dual_word(["eta"])).is_zero
 
 
 def test_dual_anticommute():
-    ab = dual_multiply(dual_word(["eta"]), dual_word(["xi"]))
+    ab = dual_word(["eta"]) * dual_word(["xi"])
     assert ab.as_dict() == {("xi", "eta"): tau_poly(-1)}
 
 
 def test_dual_zeta_square():
-    zz = dual_multiply(dual_word(["zeta"]), dual_word(["zeta"]))
+    zz = dual_word(["zeta"]) * dual_word(["zeta"])
     assert zz.as_dict() == {("xi", "eta"): tau_poly(-2, 1)}
 
 
@@ -134,7 +134,39 @@ def test_dual_associativity():
         lo = rng.randint(0, len(w))
         hi = rng.randint(lo, len(w))
         a, b, c = dual_word(w[:lo]), dual_word(w[lo:hi]), dual_word(w[hi:])
-        assert dual_multiply(dual_multiply(a, b), c).terms == dual_multiply(a, dual_multiply(b, c)).terms
+        assert ((a * b) * c).terms == (a * (b * c)).terms
+
+
+def test_dual_basis_is_the_sorted_square_free_words():
+    assert DUAL_BASIS == ((), ("xi",), ("eta",), ("zeta",), ("xi", "eta"), ("xi", "zeta"), ("eta", "zeta"), ("xi", "eta", "zeta"))
+    assert ncalgebra._DUAL_ORDER == {"xi": 0, "eta": 1, "zeta": 2}
+
+
+def test_dual_basis_is_closed_under_the_rule():
+    # every key the rule reaches from 1 by words of length up to 4, zero
+    # coefficients included, is a basis word, and every basis word is reached
+    reached = frontier = {()}
+    for _ in range(4):
+        frontier = {w2 for w in frontier for g in DUAL_GENERATORS for w2, _, _ in DualElement.times(w, g)}
+        reached = reached | frontier
+    assert reached == set(DUAL_BASIS)
+
+
+def test_str_of_each_algebra_is_pinned():
+    samples = [
+        (NCElement.zero(), "0"),
+        (normal_form(""), "(1) 1"),
+        (normal_form("yx"), "(-tau) z^2 + (1) x y"),
+        (normal_form("yyxz", Fraction(-2, 3)), "(4/3*tau) y z^3 + (-2/3) x y^2 z"),
+        (DualElement.zero(), "0"),
+        (dual_word(["zeta", "zeta"]), "(-2*tau) xi.eta"),
+        (dual_word([]) - dual_word(["eta", "xi"]).scale(3) + dual_word(["zeta", "xi", "eta"]), "(1) 1 + (3) xi.eta + (1) xi.eta.zeta"),
+        (MPoly.zero(), "0"),
+        (artin_moduli_determinant(), "-w^3*tau"),
+        (MPoly.var("u") * MPoly.var("v") - MPoly.var("tau").scale(Fraction(1, 2)), "-1/2*tau + u*v"),
+    ]
+    for value, expected in samples:
+        assert str(value) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +562,6 @@ def test_random_dual_products_match_old_product():
         a, b = random_sum(), random_sum()
         old = _old_dual_multiply(a, b)
         assert_same_combination(a * b, old)
-        assert_same_combination(dual_multiply(a, b), old)
 
 
 def old_layout(p: MPoly):
