@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .core import (
     NotNilpotentError,
-    Rat,
     RatMatrix,
     RatPoly,
     Subspace,
@@ -23,7 +22,6 @@ from .partitions import Partition, partition_count, partition_count_by_length, p
 __all__ = [
     "NotNilpotentError",
     "Partition",
-    "Rat",
     "RatMatrix",
     "RatPoly",
     "Subspace",

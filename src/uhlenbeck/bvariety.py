@@ -211,10 +211,11 @@ def component_dimension(lam, tau) -> ComponentReport:
     k = lam.size
     z = jordan_nilpotent(lam)
     _, hom = solve_Y_space(z, tau)
-    total = orbit_dimension(lam) + len(hom) + k - k * k
+    orbit = orbit_dimension(lam)
+    total = orbit + len(hom) + k - k * k
     if total != k:
         raise AssertionError(f"component dimension {total} != {k} for {lam}")
-    return ComponentReport(lam, k, orbit_dimension(lam), len(hom), total)
+    return ComponentReport(lam, k, orbit, len(hom), total)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +349,7 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     sample_dims: list[int | None] = []
     stratum_dim = 0
     solution_dim = 0
-    target = (RatPoly.variable("t") - u) ** k if k else RatPoly.one()
+    target = (RatPoly.variable("t") - u) ** k
     for z in presentations:
         y0, hom = solve_Y_space(z, tau)
         solution_dim = len(hom)

@@ -23,8 +23,8 @@ from .partitions import Partition, partitions
 from .serialize import (
     digits,
     fraction_to_str,
-    matrix_to_json,
     pair_from_json,
+    pair_to_json,
     parse_fraction,
     rep_from_json,
     triple_from_json,
@@ -234,19 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _nc_normal_form(args, meta) -> dict:
+    # str prints a RatPoly and a Fraction coefficient as to_str and fraction_to_str do
     element = ncalgebra.normal_form(args.word)
-    if args.tau == "t":
-        terms = [
-            {"mono": ncalgebra.monomial_str(m), "coeff": c.to_str()}
-            for m, c in element.terms
-        ]
-    else:
-        tau = parse_fraction(args.tau)
-        terms = [
-            {"mono": ncalgebra.monomial_str(m), "coeff": fraction_to_str(c)}
-            for m, c in sorted(element.coefficients_at(tau).items())
-        ]
-    return {"terms": terms}
+    terms = element.terms if args.tau == "t" else sorted(element.coefficients_at(parse_fraction(args.tau)).items())
+    return {"terms": [{"mono": ncalgebra.monomial_str(m), "coeff": str(c)} for m, c in terms]}
 
 
 def _nc_dims(args, meta) -> dict:
@@ -301,12 +292,7 @@ def _cm_verify(args, meta) -> dict:
 def _cm_sample(args, meta) -> dict:
     spectrum = [parse_fraction(s) for s in args.spectrum]
     pair = calogero.sample_cm(args.n, spectrum, parse_fraction(args.tau))
-    return {
-        "X": matrix_to_json(pair.X),
-        "Y": matrix_to_json(pair.Y),
-        "tau": fraction_to_str(pair.tau),
-        "sign": pair.sign,
-    }
+    return {**pair_to_json(pair.X, pair.Y), "tau": fraction_to_str(pair.tau), "sign": pair.sign}
 
 
 def _bvar_check(args, meta) -> dict:

@@ -75,8 +75,6 @@ from typing import Iterable, Sequence
 
 from .partitions import Frozen, Partition
 
-Rat = Fraction
-
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
@@ -239,8 +237,6 @@ class RatPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == self._coerce(other)
         return NotImplemented
 
     def __hash__(self):

@@ -169,8 +169,8 @@ class NCElement(TauCombination):
 _reduce_cache: dict[tuple[str, ...], NCElement] = {}
 
 
-def normal_form(word, coeff=1) -> NCElement:
-    """Normal form of a formal word in x, y, z with a rational coefficient.
+def normal_form(word) -> NCElement:
+    """Normal form of a formal word in x, y, z.
 
     The word is a string like "yxz" (whitespace ignored) or a sequence of
     generator names.
@@ -185,8 +185,7 @@ def normal_form(word, coeff=1) -> NCElement:
     element = _reduce_cache.get(letters)
     if element is None:
         element = _reduce_cache[letters] = NCElement.fold((0, 0, 0), letters)
-    c = rat(coeff)
-    return element if c == 1 else element.scale(c)
+    return element
 
 
 def normal_monomials(degree: int) -> list[Monomial]:
@@ -396,8 +395,7 @@ def relation_pencil_matrix() -> list[list[MPoly]]:
 def artin_moduli_determinant() -> MPoly:
     """Determinant of the relation pencil matrix, as a polynomial in u,v,w,tau."""
     m = relation_pencil_matrix()
-    det = MPoly.zero()
-    det = det + m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+    det = m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
     det = det - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
     det = det + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     return det

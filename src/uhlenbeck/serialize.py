@@ -22,8 +22,7 @@ from .quiver import ARROWS, QuiverRep
 
 
 def fraction_to_str(x: Fraction) -> str:
-    x = rat(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(rat(x))
 
 
 MAX_DIGITS = 50

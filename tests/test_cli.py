@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -206,6 +207,236 @@ def test_nc_normal_form_specialized():
         {"mono": "z^2", "coeff": "-2"},
         {"mono": "x y", "coeff": "1"},
     ]
+
+
+# The whole envelope of `nc normal-form` at a rational --tau, byte for byte:
+# perfbench/golden.json runs only the default --tau t.  At --tau 0 the
+# vanishing terms are dropped.
+NC_NORMAL_FORM_AT_TAU = {
+    ("yx", "2"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "2",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "-2",
+        "mono": "z^2"
+      },
+      {
+        "coeff": "1",
+        "mono": "x y"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yx", "-3/7"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "-3/7",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "3/7",
+        "mono": "z^2"
+      },
+      {
+        "coeff": "1",
+        "mono": "x y"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yx", "0"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "0",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "1",
+        "mono": "x y"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yxzyx", "2"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "2",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "4",
+        "mono": "z^5"
+      },
+      {
+        "coeff": "-6",
+        "mono": "x y z^3"
+      },
+      {
+        "coeff": "1",
+        "mono": "x^2 y^2 z"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yxzyx", "-3/7"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "-3/7",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "9/49",
+        "mono": "z^5"
+      },
+      {
+        "coeff": "9/7",
+        "mono": "x y z^3"
+      },
+      {
+        "coeff": "1",
+        "mono": "x^2 y^2 z"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yxzyx", "0"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "0",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "1",
+        "mono": "x^2 y^2 z"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yyxx", "2"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "2",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "8",
+        "mono": "z^4"
+      },
+      {
+        "coeff": "-8",
+        "mono": "x y z^2"
+      },
+      {
+        "coeff": "1",
+        "mono": "x^2 y^2"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yyxx", "-3/7"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "-3/7",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "18/49",
+        "mono": "z^4"
+      },
+      {
+        "coeff": "12/7",
+        "mono": "x y z^2"
+      },
+      {
+        "coeff": "1",
+        "mono": "x^2 y^2"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+    ("yyxx", "0"): """\
+{
+  "meta": {
+    "seed": 0,
+    "tau": "0",
+    "version": "0.1.0"
+  },
+  "payload": {
+    "terms": [
+      {
+        "coeff": "1",
+        "mono": "x^2 y^2"
+      }
+    ]
+  },
+  "status": "ok"
+}""",
+}
+
+
+@pytest.mark.parametrize("word, tau", sorted(NC_NORMAL_FORM_AT_TAU))
+def test_nc_normal_form_specialized_bytes(monkeypatch, word, tau):
+    monkeypatch.delenv("UHL_SEED", raising=False)
+    envelope = run_ok(["nc", "normal-form", "--word", word, f"--tau={tau}"])
+    assert json.dumps(envelope, sort_keys=True, indent=2) == NC_NORMAL_FORM_AT_TAU[word, tau]
+
+
+# The cli-tables benchmark's recorded outputs, read in place: the SHA-256 and
+# length of each command's stdout and of each CSV file `report` writes.
+GOLDEN = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+
+
+def _digest(data: bytes) -> dict:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_output_matches_benchmark_golden(monkeypatch, tmp_path, capsys, command):
+    # report writes under its relative --out, here inside tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("UHL_SEED", raising=False)
+    argv = command.split(" ")
+    assert main(argv) == 0
+    observed = {"stdout": _digest(capsys.readouterr().out.encode("utf-8"))}
+    if argv[0] == "report":
+        out = tmp_path / argv[argv.index("--out") + 1]
+        observed["files"] = {p.name: _digest(p.read_bytes()) for p in sorted(out.glob("*.csv"))}
+    assert observed == GOLDEN[command]
 
 
 def test_nc_dims():

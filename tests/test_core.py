@@ -314,6 +314,16 @@ def test_poly_compose_shift():
     assert shifted == RatPoly([9, -6, 1])
 
 
+def test_poly_equals_only_polys_and_hashes_with_them():
+    # a RatPoly is never equal to a number, so == agrees with hash
+    assert RatPoly((3,)) != 3 and RatPoly((3,)) != Fraction(3)
+    assert RatPoly.zero() != 0
+    for p, q in ((RatPoly([1, 2]), RatPoly([1, 2])), (RatPoly([-1, 0, 5], "t"), RatPoly([-1, 0, 5], "q"))):
+        assert p == q and hash(p) == hash(q)
+    mixed = {RatPoly((3,)), 3}
+    assert len(mixed) == 2 and not any(a == b for a, b in itertools.combinations(mixed, 2))
+
+
 def test_squarefree_factorization():
     t = RatPoly.variable()
     f = (t - 2) ** 3

@@ -157,7 +157,7 @@ def test_str_of_each_algebra_is_pinned():
         (NCElement.zero(), "0"),
         (normal_form(""), "(1) 1"),
         (normal_form("yx"), "(-tau) z^2 + (1) x y"),
-        (normal_form("yyxz", Fraction(-2, 3)), "(4/3*tau) y z^3 + (-2/3) x y^2 z"),
+        (normal_form("yyxz").scale(Fraction(-2, 3)), "(4/3*tau) y z^3 + (-2/3) x y^2 z"),
         (DualElement.zero(), "0"),
         (dual_word(["zeta", "zeta"]), "(-2*tau) xi.eta"),
         (dual_word([]) - dual_word(["eta", "xi"]).scale(3) + dual_word(["zeta", "xi", "eta"]), "(1) 1 + (3) xi.eta + (1) xi.eta.zeta"),
@@ -315,8 +315,11 @@ def test_normal_form_matches_rewriter_on_every_short_word():
 
 def test_scaled_normal_form_matches_rewriter():
     for word in all_words(4):
+        before = normal_form(word).terms
         for coeff in (Fraction(-3, 2), 0, 5):
-            assert normal_form(word, coeff).terms == _reduce_word(word).scale(coeff).terms
+            assert normal_form(word).scale(coeff).terms == _reduce_word(word).scale(coeff).terms
+        # scaling returns a new element; the cached normal form is untouched
+        assert normal_form(word).terms == before == _reduce_word(word).terms
 
 
 @pytest.mark.parametrize("tau", ORACLE_TAUS)
