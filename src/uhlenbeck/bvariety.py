@@ -51,7 +51,7 @@ class BTriple(Frozen):
     _fields = ("Y", "Z", "v", "tau")
 
     def __init__(self, Y: RatMatrix, Z: RatMatrix, v: Vector, tau: Fraction):
-        for name, value in zip(self._fields, (Y, Z, v, tau)):
+        for name, value in zip(self._fields, (Y, Z, v, rat(tau))):
             object.__setattr__(self, name, value)
 
     @property
@@ -65,7 +65,7 @@ class BTriple(Frozen):
         The triple is immutable, so the report is computed on first access
         and stored; every reader of the verdict shares that one computation.
         """
-        y, z, v, tau = self.Y, self.Z, self.v, rat(self.tau)
+        y, z, v, tau = self.Y, self.Z, self.v, self.tau
         if tau == 0:
             raise ValueError("tau must be nonzero")
         if not (y.is_square and z.is_square and y.rows == z.rows):
@@ -259,7 +259,7 @@ def support_poly_p(triple: BTriple, p: int) -> RatPoly:
     and it must be independent of p.
     """
     _require_valid(triple)
-    twisted = RatMatrix.combination([1, -rat(triple.tau) * p], [triple.Y, triple.Z.power(2)])
+    twisted = RatMatrix.combination([1, -triple.tau * p], [triple.Y, triple.Z.power(2)])
     return char_poly(twisted)
 
 
@@ -267,7 +267,7 @@ def direct_sum(t1: BTriple, t2: BTriple) -> BTriple:
     """Block-diagonal sum.  The commutator identity always survives; the sum
     is cyclic exactly when the supports interact correctly (disjoint supports
     suffice), which check_btriple reports."""
-    if rat(t1.tau) != rat(t2.tau):
+    if t1.tau != t2.tau:
         raise ValueError("tau mismatch")
     y = RatMatrix.block_diag([t1.Y, t2.Y])
     z = RatMatrix.block_diag([t1.Z, t2.Z])
@@ -300,7 +300,7 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
     over the rows of g -> gv.
     """
     y, z, v, k = triple.Y, triple.Z, triple.v, triple.size
-    cyclic = triple.check.cyclic_ok if rat(triple.tau) else krylov_span_dim([y, z], v) == k
+    cyclic = triple.check.cyclic_ok if triple.tau else krylov_span_dim([y, z], v) == k
     if cyclic:
         return 0
     gv = matrix_system([[(1, RatMatrix.identity(k), RatMatrix(k, 1, v))]])

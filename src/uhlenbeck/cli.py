@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _nc_normal_form(args, meta) -> dict:
     # str prints a RatPoly and a Fraction coefficient as to_str and fraction_to_str do
     element = ncalgebra.normal_form(args.word)
-    terms = element.terms if args.tau == "t" else sorted(element.coefficients_at(parse_fraction(args.tau)).items())
+    terms = element.terms if args.tau == "t" else element.coefficients_at(parse_fraction(args.tau)).items()
     return {"terms": [{"mono": ncalgebra.monomial_str(m), "coeff": str(c)} for m, c in terms]}
 
 

@@ -120,18 +120,6 @@ class RatPoly:
         self.var = var
 
     @classmethod
-    def zero(cls, var: str = "t") -> "RatPoly":
-        return cls((), var)
-
-    @classmethod
-    def one(cls, var: str = "t") -> "RatPoly":
-        return cls((1,), var)
-
-    @classmethod
-    def constant(cls, c, var: str = "t") -> "RatPoly":
-        return cls((rat(c),), var)
-
-    @classmethod
     def variable(cls, var: str = "t") -> "RatPoly":
         return cls((0, 1), var)
 
@@ -187,7 +175,7 @@ class RatPoly:
     def __pow__(self, k: int) -> "RatPoly":
         if k < 0:
             raise ValueError("negative power")
-        result = RatPoly.one(self.var)
+        result = RatPoly((1,), self.var)
         base = self
         while k:
             if k & 1:
@@ -220,7 +208,7 @@ class RatPoly:
         return acc
 
     def compose(self, inner: "RatPoly") -> "RatPoly":
-        acc = RatPoly.zero(self.var)
+        acc = RatPoly((), self.var)
         for c in reversed(self.coeffs):
             acc = acc * inner + c
         return acc
@@ -880,10 +868,6 @@ class Subspace:
         out.ambient = ambient
         out.rows = {}
         return out
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":

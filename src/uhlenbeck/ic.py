@@ -137,9 +137,9 @@ class SmallnessRow(NamedTuple):
 def smallness_audit(n: int) -> list[SmallnessRow]:
     """Check 2 * fiber bound < codim on every non-open stratum.
 
-    The fiber bound sum(lam_i - 1) is read off the stalk: each factor spans
-    shifts 2..2*lam_i, so its width is twice the fiber dimension over that
-    part.  A violation raises, since it would contradict smallness.
+    The fiber bound is sum(lam_i - 1), computed from lam: half the width
+    max_shift - min_shift of the stalk on that stratum, whose factors span
+    shifts 2..2*lam_i.  A violation raises, since it would contradict smallness.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

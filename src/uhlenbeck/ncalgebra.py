@@ -30,7 +30,7 @@ linear algebra, not read off from the presentation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, kernel_basis, rat
 
@@ -65,10 +65,6 @@ class TauCombination(Frozen):
         items = ((k, c) for k, c in d.items() if not c.is_zero)
         return cls(tuple(sorted(items, key=lambda kc: (len(kc[0]), kc[0]))))
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
     def as_dict(self) -> dict[tuple, RatPoly]:
         return dict(self.terms)
 
@@ -79,7 +75,7 @@ class TauCombination(Frozen):
     def __add__(self, other):
         d = self.as_dict()
         for k, c in other.terms:
-            d[k] = d.get(k, RatPoly.zero("tau")) + c
+            d[k] = d.get(k, RatPoly((), "tau")) + c
         return type(self).from_dict(d)
 
     def __sub__(self, other):
@@ -112,7 +108,7 @@ class TauCombination(Frozen):
             for k2, c2 in other.terms:
                 c = c1 * c2
                 for k, coeff in self.fold(k1, self.word(k2)).terms:
-                    out[k] = out.get(k, RatPoly.zero("tau")) + coeff * c
+                    out[k] = out.get(k, RatPoly((), "tau")) + coeff * c
         return type(self).from_dict(out)
 
     def coefficients_at(self, tau) -> dict[tuple, Fraction]:
@@ -209,14 +205,20 @@ def graded_dim_computed(degree: int, tau) -> int:
     checks that no collapse occurs at this tau (induction on the degree
     starting from the generators).
     """
-    t = rat(tau)
+    return _times_rank(NCElement, GENERATORS, normal_monomials, degree, rat(tau))
+
+
+def _times_rank(algebra, generators, keys, degree: int, t: Fraction) -> int:
+    """Dimension of degree i at a rational t, for both algebras: the rank in the
+    basis ``keys(i)`` of each key of degree i-1 times each generator, by
+    ``algebra.times``.  Each key is its own word, so these span all words of length i."""
     if degree == 0:
         return 1
-    index = {m: j for j, m in enumerate(normal_monomials(degree))}
+    index = {k: j for j, k in enumerate(keys(degree))}
     span = Subspace(len(index))
-    for m in normal_monomials(degree - 1):
-        for g in GENERATORS:
-            span.add((index[m2], c * t**k) for m2, c, k in NCElement.times(m, g))
+    for key in keys(degree - 1):
+        for g in generators:
+            span.add((index[k2], c * t**e) for k2, c, e in algebra.times(key, g))
     return span.dim
 
 
@@ -266,14 +268,8 @@ def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
     so the expected (1, 3, 3, 1, 0, ...) profile is verified, not assumed.
     """
     t = rat(tau)
-    index = {w: j for j, w in enumerate(DUAL_BASIS)}
-    dims = []
-    for degree in range(max_degree + 1):
-        span = Subspace(len(index))
-        for letters in product(DUAL_GENERATORS, repeat=degree):
-            span.add((index[w], v) for w, v in dual_word(letters).coefficients_at(t).items())
-        dims.append(span.dim)
-    return tuple(dims)
+    keys = lambda degree: [w for w in DUAL_BASIS if len(w) == degree]
+    return tuple(_times_rank(DualElement, DUAL_GENERATORS, keys, i, t) for i in range(max_degree + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +380,7 @@ def relation_pencil_matrix() -> list[list[MPoly]]:
     below; its degeneration locus cuts out the length-one module space.
     """
     u, v, w, tau = (MPoly.var(n) for n in MPoly.VARS)
-    zero = MPoly.zero()
+    zero = MPoly(())
     return [
         [zero, w, v],
         [-w, zero, u],

@@ -174,7 +174,7 @@ def hilbert_poly(num: SheafNumerics) -> RatPoly:
     return (
         (t + 1) * (t + 2) * Fraction(num.r, 2)
         + (t * 2 + 3) * (num.d * half)
-        + RatPoly.constant(num.ch2)
+        + RatPoly((num.ch2,))
     )
 
 
@@ -322,7 +322,7 @@ def decide_stability_121(
     least = None
     for u1 in range(r1 + 1):
         for u3 in range(r3 + 1):
-            low, high = (imf if u1 else Subspace.zero(r2)), (ker if u3 < r3 else v2)
+            low, high = (imf if u1 else Subspace(r2)), (ker if u3 < r3 else v2)
             if not high.contains_subspace(low):
                 continue
             for d2 in range(low.dim, high.dim + 1):
@@ -336,8 +336,8 @@ def decide_stability_121(
         return "stable", None
     (slopes, dims), low, high = least
     u1, d2, u3 = dims
-    sub1 = Subspace.full(r1) if u1 else Subspace.zero(r1)
-    sub3 = Subspace.full(r3) if u3 else Subspace.zero(r3)
+    sub1 = Subspace.full(r1) if u1 else Subspace(r1)
+    sub3 = Subspace.full(r3) if u3 else Subspace(r3)
     closure_dims, spaces = generated_subrep(rep, sub1, _extend_to_dim(low, high, d2), sub3)
     if closure_dims != dims:
         raise AssertionError(f"witness construction drifted: {closure_dims} != {dims}")
@@ -367,12 +367,12 @@ def find_destabilizer(
     r1, r2, r3 = rep.dim
     F, G = _maps(rep.F), _maps(rep.G)
 
-    cands1 = [Subspace.zero(r1), Subspace.full(r1)]
+    cands1 = [Subspace(r1), Subspace.full(r1)]
     for a in ARROWS:
         cands1.append(kernel_space(rep.F[a]))
     cands1.append(_joint_kernel(F))
 
-    cands2 = [Subspace.zero(r2), Subspace.full(r2)]
+    cands2 = [Subspace(r2), Subspace.full(r2)]
     for a in ARROWS:
         cands2.append(kernel_space(rep.G[a]))
         cands2.append(column_space(rep.F[a]))
@@ -389,7 +389,7 @@ def find_destabilizer(
             break
     cands2.extend(pairwise)
 
-    cands3 = [Subspace.zero(r3), Subspace.full(r3)]
+    cands3 = [Subspace(r3), Subspace.full(r3)]
     for a in ARROWS:
         cands3.append(column_space(rep.G[a]))
 

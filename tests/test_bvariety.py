@@ -662,7 +662,7 @@ def _old_fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe
     stratum_dim = 0
     solution_dim = 0
     cyclic_found = False
-    target = (RatPoly.variable("t") - u) ** k if k else RatPoly.one()
+    target = (RatPoly.variable("t") - u) ** k if k else RatPoly((1,))
     for z in presentations:
         y0, hom = solve_Y_space(z, tau)
         solution_dim = len(hom)
@@ -943,6 +943,10 @@ def test_support_multiplies_under_direct_sums_of_disjoint_supports():
         (lambda: solve_Y_space(RatMatrix.identity(2), 1), "matrix is not nilpotent"),
         (lambda: direct_sum(jordan_triple(1, 0, 1), jordan_triple(1, 1, 2)), "tau mismatch"),
         (lambda: distinct_fiber_probe([1, 1], 1), "spectrum must be multiplicity-free"),
+        (
+            lambda: support(BTriple(RatMatrix.zero(1), RatMatrix.identity(1), (ONE,), 1)),  # Z is not nilpotent
+            "invalid triple: TripleCheck(ok=False, commutator_ok=False, nilpotent_ok=False, cyclic_ok=True)",
+        ),
     ],
 )
 def test_bvariety_rejects_malformed_input_with_its_message(call, message):
@@ -985,7 +989,7 @@ class _OldSupportDivisor:
 
 def test_support_divisor_factors_and_text_match_the_pinned_cached_copy():
     rng = random.Random(9500)
-    polys = [RatPoly.zero(), RatPoly.constant(Fraction(-7, 3)), T, (T - 1) ** 3 * (T + Fraction(2, 5))]
+    polys = [RatPoly(()), RatPoly((Fraction(-7, 3),)), T, (T - 1) ** 3 * (T + Fraction(2, 5))]
     polys += [_random_factored_poly(rng, "t") for _ in range(40)]
     polys += [char_poly(jordan_triple(k, Fraction(-7, 3), Fraction(3, 5)).Y) for k in range(1, 5)]
     for poly in polys:

@@ -317,7 +317,7 @@ def test_poly_compose_shift():
 def test_poly_equals_only_polys_and_hashes_with_them():
     # a RatPoly is never equal to a number, so == agrees with hash
     assert RatPoly((3,)) != 3 and RatPoly((3,)) != Fraction(3)
-    assert RatPoly.zero() != 0
+    assert RatPoly(()) != 0
     for p, q in ((RatPoly([1, 2]), RatPoly([1, 2])), (RatPoly([-1, 0, 5], "t"), RatPoly([-1, 0, 5], "q"))):
         assert p == q and hash(p) == hash(q)
     mixed = {RatPoly((3,)), 3}
@@ -623,7 +623,7 @@ def _jordan_type_oracle(z: RatMatrix) -> Partition:
 
 def _intersect_oracle(u: Subspace, w: Subspace) -> Subspace:
     if not u.basis or not w.basis:
-        return Subspace.zero(u.ambient)
+        return Subspace(u.ambient)
     cols = [list(v) for v in u.basis] + [list(v) for v in w.basis]
     stacked = RatMatrix.from_columns(cols)
     vecs = []
@@ -731,7 +731,7 @@ def test_char_poly_of_structured_matrices_matches_oracle_and_diagonal(shape):
             m = RatMatrix(n, n, tuple(x if k else Fraction(0) for x, k in zip(m.entries, keep)))
             cp = char_poly(m)
             assert cp == _char_poly_oracle(m) and _all_fractions(cp.coeffs)
-            expected = RatPoly.one()
+            expected = RatPoly((1,))
             if shape == "blocks":
                 for b in sorted(set(block)):
                     idx = [i for i in range(n) if block[i] == b]
@@ -1084,11 +1084,11 @@ def test_squarefree_factorization_and_gcd_match_pinned_fraction_code():
         g = _random_factored_poly(rng, f.var, most=2)
         if f.degree > 12:
             continue
-        for a, b in ((f, g), (g, f), (f * g, f), (f, RatPoly.zero(f.var)), (RatPoly.zero(f.var), g)):
+        for a, b in ((f, g), (g, f), (f * g, f), (f, RatPoly((), f.var)), (RatPoly((), f.var), g)):
             gcd_new, gcd_old = poly_gcd(a, b), _old_poly_gcd(a, b)
             assert (gcd_new.coeffs, gcd_new.var) == (gcd_old.coeffs, gcd_old.var) and _all_fractions(gcd_new.coeffs)
     with pytest.raises(ValueError):
-        squarefree_factorization(RatPoly.zero())
+        squarefree_factorization(RatPoly(()))
 
 
 def test_equal_matrices_reached_by_different_routes_are_equal_with_equal_hash():
@@ -1143,7 +1143,7 @@ def _old_divmod(self: RatPoly, other) -> tuple[RatPoly, RatPoly]:
 
 def test_poly_divmod_matches_pinned_fraction_division():
     rng = random.Random(8500)
-    polys = [RatPoly.zero(), RatPoly([Fraction(-2, 3)]), RatPoly([0, 0, 1]), RatPoly([1, 2 ** 70, Fraction(3, 2 ** 66)])]
+    polys = [RatPoly(()), RatPoly([Fraction(-2, 3)]), RatPoly([0, 0, 1]), RatPoly([1, 2 ** 70, Fraction(3, 2 ** 66)])]
     polys += [_random_factored_poly(rng, "t", most=2) for _ in range(60)]
     for f in polys:
         for g in polys[1:8] + [_random_factored_poly(rng, "t", most=1) for _ in range(3)]:
@@ -1152,7 +1152,7 @@ def test_poly_divmod_matches_pinned_fraction_division():
             assert all(_all_fractions(p.coeffs) for p in new)
             assert f // g == old[0] and f % g == old[1] and divmod(f, 3) == _old_divmod(f, 3)
         with pytest.raises(ZeroDivisionError):
-            divmod(f, RatPoly.zero())
+            divmod(f, RatPoly(()))
 
 
 # ---------------------------------------------------------------------------
@@ -1199,7 +1199,7 @@ def test_combination_rejects_a_shape_or_count_mismatch():
 def _old_mul(self, other) -> RatPoly:
     o = self._coerce(other)
     if self.is_zero or o.is_zero:
-        return RatPoly.zero(self.var)
+        return RatPoly((), self.var)
     out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
     for i, a in enumerate(self.coeffs):
         if a == 0:
@@ -1211,7 +1211,7 @@ def _old_mul(self, other) -> RatPoly:
 
 def test_poly_product_matches_pinned_fraction_product():
     rng = random.Random(8700)
-    polys = [RatPoly.zero(), RatPoly.zero("q"), RatPoly([Fraction(-2, 3)]), RatPoly([0, 0, 1], "q")]
+    polys = [RatPoly(()), RatPoly((), "q"), RatPoly([Fraction(-2, 3)]), RatPoly([0, 0, 1], "q")]
     polys += [RatPoly([1, 2**70, Fraction(3, 2**66)]), RatPoly([Fraction(1, 6), 0, Fraction(-5, 4)])]
     polys += [RatPoly([_random_entry(rng) for _ in range(rng.randint(0, 6))], rng.choice("tq")) for _ in range(40)]
     for f in polys:
@@ -1418,14 +1418,24 @@ _A = RatMatrix.from_rows([[1, 2], [3, 4]])
         (lambda: nilpotent_jordan_type(RatMatrix.zero(3, 2)), "Jordan type of a non-square matrix"),
         (lambda: Subspace(3, [(1, 2)]), "vector length does not match ambient dimension"),
         (lambda: Subspace.full(2).sum(Subspace.full(3)), "ambient mismatch"),
-        (lambda: Subspace.full(2).intersect(Subspace.zero(3)), "ambient mismatch"),
+        (lambda: Subspace.full(2).intersect(Subspace(3)), "ambient mismatch"),
         (lambda: Subspace.full(2).image_under(), "image_under needs at least one map"),
+        (lambda: RatPoly(()).leading, "zero polynomial has no leading coefficient"),
+        # its own id, so the RatMatrix row above keeps "<lambda>-negative power"
+        pytest.param(lambda: RatPoly((1, 1)) ** -1, "negative power", id="RatPoly-negative power"),
     ],
 )
 def test_core_rejects_malformed_input_with_its_message(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+
+
+def test_reflected_difference_monic_zero_and_matrix_str():
+    one_minus_t = 1 - RatPoly((0, 1))  # int - RatPoly goes through __rsub__
+    assert one_minus_t == RatPoly((1, -1)) and str(one_minus_t) == "-t+1"
+    assert RatPoly(()).monic() == RatPoly(())
+    assert str(RatMatrix.from_rows([[1, Fraction(-1, 2)], [0, 3]])) == "[1  -1/2]\n[0  3]"
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from uhlenbeck.core import RatPoly
+from uhlenbeck.core import RatPoly, convolve
 from uhlenbeck.ic import (
     GradedStalk,
     _length_counts,
@@ -171,8 +171,8 @@ def test_smallness_strict_up_to_12():
 
 
 def test_fiber_bound_matches_stalk_width():
-    # width of the stalk polynomial is twice the fiber bound
-    for n in range(1, 9):
+    # width of the stalk polynomial is twice the fiber bound, as the audit's docstring says
+    for n in range(1, 13):
         for r in smallness_audit(n):
             stalk = ic_stalk(n, r.stratum.m, r.stratum.lam)
             if r.stratum.lam.length:
@@ -195,6 +195,35 @@ def test_fixed_points_n2():
 def test_fixed_point_count_formula_matches_enumeration():
     for n in range(11):
         assert len(uhlenbeck_fixed_points(n)) == uhlenbeck_fixed_point_count(n)
+
+
+def test_fixed_point_euler_characteristics_sum_to_p_cubed():
+    # a consistency check only (it follows from the stalk formula): the fiber
+    # over (m, mu, k0, kinf) has chi = p(k0) p(kinf), the total of its stalk,
+    # and the sum over all fixed points is [x^n] P(x)^3 with P = sum p(k) x^k
+    p = [partition_count(k) for k in range(13)]
+    p_cubed = convolve(convolve(p, p), p)
+    expected = [1, 3, 9, 22, 51, 108, 221, 429, 810, 1479, 2640, 4599, 7868]
+    for n in range(13):
+        points = uhlenbeck_fixed_points(n)
+        chi = sum(partition_count(pt.k0) * partition_count(pt.kinf) for pt in points)
+        assert chi == p_cubed[n] == expected[n]
+        for pt in points:
+            lam = sorted((k for k in (pt.k0, pt.kinf) if k), reverse=True)
+            assert ic_stalk(n, pt.m, lam).total == partition_count(pt.k0) * partition_count(pt.kinf)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: strata(-1), "n must be nonnegative"),
+        (lambda: uhlenbeck_fixed_points(-1), "n must be nonnegative"),
+    ],
+)
+def test_ic_rejects_malformed_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_unique_attracting_point():

@@ -42,6 +42,24 @@ def test_partition_like_arguments_are_validated():
             call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: partitions(-1), "n must be nonnegative"),
+        (lambda: partition_count(-1), "n must be nonnegative"),
+        (lambda: partition_count_by_length(-1, 0), "arguments must be nonnegative"),
+    ],
+)
+def test_partitions_rejects_malformed_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_partition_str():
+    assert str(Partition((3, 1, 1))) == "(3,1,1)" and str(Partition()) == "()"
+
+
 def test_enumeration_order():
     assert [p.parts for p in partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
     assert partitions(0) == [Partition()]

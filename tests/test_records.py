@@ -22,7 +22,7 @@ from uhlenbeck.partitions import Partition
 LAM = Partition((2, 1))
 TAU = Fraction(3, 7)
 PAIR = calogero.sample_cm(2, [0, 1], TAU)
-SPACES = (Subspace.zero(1), Subspace(2, [[1, -1]]), Subspace.full(1))
+SPACES = (Subspace(1), Subspace(2, [[1, -1]]), Subspace.full(1))
 
 # (record, field names in order, sample values, index of the field to change, changed value)
 RECORDS = [

@@ -129,3 +129,15 @@ def test_pair_roundtrip():
 def test_readers_name_the_wrong_shaped_field(reader, data, field):
     with pytest.raises(ValueError, match=re.escape(field)):
         reader(data)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rep_from_json({"dim": [1, 2]}), "field 'dim' must be a JSON array of three integers"),
+    ],
+)
+def test_serialize_rejects_malformed_input_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
