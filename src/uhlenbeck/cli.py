@@ -1,13 +1,17 @@
 """The ``uhl`` command line, built from one command table.
 
-``build_parser`` is the table: it registers each command once, with its
-arguments, its payload function ``run(args, meta) -> payload``, the caps on
-its size arguments and, for the tabular commands, ``--csv`` storing the
-payload key whose rows it prints.  ``run`` is the one validation layer: it
+``COMMANDS`` is the table: each command once, with its arguments, its
+payload function ``run(args, meta) -> payload``, the caps on its size
+arguments and, for the tabular commands, ``--csv`` storing the payload key
+whose rows it prints.  ``build_parser(argv)`` registers the top-level entries
+and, of the table, only the command argv names; where argv names none, as
+top-level and group help and usage errors do, it registers the whole table,
+so those bytes are the whole table's.  ``run`` is the one validation layer: it
 reads the seed, checks the declared caps, calls the payload function and
 builds the envelope, so a domain error, a malformed value or a bad input
-file ends in exit 1 with an error envelope.  ``main`` parses once and prints
-the envelope as JSON, or the table as CSV.
+file ends in exit 1 with an error envelope.  ``dispatch`` and ``main`` parse
+argv once through ``build_parser(argv)``; ``main`` prints the envelope as
+JSON, or the table as CSV.
 """
 
 from __future__ import annotations
@@ -94,139 +98,6 @@ def _default_seed() -> int:
         return int(text)
     except ValueError:
         raise DomainError(f"UHL_SEED must be an integer, got {text!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# the command table
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Every command once: its arguments, payload function, caps and CSV table.
-
-    A cap ``(flag, limit)`` holds an integer flag between 0 and limit;
-    ``(name, limit, size)`` holds ``size(args)`` there, measured from a text
-    flag or read from the input file by its validating reader.  Each limit is set so
-    that the most expensive accepted argv takes under two seconds in a
-    subprocess on a 2-vCPU x86-64 host; README.md lists the caps.
-    """
-    parser = argparse.ArgumentParser(prog="uhl", description=DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    groups = {"": sub}
-    for name, text in (
-        ("nc", "graded algebra normal forms and dimensions"),
-        ("quiver", "quiver representations and stability"),
-        ("cm", "Calogero-Moser pairs"),
-        ("bvar", "commutator triples (Y, Z, v)"),
-        ("ic", "strata, stalks, Betti tables, fixed points"),
-    ):
-        groups[name] = sub.add_parser(name, help=text).add_subparsers(dest="subcommand", required=True)
-
-    def command(name: str, run, *caps, **kwargs) -> argparse.ArgumentParser:
-        group, _, leaf = name.rpartition(" ")
-        p = groups[group].add_parser(leaf, **kwargs)
-        p.set_defaults(name=name, run=run, caps=caps)
-        return p
-
-    # each coefficient at a rational tau has about (word length / 2) * (tau digits) digits
-    p = command(
-        "nc normal-form",
-        _nc_normal_form,
-        ("word length", 800, lambda a: len(a.word)),
-        ("word length * tau digits", 6400, lambda a: len(a.word) * (1 if a.tau == "t" else digits(a.tau))),
-    )
-    p.add_argument("--tau", default="t", help="rational value, or 't' for symbolic")
-    p.add_argument("--word", required=True)
-    p = command("nc dims", _nc_dims, ("max-degree", 48))
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--tau", default="1")
-
-    p = command("quiver check", _quiver_check, ("rep size", 240, lambda a: sum(_input(a, "rep").dim)))
-    p.add_argument("--rep", required=True)
-    p.add_argument("--tau", default=None)
-    # the search cost grows with both, so the two caps go together
-    p = command(
-        "quiver stability",
-        _quiver_stability,
-        ("rep size", 9, lambda a: sum(_input(a, "rep").dim)),
-        ("budget", 32),
-    )
-    p.add_argument("--rep", required=True)
-    p.add_argument("--theta0", required=True)
-    p.add_argument("--theta1", default=None)
-    p.add_argument("--budget", type=int, default=32)
-    p.add_argument("--seed", type=int, default=None)
-    p = command("quiver alpha", lambda a, meta: {"alpha": list(quiver.alpha(a.r, a.d, a.n))})
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("cm verify", _cm_verify, ("pair size", 80, lambda a: _input(a, "pair")[0].rows))
-    p.add_argument("--pair", required=True)
-    p.add_argument("--tau", default="1")
-    # the integer form of the entries tau / (x_i - x_j) grows with these digits
-    p = command(
-        "cm sample",
-        _cm_sample,
-        ("n", 100),
-        ("spectrum and tau digits", 190, lambda a: sum(map(digits, [a.tau, *a.spectrum]))),
-    )
-    p.add_argument("--n", type=int, required=True)
-    # an empty --spectrum= is no values, for n = 0
-    p.add_argument(
-        "--spectrum", required=True, type=lambda s: s.split(",") if s else [], help="comma-separated distinct rationals"
-    )
-    p.add_argument("--tau", default="1")
-    p = command(
-        "cm fixed-points",
-        lambda a, meta: {"n": a.n, "count": calogero.cm_fixed_point_count(a.n)},
-        ("n", 4000),
-    )
-    p.add_argument("--n", type=int, required=True)
-
-    p = command("bvar check", _bvar_check, ("triple size", 50, lambda a: _input(a, "triple").size))
-    p.add_argument("--triple", required=True)
-    p.add_argument("--tau", default=None)
-    p = command("bvar jordan", _bvar_jordan, ("k", 80))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--u", default="0")
-    p.add_argument("--tau", default="1")
-    p = command("bvar components", _bvar_components, ("k", 12))
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tau", default="1")
-    p.add_argument("--csv", action="store_const", const="components")
-    # --samples multiplies the cost of every lambda, so the two caps go together
-    p = command(
-        "bvar fiber",
-        _bvar_fiber,
-        ("lambda size", 10, lambda a: _parse_partition(a.lam).size),
-        ("samples", 16),
-    )
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--u", default="0")
-    p.add_argument("--tau", default="1")
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=None)
-
-    p = command("ic stalk", _ic_stalk, ("n", 40))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p = command("ic betti", lambda a, meta: {"n": a.n, "betti": ic.punctual_hilbert_betti(a.n)}, ("n", 6000))
-    p.add_argument("--n", type=int, required=True)
-    p = command("ic strata", _ic_strata, ("n", 26))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--csv", action="store_const", const="strata")
-    p = command("ic fixed-points", _ic_fixed_points, ("n", 22))
-    p.add_argument("--n", type=int, required=True)
-    p = command("ic audit", _ic_audit, ("n", 26))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--csv", action="store_const", const="rows")
-
-    p = command("report", _report, ("n", 20), help="write strata/stalk/Betti/fixed-point tables")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +294,172 @@ def _write_csv(fh, header: list[str], rows: list[dict]):
 
 
 # ---------------------------------------------------------------------------
+# the command table
+
+# The entries of ``uhl``: five command groups and the report command.
+TOP_LEVEL = {
+    "nc": "graded algebra normal forms and dimensions",
+    "quiver": "quiver representations and stability",
+    "cm": "Calogero-Moser pairs",
+    "bvar": "commutator triples (Y, Z, v)",
+    "ic": "strata, stalks, Betti tables, fixed points",
+    "report": "write strata/stalk/Betti/fixed-point tables",
+}
+
+REQUIRED = {"required": True}
+REQUIRED_INT = {"type": int, "required": True}
+
+# Every command once: name -> (payload function, caps, arguments).  A cap
+# ``(flag, limit)`` holds an integer flag between 0 and limit; ``(name, limit,
+# size)`` holds ``size(args)`` there, measured from a text flag or read from
+# the input file by its validating reader.  Each limit is set so that the most
+# expensive accepted argv takes under two seconds in a subprocess on a 2-vCPU
+# x86-64 host; README.md lists the caps.  An argument ``(flag, options)`` is
+# ``add_argument(flag, **options)``; a ``--csv`` flag stores the payload key
+# whose rows it prints.
+COMMANDS = {
+    # each coefficient at a rational tau has about (word length / 2) * (tau digits) digits
+    "nc normal-form": (
+        _nc_normal_form,
+        (
+            ("word length", 800, lambda a: len(a.word)),
+            ("word length * tau digits", 6400, lambda a: len(a.word) * (1 if a.tau == "t" else digits(a.tau))),
+        ),
+        (("--tau", {"default": "t", "help": "rational value, or 't' for symbolic"}), ("--word", REQUIRED)),
+    ),
+    "nc dims": (_nc_dims, (("max-degree", 48),), (("--max-degree", REQUIRED_INT), ("--tau", {"default": "1"}))),
+    "quiver check": (
+        _quiver_check,
+        (("rep size", 240, lambda a: sum(_input(a, "rep").dim)),),
+        (("--rep", REQUIRED), ("--tau", {})),
+    ),
+    # the search cost grows with both, so the two caps go together
+    "quiver stability": (
+        _quiver_stability,
+        (("rep size", 9, lambda a: sum(_input(a, "rep").dim)), ("budget", 32)),
+        (
+            ("--rep", REQUIRED),
+            ("--theta0", REQUIRED),
+            ("--theta1", {}),
+            ("--budget", {"type": int, "default": 32}),
+            ("--seed", {"type": int}),
+        ),
+    ),
+    "quiver alpha": (
+        lambda a, meta: {"alpha": list(quiver.alpha(a.r, a.d, a.n))},
+        (),
+        (("--r", REQUIRED_INT), ("--d", REQUIRED_INT), ("--n", REQUIRED_INT)),
+    ),
+    "cm verify": (
+        _cm_verify,
+        (("pair size", 80, lambda a: _input(a, "pair")[0].rows),),
+        (("--pair", REQUIRED), ("--tau", {"default": "1"})),
+    ),
+    # the integer form of the entries tau / (x_i - x_j) grows with these digits
+    "cm sample": (
+        _cm_sample,
+        (("n", 100), ("spectrum and tau digits", 190, lambda a: sum(map(digits, [a.tau, *a.spectrum])))),
+        (
+            ("--n", REQUIRED_INT),
+            # an empty --spectrum= is no values, for n = 0
+            (
+                "--spectrum",
+                {
+                    "required": True,
+                    "type": lambda s: s.split(",") if s else [],
+                    "help": "comma-separated distinct rationals",
+                },
+            ),
+            ("--tau", {"default": "1"}),
+        ),
+    ),
+    "cm fixed-points": (
+        lambda a, meta: {"n": a.n, "count": calogero.cm_fixed_point_count(a.n)},
+        (("n", 4000),),
+        (("--n", REQUIRED_INT),),
+    ),
+    "bvar check": (
+        _bvar_check,
+        (("triple size", 50, lambda a: _input(a, "triple").size),),
+        (("--triple", REQUIRED), ("--tau", {})),
+    ),
+    "bvar jordan": (
+        _bvar_jordan,
+        (("k", 80),),
+        (("--k", REQUIRED_INT), ("--u", {"default": "0"}), ("--tau", {"default": "1"})),
+    ),
+    "bvar components": (
+        _bvar_components,
+        (("k", 12),),
+        (
+            ("--k", REQUIRED_INT),
+            ("--tau", {"default": "1"}),
+            ("--csv", {"action": "store_const", "const": "components"}),
+        ),
+    ),
+    # --samples multiplies the cost of every lambda, so the two caps go together
+    "bvar fiber": (
+        _bvar_fiber,
+        (("lambda size", 10, lambda a: _parse_partition(a.lam).size), ("samples", 16)),
+        (
+            ("--lambda", {"dest": "lam", "required": True}),
+            ("--u", {"default": "0"}),
+            ("--tau", {"default": "1"}),
+            ("--samples", {"type": int, "default": 8}),
+            ("--seed", {"type": int}),
+        ),
+    ),
+    "ic stalk": (
+        _ic_stalk,
+        (("n", 40),),
+        (("--n", REQUIRED_INT), ("--m", REQUIRED_INT), ("--lambda", {"dest": "lam", "required": True})),
+    ),
+    "ic betti": (
+        lambda a, meta: {"n": a.n, "betti": ic.punctual_hilbert_betti(a.n)},
+        (("n", 6000),),
+        (("--n", REQUIRED_INT),),
+    ),
+    "ic strata": (
+        _ic_strata,
+        (("n", 26),),
+        (("--n", REQUIRED_INT), ("--csv", {"action": "store_const", "const": "strata"})),
+    ),
+    "ic fixed-points": (_ic_fixed_points, (("n", 22),), (("--n", REQUIRED_INT),)),
+    "ic audit": (
+        _ic_audit,
+        (("n", 26),),
+        (("--n", REQUIRED_INT), ("--csv", {"action": "store_const", "const": "rows"})),
+    ),
+    "report": (_report, (("n", 20),), (("--n", REQUIRED_INT), ("--out", REQUIRED))),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for argv: every top-level entry, and of the commands only the one argv names.
+
+    Where argv names no command (top-level or group help, an unknown command,
+    options before the command), and with no argv, it is the whole table.
+    The top-level entries stay so that an error the top parser reports after
+    a command, such as an unrecognized argument, lists every choice in its
+    usage line.
+    """
+    head = list(argv or ())[:2]
+    named = [name for name in COMMANDS if name.split() in (head[:1], head)]
+    parser = argparse.ArgumentParser(prog="uhl", description=DESCRIPTION)
+    sub = parser.add_subparsers(dest="command", required=True)
+    entries = {name: sub.add_parser(name, help=text) for name, text in TOP_LEVEL.items()}
+    groups = {name: p.add_subparsers(dest="subcommand", required=True) for name, p in entries.items() if name not in COMMANDS}
+    for name in named or COMMANDS:
+        run, caps, arguments = COMMANDS[name]
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(leaf) if group else entries[leaf]
+        p.set_defaults(name=name, run=run, caps=caps)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser
+
+
+# ---------------------------------------------------------------------------
 # the boundary
 
 
@@ -447,11 +484,12 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
 
 def dispatch(argv: list[str]) -> tuple[int, dict]:
     """Parse argv and run its command; returns (exit code, result envelope)."""
-    return run(build_parser().parse_args(argv))
+    return run(build_parser(argv).parse_args(argv))
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     code, envelope = run(args)
     table = envelope["payload"][args.csv] if code == 0 and getattr(args, "csv", None) else None
     if table:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import uhlenbeck
-from uhlenbeck import quiver
+from uhlenbeck import cli, quiver
 from uhlenbeck.bvariety import jordan_triple
 from uhlenbeck.calogero import sample_cm
 from uhlenbeck.cli import build_parser, dispatch, main
@@ -747,8 +747,8 @@ def test_malformed_seed_variable_is_domain_error(monkeypatch):
 # the command table as a whole
 
 
-def table_commands() -> dict[str, argparse.ArgumentParser]:
-    """Each command's name and parser, read from the command table."""
+def table_commands(parser: argparse.ArgumentParser | None = None) -> dict[str, argparse.ArgumentParser]:
+    """Each command's name and parser, read from a parser (the whole command table by default)."""
     found = {}
 
     def walk(parser):
@@ -760,7 +760,7 @@ def table_commands() -> dict[str, argparse.ArgumentParser]:
                     else:
                         found[sub.get_default("name")] = sub
 
-    walk(build_parser())
+    walk(parser or build_parser())
     return found
 
 
@@ -772,6 +772,88 @@ def test_readme_lists_the_declared_caps():
         (name, flag, limit) for name, parser in table_commands().items() for flag, limit, *_ in parser.get_default("caps")
     }
     assert listed == declared
+
+
+def parse_through(parser: argparse.ArgumentParser, argv: list[str]) -> tuple[int, str, str, dict | None]:
+    """parser.parse_args(argv) with stdout and stderr captured: (exit code, stdout, stderr, parsed fields)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, fields = 0, vars(parser.parse_args(argv))
+        except SystemExit as exc:  # help, and argparse usage errors
+            code, fields = exc.code, None
+    return code, out.getvalue(), err.getvalue(), fields
+
+
+def narrowing_corpus() -> list[list[str]]:
+    """The golden command lines, help at every level, and the usage errors around a command."""
+    names = sorted(table_commands())
+    groups = sorted({name.split()[0] for name in names if " " in name})
+    return [
+        *(command.split(" ") for command in sorted(GOLDEN)),
+        ["-h"],
+        *([group, "-h"] for group in groups),
+        *(name.split() + ["-h"] for name in names),
+        [],
+        ["ic"],
+        ["bogus"],
+        ["ic", "bogus"],
+        ["ic", "stalk", "--n", "3", "--m", "0"],
+        ["report", "--n", "3"],
+        ["ic", "betti", "--n", "x"],
+        ["ic", "betti", "--n"],
+        ["nc", "dims", "--max", "3"],
+        ["ic", "betti", "--n", "3", "--bogus"],
+        ["ic", "betti", "--n", "3", "stray"],
+        ["--n", "3", "ic", "betti"],
+        ["ic", "betti", "--n", "3", "ic", "betti"],
+    ]
+
+
+@pytest.mark.parametrize("argv", narrowing_corpus(), ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_narrowed_parser_matches_the_whole_table(monkeypatch, argv):
+    # help wraps at the terminal width; pin it so both sides format alike
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_through(build_parser(argv), argv) == parse_through(build_parser(), argv)
+
+
+def test_a_command_line_registers_only_its_command():
+    commands = table_commands()
+    for name in commands:
+        assert list(table_commands(build_parser(name.split() + ["--n", "3"]))) == [name]
+    for argv in ([], ["-h"], ["ic", "-h"], ["ic", "bogus"], ["--n", "3", "ic", "betti"]):
+        assert table_commands(build_parser(argv)).keys() == commands.keys()
+
+
+@pytest.mark.parametrize("argv", [["ic", "betti", "--n", "3"], ["ic", "betti", "--n", "3", "--bogus"]])
+def test_main_without_argv_narrows_on_sys_argv(monkeypatch, capsys, argv):
+    monkeypatch.delenv("UHL_SEED", raising=False)
+
+    def exit_code(call):
+        try:
+            return call()
+        except SystemExit as exc:  # argparse usage errors
+            return exc.code
+
+    expected = exit_code(lambda: main(argv)), capsys.readouterr()
+    seen = []
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: seen.append(argv) or build_parser(argv))
+    monkeypatch.setattr(sys, "argv", ["uhl", *argv])
+    assert (exit_code(main), capsys.readouterr()) == expected
+    assert seen == [argv]
+
+
+# The entry point of the ``uhl`` console script, run as its own process.
+LAUNCH = "import sys; from uhlenbeck.cli import main; sys.exit(main())"
+SRC = str(Path(uhlenbeck.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ic", "betti", "--help"]])
+def test_uhl_process_help_is_the_whole_table_help(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-c", LAUNCH, *argv], env={**os.environ, "PYTHONPATH": SRC}, capture_output=True)
+    code, out, err, _ = parse_through(build_parser(), argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode("utf-8"), err.encode("utf-8"))
 
 
 def run_main(argv) -> tuple[int, str]:
@@ -938,13 +1020,11 @@ def test_seeded_commands_are_byte_identical_across_hash_seeds(tmp_path):
         ["nc", "normal-form", "--word", "zyxzyxyx"],
         ["report", "--n", "6", "--out", str(tmp_path / "report")],
     ]
-    launch = "import sys; from uhlenbeck.cli import main; sys.exit(main())"
-    src = str(Path(uhlenbeck.__file__).resolve().parents[1])
     outputs = {}
     for hash_seed in ("0", "1"):
         env = {k: v for k, v in os.environ.items() if k != "UHL_SEED"}
-        env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        runs = [subprocess.run([sys.executable, "-c", launch, *argv], env=env, capture_output=True, check=True) for argv in commands]
+        env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+        runs = [subprocess.run([sys.executable, "-c", LAUNCH, *argv], env=env, capture_output=True, check=True) for argv in commands]
         tables = {p.name: p.read_bytes() for p in sorted((tmp_path / "report").iterdir())}
         outputs[hash_seed] = ([run.stdout for run in runs], tables)
     assert len(outputs["0"][1]) == 4
