@@ -134,9 +134,6 @@ def _quiver_stability(args, meta) -> dict:
     rep = _load_input(args, "rep", "representation", meta)
     theta0 = _parse_theta(args.theta0)
     theta1 = _parse_theta(args.theta1) if args.theta1 else None
-    for name, theta in (("theta0", theta0), ("theta1", theta1)):
-        if theta is not None and quiver.slope(theta, rep.dim) != 0:
-            raise DomainError(f"total slope of {name} must vanish on the dimension vector")
     if rep.dim[0] <= 1 and rep.dim[2] <= 1:
         verdict, witness = quiver.decide_stability_121(rep, theta0, theta1)
     else:

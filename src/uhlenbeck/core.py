@@ -240,6 +240,17 @@ class RatPoly:
         return f"RatPoly({self.to_str()!r})"
 
 
+def _term_str(c, mono: str) -> str:
+    """Text of c times a monomial: mono, -mono or c*mono, and c alone for mono = ""."""
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return "-" + mono
+    return f"{c}*{mono}"
+
+
 def poly_str(coeffs: Sequence, var: str, ascending: bool = False) -> str:
     """Text of sum c_k var^k for rational or integer coefficients c_k."""
     terms = []
@@ -248,12 +259,8 @@ def poly_str(coeffs: Sequence, var: str, ascending: bool = False) -> str:
         c = coeffs[k]
         if c == 0:
             continue
-        if k == 0:
-            body = str(c)
-        else:
-            head = "" if c == 1 else ("-" if c == -1 else str(c) + "*")
-            body = head + (var if k == 1 else f"{var}^{k}")
-        terms.append(body)
+        mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+        terms.append(_term_str(c, mono))
     if not terms:
         return "0"
     out = terms[0]

@@ -1,10 +1,11 @@
 """The graded algebra with [x,y] = tau z^2, z central, its quadratic dual and
 the polynomials of its relation pencil, all multiplied by one fold.
 
-Each has a basis of keys and a rule for a key times one generator.  A key is
-spelled by a word in the generators, so a product of two keys folds the
-letters of the second into the first one at a time, each by the rule
-(``TauCombination.fold``); every partial product is already in the basis.
+Each declares its generators, a basis of keys and a rule for a key times one
+generator.  A key is spelled by a word in the generators, so a product of two
+keys folds the letters of the second into the first one at a time, each by the
+rule (``TauCombination.fold``, which rejects any other letter); every partial
+product is already in the basis.
 Coefficients live in Q[tau], so one rule serves the generic parameter and
 every rational specialization, including tau = 0 (the commutative plane).
 
@@ -30,9 +31,9 @@ linear algebra, not read off from the presentation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, kernel_basis, rat
+from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, _term_str, kernel_basis, rat
 
 GENERATORS = ("x", "y", "z")
 
@@ -49,10 +50,11 @@ class TauCombination(Frozen):
     """Finite Q[tau]-linear combination of basis keys (tuples), sparse.
 
     Terms are sorted by (len(key), key) with zero coefficients dropped, so
-    equal combinations have equal ``terms``.  A subclass is an algebra:
-    ``times(key, letter)`` gives a key times a generator as (key, integer,
-    power of tau) terms, ``word(key)`` spells a key in generators and
-    ``key_str(key)`` prints it.
+    equal combinations have equal ``terms``.  A subclass is an algebra: it
+    declares its ``generators``, ``times(key, letter)`` gives a key times a
+    generator as (key, integer, power of tau) terms, ``word(key)`` spells a
+    key in generators and ``key_str(key)`` prints it; a graded one declares
+    ``keys(degree)``, its basis of that degree.
     """
 
     _fields = ("terms",)
@@ -91,16 +93,23 @@ class TauCombination(Frozen):
 
         Under each rule here a key is only ever reached from a given start
         and word with one power of tau, so each coefficient is an integer
-        times it.
+        times it.  A letter that is not one of ``generators`` is rejected.
         """
         terms = {start: (1, 0)}  # key -> (integer, power of tau)
         for g in word:
+            if g not in cls.generators:
+                raise ValueError(f"unknown generator {g!r}")
             folded: dict[tuple, tuple[int, int]] = {}
             for key, (coeff, k) in terms.items():
                 for key2, c2, k2 in cls.times(key, g):
                     folded[key2] = (folded.get(key2, (0,))[0] + coeff * c2, k + k2)
             terms = folded
         return cls.from_dict({key: tau_poly(c, k) for key, (c, k) in terms.items()})
+
+    @classmethod
+    def word(cls, key: tuple) -> tuple[str, ...]:
+        """An exponent key spelled in generators, each repeated by its exponent."""
+        return tuple(g for g, e in zip(cls.generators, key) for _ in range(e))
 
     def __mul__(self, other):
         out: dict[tuple, RatPoly] = {}
@@ -138,8 +147,18 @@ def monomial_str(m: Monomial) -> str:
     return " ".join(parts) if parts else "1"
 
 
+def normal_monomials(degree: int) -> list[Monomial]:
+    """All normal-form monomials x^a y^b z^c of the given total degree."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    return [(a, b, degree - a - b) for a in range(degree, -1, -1) for b in range(degree - a, -1, -1)]
+
+
 class NCElement(TauCombination):
     """Element of the algebra in normal form: {(a,b,c): coefficient in Q[tau]}."""
+
+    generators = GENERATORS
+    keys = staticmethod(normal_monomials)
 
     @staticmethod
     def times(m: Monomial, g: str) -> tuple[tuple[Monomial, int, int], ...]:
@@ -152,11 +171,6 @@ class NCElement(TauCombination):
         if b:
             return (((a + 1, b, c), 1, 0), ((a, b - 1, c + 2), -b, 1))
         return (((a + 1, b, c), 1, 0),)
-
-    @staticmethod
-    def word(m: Monomial) -> tuple[str, ...]:
-        a, b, c = m
-        return ("x",) * a + ("y",) * b + ("z",) * c
 
     key_str = staticmethod(monomial_str)
 
@@ -175,20 +189,10 @@ def normal_form(word) -> NCElement:
         letters = tuple(ch for ch in word if not ch.isspace())
     else:
         letters = tuple(word)
-    for ch in letters:
-        if ch not in GENERATORS:
-            raise ValueError(f"unknown generator {ch!r}")
     element = _reduce_cache.get(letters)
     if element is None:
         element = _reduce_cache[letters] = NCElement.fold((0, 0, 0), letters)
     return element
-
-
-def normal_monomials(degree: int) -> list[Monomial]:
-    """All normal-form monomials x^a y^b z^c of the given total degree."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    return [(a, b, degree - a - b) for a in range(degree, -1, -1) for b in range(degree - a, -1, -1)]
 
 
 def graded_dim(degree: int) -> int:
@@ -205,19 +209,19 @@ def graded_dim_computed(degree: int, tau) -> int:
     checks that no collapse occurs at this tau (induction on the degree
     starting from the generators).
     """
-    return _times_rank(NCElement, GENERATORS, normal_monomials, degree, rat(tau))
+    return _times_rank(NCElement, degree, rat(tau))
 
 
-def _times_rank(algebra, generators, keys, degree: int, t: Fraction) -> int:
+def _times_rank(algebra, degree: int, t: Fraction) -> int:
     """Dimension of degree i at a rational t, for both algebras: the rank in the
-    basis ``keys(i)`` of each key of degree i-1 times each generator, by
+    basis ``algebra.keys(i)`` of each key of degree i-1 times each generator, by
     ``algebra.times``.  Each key is its own word, so these span all words of length i."""
     if degree == 0:
         return 1
-    index = {k: j for j, k in enumerate(keys(degree))}
+    index = {k: j for j, k in enumerate(algebra.keys(degree))}
     span = Subspace(len(index))
-    for key in keys(degree - 1):
-        for g in generators:
+    for key in algebra.keys(degree - 1):
+        for g in algebra.generators:
             span.add((index[k2], c * t**e) for k2, c, e in algebra.times(key, g))
     return span.dim
 
@@ -237,6 +241,9 @@ DUAL_BASIS: tuple[DualWord, ...] = tuple(w for n in range(len(DUAL_GENERATORS) +
 
 class DualElement(TauCombination):
     """Element of the dual algebra on the canonical square-free basis."""
+
+    generators = DUAL_GENERATORS
+    keys = staticmethod(lambda degree: [w for w in DUAL_BASIS if len(w) == degree])
 
     @staticmethod
     def times(w: DualWord, g: str) -> tuple[tuple[DualWord, int, int], ...]:
@@ -268,26 +275,26 @@ def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
     so the expected (1, 3, 3, 1, 0, ...) profile is verified, not assumed.
     """
     t = rat(tau)
-    keys = lambda degree: [w for w in DUAL_BASIS if len(w) == degree]
-    return tuple(_times_rank(DualElement, DUAL_GENERATORS, keys, i, t) for i in range(max_degree + 1))
+    return tuple(_times_rank(DualElement, i, t) for i in range(max_degree + 1))
 
 
 # ---------------------------------------------------------------------------
 # relation kernels of the degree-two multiplication maps
 
 
-PAIR_ORDER: tuple[tuple[str, str], ...] = tuple((g1, g2) for g1 in GENERATORS for g2 in GENERATORS)
-DUAL_PAIR_ORDER: tuple[tuple[str, str], ...] = tuple((g1, g2) for g1 in DUAL_GENERATORS for g2 in DUAL_GENERATORS)
+PAIR_ORDER: tuple[tuple[str, str], ...] = tuple(product(GENERATORS, repeat=2))
+DUAL_PAIR_ORDER: tuple[tuple[str, str], ...] = tuple(product(DUAL_GENERATORS, repeat=2))
 
 
-def _pair_kernel(pairs, reduce, keys2, tau) -> list[Vector]:
-    """Kernel at a rational tau of g1 (x) g2 -> reduce(g1 g2) in the basis keys2."""
+def _pair_kernel(algebra, tau) -> list[Vector]:
+    """Kernel at a rational tau of g1 (x) g2 -> g1 g2, pairs in product order, in keys(2)."""
     t = rat(tau)
+    keys2, one = algebra.keys(2), algebra.keys(0)[0]
     index = {k: i for i, k in enumerate(keys2)}
     cols = []
-    for pair in pairs:
+    for pair in product(algebra.generators, repeat=2):
         col = [Fraction(0)] * len(keys2)
-        for k, v in reduce(pair).coefficients_at(t).items():
+        for k, v in algebra.fold(one, pair).coefficients_at(t).items():
             col[index[k]] = v
         cols.append(col)
     return kernel_basis(RatMatrix.from_columns(cols))
@@ -298,7 +305,7 @@ def relation_kernel(tau) -> list[Vector]:
 
     Vectors are coordinates in the ordered pair basis ``PAIR_ORDER``.
     """
-    return _pair_kernel(PAIR_ORDER, normal_form, normal_monomials(2), tau)
+    return _pair_kernel(NCElement, tau)
 
 
 def dual_relation_kernel(tau) -> list[Vector]:
@@ -307,17 +314,16 @@ def dual_relation_kernel(tau) -> list[Vector]:
     This six-dimensional kernel is the relation set imposed on quiver
     representations; coordinates follow ``DUAL_PAIR_ORDER``.
     """
-    return _pair_kernel(DUAL_PAIR_ORDER, dual_word, [w for w in DUAL_BASIS if len(w) == 2], tau)
+    return _pair_kernel(DualElement, tau)
 
 
-def pair_tensor(coeffs: dict[tuple[str, str], Fraction], dual: bool = False) -> Vector:
-    """Coordinate vector of a formal sum of tensors g1 (x) g2."""
-    order = DUAL_PAIR_ORDER if dual else PAIR_ORDER
-    pos = {p: i for i, p in enumerate(order)}
-    v = [Fraction(0)] * len(order)
-    for pair, c in coeffs.items():
-        v[pos[pair]] = rat(c)
-    return tuple(v)
+def pair_tensor(coeffs: dict[tuple[str, str], Fraction]) -> Vector:
+    """Coordinate vector of a formal sum of tensors g1 (x) g2 of the generators
+    of one algebra: in ``PAIR_ORDER`` for x, y, z, ``DUAL_PAIR_ORDER`` for xi, eta, zeta."""
+    for order in (PAIR_ORDER, DUAL_PAIR_ORDER):
+        if set(coeffs) <= set(order):
+            return tuple(rat(coeffs.get(pair, 0)) for pair in order)
+    raise ValueError("each pair must be two generators of one algebra")
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +333,13 @@ def pair_tensor(coeffs: dict[tuple[str, str], Fraction], dual: bool = False) -> 
 class MPoly(TauCombination):
     """Polynomial in u, v, w over Q[tau]: {(i, j, k): coefficient of u^i v^j w^k}."""
 
-    VARS = ("u", "v", "w", "tau")
+    generators = ("u", "v", "w")
+    VARS = generators + ("tau",)
 
-    @staticmethod
-    def times(e: Monomial, letter: str) -> tuple[tuple[Monomial, int, int], ...]:
-        i = "uvw".index(letter)
+    @classmethod
+    def times(cls, e: Monomial, letter: str) -> tuple[tuple[Monomial, int, int], ...]:
+        i = cls.generators.index(letter)
         return ((e[:i] + (e[i] + 1,) + e[i + 1 :], 1, 0),)
-
-    @staticmethod
-    def word(e: Monomial) -> tuple[str, ...]:
-        return ("u",) * e[0] + ("v",) * e[1] + ("w",) * e[2]
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
@@ -361,14 +364,7 @@ class MPoly(TauCombination):
             mono = "*".join(
                 (name if k == 1 else f"{name}^{k}") for name, k in zip(self.VARS, e) if k > 0
             )
-            if not mono:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append(mono)
-            elif c == -1:
-                pieces.append("-" + mono)
-            else:
-                pieces.append(f"{c}*{mono}")
+            pieces.append(_term_str(c, mono))
         return " + ".join(pieces)
 
 

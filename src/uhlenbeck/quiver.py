@@ -21,6 +21,7 @@ elsewhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 import random
 from typing import NamedTuple
 
@@ -295,8 +296,9 @@ def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
 def _lex_slopes(rep: QuiverRep, theta: Polarization, tiebreak: Polarization | None):
     """dims -> slope tuple in theta, then tiebreak; each must pair to zero with rep.dim."""
     thetas = (theta,) if tiebreak is None else (theta, tiebreak)
-    if any(slope(t, rep.dim) != 0 for t in thetas):
-        raise ValueError("total slope must vanish")
+    for name, t in zip(("theta0", "theta1"), thetas):
+        if slope(t, rep.dim) != 0:
+            raise ValueError(f"total slope of {name} must vanish on the dimension vector")
     return lambda dims: tuple(slope(t, dims) for t in thetas)
 
 
@@ -378,13 +380,10 @@ def find_destabilizer(
         cands2.append(column_space(rep.F[a]))
     cands2.append(_f_image(rep))
     cands2.append(_joint_kernel(G))
+    # the meets and joins of pairs, in order, while fewer than budget (at least one pair)
     pairwise = []
-    for i in range(2, len(cands2)):
-        for j in range(i + 1, len(cands2)):
-            pairwise.append(cands2[i].intersect(cands2[j]))
-            pairwise.append(cands2[i].sum(cands2[j]))
-            if len(pairwise) >= budget:
-                break
+    for a, b in combinations(cands2[2:], 2):
+        pairwise += (a.intersect(b), a.sum(b))
         if len(pairwise) >= budget:
             break
     cands2.extend(pairwise)

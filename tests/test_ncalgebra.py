@@ -74,6 +74,12 @@ def test_normal_form_rejects_bad_letters():
     [
         (lambda: normal_form("xq"), "unknown generator 'q'"),
         (lambda: normal_monomials(-1), "degree must be nonnegative"),
+        # the fold's one letter check serves every algebra and entry; their own
+        # ids, so the normal_form row above keeps "<lambda>-unknown generator 'q'"
+        pytest.param(lambda: dual_word(["q"]), "unknown generator 'q'", id="dual_word-q"),
+        pytest.param(lambda: dual_word(["xi", "q"]), "unknown generator 'q'", id="dual_word-xi q"),
+        pytest.param(lambda: dual_word("xi"), "unknown generator 'x'", id="dual_word-string xi"),
+        pytest.param(lambda: MPoly.var("q"), "unknown generator 'q'", id="MPoly.var-q"),
     ],
 )
 def test_ncalgebra_rejects_malformed_input_with_its_message(call, message):
@@ -209,9 +215,9 @@ def test_dual_relation_kernel(tau):
     kernel = dual_relation_kernel(tau)
     assert len(kernel) == 6
     space = Subspace(9, kernel)
-    assert space.contains(pair_tensor({("xi", "xi"): 1}, dual=True))
-    assert space.contains(pair_tensor({("eta", "eta"): 1}, dual=True))
-    relation = pair_tensor({("zeta", "zeta"): 1, ("xi", "eta"): tau, ("eta", "xi"): -tau}, dual=True)
+    assert space.contains(pair_tensor({("xi", "xi"): 1}))
+    assert space.contains(pair_tensor({("eta", "eta"): 1}))
+    relation = pair_tensor({("zeta", "zeta"): 1, ("xi", "eta"): tau, ("eta", "xi"): -tau})
     assert space.contains(relation)
 
 
@@ -221,12 +227,12 @@ def test_dual_relation_kernel_equals_expected_span():
         expected = Subspace(
             9,
             [
-                pair_tensor({("xi", "xi"): 1}, dual=True),
-                pair_tensor({("eta", "eta"): 1}, dual=True),
-                pair_tensor({("xi", "eta"): 1, ("eta", "xi"): 1}, dual=True),
-                pair_tensor({("xi", "zeta"): 1, ("zeta", "xi"): 1}, dual=True),
-                pair_tensor({("eta", "zeta"): 1, ("zeta", "eta"): 1}, dual=True),
-                pair_tensor({("zeta", "zeta"): 1, ("xi", "eta"): tau, ("eta", "xi"): -tau}, dual=True),
+                pair_tensor({("xi", "xi"): 1}),
+                pair_tensor({("eta", "eta"): 1}),
+                pair_tensor({("xi", "eta"): 1, ("eta", "xi"): 1}),
+                pair_tensor({("xi", "zeta"): 1, ("zeta", "xi"): 1}),
+                pair_tensor({("eta", "zeta"): 1, ("zeta", "eta"): 1}),
+                pair_tensor({("zeta", "zeta"): 1, ("xi", "eta"): tau, ("eta", "xi"): -tau}),
             ],
         )
         assert Subspace(9, dual_relation_kernel(tau)) == expected
@@ -234,6 +240,20 @@ def test_dual_relation_kernel_equals_expected_span():
 
 def test_dual_pair_order_shape():
     assert len(DUAL_PAIR_ORDER) == 9
+
+
+def test_pair_tensor_reads_the_pair_order_off_the_letters():
+    # x, y, z pairs land at their PAIR_ORDER positions, xi, eta, zeta pairs at
+    # their DUAL_PAIR_ORDER ones
+    for order in (PAIR_ORDER, DUAL_PAIR_ORDER):
+        for i, pair in enumerate(order):
+            unit = [Fraction(0)] * 9
+            unit[i] = Fraction(2, 3)
+            assert pair_tensor({pair: Fraction(2, 3)}) == tuple(unit)
+        assert pair_tensor({order[0]: 1, order[8]: -1}) == (1,) + (0,) * 7 + (-1,)
+    for mixed in ({("x", "xi"): 1}, {("zeta", "z"): 1}, {("x", "y"): 1, ("eta", "xi"): 1}, {("u", "v"): 1}):
+        with pytest.raises(ValueError, match="^each pair must be two generators of one algebra$"):
+            pair_tensor(mixed)
 
 
 # ---------------------------------------------------------------------------

@@ -762,9 +762,9 @@ def test_both_procedures_reject_a_nonvanishing_tiebreak():
     # theta0 pairs to zero with (2, 5, 2) and (1, 2, 1), (1, 0, 0) with neither
     theta0, _ = polarizations(1, 0, 2)
     rep = sample_relation_rep(alpha(1, 0, 2), ONE, seed=2)
-    with pytest.raises(ValueError, match="total slope must vanish"):
+    with pytest.raises(ValueError, match="total slope of theta1 must vanish on the dimension vector"):
         find_destabilizer(rep, theta0, Polarization(1, 0, 0), budget=4)
-    with pytest.raises(ValueError, match="total slope must vanish"):
+    with pytest.raises(ValueError, match="total slope of theta1 must vanish on the dimension vector"):
         decide_stability_121(monad_of_point((ONE, ONE), ONE), Polarization(-1, 0, 1), Polarization(1, 0, 0))
 
 
