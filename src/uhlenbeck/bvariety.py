@@ -349,7 +349,7 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     sample_dims: list[int | None] = []
     stratum_dim = 0
     solution_dim = 0
-    target = (RatPoly.variable("t") - u) ** k
+    target = (RatPoly((0, 1)) - u) ** k
     for z in presentations:
         y0, hom = solve_Y_space(z, tau)
         solution_dim = len(hom)
@@ -372,7 +372,7 @@ def _sample_dim(
     for _ in range(24):
         v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
         if krylov_span_dim([y, z], v) == k:
-            return _stratum_image_dim(y, z, v, centralizer, directions)
+            return _stratum_image_dim(y, v, centralizer, directions)
     return None
 
 
@@ -410,7 +410,7 @@ def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
 
 
 def _stratum_image_dim(
-    y: RatMatrix, z: RatMatrix, v: Vector, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]
+    y: RatMatrix, v: Vector, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]
 ) -> int:
     """Local dimension of the stratum's image in the conjugation quotient.
 

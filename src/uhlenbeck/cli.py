@@ -105,7 +105,7 @@ def _default_seed() -> int:
 
 
 def _nc_normal_form(args, meta) -> dict:
-    # str prints a RatPoly and a Fraction coefficient as to_str and fraction_to_str do
+    # str prints a RatPoly coefficient as poly_str and a Fraction as fraction_to_str do
     element = ncalgebra.normal_form(args.word)
     terms = element.terms if args.tau == "t" else element.coefficients_at(parse_fraction(args.tau)).items()
     return {"terms": [{"mono": ncalgebra.monomial_str(m), "coeff": str(c)} for m, c in terms]}
@@ -211,7 +211,7 @@ def _bvar_fiber(args, meta) -> dict:
 
 def _ic_stalk(args, meta) -> dict:
     stalk = ic.ic_stalk(args.n, args.m, _parse_partition(args.lam))
-    return {"poly": stalk.to_str(), "total": stalk.total}
+    return {"poly": str(stalk), "total": stalk.total}
 
 
 def _ic_strata(args, meta) -> dict:
@@ -268,7 +268,7 @@ def _report(args, meta) -> dict:
         (
             "stalks.csv",
             ["m", "lambda", "stalk", "total"],
-            [{"m": st.m, "lambda": st.lam.key, "stalk": s.to_str(), "total": s.total} for st, s in stalks],
+            [{"m": st.m, "lambda": st.lam.key, "stalk": str(s), "total": s.total} for st, s in stalks],
         ),
         (
             "betti.csv",

@@ -51,8 +51,8 @@ is self^n = 0, by the repeated squaring of ``power``.
 coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).
 ``rank``, ``rref`` and ``kernel_basis`` feed the integer rows of a straight
 into a scratch ``Subspace``, and ``Subspace.full`` writes the unit rows, as
-``Subspace.image_under`` (a ``column_space`` is the image of the full space),
-``Subspace.intersect``, ``krylov_span_dim`` and ``nilpotent_jordan_type``
+``Subspace.image_under`` (``column_space`` is the full space's image under its
+maps), ``Subspace.intersect``, ``krylov_span_dim`` and ``nilpotent_jordan_type``
 feed integer products: scaling a row changes neither the span nor the rank.
 A Fraction is always stored in lowest terms, so every entry, product, power
 and polynomial is the same value, digit for digit, as the one the Fraction
@@ -118,14 +118,6 @@ class RatPoly:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
         self.var = var
-
-    @classmethod
-    def variable(cls, var: str = "t") -> "RatPoly":
-        return cls((0, 1), var)
-
-    @classmethod
-    def monomial(cls, degree: int, coeff=1, var: str = "t") -> "RatPoly":
-        return cls((0,) * degree + (rat(coeff),), var)
 
     @property
     def degree(self) -> int:
@@ -230,14 +222,11 @@ class RatPoly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def to_str(self, ascending: bool = False) -> str:
-        return poly_str(self.coeffs, self.var, ascending)
-
     def __str__(self):
-        return self.to_str()
+        return poly_str(self.coeffs, self.var)
 
     def __repr__(self):
-        return f"RatPoly({self.to_str()!r})"
+        return f"RatPoly({str(self)!r})"
 
 
 def _term_str(c, mono: str) -> str:
@@ -936,9 +925,11 @@ class Subspace:
         return tuple(m.row(i) for i in range(m.rows))
 
     def contains(self, v: Sequence) -> bool:
-        return not self._remainder(_integer_row(enumerate(vector(v))))
+        return self.contains_subspace(Subspace(self.ambient, [v]))
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        if self.ambient != other.ambient:
+            raise ValueError("ambient mismatch")
         return all(not self._remainder(row) for row in other.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
@@ -1007,12 +998,14 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
-def column_space(m: RatMatrix) -> Subspace:
-    return Subspace.full(m.cols).image_under(m)
+def column_space(m: RatMatrix, *more: RatMatrix) -> Subspace:
+    """Sum of the images of m and more, which share their shape."""
+    return Subspace.full(m.cols).image_under(m, *more)
 
 
-def kernel_space(m: RatMatrix) -> Subspace:
-    return Subspace(m.cols, kernel_basis(m))
+def kernel_space(m: RatMatrix, *more: RatMatrix) -> Subspace:
+    """Joint kernel of m and more, the kernel of their vertical stack."""
+    return Subspace(m.cols, kernel_basis(RatMatrix.vstack([m, *more]) if more else m))
 
 
 def krylov_span_dim(mats: Sequence[RatMatrix], v: Sequence) -> int:

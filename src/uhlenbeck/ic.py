@@ -26,7 +26,7 @@ class GradedStalk(Frozen):
     """Multiset of even shifts: ``coeffs[d]`` summands sit in shift d.
 
     The coefficients are plain nonnegative integers with no trailing zero,
-    so the total is a sum and ``to_str`` prints them directly; ``poly`` is
+    so the total is a sum and ``str`` prints them directly; ``poly`` is
     the same data as a polynomial in q.
     """
 
@@ -61,11 +61,8 @@ class GradedStalk(Frozen):
     def coefficient(self, shift: int) -> int:
         return self.coeffs[shift] if 0 <= shift < len(self.coeffs) else 0
 
-    def to_str(self) -> str:
-        return poly_str(self.coeffs, "q", ascending=True)
-
     def __str__(self):
-        return self.to_str()
+        return poly_str(self.coeffs, "q", ascending=True)
 
 
 @lru_cache(maxsize=None)

@@ -33,14 +33,15 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, _term_str, kernel_basis, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, _term_str, kernel_basis, rat
+from .partitions import Frozen
 
 GENERATORS = ("x", "y", "z")
 
 
 def tau_poly(c=1, degree: int = 0) -> RatPoly:
     """c * tau^degree as an element of Q[tau]."""
-    return RatPoly.monomial(degree, c, var="tau")
+    return RatPoly((0,) * degree + (c,), "tau")
 
 
 Monomial = tuple[int, int, int]  # exponents (a, b, c) of x^a y^b z^c
@@ -67,15 +68,12 @@ class TauCombination(Frozen):
         items = ((k, c) for k, c in d.items() if not c.is_zero)
         return cls(tuple(sorted(items, key=lambda kc: (len(kc[0]), kc[0]))))
 
-    def as_dict(self) -> dict[tuple, RatPoly]:
-        return dict(self.terms)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other):
-        d = self.as_dict()
+        d = dict(self.terms)
         for k, c in other.terms:
             d[k] = d.get(k, RatPoly((), "tau")) + c
         return type(self).from_dict(d)

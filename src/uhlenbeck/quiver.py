@@ -25,8 +25,9 @@ from itertools import combinations
 import random
 from typing import NamedTuple
 
-from .core import Frozen, RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
 from .ncalgebra import DUAL_GENERATORS, DUAL_PAIR_ORDER
+from .partitions import Frozen
 
 ARROWS = DUAL_GENERATORS  # one F and one G per dual generator
 
@@ -170,7 +171,7 @@ def line_bundle_numerics(i: int) -> SheafNumerics:
 
 def hilbert_poly(num: SheafNumerics) -> RatPoly:
     """r (t+1)(t+2)/2 + d (2t+3)/2 + d^2/2 - c2, as a polynomial in t."""
-    t = RatPoly.variable("t")
+    t = RatPoly((0, 1))
     half = Fraction(1, 2)
     return (
         (t + 1) * (t + 2) * Fraction(num.r, 2)
@@ -269,14 +270,6 @@ class StabilityWitness(NamedTuple):
     subspaces: tuple[Subspace, Subspace, Subspace]
 
 
-def _f_image(rep: QuiverRep) -> Subspace:
-    return Subspace.full(rep.dim[0]).image_under(*_maps(rep.F))
-
-
-def _joint_kernel(maps: list[RatMatrix]) -> Subspace:
-    return kernel_space(RatMatrix.vstack(maps))
-
-
 def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
     """Grow base to the target dimension using vectors of `inside` first.
 
@@ -320,7 +313,7 @@ def decide_stability_121(
     if r1 > 1 or r3 > 1:
         raise ValueError(f"exact decision needs r1, r3 <= 1; got {rep.dim}")
     slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
-    imf, ker, v2 = _f_image(rep), _joint_kernel(_maps(rep.G)), Subspace.full(r2)
+    imf, ker, v2 = column_space(*_maps(rep.F)), kernel_space(*_maps(rep.G)), Subspace.full(r2)
     least = None
     for u1 in range(r1 + 1):
         for u3 in range(r3 + 1):
@@ -372,14 +365,14 @@ def find_destabilizer(
     cands1 = [Subspace(r1), Subspace.full(r1)]
     for a in ARROWS:
         cands1.append(kernel_space(rep.F[a]))
-    cands1.append(_joint_kernel(F))
+    cands1.append(kernel_space(*F))
 
     cands2 = [Subspace(r2), Subspace.full(r2)]
     for a in ARROWS:
         cands2.append(kernel_space(rep.G[a]))
         cands2.append(column_space(rep.F[a]))
-    cands2.append(_f_image(rep))
-    cands2.append(_joint_kernel(G))
+    cands2.append(column_space(*F))
+    cands2.append(kernel_space(*G))
     # the meets and joins of pairs, in order, while fewer than budget (at least one pair)
     pairwise = []
     for a, b in combinations(cands2[2:], 2):

@@ -55,7 +55,7 @@ from uhlenbeck.quiver import (
     slope,
 )
 
-T = RatPoly.variable("t")
+T = RatPoly((0, 1))
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

@@ -63,7 +63,7 @@ from uhlenbeck.core import (
 from uhlenbeck.partitions import Partition, partitions
 
 ONE = Fraction(1)
-T = RatPoly.variable("t")
+T = RatPoly((0, 1))
 
 
 def degenerate_divisor(u, k) -> RatPoly:
@@ -351,7 +351,7 @@ def test_fiber_probe_two_one_measures_one():
     assert probe.measured == 1
 
 
-def _stratum_image_dim_by_intersection(y, z, v, centralizer, directions):
+def _stratum_image_dim_by_intersection(y, v, centralizer, directions):
     # dim slice - dim(slice meet orbit), the formula before it became
     # dim(slice + orbit) - dim orbit
     k = y.rows
@@ -662,7 +662,7 @@ def _old_fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe
     stratum_dim = 0
     solution_dim = 0
     cyclic_found = False
-    target = (RatPoly.variable("t") - u) ** k if k else RatPoly((1,))
+    target = (RatPoly((0, 1)) - u) ** k if k else RatPoly((1,))
     for z in presentations:
         y0, hom = solve_Y_space(z, tau)
         solution_dim = len(hom)
@@ -676,7 +676,7 @@ def _old_fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe
             if v is None:
                 continue
             cyclic_found = True
-            sample_dims.append(_stratum_image_dim(y, z, v, hom, directions))
+            sample_dims.append(_stratum_image_dim(y, v, hom, directions))
     measured = max(sample_dims) if sample_dims else None
     return FiberProbe(
         lam, k, u, tau, solution_dim, stratum_dim, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found
@@ -700,7 +700,7 @@ def _old_distinct_fiber_probe(spectrum, tau, samples: int = 8, seed: int = 0) ->
         if v is None:
             continue
         cyclic_found = True
-        sample_dims.append(_stratum_image_dim(y, z, v, joint, []))
+        sample_dims.append(_stratum_image_dim(y, v, joint, []))
     measured = max(sample_dims) if sample_dims else None
     lam = Partition((1,) * k) if k else Partition()
     return FiberProbe(lam, k, us[0] if us else Fraction(0), tau, len(joint), 0, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found)
@@ -897,7 +897,7 @@ def test_stratum_image_dim_matches_pinned_slice():
                     for _ in range(3):
                         y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
                         v = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k))
-                        assert _stratum_image_dim(y, z, v, hom, directions) == _old_stratum_image_dim(y, z, v, hom, directions)
+                        assert _stratum_image_dim(y, v, hom, directions) == _old_stratum_image_dim(y, z, v, hom, directions)
                         checked += 1
     # centralizers of (y, 0) for diagonal y, and arbitrary matrices as directions
     for k in range(5):
@@ -908,7 +908,7 @@ def test_stratum_image_dim_matches_pinned_slice():
         for directions in ([], mats):
             for centralizer in (joint, mats, []):
                 v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
-                new, old = _stratum_image_dim(y, z, v, centralizer, directions), _old_stratum_image_dim(y, z, v, centralizer, directions)
+                new, old = _stratum_image_dim(y, v, centralizer, directions), _old_stratum_image_dim(y, z, v, centralizer, directions)
                 assert type(new) is type(old) is int and new == old
                 checked += 1
     assert checked > 100

@@ -288,6 +288,23 @@ def test_column_and_kernel_space():
     assert kernel_space(m).dim == 1
 
 
+def test_column_and_kernel_space_of_several_maps():
+    # low-rank maps with denominators, so the sums and meets are proper
+    rng = random.Random(25)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        a, b, c = (
+            (rand_matrix(rng, rows, r, -3, 3) @ rand_matrix(rng, r, cols, -3, 3)).scale(Fraction(1, rng.randint(1, 4)))
+            for r in [rng.randint(1, 2) for _ in range(3)]
+        )
+        assert column_space(a, b, c) == column_space(a).sum(column_space(b)).sum(column_space(c))
+        assert kernel_space(a, b) == kernel_space(a).intersect(kernel_space(b))
+        assert kernel_space(a, b, c) == kernel_space(a, b).intersect(kernel_space(c))
+    for call in (column_space, kernel_space):
+        with pytest.raises(TypeError):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -325,7 +342,7 @@ def test_poly_equals_only_polys_and_hashes_with_them():
 
 
 def test_squarefree_factorization():
-    t = RatPoly.variable()
+    t = RatPoly((0, 1))
     f = (t - 2) ** 3
     assert [(str(g), m) for g, m in squarefree_factorization(f)] == [("t-2", 3)]
     f2 = (t**2) * (t - 5)
@@ -334,7 +351,7 @@ def test_squarefree_factorization():
 
 def test_squarefree_reconstructs():
     rng = random.Random(108)
-    t = RatPoly.variable()
+    t = RatPoly((0, 1))
     for _ in range(10):
         f = RatPoly([1])
         for _ in range(rng.randint(1, 3)):
@@ -1071,7 +1088,7 @@ def _random_factored_poly(rng: random.Random, var: str, most: int = 4) -> RatPol
 
 def test_squarefree_factorization_and_gcd_match_pinned_fraction_code():
     rng = random.Random(8300)
-    t = RatPoly.variable()
+    t = RatPoly((0, 1))
     polys = [RatPoly([Fraction(-7, 3)]), (t - Fraction(7, 3)) ** 12, (t**2 + 1) ** 3 * (t - 2**70) ** 2, t**5 * (t + 1)]
     polys += [char_poly(_product_input(rng, kind, n, n)) for n in range(1, 6) for kind in PRODUCT_KINDS]
     polys += [_random_factored_poly(rng, var) for var in ("t", "tau") for _ in range(40)]
@@ -1421,6 +1438,17 @@ _A = RatMatrix.from_rows([[1, 2], [3, 4]])
         (lambda: Subspace.full(2).intersect(Subspace(3)), "ambient mismatch"),
         (lambda: Subspace.full(2).image_under(), "image_under needs at least one map"),
         (lambda: RatPoly(()).leading, "zero polynomial has no leading coefficient"),
+        # their own ids, so the rows above keep theirs
+        pytest.param(
+            lambda: Subspace(2, [[1, 1]]).contains([1, 1, 0]),
+            "vector length does not match ambient dimension",
+            id="contains-vector length does not match ambient dimension",
+        ),
+        pytest.param(
+            lambda: Subspace.full(3).contains_subspace(Subspace.full(2)),
+            "ambient mismatch",
+            id="contains_subspace-ambient mismatch",
+        ),
         # its own id, so the RatMatrix row above keeps "<lambda>-negative power"
         pytest.param(lambda: RatPoly((1, 1)) ** -1, "negative power", id="RatPoly-negative power"),
     ],

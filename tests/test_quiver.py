@@ -360,14 +360,14 @@ def test_lexicographic_tiebreak():
 
 
 def test_hilbert_line_bundles():
-    t = RatPoly.variable()
+    t = RatPoly((0, 1))
     for i in range(-2, 4):
         expected = (t + (i + 1)) * (t + (i + 2)) * Fraction(1, 2)
         assert hilbert_poly(line_bundle_numerics(i)) == expected
 
 
 def test_hilbert_rank_one_with_points():
-    t = RatPoly.variable()
+    t = RatPoly((0, 1))
     assert hilbert_poly(SheafNumerics(1, 0, 2)) == (t + 1) * (t + 2) * Fraction(1, 2) - 2
 
 
@@ -443,6 +443,24 @@ def _old_g_joint_kernel(rep):
     for a in ("eta", "zeta"):
         out = out.intersect(kernel_space(rep.G[a]))
     return out
+
+
+def test_several_map_spaces_are_sums_and_meets_on_sampled_reps():
+    rng = random.Random(25)
+    reps = 0
+    for dim in [(1, 2, 1), (1, 3, 1), (1, 4, 1), (2, 5, 1), (1, 3, 2), (1, 4, 2), (2, 5, 2)]:
+        for tau in (ONE, Fraction(3, 7)):
+            rep = sample_relation_rep(dim, tau, seed=rng.randint(0, 10**6))
+            if rep is None:
+                continue
+            reps += 1
+            F, G = [rep.F[a] for a in ARROWS], [rep.G[a] for a in ARROWS]
+            assert column_space(*F) == _old_f_image(rep)
+            assert kernel_space(*G) == _old_g_joint_kernel(rep)
+            assert column_space(*G) == column_space(G[0]).sum(column_space(G[1])).sum(column_space(G[2]))
+            assert kernel_space(*F) == kernel_space(F[0]).intersect(kernel_space(F[1])).intersect(kernel_space(F[2]))
+            assert kernel_space(G[0], G[1]) == kernel_space(G[0]).intersect(kernel_space(G[1]))
+    assert reps >= 10
 
 
 def _old_find_destabilizer(rep, theta, theta_tiebreak=None, budget=48, seed=0):
@@ -569,7 +587,7 @@ def test_destabilizer_search_matches_pinned_search_without_g():
 # classes.  At (1,2,1) every verdict, witness dimension, slope and witness
 # subspace basis must come out identical.
 
-from uhlenbeck.quiver import _extend_to_dim, _f_image, _joint_kernel, _maps  # noqa: E402
+from uhlenbeck.quiver import _extend_to_dim, _maps  # noqa: E402
 
 
 def _old_subrep_classes_121(rep: QuiverRep) -> list[tuple[tuple, tuple[Subspace, Subspace, Subspace]]]:
@@ -581,8 +599,8 @@ def _old_subrep_classes_121(rep: QuiverRep) -> list[tuple[tuple, tuple[Subspace,
     to comparisons against the two distinguished subspaces im F and K, so the
     enumeration below is exhaustive.
     """
-    imf = _f_image(rep)
-    ker = _joint_kernel(_maps(rep.G))
+    imf = column_space(*_maps(rep.F))
+    ker = kernel_space(*_maps(rep.G))
     f = imf.dim
     kdim = ker.dim
     imf_in_ker = ker.contains_subspace(imf)

@@ -135,6 +135,20 @@ def test_check_is_cached_on_a_frozen_triple():
     assert "check" not in vars(fresh) and checked == fresh and hash(checked) == hash(fresh)
 
 
+def test_package_import_loads_no_module_and_holds_only_the_version():
+    # each name is imported from its own module; the package holds only __version__
+    src = str(Path(uhlenbeck.__file__).resolve().parents[1])
+    probe = (
+        "import sys, types, uhlenbeck; "
+        "print(sorted(m for m in sys.modules if m.startswith('uhlenbeck'))); "
+        "module = {*vars(types.ModuleType('m')), '__builtins__', '__cached__', '__file__', '__path__'}; "
+        "print(sorted(set(vars(uhlenbeck)) - module))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "['uhlenbeck']\n['__version__']\n"
+
+
 def test_fresh_import_loads_neither_dataclasses_nor_inspect():
     # one @dataclass in the package would bring both back into every fresh uhl process;
     # -S leaves site-packages out, so only the package's own imports count
