@@ -7,8 +7,9 @@ whose rows it prints.  ``build_parser(argv)`` registers the top-level entries
 and, of the table, only the command argv names; where argv names none, as
 top-level and group help and usage errors do, it registers the whole table,
 so those bytes are the whole table's.  ``run`` is the one validation layer: it
-reads the seed, checks the declared caps, calls the payload function and
-builds the envelope, so a domain error, a malformed value or a bad input
+takes the seed from --seed, reads the command's input file once, checks the
+declared caps and the file's tau against --tau, calls the payload function
+and builds the envelope, so a domain error, a malformed value or a bad input
 file ends in exit 1 with an error envelope.  ``dispatch`` and ``main`` parse
 argv once through ``build_parser(argv)``; ``main`` prints the envelope as
 JSON, or the table as CSV.
@@ -74,32 +75,6 @@ def _load_json(path: str) -> dict:
             raise ValueError(f"input file {path!r} is nested too deeply") from None
 
 
-def _input(args, flag: str):
-    """The object in the file named by --<flag>, read and validated once per command line."""
-    if "input" not in vars(args):
-        reader = {"rep": rep_from_json, "triple": triple_from_json, "pair": pair_from_json}[flag]
-        args.input = reader(_load_json(getattr(args, flag)))
-    return args.input
-
-
-def _load_input(args, flag: str, kind: str, meta: dict):
-    """The object in the --<flag> file; its tau must agree with --tau and goes into meta."""
-    obj = _input(args, flag)
-    tau_flag = getattr(args, "tau", None)
-    if tau_flag is not None and parse_fraction(tau_flag) != obj.tau:
-        raise DomainError(f"--tau disagrees with the tau stored in the {kind} file")
-    meta["tau"] = fraction_to_str(obj.tau)
-    return obj
-
-
-def _default_seed() -> int:
-    text = os.environ.get("UHL_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise DomainError(f"UHL_SEED must be an integer, got {text!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # payload functions, run(args, meta) -> payload
 
@@ -125,13 +100,12 @@ def _nc_dims(args, meta) -> dict:
 
 
 def _quiver_check(args, meta) -> dict:
-    rep = _load_input(args, "rep", "representation", meta)
-    report = quiver.check_relations(rep)
+    report = quiver.check_relations(args.input)
     return {"ok": report.ok, "failures": list(report.failures)}
 
 
 def _quiver_stability(args, meta) -> dict:
-    rep = _load_input(args, "rep", "representation", meta)
+    rep = args.input
     theta0 = _parse_theta(args.theta0)
     theta1 = _parse_theta(args.theta1) if args.theta1 else None
     if rep.dim[0] <= 1 and rep.dim[2] <= 1:
@@ -149,7 +123,7 @@ def _quiver_stability(args, meta) -> dict:
 
 
 def _cm_verify(args, meta) -> dict:
-    x, y = _input(args, "pair")
+    x, y = args.input
     result = calogero.verify_cm(x, y, parse_fraction(args.tau))
     payload = result._asdict()
     if not result.member:
@@ -164,11 +138,10 @@ def _cm_sample(args, meta) -> dict:
 
 
 def _bvar_check(args, meta) -> dict:
-    triple = _load_input(args, "triple", "triple", meta)
-    check = bvariety.check_btriple(triple)
+    check = bvariety.check_btriple(args.input)
     payload = check._asdict()
     if check.ok:
-        payload["support"] = str(bvariety.support(triple).poly)
+        payload["support"] = str(bvariety.support(args.input).poly)
     return payload
 
 
@@ -308,12 +281,12 @@ REQUIRED_INT = {"type": int, "required": True}
 
 # Every command once: name -> (payload function, caps, arguments).  A cap
 # ``(flag, limit)`` holds an integer flag between 0 and limit; ``(name, limit,
-# size)`` holds ``size(args)`` there, measured from a text flag or read from
-# the input file by its validating reader.  Each limit is set so that the most
-# expensive accepted argv takes under two seconds in a subprocess on a 2-vCPU
-# x86-64 host; README.md lists the caps.  An argument ``(flag, options)`` is
-# ``add_argument(flag, **options)``; a ``--csv`` flag stores the payload key
-# whose rows it prints.
+# size)`` holds ``size(args)`` there, measured from a text flag or from
+# ``args.input``, the input file as ``run`` read it.  Each limit is set so
+# that the most expensive accepted argv takes under two seconds in a
+# subprocess on a 2-vCPU x86-64 host; README.md lists the caps.  An argument
+# ``(flag, options)`` is ``add_argument(flag, **options)``; a ``--csv`` flag
+# stores the payload key whose rows it prints.
 COMMANDS = {
     # each coefficient at a rational tau has about (word length / 2) * (tau digits) digits
     "nc normal-form": (
@@ -327,13 +300,13 @@ COMMANDS = {
     "nc dims": (_nc_dims, (("max-degree", 48),), (("--max-degree", REQUIRED_INT), ("--tau", {"default": "1"}))),
     "quiver check": (
         _quiver_check,
-        (("rep size", 240, lambda a: sum(_input(a, "rep").dim)),),
+        (("rep size", 240, lambda a: sum(a.input.dim)),),
         (("--rep", REQUIRED), ("--tau", {})),
     ),
     # the search cost grows with both, so the two caps go together
     "quiver stability": (
         _quiver_stability,
-        (("rep size", 9, lambda a: sum(_input(a, "rep").dim)), ("budget", 32)),
+        (("rep size", 9, lambda a: sum(a.input.dim)), ("budget", 32)),
         (
             ("--rep", REQUIRED),
             ("--theta0", REQUIRED),
@@ -349,7 +322,7 @@ COMMANDS = {
     ),
     "cm verify": (
         _cm_verify,
-        (("pair size", 80, lambda a: _input(a, "pair")[0].rows),),
+        (("pair size", 80, lambda a: a.input[0].rows),),
         (("--pair", REQUIRED), ("--tau", {"default": "1"})),
     ),
     # the integer form of the entries tau / (x_i - x_j) grows with these digits
@@ -377,7 +350,7 @@ COMMANDS = {
     ),
     "bvar check": (
         _bvar_check,
-        (("triple size", 50, lambda a: _input(a, "triple").size),),
+        (("triple size", 50, lambda a: a.input.size),),
         (("--triple", REQUIRED), ("--tau", {})),
     ),
     "bvar jordan": (
@@ -461,18 +434,30 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> tuple[int, dict]:
-    """Run a parsed command line; returns (exit code, result envelope)."""
-    tau_text = getattr(args, "tau", None)
-    meta = {"seed": None, "tau": tau_text if tau_text is not None else "1", "version": __version__}
+    """Run a parsed command line; returns (exit code, result envelope).
+
+    The seed is --seed, or 0.  The file named by --rep, --triple or --pair is
+    read and validated once, into ``args.input``, before the caps; after them
+    a tau stored in the file must agree with --tau, and goes into meta.
+    """
+    tau_text, seed = getattr(args, "tau", None), getattr(args, "seed", None)
+    meta = {"seed": 0 if seed is None else seed, "tau": "1" if tau_text is None else tau_text, "version": __version__}
     try:
-        seed = getattr(args, "seed", None)
-        meta["seed"] = seed if seed is not None else _default_seed()
+        for flag, reader in (("rep", rep_from_json), ("triple", triple_from_json), ("pair", pair_from_json)):
+            if flag in vars(args):
+                args.input = reader(_load_json(getattr(args, flag)))
         for flag, limit, *size in args.caps:
             value = size[0](args) if size else getattr(args, flag.replace("-", "_"))
             if value > limit:
                 raise DomainError(f"{args.name} is limited to {flag} <= {limit}")
             if value < 0:
                 raise DomainError(f"{args.name} needs {flag} >= 0")
+        stored = getattr(vars(args).get("input"), "tau", None)
+        if stored is not None:
+            if tau_text is not None and parse_fraction(tau_text) != stored:
+                kind = "representation" if "rep" in vars(args) else "triple"
+                raise DomainError(f"--tau disagrees with the tau stored in the {kind} file")
+            meta["tau"] = fraction_to_str(stored)
         payload = args.run(args, meta)
     except (DomainError, ValueError, OSError, KeyError) as exc:
         return 1, {"status": "error", "error": str(exc), "payload": getattr(exc, "payload", None), "meta": meta}

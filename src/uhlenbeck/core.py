@@ -460,6 +460,8 @@ class RatMatrix(Frozen):
         """sum c_i m_i for rationals c_i and at least one matrix, all of one shape:
         the integer forms summed over d, the lcm of the denominators of the c_i
         m_i, and divided once by the gcd of d and the sum."""
+        if not mats:
+            raise ValueError("combination needs at least one matrix")
         first = mats[0]
         terms = []
         for c, m in zip(coeffs, mats, strict=True):
@@ -550,6 +552,8 @@ class RatMatrix(Frozen):
 
     @staticmethod
     def vstack(blocks: Sequence["RatMatrix"]) -> "RatMatrix":
+        if not blocks:
+            raise ValueError("vstack needs at least one block")
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("column mismatch in vstack")
@@ -604,6 +608,10 @@ def matrix_system(equations: Sequence[Sequence[tuple]]) -> RatMatrix:
     the stack of sum c A (x) B^T over the equations, in order.  Each equation
     is a list of terms (c, A, B) with A m x p and B q x r, one m x r for each
     equation and one p x q, the shape of X, for all of them."""
+    if not equations:
+        raise ValueError("matrix_system needs at least one equation")
+    if not all(equations):
+        raise ValueError("matrix_system needs at least one term in each equation")
     p, q = equations[0][0][1].cols, equations[0][0][2].rows
     width, height, terms = p * q, 0, []
     for equation in equations:
@@ -631,6 +639,8 @@ def matrix_system(equations: Sequence[Sequence[tuple]]) -> RatMatrix:
 def commutant_system(mats: Sequence[RatMatrix]) -> RatMatrix:
     """Matrix of g -> ([g, m] for m in mats), all k x k: its kernel is the joint
     centralizer of mats, and it solves the Sylvester equations [g, m] = c."""
+    if not mats:
+        raise ValueError("commutant_system needs at least one matrix")
     eye = RatMatrix.identity(mats[0].rows)
     return matrix_system([[(1, eye, m), (-1, m, eye)] for m in mats])
 

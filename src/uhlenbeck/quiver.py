@@ -330,15 +330,15 @@ def decide_stability_121(
     if least is None:
         return "stable", None
     (slopes, dims), low, high = least
+    zero = slopes_of((0, 0, 0))
+    if slopes > zero:
+        return "stable", None
     u1, d2, u3 = dims
     sub1 = Subspace.full(r1) if u1 else Subspace(r1)
     sub3 = Subspace.full(r3) if u3 else Subspace(r3)
     closure_dims, spaces = generated_subrep(rep, sub1, _extend_to_dim(low, high, d2), sub3)
     if closure_dims != dims:
         raise AssertionError(f"witness construction drifted: {closure_dims} != {dims}")
-    zero = slopes_of((0, 0, 0))
-    if slopes > zero:
-        return "stable", None
     return ("unstable" if slopes < zero else "semistable"), StabilityWitness(dims, slopes, spaces)
 
 

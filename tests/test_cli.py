@@ -410,8 +410,7 @@ NC_NORMAL_FORM_AT_TAU = {
 
 
 @pytest.mark.parametrize("word, tau", sorted(NC_NORMAL_FORM_AT_TAU))
-def test_nc_normal_form_specialized_bytes(monkeypatch, word, tau):
-    monkeypatch.delenv("UHL_SEED", raising=False)
+def test_nc_normal_form_specialized_bytes(word, tau):
     envelope = run_ok(["nc", "normal-form", "--word", word, f"--tau={tau}"])
     assert json.dumps(envelope, sort_keys=True, indent=2) == NC_NORMAL_FORM_AT_TAU[word, tau]
 
@@ -429,7 +428,6 @@ def _digest(data: bytes) -> dict:
 def test_output_matches_benchmark_golden(monkeypatch, tmp_path, capsys, command):
     # report writes under its relative --out, here inside tmp_path
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("UHL_SEED", raising=False)
     argv = command.split(" ")
     assert main(argv) == 0
     observed = {"stdout": _digest(capsys.readouterr().out.encode("utf-8"))}
@@ -461,10 +459,19 @@ def test_determinism_byte_identical(capsys):
     assert out[:half] == out[half:]
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("UHL_SEED", "17")
-    envelope = run_ok(["ic", "betti", "--n", "2"])
-    assert envelope["meta"]["seed"] == 17
+@pytest.mark.parametrize("value", ["17", "abc"])
+def test_seed_variable_is_ignored(capsys, monkeypatch, value):
+    # the seed is --seed, or 0: an old UHL_SEED variable changes no byte
+    argv = ["bvar", "fiber", "--lambda", "2,1"]
+    monkeypatch.delenv("UHL_SEED", raising=False)
+    assert main(argv) == 0
+    unset = capsys.readouterr().out
+    monkeypatch.setenv("UHL_SEED", value)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unset
+    assert json.loads(unset)["meta"]["seed"] == 0
+    assert run_ok(["ic", "betti", "--n", "2"])["meta"]["seed"] == 0
+    assert run_ok(argv + ["--seed", "4"])["meta"]["seed"] == 4
 
 
 def test_report_tables(tmp_path):
@@ -523,6 +530,34 @@ def test_meta_tau_comes_from_the_input_file(tmp_path):
     triple_path.write_text(json.dumps(triple))
     assert run_ok(["bvar", "check", "--triple", str(triple_path)])["meta"]["tau"] == "-2/3"
     assert run_ok(["ic", "betti", "--n", "2"])["meta"]["tau"] == "1"
+
+
+@pytest.mark.parametrize(
+    "command, flag, content, kind",
+    [
+        (["quiver", "check"], "--rep", rep_to_json(monad_of_point((1, 2), 1)), "representation"),
+        (["bvar", "check"], "--triple", triple_to_json(jordan_triple(2, 0, 1)), "triple"),
+    ],
+)
+def test_tau_flag_that_disagrees_with_the_file_is_domain_error(tmp_path, command, flag, content, kind):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert dispatch(command + [flag, str(path), "--tau", "2"]) == (
+        1,
+        {
+            "status": "error",
+            "error": f"--tau disagrees with the tau stored in the {kind} file",
+            "payload": None,
+            "meta": {"seed": 0, "tau": "2", "version": uhlenbeck.__version__},
+        },
+    )
+
+
+def test_size_cap_is_checked_before_the_tau_flag(tmp_path):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(triple_to_json(jordan_triple(51, 0, 1))))
+    code, envelope = dispatch(["bvar", "check", "--triple", str(path), "--tau", "2"])
+    assert (code, envelope["error"]) == (1, "bvar check is limited to triple size <= 50")
 
 
 @pytest.mark.parametrize(
@@ -735,14 +770,6 @@ def test_deep_counting_arguments_end_in_an_envelope(capsys):
     assert count == 4720819175619413888601432406799959512200344166  # p(2000)
 
 
-def test_malformed_seed_variable_is_domain_error(monkeypatch):
-    monkeypatch.setenv("UHL_SEED", "abc")
-    code, envelope = dispatch(["ic", "betti", "--n", "2"])
-    assert code == 1 and envelope["status"] == "error" and "UHL_SEED" in envelope["error"]
-    # an explicit --seed wins without reading the variable
-    assert run_ok(["bvar", "fiber", "--lambda", "2", "--seed", "4"])["meta"]["seed"] == 4
-
-
 # ---------------------------------------------------------------------------
 # the command table as a whole
 
@@ -827,8 +854,6 @@ def test_a_command_line_registers_only_its_command():
 
 @pytest.mark.parametrize("argv", [["ic", "betti", "--n", "3"], ["ic", "betti", "--n", "3", "--bogus"]])
 def test_main_without_argv_narrows_on_sys_argv(monkeypatch, capsys, argv):
-    monkeypatch.delenv("UHL_SEED", raising=False)
-
     def exit_code(call):
         try:
             return call()
@@ -1022,8 +1047,7 @@ def test_seeded_commands_are_byte_identical_across_hash_seeds(tmp_path):
     ]
     outputs = {}
     for hash_seed in ("0", "1"):
-        env = {k: v for k, v in os.environ.items() if k != "UHL_SEED"}
-        env.update(PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": SRC}
         runs = [subprocess.run([sys.executable, "-c", LAUNCH, *argv], env=env, capture_output=True, check=True) for argv in commands]
         tables = {p.name: p.read_bytes() for p in sorted((tmp_path / "report").iterdir())}
         outputs[hash_seed] = ([run.stdout for run in runs], tables)

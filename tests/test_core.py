@@ -1451,6 +1451,15 @@ _A = RatMatrix.from_rows([[1, 2], [3, 4]])
         ),
         # its own id, so the RatMatrix row above keeps "<lambda>-negative power"
         pytest.param(lambda: RatPoly((1, 1)) ** -1, "negative power", id="RatPoly-negative power"),
+        pytest.param(lambda: RatMatrix.vstack([]), "vstack needs at least one block", id="vstack-no blocks"),
+        pytest.param(lambda: RatMatrix.combination([], []), "combination needs at least one matrix", id="combination-no matrices"),
+        pytest.param(lambda: matrix_system([]), "matrix_system needs at least one equation", id="matrix_system-no equations"),
+        pytest.param(
+            lambda: matrix_system([[]]),
+            "matrix_system needs at least one term in each equation",
+            id="matrix_system-an equation with no terms",
+        ),
+        pytest.param(lambda: commutant_system([]), "commutant_system needs at least one matrix", id="commutant_system-no matrices"),
     ],
 )
 def test_core_rejects_malformed_input_with_its_message(call, message):
