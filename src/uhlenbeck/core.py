@@ -58,10 +58,9 @@ A Fraction is always stored in lowest terms, so every entry, product, power
 and polynomial is the same value, digit for digit, as the one the Fraction
 arithmetic computed.
 
-``poly_gcd`` and ``squarefree_factorization`` work on primitive integer
-polynomials: gcds by the primitive remainder sequence, quotients by exact
-division in Z[t], and the factors are made monic only at the end.
-``divmod`` of two RatPolys is one pseudo-division of their integer forms.
+``poly_gcd`` (the primitive remainder sequence, made monic at the end) and
+``divmod`` (one pseudo-division) work on the integer forms of RatPolys, and
+``squarefree_factorization`` is Yun's algorithm over ``poly_gcd`` and ``//``.
 ``convolve`` owns polynomial products: a RatPoly product convolves the
 integer forms and divides once by the product of their denominators.
 """
@@ -69,7 +68,7 @@ integer forms and divides once by the product of their denominators.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -168,12 +167,8 @@ class RatPoly:
         if k < 0:
             raise ValueError("negative power")
         result = RatPoly((1,), self.var)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
@@ -269,9 +264,9 @@ def convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_sub(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """f - g for integer polynomials (low degree first), with no trailing zeros."""
-    out = [x - y for x, y in zip_longest(f, g, fillvalue=0)]
+def _trim(p: Sequence[int]) -> list[int]:
+    """An integer polynomial (low degree first) with no trailing zeros."""
+    out = list(p)
     while out and not out[-1]:
         out.pop()
     return out
@@ -279,7 +274,7 @@ def _int_sub(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
 def _primitive_poly(p: Sequence[int]) -> list[int]:
     """An integer polynomial over its content, with positive lead."""
-    p = _int_sub(p, ())
+    p = _trim(p)
     g = gcd(*p) if p and p[-1] > 0 else -gcd(*p)
     return [c // g for c in p] if p and g != 1 else p
 
@@ -299,7 +294,7 @@ def _pseudo_divmod(f: list[int], g: list[int]) -> tuple[list[int], list[int], in
         q[k] += y
         for j, b in enumerate(g):
             r[k + j] -= y * b
-        r = _int_sub(r, ())
+        r = _trim(r)
     return q, r, e
 
 
@@ -311,10 +306,6 @@ def _int_gcd(f: list[int], g: list[int]) -> list[int]:
     return _primitive_poly(f)
 
 
-def _int_derivative(p: list[int]) -> list[int]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd in Q[t] (gcd with 0 is the monic normalization)."""
     return RatPoly(_int_gcd(_clear(a.coeffs)[1], _clear(b.coeffs)[1]), a.var).monic()
@@ -324,27 +315,23 @@ def squarefree_factorization(f: RatPoly) -> list[tuple[RatPoly, int]]:
     """Yun's algorithm: monic squarefree factors with multiplicities.
 
     Returns pairs (g, m), g monic squarefree nonconstant, with
-    f = lead(f) * prod g^m, ordered by increasing multiplicity.  Runs on
-    the primitive integer form of f: by Gauss's lemma each quotient by a
-    primitive gcd stays in Z[t], and c and d carry one common rational
-    factor against the monic algorithm's, so the gcds agree up to scale.
+    f = lead(f) * prod g^m, ordered by increasing multiplicity.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
     if f.degree == 0:
         return []
     out: list[tuple[RatPoly, int]] = []
-    p = _primitive_poly(_clear(f.coeffs)[1])
-    g = _int_gcd(p, _int_derivative(p))
-    c = _pseudo_divmod(p, g)[0]
-    d = _int_sub(_pseudo_divmod(_int_derivative(p), g)[0], _int_derivative(c))
+    g = poly_gcd(f, f.derivative())
+    c = f // g
+    d = f.derivative() // g - c.derivative()
     i = 1
-    while len(c) > 1:
-        a = _int_gcd(c, d)
-        if len(a) > 1:
-            out.append((RatPoly(a, f.var).monic(), i))
-        c = _pseudo_divmod(c, a)[0]
-        d = _int_sub(_pseudo_divmod(d, a)[0], _int_derivative(c))
+    while c.degree > 0:
+        a = poly_gcd(c, d)
+        if a.degree > 0:
+            out.append((a, i))
+        c = c // a
+        d = d // a - c.derivative()
         i += 1
     return out
 
@@ -405,10 +392,12 @@ class RatMatrix(Frozen):
     def zero(cls, rows: int, cols: int | None = None) -> "RatMatrix":
         if cols is None:
             cols = rows
-        return cls._of(rows, cols, 1, [0] * (rows * cols))
+        return cls(rows, cols, [0] * (rows * cols))
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
         return cls._of(n, n, 1, [int(i == j) for i in range(n) for j in range(n)])
 
     @classmethod
@@ -859,6 +848,8 @@ class Subspace:
     __slots__ = ("ambient", "rows")
 
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
+        if ambient < 0:
+            raise ValueError(f"negative ambient dimension {ambient}")
         rows = [vector(v) for v in vectors]
         for v in rows:
             if len(v) != ambient:
@@ -877,6 +868,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
+        if ambient < 0:
+            raise ValueError(f"negative ambient dimension {ambient}")
         out = cls._empty(ambient)
         out.rows = {i: {i: 1} for i in range(ambient)}
         return out
@@ -909,7 +902,10 @@ class Subspace:
     def add(self, entries: Iterable[tuple[int, Fraction]]) -> bool:
         """Add the vector given as (column, rational) pairs, columns below the
         ambient dimension; True if ``dim`` grew."""
-        return self._insert(_integer_row(entries))
+        row = _integer_row(entries)
+        if row and not 0 <= min(row) <= max(row) < self.ambient:
+            raise ValueError(f"column {min(row) if min(row) < 0 else max(row)} outside range({self.ambient})")
+        return self._insert(row)
 
     def reduce(self) -> list[int]:
         """Back-substitute to reduced form; returns the pivot columns in order.

@@ -177,4 +177,6 @@ def uhlenbeck_fixed_points(n: int) -> list[UhlenbeckFixedPoint]:
 
 def uhlenbeck_fixed_point_count(n: int) -> int:
     """sum over m of p(m) * (n - m + 1), with no enumeration."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return sum(partition_count(m) * (n - m + 1) for m in range(n + 1))

@@ -849,9 +849,16 @@ def test_char_poly_and_determinant_match_sympy():
         assert determinant(m) == _from_sympy(sm.det())
 
 
+def _sympy_poly(sympy, f: RatPoly):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], sympy.Symbol(f.var), domain="QQ")
+
+
+def _coeffs_from_sympy(p) -> tuple[Fraction, ...]:
+    return RatPoly(_from_sympy(c) for c in reversed(p.all_coeffs())).coeffs
+
+
 def test_squarefree_factorization_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    t = sympy.Symbol("t")
     rng = random.Random(7800)
     polys = [char_poly(m) for m in _sympy_square_cases()]
     for _ in range(30):
@@ -861,10 +868,30 @@ def test_squarefree_factorization_matches_sympy():
             f = f * factor ** rng.randint(1, 3)
         polys.append(f)
     for f in polys:
-        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)], t, domain="QQ")
-        _, factors = poly.sqf_list()
+        _, factors = _sympy_poly(sympy, f).sqf_list()
         expected = sorted(((tuple(_from_sympy(c) for c in reversed(g.monic().all_coeffs())), m) for g, m in factors), key=lambda gm: gm[1])
         assert [(g.coeffs, m) for g, m in squarefree_factorization(f)] == expected
+
+
+def test_poly_gcd_and_divmod_match_sympy():
+    # the pinned Fraction Euclid checks gcds up to degree 12 only; sympy checks
+    # them up to degree 60, and every squarefree factor is such a gcd
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(8600)
+    chars = [char_poly(RatMatrix(k, k, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(k * k)])) for k in (5, 10, 20, 30)]
+    products = [a * b for a, b in itertools.combinations(chars, 2)]
+    pairs = [(f, g) for f in products + [a * a for a in chars] for g in chars] + list(itertools.combinations(products, 2))
+    family = [_random_factored_poly(rng, "t") for _ in range(21)]
+    pairs += list(zip(family, family[1:]))
+    pairs += [(f * g, g * h) for f, g, h in zip(family, family[1:], family[2:])]
+    assert max(max(f.degree, g.degree) for f, g in pairs) == 60
+    for f, g in pairs:
+        sf, sg = _sympy_poly(sympy, f), _sympy_poly(sympy, g)
+        assert poly_gcd(f, g).coeffs == _coeffs_from_sympy(sf.gcd(sg).monic())
+        for a, b, sa, sb in ((f, g, sf, sg), (g, f, sg, sf)):
+            q, r = divmod(a, b)
+            sq, sr = sympy.div(sa, sb)
+            assert (q.coeffs, r.coeffs) == (_coeffs_from_sympy(sq), _coeffs_from_sympy(sr))
 
 
 def _sympy_jordan_type(sympy, m: RatMatrix) -> Partition:
@@ -1460,6 +1487,13 @@ _A = RatMatrix.from_rows([[1, 2], [3, 4]])
             id="matrix_system-an equation with no terms",
         ),
         pytest.param(lambda: commutant_system([]), "commutant_system needs at least one matrix", id="commutant_system-no matrices"),
+        pytest.param(lambda: RatMatrix.zero(-1), "negative matrix dimensions", id="zero-negative size"),
+        pytest.param(lambda: RatMatrix.zero(2, -1), "negative matrix dimensions", id="zero-negative column count"),
+        pytest.param(lambda: RatMatrix.identity(-1), "negative matrix dimensions", id="identity-negative size"),
+        pytest.param(lambda: Subspace(2).add([(5, 1)]), "column 5 outside range(2)", id="add-column above the ambient"),
+        pytest.param(lambda: Subspace(2).add([(-1, 1)]), "column -1 outside range(2)", id="add-negative column"),
+        pytest.param(lambda: Subspace(-1), "negative ambient dimension -1", id="Subspace-negative ambient"),
+        pytest.param(lambda: Subspace.full(-1), "negative ambient dimension -1", id="full-negative ambient"),
     ],
 )
 def test_core_rejects_malformed_input_with_its_message(call, message):

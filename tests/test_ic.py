@@ -218,6 +218,7 @@ def test_fixed_point_euler_characteristics_sum_to_p_cubed():
     [
         (lambda: strata(-1), "n must be nonnegative"),
         (lambda: uhlenbeck_fixed_points(-1), "n must be nonnegative"),
+        pytest.param(lambda: uhlenbeck_fixed_point_count(-1), "n must be nonnegative", id="fixed_point_count-negative n"),
     ],
 )
 def test_ic_rejects_malformed_input_with_its_message(call, message):

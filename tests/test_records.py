@@ -5,6 +5,7 @@ with the same name and fields: ``repr``, ``hash``, ``==`` and immutability
 match, and a record's ``_asdict()`` has the twin's field names as keys.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -147,6 +148,15 @@ def test_package_import_loads_no_module_and_holds_only_the_version():
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "['uhlenbeck']\n['__version__']\n"
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a private helper that nothing in the package names is a leftover of a deleted route
+    trees = [ast.parse(p.read_text()) for p in sorted(Path(uhlenbeck.__file__).resolve().parent.glob("*.py"))]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    private = {n.name for n in nodes if isinstance(n, ast.FunctionDef) and n.name.startswith("_") and not n.name.endswith("__")}
+    named = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert private and sorted(private - named) == []
 
 
 def test_fresh_import_loads_neither_dataclasses_nor_inspect():
