@@ -16,9 +16,10 @@ linear strata and tangent spaces at sampled rational points.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
 
 from .core import (
     NotNilpotentError,
@@ -40,11 +41,7 @@ from .core import (
 from .partitions import Frozen, Partition
 
 
-class TripleCheck(NamedTuple):
-    ok: bool
-    commutator_ok: bool
-    nilpotent_ok: bool
-    cyclic_ok: bool
+TripleCheck = namedtuple("TripleCheck", "ok commutator_ok nilpotent_ok cyclic_ok")
 
 
 class BTriple(Frozen):
@@ -192,12 +189,7 @@ def orbit_dimension(lam) -> int:
     return k * k - sum(c * c for c in lam.conjugate().parts)
 
 
-class ComponentReport(NamedTuple):
-    lam: Partition
-    k: int
-    orbit_dim: int
-    solution_dim: int
-    total: int
+ComponentReport = namedtuple("ComponentReport", "lam k orbit_dim solution_dim total")
 
 
 def component_dimension(lam, tau) -> ComponentReport:
@@ -311,17 +303,7 @@ def triple_stabilizer_dim(triple: BTriple) -> int:
 # fiber probes
 
 
-class FiberProbe(NamedTuple):
-    lam: Partition
-    k: int
-    u: Fraction
-    tau: Fraction
-    solution_dim: int
-    stratum_dim: int
-    sample_dims: tuple[int, ...]
-    measured: int | None
-    upper_bound: int
-    cyclic_found: bool
+FiberProbe = namedtuple("FiberProbe", "lam k u tau solution_dim stratum_dim sample_dims measured upper_bound cyclic_found")
 
 
 def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:

@@ -14,25 +14,19 @@ which was fixed here by direct computation.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
 from .core import RatMatrix, _int_matmul, commutant_system, krylov_span_dim, rank, rat
 from .partitions import partition_count
 
 
-class CMPair(NamedTuple):
-    X: RatMatrix
-    Y: RatMatrix
-    tau: Fraction
-    sign: str  # "plus" or "minus"
+CMPair = namedtuple("CMPair", "X Y tau sign")  # sign is "plus" or "minus"
 
 
-class CMVerifyResult(NamedTuple):
-    member: bool
-    signs: tuple[str, ...]
-    rank_plus: int
-    rank_minus: int
+class CMVerifyResult(namedtuple("CMVerifyResult", "member signs rank_plus rank_minus")):
+    __slots__ = ()
 
     @property
     def sign(self) -> str | None:

@@ -3,8 +3,8 @@
 ``COMMANDS`` is the table: each command once, with its arguments, its
 payload function ``run(args, meta) -> payload``, the caps on its size
 arguments and, for the tabular commands, ``--csv`` storing the payload key
-whose rows it prints.  ``build_parser(argv)`` registers the top-level entries
-and, of the table, only the command argv names; where argv names none, as
+whose rows it prints.  ``build_parser(argv)`` registers, of the table, only the
+command argv names and its own top-level entry; where argv names none, as
 top-level and group help and usage errors do, it registers the whole table,
 so those bytes are the whole table's.  ``run`` is the one validation layer: it
 takes the seed from --seed, reads the command's input file once, checks the
@@ -405,19 +405,20 @@ COMMANDS = {
 
 
 def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for argv: every top-level entry, and of the commands only the one argv names.
+    """The parser for argv: only the command argv names, under its own top-level entry.
 
-    Where argv names no command (top-level or group help, an unknown command,
-    options before the command), and with no argv, it is the whole table.
-    The top-level entries stay so that an error the top parser reports after
-    a command, such as an unrecognized argument, lists every choice in its
-    usage line.
+    Where argv names no command (help, an unknown command, options before the
+    command), and with no argv, it is the whole table, with no metavar: argparse
+    names the action by it in a missing or unknown command error.  A narrowed
+    parser spells every top-level choice as its metavar, so that an error after
+    its command, such as an unrecognized argument, prints the whole table's usage.
     """
     head = list(argv or ())[:2]
     named = [name for name in COMMANDS if name.split() in (head[:1], head)]
     parser = argparse.ArgumentParser(prog="uhl", description=DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    entries = {name: sub.add_parser(name, help=text) for name, text in TOP_LEVEL.items()}
+    whole_usage = {"metavar": "{" + ",".join(TOP_LEVEL) + "}"} if named else {}
+    sub = parser.add_subparsers(dest="command", required=True, **whole_usage)
+    entries = {name: sub.add_parser(name, help=TOP_LEVEL[name]) for name in (head[:1] if named else TOP_LEVEL)}
     groups = {name: p.add_subparsers(dest="subcommand", required=True) for name, p in entries.items() if name not in COMMANDS}
     for name in named or COMMANDS:
         run, caps, arguments = COMMANDS[name]

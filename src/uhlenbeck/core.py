@@ -67,10 +67,10 @@ integer forms and divides once by the product of their denominators.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
 
 from .partitions import Frozen, Partition
 

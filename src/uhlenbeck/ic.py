@@ -15,8 +15,8 @@ numbers of the punctual Hilbert scheme of the plane.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .core import RatPoly, convolve, poly_str
 from .partitions import Frozen, Partition, partition_count, partition_count_by_length, partitions
@@ -100,9 +100,8 @@ def punctual_hilbert_betti(n: int) -> list[int]:
     return [partition_count_by_length(n, k) for k in range(1, n + 1)]
 
 
-class Stratum(NamedTuple):
-    m: int
-    lam: Partition
+class Stratum(namedtuple("Stratum", "m lam")):
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -124,11 +123,7 @@ def strata(n: int) -> list[Stratum]:
     return out
 
 
-class SmallnessRow(NamedTuple):
-    stratum: Stratum
-    codim: int
-    fiber_bound: int
-    strict: bool
+SmallnessRow = namedtuple("SmallnessRow", "stratum codim fiber_bound strict")
 
 
 def smallness_audit(n: int) -> list[SmallnessRow]:
@@ -151,12 +146,7 @@ def smallness_audit(n: int) -> list[SmallnessRow]:
     return rows
 
 
-class UhlenbeckFixedPoint(NamedTuple):
-    m: int
-    lam: Partition
-    k0: int
-    kinf: int
-    attracting: bool
+UhlenbeckFixedPoint = namedtuple("UhlenbeckFixedPoint", "m lam k0 kinf attracting")
 
 
 def uhlenbeck_fixed_points(n: int) -> list[UhlenbeckFixedPoint]:

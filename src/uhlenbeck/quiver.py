@@ -20,10 +20,10 @@ elsewhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 import random
-from typing import NamedTuple
 
 from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
 from .ncalgebra import DUAL_GENERATORS, DUAL_PAIR_ORDER
@@ -82,9 +82,7 @@ class QuiverRep(Frozen):
             object.__setattr__(self, name, value)
 
 
-class RelationReport(NamedTuple):
-    ok: bool
-    failures: tuple[str, ...]
+RelationReport = namedtuple("RelationReport", "ok failures")
 
 
 def check_relations(rep: QuiverRep) -> RelationReport:
@@ -264,10 +262,7 @@ def generated_subrep(
     return (u1.dim, s2.dim, s3.dim), (u1, s2, s3)
 
 
-class StabilityWitness(NamedTuple):
-    dim: DimVector
-    slopes: tuple[Fraction, ...]
-    subspaces: tuple[Subspace, Subspace, Subspace]
+StabilityWitness = namedtuple("StabilityWitness", "dim slopes subspaces")
 
 
 def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:

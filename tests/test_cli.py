@@ -834,6 +834,12 @@ def narrowing_corpus() -> list[list[str]]:
         ["ic", "betti", "--n", "3", "stray"],
         ["--n", "3", "ic", "betti"],
         ["ic", "betti", "--n", "3", "ic", "betti"],
+        # an error after a command of each other top-level entry prints the whole table's usage line
+        ["report", "--n", "3", "--out", "tables", "--bogus"],
+        ["cm", "fixed-points", "--n", "3", "--bogus"],
+        ["bvar", "jordan", "--k", "2", "stray"],
+        ["nc", "dims", "--max-degree", "2", "--bogus"],
+        ["quiver", "alpha", "--r", "1", "--d", "0", "--n", "2", "stray"],
     ]
 
 
@@ -844,12 +850,20 @@ def test_narrowed_parser_matches_the_whole_table(monkeypatch, argv):
     assert parse_through(build_parser(argv), argv) == parse_through(build_parser(), argv)
 
 
+def top_level_entries(parser: argparse.ArgumentParser) -> list[str]:
+    """The names of the top-level entries a parser holds."""
+    (action,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
 def test_a_command_line_registers_only_its_command():
     commands = table_commands()
     for name in commands:
-        assert list(table_commands(build_parser(name.split() + ["--n", "3"]))) == [name]
+        parser = build_parser(name.split() + ["--n", "3"])
+        assert list(table_commands(parser)) == [name] and top_level_entries(parser) == name.split()[:1]
     for argv in ([], ["-h"], ["ic", "-h"], ["ic", "bogus"], ["--n", "3", "ic", "betti"]):
-        assert table_commands(build_parser(argv)).keys() == commands.keys()
+        parser = build_parser(argv)
+        assert table_commands(parser).keys() == commands.keys() and top_level_entries(parser) == list(cli.TOP_LEVEL)
 
 
 @pytest.mark.parametrize("argv", [["ic", "betti", "--n", "3"], ["ic", "betti", "--n", "3", "--bogus"]])

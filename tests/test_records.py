@@ -2,7 +2,8 @@
 
 Each record and each value class is pinned against a frozen-dataclass twin
 with the same name and fields: ``repr``, ``hash``, ``==`` and immutability
-match, and a record's ``_asdict()`` has the twin's field names as keys.
+match, and a record's ``_asdict()`` has the twin's field names as keys.  A
+record is a tuple whose instances hold no ``__dict__``.
 """
 
 import ast
@@ -52,6 +53,8 @@ def test_record_matches_its_frozen_dataclass_twin(cls, names, values, index, cha
     record, copy, twin_record = cls(*values), cls(*values), twin(*values)
     other = cls(*values[:index], changed, *values[index + 1 :])
     assert cls._fields == names == tuple(f.name for f in fields(twin))
+    # a tuple with no instance dict: a subclass that adds a property keeps __slots__ = ()
+    assert issubclass(cls, tuple) and not hasattr(record, "__dict__")
     assert repr(record) == repr(twin_record)
     assert hash(record) == hash(twin_record) == hash(copy)
     assert record == copy and not record != copy
@@ -160,10 +163,11 @@ def test_every_private_function_has_a_caller_in_the_package():
 
 
 def test_fresh_import_loads_neither_dataclasses_nor_inspect():
-    # one @dataclass in the package would bring both back into every fresh uhl process;
-    # -S leaves site-packages out, so only the package's own imports count
+    # one @dataclass in the package would bring the first two back into every fresh uhl process,
+    # and one typing.NamedTuple record or typing import the third; -S leaves site-packages out,
+    # so only the package's own imports count
     src = str(Path(uhlenbeck.__file__).resolve().parents[1])
-    probe = "import sys, uhlenbeck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = "import sys, uhlenbeck.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
