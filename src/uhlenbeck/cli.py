@@ -22,6 +22,7 @@ import csv
 import json
 import os
 import sys
+from operator import attrgetter
 
 from . import __version__, bvariety, calogero, ic, ncalgebra, quiver
 from .partitions import Partition, partitions
@@ -154,32 +155,18 @@ def _bvar_jordan(args, meta) -> dict:
 
 def _bvar_components(args, meta) -> dict:
     tau = parse_fraction(args.tau)
-    rows = []
-    for lam in partitions(args.k):
-        report = bvariety.component_dimension(lam, tau)
-        rows.append(
-            {
-                "lambda": lam.key,
-                "orbit_dim": report.orbit_dim,
-                "solution_dim": report.solution_dim,
-                "total": report.total,
-            }
-        )
+    reports = [bvariety.component_dimension(lam, tau) for lam in partitions(args.k)]
+    rows = _rows(reports, "lam.key orbit_dim solution_dim total", "lambda orbit_dim solution_dim total")
     return {"k": args.k, "components": rows}
 
 
 def _bvar_fiber(args, meta) -> dict:
     lam = _parse_partition(args.lam)
     probe = bvariety.fiber_probe(lam, parse_fraction(args.u), parse_fraction(args.tau), args.samples, meta["seed"])
-    return {
-        "lambda": lam.key,
-        "k": probe.k,
-        "stratum_dim": probe.stratum_dim,
-        "sample_dims": list(probe.sample_dims),
-        "measured": probe.measured,
-        "upper_bound": probe.upper_bound,
-        "cyclic_found": probe.cyclic_found,
-    }
+    fields = "lam.key k stratum_dim sample_dims measured upper_bound cyclic_found"
+    row = _rows([probe], fields, "lambda k stratum_dim sample_dims measured upper_bound cyclic_found")[0]
+    row["sample_dims"] = list(row["sample_dims"])  # a tuple in the record, a list in the payload
+    return row
 
 
 def _ic_stalk(args, meta) -> dict:
@@ -187,43 +174,18 @@ def _ic_stalk(args, meta) -> dict:
     return {"poly": str(stalk), "total": stalk.total}
 
 
-def _ic_strata(args, meta) -> dict:
-    rows = [
-        {"m": st.m, "lambda": st.lam.key, "dim": st.dim, "open": st.is_open}
-        for st in ic.strata(args.n)
-    ]
-    return {"n": args.n, "strata": rows}
+# the strata rows of ``ic strata`` and of report's strata.csv
+_STRATA = ("m lam.key dim is_open", "m lambda dim open")
 
 
 def _ic_fixed_points(args, meta) -> dict:
-    points = ic.uhlenbeck_fixed_points(args.n)
-    return {
-        "n": args.n,
-        "count": len(points),
-        "count_formula": ic.uhlenbeck_fixed_point_count(args.n),
-        "points": [
-            {"m": p.m, "lambda": p.lam.key, "k0": p.k0, "kinf": p.kinf, "attracting": p.attracting}
-            for p in points
-        ],
-    }
+    rows = _rows(ic.uhlenbeck_fixed_points(args.n), "m lam.key k0 kinf attracting", "m lambda k0 kinf attracting")
+    return {"n": args.n, "count": len(rows), "count_formula": ic.uhlenbeck_fixed_point_count(args.n), "points": rows}
 
 
 def _ic_audit(args, meta) -> dict:
-    rows = ic.smallness_audit(args.n)
-    return {
-        "n": args.n,
-        "rows": [
-            {
-                "m": r.stratum.m,
-                "lambda": r.stratum.lam.key,
-                "dim": r.stratum.dim,
-                "codim": r.codim,
-                "fiber_bound": r.fiber_bound,
-                "strict": r.strict,
-            }
-            for r in rows
-        ],
-    }
+    fields = "stratum.m stratum.lam.key stratum.dim codim fiber_bound strict"
+    return {"n": args.n, "rows": _rows(ic.smallness_audit(args.n), fields, "m lambda dim codim fiber_bound strict")}
 
 
 def _report(args, meta) -> dict:
@@ -231,29 +193,28 @@ def _report(args, meta) -> dict:
     n, out_dir = args.n, args.out
     os.makedirs(out_dir, exist_ok=True)
     strata = ic.strata(n)
+    strata_rows = _rows(strata, *_STRATA)
+    for row in strata_rows:
+        row["codim"] = 2 * n - row["dim"]
     stalks = [(st, ic.ic_stalk(n, st.m, st.lam)) for st in strata]
+    stalk_rows = [{"m": st.m, "lambda": st.lam.key, "stalk": str(s), "total": s.total} for st, s in stalks]
+    betti_rows = [{"n": k, "betti": " ".join(str(b) for b in ic.punctual_hilbert_betti(k))} for k in range(1, n + 1)]
     tables = [
-        (
-            "strata.csv",
-            ["m", "lambda", "dim", "codim", "open"],
-            [{"m": st.m, "lambda": st.lam.key, "dim": st.dim, "codim": 2 * n - st.dim, "open": st.is_open} for st in strata],
-        ),
-        (
-            "stalks.csv",
-            ["m", "lambda", "stalk", "total"],
-            [{"m": st.m, "lambda": st.lam.key, "stalk": str(s), "total": s.total} for st, s in stalks],
-        ),
-        (
-            "betti.csv",
-            ["n", "betti"],
-            [{"n": k, "betti": " ".join(str(b) for b in ic.punctual_hilbert_betti(k))} for k in range(1, n + 1)],
-        ),
+        ("strata.csv", ["m", "lambda", "dim", "codim", "open"], strata_rows),
+        ("stalks.csv", ["m", "lambda", "stalk", "total"], stalk_rows),
+        ("betti.csv", ["n", "betti"], betti_rows),
         ("fixed_points.csv", ["m", "lambda", "k0", "kinf", "attracting"], _ic_fixed_points(args, meta)["points"]),
     ]
     for name, header, rows in tables:
         with open(os.path.join(out_dir, name), "w", newline="", encoding="utf-8") as fh:
             _write_csv(fh, header, rows)
     return {"out": out_dir, "files": [name for name, _, _ in tables]}
+
+
+def _rows(records, fields: str, columns: str) -> list[dict]:
+    """Each record's values at the dotted field paths, named by the columns in order (the --csv header order)."""
+    values, names = attrgetter(*fields.split()), columns.split()
+    return [dict(zip(names, row)) for row in map(values, records)]
 
 
 def _write_csv(fh, header: list[str], rows: list[dict]):
@@ -390,7 +351,7 @@ COMMANDS = {
         (("--n", REQUIRED_INT),),
     ),
     "ic strata": (
-        _ic_strata,
+        lambda a, meta: {"n": a.n, "strata": _rows(ic.strata(a.n), *_STRATA)},
         (("n", 26),),
         (("--n", REQUIRED_INT), ("--csv", {"action": "store_const", "const": "strata"})),
     ),

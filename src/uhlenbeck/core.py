@@ -94,8 +94,12 @@ def vector(entries: Iterable) -> Vector:
 
 
 def _clear(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, [d x for x in xs]) with d the least common denominator of xs."""
-    d = lcm(*[x.denominator for x in xs])
+    """(d, [d x for x in xs]) with d the least common denominator of xs, which are ints and Fractions."""
+    try:
+        d = lcm(*[x.denominator for x in xs])
+    except AttributeError:
+        bad = next(x for x in xs if not isinstance(x, (int, Fraction)))
+        raise TypeError(f"not an exact rational: {bad!r}") from None
     return d, [x.numerator for x in xs] if d == 1 else [x.numerator * (d // x.denominator) for x in xs]
 
 
@@ -742,7 +746,7 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | Non
     n, a = m.cols, m._a
     ech = Subspace._empty(n + 1)
     for i in range(m.rows):
-        ech.add(chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),)))
+        ech._insert(_integer_row(chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),))))
     pivots = ech.reduce()
     if n in ech.rows:
         return None
@@ -758,7 +762,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
     n, a = m.rows, m._a
     ech = Subspace._empty(2 * n)
     for i in range(n):
-        ech.add(chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)))
+        ech._insert(_integer_row(chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),))))
     pivots = ech.reduce()
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -857,7 +861,7 @@ class Subspace:
         self.ambient = ambient
         self.rows: dict[int, dict[int, int]] = {}
         for v in rows:
-            self.add(enumerate(v))
+            self._insert(_integer_row(enumerate(v)))
 
     @classmethod
     def _empty(cls, ambient: int) -> "Subspace":
@@ -900,12 +904,15 @@ class Subspace:
         return bool(row)
 
     def add(self, entries: Iterable[tuple[int, Fraction]]) -> bool:
-        """Add the vector given as (column, rational) pairs, columns below the
-        ambient dimension; True if ``dim`` grew."""
-        row = _integer_row(entries)
+        """Add the vector given as (column, rational) pairs, each column once and in
+        range(ambient), as checked here (rows built in range go to ``_insert``); True if ``dim`` grew."""
+        pairs = list(entries)
+        row = dict(pairs)
+        if len(row) < len(pairs):
+            raise ValueError(f"column {next(j for i, (j, _) in enumerate(pairs) if j in dict(pairs[:i]))} given twice")
         if row and not 0 <= min(row) <= max(row) < self.ambient:
             raise ValueError(f"column {min(row) if min(row) < 0 else max(row)} outside range({self.ambient})")
-        return self._insert(row)
+        return self._insert(_integer_row(row.items()))
 
     def reduce(self) -> list[int]:
         """Back-substitute to reduced form; returns the pivot columns in order.

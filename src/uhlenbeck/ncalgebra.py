@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, _term_str, kernel_basis, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, _integer_row, _term_str, kernel_basis, rat
 from .partitions import Frozen
 
 GENERATORS = ("x", "y", "z")
@@ -220,7 +220,7 @@ def _times_rank(algebra, degree: int, t: Fraction) -> int:
     span = Subspace(len(index))
     for key in algebra.keys(degree - 1):
         for g in algebra.generators:
-            span.add((index[k2], c * t**e) for k2, c, e in algebra.times(key, g))
+            span._insert(_integer_row((index[k2], c * t**e) for k2, c, e in algebra.times(key, g)))
     return span.dim
 
 
@@ -272,6 +272,8 @@ def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
     Computed as the rank of the span of all generator words of each length,
     so the expected (1, 3, 3, 1, 0, ...) profile is verified, not assumed.
     """
+    if max_degree < 0:
+        raise ValueError("degree must be nonnegative")
     t = rat(tau)
     return tuple(_times_rank(DualElement, i, t) for i in range(max_degree + 1))
 

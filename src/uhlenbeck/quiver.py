@@ -275,7 +275,7 @@ def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
     for c in inside.reduce():
         if out.dim >= target:
             break
-        out.add(rows[c].items())
+        out._insert(rows[c])
     if out.dim < target:
         raise ValueError("cannot extend to requested dimension")
     return out

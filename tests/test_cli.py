@@ -504,6 +504,43 @@ def test_csv_output(capsys):
     assert len(out) == 3
 
 
+# The --csv stdout of three tables (SHA-256 and length), recorded while their
+# rows were still written out by hand, so that the field-path rows must match them.
+CSV_PINS = {
+    "ic strata --n 12 --csv": {"sha256": "ceee8c4a8a85fa8af99046d59eb3e7c7197662f38380034d56f745ecaea8fd3a", "bytes": 5552},
+    "ic audit --n 12 --csv": {"sha256": "fe1d6253510a790a8aeaf4827ce64ab7e8b13ce63ea4639bdb1aaab9ce635a02", "bytes": 6636},
+    "bvar components --k 6 --csv": {"sha256": "ecbd5c79003b32a801fe21a07a5fa2684a6665d3275c00c7d99867921d262ebb", "bytes": 203},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CSV_PINS))
+def test_csv_stdout_matches_its_pin(capsys, command):
+    assert main(command.split(" ")) == 0
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == CSV_PINS[command]
+
+
+def csv_rows(capsys, argv) -> list[dict]:
+    assert main(argv) == 0
+    return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_report_and_audit_tables_agree_with_ic_strata(tmp_path, capsys, n):
+    strata = csv_rows(capsys, ["ic", "strata", "--n", str(n), "--csv"])
+    run_ok(["report", "--n", str(n), "--out", str(tmp_path)])
+    with open(tmp_path / "strata.csv", newline="", encoding="utf-8") as fh:
+        reported = list(csv.DictReader(fh))
+    assert reported == [{**row, "codim": str(2 * n - int(row["dim"]))} for row in strata]
+    with open(tmp_path / "fixed_points.csv", newline="", encoding="utf-8") as fh:
+        fixed = list(csv.DictReader(fh))
+    points = run_ok(["ic", "fixed-points", "--n", str(n)])["payload"]["points"]
+    assert fixed == [{key: str(value) for key, value in point.items()} for point in points]
+    if n >= 1:
+        audit = csv_rows(capsys, ["ic", "audit", "--n", str(n), "--csv"])
+        columns = ("m", "lambda", "dim")
+        assert [[row[c] for c in columns] for row in audit] == [[row[c] for c in columns] for row in strata]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

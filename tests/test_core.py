@@ -1492,6 +1492,11 @@ _A = RatMatrix.from_rows([[1, 2], [3, 4]])
         pytest.param(lambda: RatMatrix.identity(-1), "negative matrix dimensions", id="identity-negative size"),
         pytest.param(lambda: Subspace(2).add([(5, 1)]), "column 5 outside range(2)", id="add-column above the ambient"),
         pytest.param(lambda: Subspace(2).add([(-1, 1)]), "column -1 outside range(2)", id="add-negative column"),
+        # a column is checked whatever its value, and given once
+        pytest.param(lambda: Subspace(2).add([(5, 0)]), "column 5 outside range(2)", id="add-zero above the ambient"),
+        pytest.param(lambda: Subspace(2).add([(1, 1), (-1, 0)]), "column -1 outside range(2)", id="add-negative zero column"),
+        pytest.param(lambda: Subspace(2).add([(0, 1), (0, 2)]), "column 0 given twice", id="add-repeated column"),
+        pytest.param(lambda: Subspace(3).add([(2, 0), (1, 1), (2, 0)]), "column 2 given twice", id="add-repeated zero column"),
         pytest.param(lambda: Subspace(-1), "negative ambient dimension -1", id="Subspace-negative ambient"),
         pytest.param(lambda: Subspace.full(-1), "negative ambient dimension -1", id="full-negative ambient"),
     ],
@@ -1667,10 +1672,15 @@ def test_int_entries_reach_the_integer_form_without_rat(monkeypatch):
     RatMatrix.from_rows([[1, "2/3"], [True, Fraction(1, 2)]])
     RatMatrix.diagonal(["1/2", 3])
     assert calls == ["2/3", True, Fraction(1, 2), "1/2"]
-    for call in (lambda: RatMatrix.from_rows([[1, 0.5]]), lambda: RatMatrix.diagonal([2, 0.5])):
+    for call in (lambda: RatMatrix.from_rows([[1, 0.5]]), lambda: RatMatrix.diagonal([2, 0.5]), lambda: RatMatrix(1, 2, [1, 0.5])):
         with pytest.raises(TypeError) as exc:
             call()
         assert str(exc.value) == "not an exact rational: 0.5"
+    # the constructor and Subspace.add take ints and Fractions only, as their integer form is read off them
+    for call, bad in ((lambda: RatMatrix(1, 1, ["1/2"]), "'1/2'"), (lambda: Subspace(2).add([(0, 1), (1, 0.5)]), "0.5")):
+        with pytest.raises(TypeError) as exc:
+            call()
+        assert str(exc.value) == f"not an exact rational: {bad}"
     with pytest.raises(TypeError) as exc:
         _old_from_rows([[1, 0.5]])
     assert str(exc.value) == "not an exact rational: 0.5"

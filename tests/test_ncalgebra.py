@@ -74,6 +74,7 @@ def test_normal_form_rejects_bad_letters():
     [
         (lambda: normal_form("xq"), "unknown generator 'q'"),
         (lambda: normal_monomials(-1), "degree must be nonnegative"),
+        pytest.param(lambda: dual_graded_dims(1, max_degree=-1), "degree must be nonnegative", id="dual_graded_dims-negative"),
         # the fold's one letter check serves every algebra and entry; their own
         # ids, so the normal_form row above keeps "<lambda>-unknown generator 'q'"
         pytest.param(lambda: dual_word(["q"]), "unknown generator 'q'", id="dual_word-q"),

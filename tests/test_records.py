@@ -153,13 +153,30 @@ def test_package_import_loads_no_module_and_holds_only_the_version():
     assert run.stdout == "['uhlenbeck']\n['__version__']\n"
 
 
+def package_trees() -> list[ast.Module]:
+    return [ast.parse(p.read_text()) for p in sorted(Path(uhlenbeck.__file__).resolve().parent.glob("*.py"))]
+
+
 def test_every_private_function_has_a_caller_in_the_package():
     # a private helper that nothing in the package names is a leftover of a deleted route
-    trees = [ast.parse(p.read_text()) for p in sorted(Path(uhlenbeck.__file__).resolve().parent.glob("*.py"))]
+    trees = package_trees()
     nodes = [node for tree in trees for node in ast.walk(tree)]
     private = {n.name for n in nodes if isinstance(n, ast.FunctionDef) and n.name.startswith("_") and not n.name.endswith("__")}
     named = {n.id for n in nodes if isinstance(n, ast.Name)} | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     assert private and sorted(private - named) == []
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a private constant or cache that nothing in the package reads is a leftover of a deleted route
+    trees = package_trees()
+    statements = [s for tree in trees for s in tree.body if isinstance(s, (ast.Assign, ast.AnnAssign))]
+    targets = [t for s in statements for t in (s.targets if isinstance(s, ast.Assign) else [s.target])]
+    assigned = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    private = {name for name in assigned if name.startswith("_") and not name.endswith("__")}
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+    assert {"_LIMIT", "_JSON_TYPES", "_DUAL_ORDER"} <= private and sorted(private - read) == []
 
 
 def test_fresh_import_loads_neither_dataclasses_nor_inspect():
