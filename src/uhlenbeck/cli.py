@@ -22,6 +22,8 @@ import csv
 import json
 import os
 import sys
+from functools import lru_cache
+from itertools import chain
 from operator import attrgetter
 
 from . import __version__, bvariety, calogero, ic, ncalgebra, quiver
@@ -431,6 +433,58 @@ def dispatch(argv: list[str]) -> tuple[int, dict]:
     return run(build_parser(argv).parse_args(argv))
 
 
+_SCALARS = frozenset((str, int, bool, float, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _encoder(level: int):
+    """The C encoder for a flat container at indent level ``level``: its items
+    on their own lines at level + 1, its brackets left on the first and last."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (level + 1), ": ")).encode
+
+
+def _flat(values) -> bool:
+    """Whether each of a list of values is a scalar or an empty container."""
+    return _SCALARS.issuperset(map(type, values)) or all(type(v) in _SCALARS or not v for v in values)
+
+
+def _dumps(value, level: int = 0) -> str:
+    """Exactly ``json.dumps(value, sort_keys=True, indent=2)`` for a JSON value
+    with string keys, written at indent level ``level``.
+
+    A flat container is one call to ``_encoder``, with its brackets moved to
+    their own lines.  A list of non-empty flat dicts, or of non-empty lists of
+    scalars (every table and matrix), is one call at its rows' level; one
+    ``replace`` then puts each row boundary on its lines.  A boundary is the only
+    raw ``},`` or ``],`` newline and indent before a bracket, since JSON escapes
+    a newline inside a string.  Anything else recurses.
+    """
+    encode = _encoder(level)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return encode(value)
+    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        if _flat(list(value.values())):
+            return "{" + inner + encode(value)[1:-1] + pad + "}"
+        body = [encode(k) + ": " + _dumps(v, level + 1) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if _flat(value):
+        return "[" + inner + encode(value)[1:-1] + pad + "]"
+    kinds = set(map(type, value))
+    if kinds == {dict}:
+        table = all(value) and _flat(list(chain.from_iterable(map(dict.values, value))))
+    else:
+        # no empty list in a list row: [], [] inside one would read as a boundary
+        table = kinds <= {list, tuple} and all(value) and _SCALARS.issuperset(map(type, chain.from_iterable(value)))
+    if table:
+        deeper = inner + "  "
+        opening, closing = "{}" if kinds == {dict} else "[]"
+        boundary = closing + "," + deeper + opening
+        body = _encoder(level + 1)(value)[2:-2].replace(boundary, inner + closing + "," + inner + opening + deeper)
+        return "[" + inner + opening + deeper + body + inner + closing + pad + "]"
+    return "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in value) + pad + "]"
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
@@ -439,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     if table:
         _write_csv(sys.stdout, list(table[0]), table)
     else:
-        sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        print(_dumps(envelope))
     return code
 
 

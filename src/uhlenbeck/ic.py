@@ -73,6 +73,14 @@ def _length_counts(k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _parts_product(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """The product over the parts of their ``_length_counts``, from that of parts[1:]."""
+    if not parts:
+        return (1,)
+    return tuple(convolve(_length_counts(parts[0]), _parts_product(parts[1:])))
+
+
 def length_counting_poly(k: int) -> RatPoly:
     """sum over partitions mu of k of q^{2 l(mu)}, from the counts by length."""
     return RatPoly(_length_counts(k), var="q")
@@ -83,10 +91,7 @@ def ic_stalk(n: int, m: int, lam) -> GradedStalk:
     lam = Partition(tuple(lam))
     if m < 0 or m + lam.size != n:
         raise ValueError(f"need m + |lam| = n with m >= 0; got m={m}, |lam|={lam.size}, n={n}")
-    coeffs = [0] * (2 * m) + [1]
-    for part in lam:
-        coeffs = convolve(coeffs, _length_counts(part))
-    return GradedStalk(tuple(coeffs))
+    return GradedStalk((0,) * (2 * m) + _parts_product(lam.parts))
 
 
 def punctual_hilbert_betti(n: int) -> list[int]:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, _integer_row, _term_str, kernel_basis, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, _primitive, _term_str, kernel_basis, rat
 from .partitions import Frozen
 
 GENERATORS = ("x", "y", "z")
@@ -207,21 +207,27 @@ def graded_dim_computed(degree: int, tau) -> int:
     checks that no collapse occurs at this tau (induction on the degree
     starting from the generators).
     """
-    return _times_rank(NCElement, degree, rat(tau))
+    return _times_span(NCElement, degree, rat(tau)).dim
 
 
-def _times_rank(algebra, degree: int, t: Fraction) -> int:
-    """Dimension of degree i at a rational t, for both algebras: the rank in the
-    basis ``algebra.keys(i)`` of each key of degree i-1 times each generator, by
-    ``algebra.times``.  Each key is its own word, so these span all words of length i."""
+def _times_span(algebra, degree: int, t: Fraction) -> Subspace:
+    """Degree i at a rational t, for both algebras, as the span in the basis
+    ``algebra.keys(i)`` of each key of degree i-1 times each generator, by
+    ``algebra.times``.  Each key is its own word, so these span all words of length i.
+
+    The rows are integer rows, scaled by t's denominator: every term of ``times``
+    is c tau^e with e in {0, 1}, so with t = p/q, q > 0, the row times q has the
+    entries c p^e q^(1-e).  A positive scale gives the same primitive row, and so
+    the same echelon, as clearing the denominators of the rationals c t^e."""
     if degree == 0:
-        return 1
+        return Subspace.full(1)
     index = {k: j for j, k in enumerate(algebra.keys(degree))}
     span = Subspace(len(index))
+    scaled = (t.denominator, t.numerator)  # q tau^e at tau = p/q, for e = 0, 1
     for key in algebra.keys(degree - 1):
         for g in algebra.generators:
-            span._insert(_integer_row((index[k2], c * t**e) for k2, c, e in algebra.times(key, g)))
-    return span.dim
+            span._insert(_primitive({index[k2]: v for k2, c, e in algebra.times(key, g) if (v := c * scaled[e])}))
+    return span
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +281,7 @@ def dual_graded_dims(tau, max_degree: int = 4) -> tuple[int, ...]:
     if max_degree < 0:
         raise ValueError("degree must be nonnegative")
     t = rat(tau)
-    return tuple(_times_rank(DualElement, i, t) for i in range(max_degree + 1))
+    return tuple(_times_span(DualElement, i, t).dim for i in range(max_degree + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,56 @@ def test_csv_stdout_matches_its_pin(capsys, command):
     assert _digest(capsys.readouterr().out.encode("utf-8")) == CSV_PINS[command]
 
 
+def test_nc_dims_at_the_degree_cap_matches_its_pin(capsys):
+    # recorded while the graded-dimension rows were still built from Fractions;
+    # the golden outputs reach only degree 24
+    assert main(["nc", "dims", "--max-degree", "48", "--tau=-355/113"]) == 0
+    pin = {"sha256": "bc33328183a62278fdda9025696bf76c5a7a937f8636fb4573c4e6bfad2c11ac", "bytes": 4243}
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == pin
+
+
+def test_dumps_writes_json_dumps_indent_text():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # raw row boundaries of every depth inside strings, non-ASCII and control characters
+    boundaries = [f"{c},\n{' ' * k}{o}" for o, c in ("{}", "[]") for k in range(2, 9, 2)]
+    text = st.sampled_from(boundaries + ["", "é", "\x00\x1f", "\u2028", '"\\']) | st.text(max_size=6)
+    scalars = st.none() | st.booleans() | st.integers(-(10**30), 10**30) | text
+    empty = st.sampled_from([[], {}])
+    flat = st.one_of(scalars, empty)
+    flat_dict = st.dictionaries(text, flat, min_size=1, max_size=4)
+    flat_list = st.lists(flat, min_size=1, max_size=4)
+
+    def with_one_nested(rows, nested):
+        # a row list that would be flat but for one nested row
+        return st.tuples(st.lists(rows, min_size=1, max_size=4), nested, st.integers(0, 4)).map(
+            lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2] :]
+        )
+
+    values = st.recursive(
+        scalars | empty,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.dictionaries(text, children, max_size=4),
+            st.lists(flat_dict, min_size=1, max_size=4),
+            st.lists(flat_list, min_size=1, max_size=4),
+            with_one_nested(flat_dict, st.dictionaries(text, children, min_size=1, max_size=3)),
+            with_one_nested(flat_list, st.lists(children, min_size=1, max_size=3)),
+        ),
+        max_leaves=24,
+    )
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(values)
+    def check(value):
+        assert cli._dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    check()
+    assert cli._dumps([[[], []], [[]]]) == json.dumps([[[], []], [[]]], indent=2)
+
+
 def csv_rows(capsys, argv) -> list[dict]:
     assert main(argv) == 0
     return list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

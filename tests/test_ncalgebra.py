@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from uhlenbeck import ncalgebra
-from uhlenbeck.core import RatMatrix, RatPoly, Subspace, kernel_basis, rat
+from uhlenbeck.core import RatMatrix, RatPoly, Subspace, _integer_row, kernel_basis, rat
 from uhlenbeck.ncalgebra import (
     DUAL_BASIS,
     DUAL_GENERATORS,
@@ -653,3 +653,18 @@ def test_kernels_and_dual_dims_match_old_builders(tau):
     assert relation_kernel(tau) == _old_relation_kernel(tau)
     assert dual_relation_kernel(tau) == _old_dual_relation_kernel(tau)
     assert dual_graded_dims(tau, 6) == _old_dual_graded_dims(tau, 6)
+
+
+@pytest.mark.parametrize("tau", ORACLE_TAUS + [Fraction(-3, 7), Fraction(355, 113)])
+@pytest.mark.parametrize("algebra", [NCElement, DualElement])
+def test_integer_rows_equal_the_rational_rows(algebra, tau):
+    # the rows scaled by tau's denominator give the echelon of the rows c tau^e over Q
+    for degree in range(1, 13):
+        index = {k: j for j, k in enumerate(algebra.keys(degree))}
+        rational = Subspace(len(index))
+        for key in algebra.keys(degree - 1):
+            for g in algebra.generators:
+                terms = algebra.times(key, g)
+                assert {e for _, _, e in terms} <= {0, 1}, (key, g)
+                rational._insert(_integer_row((index[k2], c * tau**e) for k2, c, e in terms))
+        assert ncalgebra._times_span(algebra, degree, tau).rows == rational.rows, degree
