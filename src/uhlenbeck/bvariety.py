@@ -25,8 +25,8 @@ from .core import (
     NotNilpotentError,
     RatMatrix,
     RatPoly,
-    Subspace,
     Vector,
+    _int_matmul,
     char_poly,
     commutant_system,
     inverse,
@@ -354,7 +354,7 @@ def _sample_dim(
     for _ in range(24):
         v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
         if krylov_span_dim([y, z], v) == k:
-            return _stratum_image_dim(y, v, centralizer, directions)
+            return _stratum_image_dim(y, centralizer, directions)
     return None
 
 
@@ -391,21 +391,25 @@ def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
     return [RatMatrix(k, k, v) for v in kernel_basis(commutant_system([y, z]))]
 
 
-def _stratum_image_dim(
-    y: RatMatrix, v: Vector, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]
-) -> int:
-    """Local dimension of the stratum's image in the conjugation quotient.
+def _stratum_image_dim(y: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]) -> int:
+    """Local dimension of the stratum's image in the conjugation quotient, at
+    (y, v) for a v cyclic for (y, z), where centralizer is a basis C of the
+    centralizer of z.
 
     Tangent to the slice at (y, v): stratum directions D on Y plus all of V.
-    Tangent to the residual group orbit: g in the centralizer C of Z acting
-    by ([g, Y], g v).  The image dimension is dim slice - dim(overlap), which
-    equals dim(slice + orbit) - dim orbit; the slice holds all of V, so
-    dim(slice + orbit) = k + dim(D + [C, y]).
+    Tangent to the residual group orbit: g in C acting by ([g, Y], g v).  The
+    image dimension is dim(slice + orbit) - dim orbit; the slice holds all of
+    V, so dim(slice + orbit) = k + dim(D + [C, y]).  The orbit has dimension
+    |C|: a g in span C with [g, y] = 0 and g v = 0 commutes with y and z and
+    kills a cyclic vector, so g = 0 (the proof in ``triple_stabilizer_dim``).
+    D + [C, y] is ranked from integer forms: m._a for m in D, and
+    g._a y._a - y._a g._a, a positive multiple of [g, y].
     """
-    k = y.rows
-    comms = [g.commutator(y) for g in centralizer]
-    orbit = Subspace(k * k + k, [c.entries + g.apply(v) for c, g in zip(comms, centralizer)])
-    return k + Subspace(k * k, [m.entries for m in [*directions, *comms]]).dim - orbit.dim
+    k, ya = y.rows, y._a
+    rows = [x for m in directions for x in m._a]
+    for g in centralizer:
+        rows += [p - q for p, q in zip(_int_matmul(g._a, ya, k, k, k), _int_matmul(ya, g._a, k, k, k))]
+    return k + rank(RatMatrix._of(len(directions) + len(centralizer), k * k, 1, rows)) - len(centralizer)
 
 
 def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 0) -> FiberProbe:

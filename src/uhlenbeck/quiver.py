@@ -12,10 +12,9 @@ identity per basis element of the degree-two multiplication kernel:
     G_eta F_xi + G_xi F_eta = 0        G_zeta F_xi + G_xi F_zeta = 0
     G_zeta F_eta + G_eta F_zeta = 0    G_zeta F_zeta + tau (G_eta F_xi - G_xi F_eta) = 0
 
-The module also carries numeric sheaf invariants (rank, degree, second Chern
-class), the standard dimension vector and polarization formulas, and exact
-slope-stability decision procedures: exact where r1, r3 <= 1, witness search
-elsewhere.
+The module also carries the standard dimension vector and polarization
+formulas, and exact slope-stability decision procedures: exact where
+r1, r3 <= 1, witness search elsewhere.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
+from .core import RatMatrix, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
 from .ncalgebra import DUAL_GENERATORS, DUAL_PAIR_ORDER
 from .partitions import Frozen
 
@@ -133,64 +132,6 @@ def polarizations(r: int, d: int, n: int) -> tuple[Polarization, Polarization]:
     theta0 = Polarization(-r - d, d, r - d)
     theta1 = Polarization(2 * n - d * d + r, d * d - 2 * n, 2 * n - d * d + r)
     return theta0, theta1
-
-
-class SheafNumerics(Frozen):
-    """(rank, degree, second Chern class) of a sheaf on the noncommutative plane."""
-
-    _fields = ("r", "d", "n")
-
-    def __init__(self, r: int, d: int, n: int):
-        if r < 0:
-            raise ValueError("rank must be nonnegative")
-        for name, value in zip(self._fields, (r, d, n)):
-            object.__setattr__(self, name, value)
-
-    @property
-    def ch2(self) -> Fraction:
-        return Fraction(self.d * self.d, 2) - self.n
-
-    def direct_sum(self, other: "SheafNumerics") -> "SheafNumerics":
-        # Whitney sum: c2 picks up the product of first Chern classes
-        return SheafNumerics(self.r + other.r, self.d + other.d, self.n + other.n + self.d * other.d)
-
-
-def artin_numerics(length: int) -> SheafNumerics:
-    """Numerics of a finite-length (Artin) sheaf: rank 0, degree 0, c2 = -length."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    return SheafNumerics(0, 0, -length)
-
-
-def line_bundle_numerics(i: int) -> SheafNumerics:
-    """Numerics of the line bundle O(i): rank 1, degree i, c2 = 0."""
-    return SheafNumerics(1, i, 0)
-
-
-def hilbert_poly(num: SheafNumerics) -> RatPoly:
-    """r (t+1)(t+2)/2 + d (2t+3)/2 + d^2/2 - c2, as a polynomial in t."""
-    t = RatPoly((0, 1))
-    half = Fraction(1, 2)
-    return (
-        (t + 1) * (t + 2) * Fraction(num.r, 2)
-        + (t * 2 + 3) * (num.d * half)
-        + RatPoly((num.ch2,))
-    )
-
-
-def slopes_MG(num: SheafNumerics) -> tuple[Fraction, RatPoly]:
-    """Mumford slope d/r and Gieseker slope h(t)/r; requires positive rank."""
-    if num.r <= 0:
-        raise ValueError("slopes require positive rank")
-    mu_m = Fraction(num.d, num.r)
-    h = hilbert_poly(num)
-    mu_g = RatPoly((c / num.r for c in h.coeffs), "t")
-    return mu_m, mu_g
-
-
-def poly_eventually_positive(p: RatPoly) -> bool:
-    """Whether p(t) > 0 for all large t."""
-    return (not p.is_zero) and p.leading > 0
 
 
 # ---------------------------------------------------------------------------

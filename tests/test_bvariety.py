@@ -367,9 +367,12 @@ def _stratum_image_dim_by_intersection(y, v, centralizer, directions):
     return t_slice.dim - t_slice.intersect(t_orbit).dim
 
 
-def test_fiber_probes_match_intersection_formula(monkeypatch):
-    import uhlenbeck.bvariety as bvariety
+def _sample_dim_by_intersection(rng, y, z, centralizer, directions):
+    v = _old_sample_cyclic_vector(rng, y, z)
+    return None if v is None else _stratum_image_dim_by_intersection(y, v, centralizer, directions)
 
+
+def test_fiber_probes_match_intersection_formula(monkeypatch):
     probes = [
         lambda: fiber_probe(Partition((2, 1)), Fraction(1), ONE, samples=4, seed=3),
         lambda: fiber_probe(Partition((3,)), Fraction(1, 2), Fraction(3, 7), samples=3, seed=1),
@@ -377,7 +380,7 @@ def test_fiber_probes_match_intersection_formula(monkeypatch):
         lambda: distinct_fiber_probe([0, 1, Fraction(5, 2)], ONE, samples=4, seed=2),
     ]
     measured = [probe().sample_dims for probe in probes]
-    monkeypatch.setattr(bvariety, "_stratum_image_dim", _stratum_image_dim_by_intersection)
+    monkeypatch.setattr(bvariety, "_sample_dim", _sample_dim_by_intersection)
     assert [probe().sample_dims for probe in probes] == measured
     assert all(measured) and any(any(dims) for dims in measured)
 
@@ -676,7 +679,7 @@ def _old_fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe
             if v is None:
                 continue
             cyclic_found = True
-            sample_dims.append(_stratum_image_dim(y, v, hom, directions))
+            sample_dims.append(_old_stratum_image_dim(y, z, v, hom, directions))
     measured = max(sample_dims) if sample_dims else None
     return FiberProbe(
         lam, k, u, tau, solution_dim, stratum_dim, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found
@@ -700,7 +703,7 @@ def _old_distinct_fiber_probe(spectrum, tau, samples: int = 8, seed: int = 0) ->
         if v is None:
             continue
         cyclic_found = True
-        sample_dims.append(_stratum_image_dim(y, v, joint, []))
+        sample_dims.append(_old_stratum_image_dim(y, z, v, joint, []))
     measured = max(sample_dims) if sample_dims else None
     lam = Partition((1,) * k) if k else Partition()
     return FiberProbe(lam, k, us[0] if us else Fraction(0), tau, len(joint), 0, tuple(sample_dims), measured, max(k - 1, 0), cyclic_found)
@@ -886,6 +889,8 @@ def test_solvability_against_the_exact_solve():
 
 
 def test_stratum_image_dim_matches_pinned_slice():
+    # on the inputs _sample_dim passes: v cyclic for (y, z) and a basis of the
+    # centralizer of z
     rng = random.Random(8950)
     checked = 0
     for k in range(5):
@@ -896,22 +901,57 @@ def test_stratum_image_dim_matches_pinned_slice():
                     base, directions = _triangular_stratum(y0, hom, Fraction(u), k)
                     for _ in range(3):
                         y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
-                        v = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k))
-                        assert _stratum_image_dim(y, v, hom, directions) == _old_stratum_image_dim(y, z, v, hom, directions)
-                        checked += 1
-    # centralizers of (y, 0) for diagonal y, and arbitrary matrices as directions
+                        v = _old_sample_cyclic_vector(rng, y, z)
+                        if v is not None:
+                            assert _stratum_image_dim(y, hom, directions) == _old_stratum_image_dim(y, z, v, hom, directions)
+                            checked += 1
+    # centralizers of (y, 0) for diagonal y with distinct entries, and
+    # arbitrary matrices as directions
     for k in range(5):
-        y = RatMatrix.diagonal([rng.randint(-4, 4) for _ in range(k)])
+        y = RatMatrix.diagonal(rng.sample(range(-4, 5), k))
         z = RatMatrix.zero(k)
         joint = pair_centralizer_basis(y, z)
         mats = [rand_matrix(rng, k, k, -2, 2) for _ in range(rng.randint(0, 3))]
         for directions in ([], mats):
-            for centralizer in (joint, mats, []):
-                v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
-                new, old = _stratum_image_dim(y, v, centralizer, directions), _old_stratum_image_dim(y, z, v, centralizer, directions)
-                assert type(new) is type(old) is int and new == old
-                checked += 1
+            v = _old_sample_cyclic_vector(rng, y, z)
+            new, old = _stratum_image_dim(y, joint, directions), _old_stratum_image_dim(y, z, v, joint, directions)
+            assert type(new) is type(old) is int and new == old
+            checked += 1
     assert checked > 100
+
+
+def _orbit_span_dim(y, v, centralizer) -> int:
+    # the orbit span _stratum_image_dim built before it used len(centralizer)
+    k = y.rows
+    return Subspace(k * k + k, [g.commutator(y).entries + g.apply(v) for g in centralizer]).dim
+
+
+def test_orbit_span_has_the_centralizer_dimension_at_every_sample(monkeypatch):
+    # the orbit map g -> ([g, y], g v) is injective on the centralizer of z
+    # exactly because v is cyclic: at v = 0 the identity is in its kernel
+    sample_dim, calls, shrunk = bvariety._sample_dim, [], 0
+
+    def checked(rng, y, z, centralizer, directions):
+        nonlocal shrunk
+        state = rng.getstate()
+        v = _old_sample_cyclic_vector(rng, y, z)
+        rng.setstate(state)
+        if v is not None:
+            assert _orbit_span_dim(y, v, centralizer) == len(centralizer)
+            calls.append(y.rows)
+        if y.rows:
+            assert _orbit_span_dim(y, (Fraction(0),) * y.rows, centralizer) < len(centralizer)
+            shrunk += 1
+        return sample_dim(rng, y, z, centralizer, directions)
+
+    monkeypatch.setattr(bvariety, "_sample_dim", checked)
+    for k in range(7):
+        for lam in partitions(k):
+            for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5))):
+                fiber_probe(lam, u, tau, samples=3, seed=k)
+    for spectrum in ([], [0], [Fraction(1, 2), -3], [0, 1, Fraction(-5, 7), 3]):
+        distinct_fiber_probe(spectrum, 1, samples=3, seed=1)
+    assert len(calls) > 250 and max(calls) == 6 and calls.count(0) >= 2 and shrunk > 250
 
 
 def test_support_multiplies_under_direct_sums_of_disjoint_supports():

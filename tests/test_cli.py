@@ -519,6 +519,24 @@ def test_csv_stdout_matches_its_pin(capsys, command):
     assert _digest(capsys.readouterr().out.encode("utf-8")) == CSV_PINS[command]
 
 
+# recorded while the fiber probe still built its orbit span; the golden outputs
+# reach only 3,2 and 2,2,1 at 8 samples
+FIBER_CAP_PINS = {
+    "bvar fiber --lambda 4,3,2,1 --samples 16": {"sha256": "a314177ebf25a00c465f735cef9e33fe150fadf6a85fa9338526848f9c442238", "bytes": 401},
+    "bvar fiber --lambda 1,1,1,1,1,1,1,1,1,1 --samples 16": {"sha256": "f5d53d253c2a7e6ebcf9e45c7ff75c5be752444e089438e410727189d97eda6b", "bytes": 314},
+    "bvar fiber --lambda 3,3,2,2 --samples 16 --u=-7/3 --tau 3/5 --seed 5": {
+        "sha256": "e15a6692dfbd1679200fa241ca03672fab845ee2276e6d82f0e1cd6819dceb68",
+        "bytes": 439,
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIBER_CAP_PINS))
+def test_bvar_fiber_at_its_caps_matches_its_pin(capsys, command):
+    assert main(command.split(" ")) == 0
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == FIBER_CAP_PINS[command]
+
+
 def test_nc_dims_at_the_degree_cap_matches_its_pin(capsys):
     # recorded while the graded-dimension rows were still built from Fractions;
     # the golden outputs reach only degree 24

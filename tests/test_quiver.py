@@ -7,31 +7,25 @@ import pytest
 from conftest import rand_invertible, rand_matrix
 from test_core import PRODUCT_KINDS, _product_input, _random_entry, assert_pinned
 from uhlenbeck import quiver
-from uhlenbeck.core import RatMatrix, RatPoly, Subspace, column_space, kernel_space
+from uhlenbeck.core import RatMatrix, Subspace, column_space, kernel_space
 from uhlenbeck.ncalgebra import dual_relation_kernel
 from uhlenbeck.quiver import (
     ARROWS,
     Polarization,
     QuiverRep,
-    SheafNumerics,
     StabilityWitness,
     alpha,
-    artin_numerics,
     check_relations,
     conjugate_rep,
     decide_stability_121,
     find_destabilizer,
     generated_subrep,
-    hilbert_poly,
-    line_bundle_numerics,
     monad_of_point,
     polarizations,
-    poly_eventually_positive,
     relation_tensor_residual,
     rep_direct_sum,
     sample_relation_rep,
     slope,
-    slopes_MG,
 )
 
 ONE = Fraction(1)
@@ -353,59 +347,6 @@ def test_lexicographic_tiebreak():
     witness = find_destabilizer(rep, theta0, theta1, budget=8, seed=0)
     assert witness is not None
     assert witness.slopes[0] == 0 and witness.slopes[1] < 0
-
-
-# ---------------------------------------------------------------------------
-# numeric invariants of sheaves
-
-
-def test_hilbert_line_bundles():
-    t = RatPoly((0, 1))
-    for i in range(-2, 4):
-        expected = (t + (i + 1)) * (t + (i + 2)) * Fraction(1, 2)
-        assert hilbert_poly(line_bundle_numerics(i)) == expected
-
-
-def test_hilbert_rank_one_with_points():
-    t = RatPoly((0, 1))
-    assert hilbert_poly(SheafNumerics(1, 0, 2)) == (t + 1) * (t + 2) * Fraction(1, 2) - 2
-
-
-def test_hilbert_artin_constant():
-    for n in range(5):
-        h = hilbert_poly(artin_numerics(n))
-        assert h == RatPoly((n,))
-        assert artin_numerics(n).ch2 == n
-
-
-def test_hilbert_additive_over_sums():
-    rng = random.Random(404)
-    for _ in range(20):
-        a = SheafNumerics(rng.randint(0, 3), rng.randint(0, 2), rng.randint(-3, 3))
-        b = SheafNumerics(rng.randint(0, 3), rng.randint(0, 2), rng.randint(-3, 3))
-        s = a.direct_sum(b)
-        assert hilbert_poly(s) == hilbert_poly(a) + hilbert_poly(b)
-        assert s.ch2 == a.ch2 + b.ch2
-
-
-def test_slopes():
-    mu_m, mu_g = slopes_MG(SheafNumerics(2, 1, 0))
-    assert mu_m == Fraction(1, 2)
-    assert mu_g.leading == Fraction(1, 2)
-    assert slopes_MG(SheafNumerics(1, 0, 3))[0] == 0
-    with pytest.raises(ValueError):
-        slopes_MG(SheafNumerics(0, 0, 1))
-
-
-def test_gieseker_slope_orders_like_mumford():
-    rng = random.Random(405)
-    for _ in range(20):
-        a = SheafNumerics(rng.randint(1, 4), rng.randint(0, 3), rng.randint(-2, 4))
-        b = SheafNumerics(rng.randint(1, 4), rng.randint(0, 3), rng.randint(-2, 4))
-        mm_a, mg_a = slopes_MG(a)
-        mm_b, mg_b = slopes_MG(b)
-        if mm_a > mm_b:
-            assert poly_eventually_positive(mg_a - mg_b)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,8 +967,6 @@ def test_sample_relation_rep_matches_pinned_index_loop():
             lambda: generated_subrep(zero_rep((1, 2, 1)), Subspace(1), Subspace(3), Subspace(1)),
             "seed subspaces do not match the dimension vector",
         ),
-        (lambda: SheafNumerics(-1, 0, 0), "rank must be nonnegative"),
-        (lambda: artin_numerics(-1), "length must be nonnegative"),
     ],
 )
 def test_quiver_rejects_malformed_input_with_its_message(call, message):

@@ -89,7 +89,6 @@ VALUES = [
     (Partition, ("parts",), Partition, ((2, 1),), 0, (3,)),
     (quiver.Polarization, ("theta",), lambda theta: quiver.Polarization(*theta), ((Fraction(1), Fraction(-1, 2), TAU),), 0, (TAU,) * 3),
     (quiver.QuiverRep, ("dim", "F", "G", "tau"), quiver.QuiverRep, (REP.dim, REP.F, REP.G, TAU), 3, Fraction(1)),
-    (quiver.SheafNumerics, ("r", "d", "n"), quiver.SheafNumerics, (1, 2, 3), 2, -3),
     (ic.GradedStalk, ("coeffs",), ic.GradedStalk, ((1, 0, 2),), 0, (1,)),
     (bvariety.BTriple, ("Y", "Z", "v", "tau"), bvariety.BTriple, (TRIPLE.Y, TRIPLE.Z, TRIPLE.v, TAU), 2, (0, 0, 1)),
     (bvariety.SupportDivisor, ("poly",), bvariety.SupportDivisor, (RatPoly((0, 0, 1), var="y"),), 0, RatPoly((1, 1), var="y")),
@@ -153,8 +152,12 @@ def test_package_import_loads_no_module_and_holds_only_the_version():
     assert run.stdout == "['uhlenbeck']\n['__version__']\n"
 
 
+def package_modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text()) for p in sorted(Path(uhlenbeck.__file__).resolve().parent.glob("*.py"))}
+
+
 def package_trees() -> list[ast.Module]:
-    return [ast.parse(p.read_text()) for p in sorted(Path(uhlenbeck.__file__).resolve().parent.glob("*.py"))]
+    return list(package_modules().values())
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -177,6 +180,18 @@ def test_every_private_module_name_is_read_in_the_package():
     read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     read |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
     assert {"_LIMIT", "_JSON_TYPES", "_DUAL_ORDER"} <= private and sorted(private - read) == []
+
+
+def test_every_module_level_import_is_read_in_its_module():
+    # an import that its own module never reads is a leftover of a deleted route
+    unread, imported = [], 0
+    for name, tree in package_modules().items():
+        imports = [s for s in tree.body if isinstance(s, (ast.Import, ast.ImportFrom))]
+        bound = {(a.asname or a.name).split(".")[0] for s in imports if getattr(s, "module", None) != "__future__" for a in s.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"{name}: {b}" for b in sorted(bound - read)]
+        imported += len(bound)
+    assert imported > 50 and unread == []
 
 
 def test_fresh_import_loads_neither_dataclasses_nor_inspect():
