@@ -352,7 +352,7 @@ def _sample_dim(
     draws of v in [-5, 5]^k that is cyclic for (y, z); None if none is."""
     k = y.rows
     for _ in range(24):
-        v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(k))
+        v = [rng.randint(-5, 5) for _ in range(k)]
         if krylov_span_dim([y, z], v) == k:
             return _stratum_image_dim(y, centralizer, directions)
     return None

@@ -34,7 +34,8 @@ common denominator, so the matrix is a / d and gcd(d, *a) = 1.  Because d
 is the least one, equal matrices have equal forms, and ``==`` and ``hash``
 compare them.  Nothing else is kept: ``entries``, ``entry``, ``row`` and
 ``column`` build only the Fractions they return, from (d, a) on each read,
-and ``from_rows`` and ``diagonal`` clear int entries as they are.
+and ``from_rows`` and ``diagonal`` clear int entries as they are.  Only
+parsers read text, through ``rat``; ``_clear`` takes ints and Fractions only.
 ``+``, ``-``, ``scale``, ``commutator``, ``is_zero`` and ``transpose`` are
 integer operations: sums go over the lcm of the two denominators, and every
 result is divided once by the gcd of d and its numerators.
@@ -87,10 +88,6 @@ def rat(x) -> Fraction:
     if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"not an exact rational: {x!r}")
-
-
-def vector(entries: Iterable) -> Vector:
-    return tuple(rat(x) for x in entries)
 
 
 def _clear(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -493,10 +490,9 @@ class RatMatrix(Frozen):
 
     def apply(self, v: Sequence) -> Vector:
         """Matrix times column vector."""
-        w = vector(v)
-        if len(w) != self.cols:
+        dw, ints = _clear(v)
+        if len(ints) != self.cols:
             raise ValueError("vector length does not match column count")
-        dw, ints = _clear(w)
         out = self._times({j: x for j, x in enumerate(ints) if x})
         return _over([out.get(i, 0) for i in range(self.rows)], self._d * dw)
 
@@ -649,9 +645,10 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 
 def _integer_row(entries: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
-    """The nonzero (column, rational) entries, scaled by one rational to coprime integers."""
-    row = {j: x for j, x in entries if x}
-    return _primitive(dict(zip(row, _clear(list(row.values()))[1])))
+    """The nonzero (column, rational) entries, scaled by one rational to coprime
+    integers; ``_clear`` checks every entry, zeros too, so only exact ones pass."""
+    row = dict(entries)
+    return _primitive({j: x for j, x in zip(row, _clear(list(row.values()))[1]) if x})
 
 
 def _cancel(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
@@ -739,14 +736,16 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | Non
 
     One elimination of [m | b] gives both: when the system is consistent,
     its reduced rows restricted to m's columns are the reduced rows of m.
+    b is cleared once, to the integers db b, so with m = a / d row i enters
+    as (db a_i | d db b_i), d db times row i of [m | b].
     """
-    bb = vector(b)
+    db, bb = _clear(b)
     if len(bb) != m.rows:
         raise ValueError("right-hand side length mismatch")
-    n, a = m.cols, m._a
+    n, a = m.cols, m._a if db == 1 else [db * x for x in m._a]
     ech = Subspace._empty(n + 1)
     for i in range(m.rows):
-        ech._insert(_integer_row(chain(enumerate(a[i * n : (i + 1) * n]), ((n, m._d * bb[i]),))))
+        ech._insert(_primitive({j: x for j, x in enumerate(chain(a[i * n : (i + 1) * n], (m._d * bb[i],))) if x}))
     pivots = ech.reduce()
     if n in ech.rows:
         return None
@@ -762,7 +761,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
     n, a = m.rows, m._a
     ech = Subspace._empty(2 * n)
     for i in range(n):
-        ech._insert(_integer_row(chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),))))
+        ech._insert(_primitive({j: x for j, x in chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)) if x}))
     pivots = ech.reduce()
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -854,13 +853,12 @@ class Subspace:
     def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
         if ambient < 0:
             raise ValueError(f"negative ambient dimension {ambient}")
-        rows = [vector(v) for v in vectors]
-        for v in rows:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
+        vectors = list(vectors)
+        if any(len(v) != ambient for v in vectors):
+            raise ValueError("vector length does not match ambient dimension")
         self.ambient = ambient
         self.rows: dict[int, dict[int, int]] = {}
-        for v in rows:
+        for v in vectors:
             self._insert(_integer_row(enumerate(v)))
 
     @classmethod
@@ -1023,13 +1021,12 @@ def kernel_space(m: RatMatrix, *more: RatMatrix) -> Subspace:
 
 def krylov_span_dim(mats: Sequence[RatMatrix], v: Sequence) -> int:
     """Dimension of the smallest subspace containing v stable under all mats."""
-    w = vector(v)
-    k = len(w)
+    k = len(v)
     for m in mats:
         if not m.is_square or m.rows != k:
             raise ValueError("all matrices must be square of the vector's size")
     span = Subspace._empty(k)
-    queue = [_integer_row(enumerate(w))]
+    queue = [_integer_row(enumerate(v))]
     while queue and span.dim < k:
         u = queue.pop()
         if span._insert(u):

@@ -745,6 +745,28 @@ def test_negative_report_size_is_rejected(tmp_path):
     assert not (tmp_path / "t").exists()
 
 
+# contract lines that otherwise only the fuzz tests reach: ic betti and ic audit start at n = 1,
+# the empty partition is written 0, and a polarization has exactly three parts
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["ic", "betti", "--n", "0"], "n must be at least 1"),
+        (["ic", "audit", "--n", "0"], "n must be at least 1"),
+        (["quiver", "stability", "--rep", str(DATA / "rep_252.json"), "--theta0=1,2"], "polarization needs three comma-separated rationals"),
+    ],
+    ids=["ic betti", "ic audit", "quiver stability"],
+)
+def test_boundary_inputs_exit_1_with_their_error(argv, error):
+    code, out = run_main(argv)
+    envelope = json.loads(out)
+    assert code == 1 and envelope["status"] == "error" and envelope["error"] == error
+
+
+def test_stalk_of_the_empty_partition_is_one():
+    code, out = run_main(["ic", "stalk", "--n", "0", "--m", "0", "--lambda", "0"])
+    assert code == 0 and json.loads(out)["payload"] == {"poly": "1", "total": 1}
+
+
 def random_matrix_json(rng, rows, cols) -> dict:
     entries = [[f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in range(cols)] for _ in range(rows)]
     return {"rows": rows, "cols": cols, "entries": entries}

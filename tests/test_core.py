@@ -35,7 +35,6 @@ from uhlenbeck.core import (
     rat,
     solve_linear,
     squarefree_factorization,
-    vector,
 )
 from uhlenbeck.partitions import Partition, partitions
 from uhlenbeck.quiver import ARROWS, RELATIONS
@@ -586,6 +585,12 @@ def _matmul_oracle(m: RatMatrix, other: RatMatrix) -> RatMatrix:
                     acc[j] += a * b
         out.extend(acc)
     return RatMatrix(m.rows, other.cols, tuple(out))
+
+
+def vector(entries) -> tuple:
+    """The removed ``core.vector``, kept for the verbatim oracles below: one
+    Fraction per entry, reading text as ``rat`` does."""
+    return tuple(rat(x) for x in entries)
 
 
 def _apply_oracle(m: RatMatrix, v) -> tuple:
@@ -1676,11 +1681,23 @@ def test_int_entries_reach_the_integer_form_without_rat(monkeypatch):
         with pytest.raises(TypeError) as exc:
             call()
         assert str(exc.value) == "not an exact rational: 0.5"
-    # the constructor and Subspace.add take ints and Fractions only, as their integer form is read off them
-    for call, bad in ((lambda: RatMatrix(1, 1, ["1/2"]), "'1/2'"), (lambda: Subspace(2).add([(0, 1), (1, 0.5)]), "0.5")):
-        with pytest.raises(TypeError) as exc:
-            call()
-        assert str(exc.value) == f"not an exact rational: {bad}"
+    # the constructor, Subspace(...), Subspace.add, solve_linear, krylov_span_dim and apply take ints and
+    # Fractions only, zero entries included, as their integer form is read off them; the bad entry is named
+    # as given, not as the text m._d * "1/2" = "1/21/2" that scaling it by half's denominator 2 would make
+    half = RatMatrix.from_rows([["1/2", 0], [0, 1]])
+    takers = (
+        lambda x: RatMatrix(1, 1, [x]),
+        lambda x: Subspace(2).add([(0, 1), (1, x)]),
+        lambda x: Subspace(2, [[x, 1]]),
+        lambda x: solve_linear(half, [x, 0]),
+        lambda x: krylov_span_dim([RatMatrix.identity(2)], [x, 0]),
+        lambda x: RatMatrix.identity(2).apply([x, 0]),
+    )
+    for take in takers:
+        for bad in ("1/2", 0.5, 0.0, None):
+            with pytest.raises(TypeError) as exc:
+                take(bad)
+            assert str(exc.value) == f"not an exact rational: {bad!r}"
     with pytest.raises(TypeError) as exc:
         _old_from_rows([[1, 0.5]])
     assert str(exc.value) == "not an exact rational: 0.5"

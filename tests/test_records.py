@@ -8,6 +8,7 @@ record is a tuple whose instances hold no ``__dict__``.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError, fields, make_dataclass
@@ -192,6 +193,27 @@ def test_every_module_level_import_is_read_in_its_module():
         unread += [f"{name}: {b}" for b in sorted(bound - read)]
         imported += len(bound)
     assert imported > 50 and unread == []
+
+
+def test_the_test_extra_lists_every_package_the_tests_import():
+    # pip install -e .[test] must bring every third-party package a test module imports or
+    # importorskips, or its tests skip without a word; sympy is the documented optional oracle
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    extra = tomllib.loads((root / "pyproject.toml").read_text())["project"]["optional-dependencies"]["test"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in extra}
+    local = {p.stem for p in (root / "tests").glob("*.py")} | {"uhlenbeck"}
+    imported = set()
+    for path in (root / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module)
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+                imported.add(node.args[0].value)
+    third_party = {name.partition(".")[0] for name in imported} - set(sys.stdlib_module_names) - local - {"sympy"}
+    assert {"pytest", "hypothesis"} <= third_party and sorted(third_party - listed) == []
 
 
 def test_fresh_import_loads_neither_dataclasses_nor_inspect():
