@@ -150,7 +150,7 @@ def solve_commutator_system(z: RatMatrix, tau) -> tuple[RatMatrix, list[RatMatri
     if solved is None:
         return None
     particular, hom = solved
-    return RatMatrix(k, k, particular), [RatMatrix(k, k, h) for h in hom]
+    return particular.blocks(k, k)[0], hom.blocks(k, k)
 
 
 def commutator_system_solvable(z: RatMatrix, tau) -> bool:
@@ -380,15 +380,15 @@ def _triangular_stratum(
     if solved is None:
         raise AssertionError("lower-triangular stratum is always nonempty")
     c0, cker = solved
-    base = RatMatrix.combination([1, *c0], [y0, *hom])
-    directions = [RatMatrix.combination(cv, hom) for cv in cker]
+    base = RatMatrix.combination([1, *c0.row(0)], [y0, *hom])
+    directions = [RatMatrix.combination(cker.row(i), hom) for i in range(cker.rows)]
     return base, directions
 
 
 def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
     """Basis of {g : gY = Yg and gZ = Zg}, by an exact kernel computation."""
     k = y.rows
-    return [RatMatrix(k, k, v) for v in kernel_basis(commutant_system([y, z]))]
+    return kernel_basis(commutant_system([y, z])).blocks(k, k)
 
 
 def _stratum_image_dim(y: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]) -> int:

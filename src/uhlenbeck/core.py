@@ -11,16 +11,16 @@ cross-multiplies by the two lead entries and divides out the gcd of the
 result, touching only nonzero entries, so elimination does no Fraction
 arithmetic.  ``rank`` reads the pivot count off this forward pass.
 ``rref``, ``kernel_basis``, ``solve_linear``, ``inverse`` and
-``Subspace.basis`` also back-substitute on the integer rows.  A kernel
-vector holds one Fraction per nonzero entry and a solution one per pivot,
-as entry / pivot; ``_reduced_matrix`` writes every reduced row that ``rref``,
-``inverse`` and ``Subspace.basis`` return, over the lcm of the pivots.
+``Subspace.basis`` also back-substitute on the integer rows and write each
+result once, as a RatMatrix over the lcm of the pivots: ``_reduced_matrix``
+every reduced row, ``_kernel`` every kernel row, and ``solve_linear`` reads
+its x off the kernel row (-x | 1) of [m | b] at b's column, which is free.
 
 The output does not depend on the order of the row operations.  The
 reduced row echelon form of a matrix is unique, and after back-substitution
 each integer row is a nonzero multiple of one of its rows, so dividing by
 the pivot recovers that row exactly.  Hence ``rref``, every kernel basis
-(one vector per free column, with 1 there and 0 at the other free columns)
+(one row per free column, with 1 there and 0 at the other free columns)
 and every ``Subspace.basis`` are canonical.
 
 Each value is stored in one form and the rest is derived when read.  A
@@ -78,7 +78,6 @@ from .partitions import Frozen, Partition
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
@@ -474,6 +473,15 @@ class RatMatrix(Frozen):
         a, n = self._a, self.cols
         return RatMatrix._of(n, self.rows, self._d, [x for j in range(n) for x in a[j::n]])
 
+    def blocks(self, rows: int, cols: int) -> list["RatMatrix"]:
+        """Each row cut into rows x cols matrices, read row-major, in order: a ``matrix_system``
+        solution as its unknowns.  With rows * cols = 0, each (empty) row is one matrix."""
+        size = rows * cols
+        if rows < 0 or cols < 0 or (self.cols % size if size else self.cols):
+            raise ValueError(f"a row of {self.cols} entries is not cut into {rows}x{cols} matrices")
+        starts = range(0, len(self._a), size) if size else [0] * self.rows
+        return [RatMatrix._of(rows, cols, self._d, self._a[i : i + size]) for i in starts]
+
     def _same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
@@ -670,19 +678,20 @@ def _cancel(row: dict[int, int], piv: dict[int, int], c: int) -> dict[int, int]:
     return _primitive(out)
 
 
-def _kernel(ech: Subspace, pivots: list[int], ncols: int) -> list[Vector]:
-    """Kernel basis of the first ncols columns of a reduced echelon form: one
-    vector per free column f, with 1 at f and 0 at the other free columns."""
-    vecs = {f: [_ZERO] * ncols for f in range(ncols) if f not in ech.rows}
+def _kernel(ech: Subspace, pivots: list[int], ncols: int) -> RatMatrix:
+    """Kernel basis of the first ncols columns of a reduced echelon form, as rows over the lcm
+    of the pivots: 1 at free column f, 0 at the other free ones, -row[f] / row[c] at pivot c."""
+    d = lcm(*[ech.rows[c][c] for c in pivots])
+    vecs = {f: [0] * ncols for f in range(ncols) if f not in ech.rows}
     for f, v in vecs.items():
-        v[f] = _ONE
+        v[f] = d
     for c in pivots:
         row = ech.rows[c]
-        p = row[c]
+        s = d // row[c]
         for j, x in row.items():
             if j in vecs:
-                vecs[j][c] = Fraction(-x, p)
-    return [tuple(v) for v in vecs.values()]
+                vecs[j][c] = -x * s
+    return RatMatrix._of(len(vecs), ncols, d, list(chain(*vecs.values())))
 
 
 def _row_space(a: Sequence[int], rows: int, cols: int) -> Subspace:
@@ -725,19 +734,19 @@ def rank(m: RatMatrix) -> int:
     return _row_space(m._a, m.rows, m.cols).dim
 
 
-def kernel_basis(m: RatMatrix) -> list[Vector]:
-    """Deterministic basis of the right kernel {v : m v = 0}."""
+def kernel_basis(m: RatMatrix) -> RatMatrix:
+    """Deterministic basis of the right kernel {v : m v = 0}, as the rows of a matrix."""
     ech = _row_space(m._a, m.rows, m.cols)
     return _kernel(ech, ech.reduce(), m.cols)
 
 
-def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | None:
-    """Solve m x = b exactly; returns (particular, kernel basis) or None.
+def solve_linear(m: RatMatrix, b: Sequence) -> tuple[RatMatrix, RatMatrix] | None:
+    """Solve m x = b exactly: (x as a 1 x n matrix, kernel basis as rows) or None.
 
-    One elimination of [m | b] gives both: when the system is consistent,
-    its reduced rows restricted to m's columns are the reduced rows of m.
-    b is cleared once, to the integers db b, so with m = a / d row i enters
-    as (db a_i | d db b_i), d db times row i of [m | b].
+    One kernel of [m | b] gives both: when the system is consistent, the
+    augmented column is free, so its kernel row is (-x | 1) and the others
+    are (v | 0) for the kernel rows v of m.  b is cleared once, to db b, so
+    with m = a / d row i enters as (db a_i | d db b_i), d db times row i of [m | b].
     """
     db, bb = _clear(b)
     if len(bb) != m.rows:
@@ -749,10 +758,9 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[Vector, list[Vector]] | Non
     pivots = ech.reduce()
     if n in ech.rows:
         return None
-    x = [_ZERO] * n
-    for c in pivots:
-        x[c] = Fraction(ech.rows[c].get(n, 0), ech.rows[c][c])
-    return tuple(x), _kernel(ech, pivots, n)
+    k = _kernel(ech, pivots, n + 1)
+    rows = [k._a[i : i + n] for i in range(0, len(k._a), n + 1)]
+    return RatMatrix._of(1, n, k._d, [-v for v in rows.pop()]), RatMatrix._of(len(rows), n, k._d, list(chain(*rows)))
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -1015,8 +1023,9 @@ def column_space(m: RatMatrix, *more: RatMatrix) -> Subspace:
 
 
 def kernel_space(m: RatMatrix, *more: RatMatrix) -> Subspace:
-    """Joint kernel of m and more, the kernel of their vertical stack."""
-    return Subspace(m.cols, kernel_basis(RatMatrix.vstack([m, *more]) if more else m))
+    """Joint kernel of m and more, the span of the integer kernel rows of their vertical stack."""
+    k = kernel_basis(RatMatrix.vstack([m, *more]) if more else m)
+    return _row_space(k._a, k.rows, k.cols)
 
 
 def krylov_span_dim(mats: Sequence[RatMatrix], v: Sequence) -> int:

@@ -121,12 +121,7 @@ class TauCombination(Frozen):
     def coefficients_at(self, tau) -> dict[tuple, Fraction]:
         """Specialize tau to a rational and drop vanished terms."""
         t = rat(tau)
-        out = {}
-        for k, c in self.terms:
-            v = c(t)
-            if v != 0:
-                out[k] = v
-        return out
+        return {k: v for k, c in self.terms if (v := c(t))}
 
     def __str__(self):
         if not self.terms:
@@ -303,7 +298,8 @@ def _pair_kernel(algebra, tau) -> list[Vector]:
         for k, v in algebra.fold(one, pair).coefficients_at(t).items():
             col[index[k]] = v
         cols.append(col)
-    return kernel_basis(RatMatrix.from_columns(cols))
+    k = kernel_basis(RatMatrix.from_columns(cols))
+    return [k.row(i) for i in range(k.rows)]
 
 
 def relation_kernel(tau) -> list[Vector]:

@@ -298,10 +298,7 @@ def find_destabilizer(
     r1, r2, r3 = rep.dim
     F, G = _maps(rep.F), _maps(rep.G)
 
-    cands1 = [Subspace(r1), Subspace.full(r1)]
-    for a in ARROWS:
-        cands1.append(kernel_space(rep.F[a]))
-    cands1.append(kernel_space(*F))
+    cands1 = [Subspace(r1), Subspace.full(r1), *map(kernel_space, F), kernel_space(*F)]
 
     cands2 = [Subspace(r2), Subspace.full(r2)]
     for a in ARROWS:
@@ -317,9 +314,7 @@ def find_destabilizer(
             break
     cands2.extend(pairwise)
 
-    cands3 = [Subspace(r3), Subspace.full(r3)]
-    for a in ARROWS:
-        cands3.append(column_space(rep.G[a]))
+    cands3 = [Subspace(r3), Subspace.full(r3), *map(column_space, G)]
 
     rng = random.Random(seed)
     for _ in range(budget):
@@ -353,9 +348,9 @@ def sample_relation_rep(dim: DimVector, tau, seed: int = 0) -> QuiverRep | None:
 
     The six identities are linear in G once F is fixed, one ``matrix_system``
     equation each in the stacked unknown X = (G_xi; G_eta; G_zeta), where
-    G_g = E_g X for E_g the g-th block row of the identity.  A random kernel
-    element gives a valid representation.  Returns None when the only
-    solution is G = 0 and the zero solution is rejected by the caller.
+    G_g = E_g X for E_g the g-th block row of the identity; a random kernel
+    element gives G.  Returns None when r1 r3 = 0, where there are no relations
+    and G is unconstrained, and when the only solution, G = 0, is rejected.
     """
     r1, r2, r3 = dim
     tau = rat(tau)
@@ -367,10 +362,8 @@ def sample_relation_rep(dim: DimVector, tau, seed: int = 0) -> QuiverRep | None:
     eye = [[int(i == j) for j in range(3 * r3)] for i in range(3 * r3)]
     E = {a: RatMatrix.from_rows(eye[g * r3 : (g + 1) * r3]) for g, a in enumerate(ARROWS)}
     system = matrix_system([[(c * tau**p, E[g], F[f]) for g, f, c, p in terms] for _, terms in RELATIONS])
-    kb = kernel_basis(system) if r1 * r3 else []
-    if not kb:
+    if not r1 * r3 or not (kb := kernel_basis(system)).rows:
         return None
-    coeffs = [rng.randint(-3, 3) for _ in kb]
-    flat = RatMatrix.combination(coeffs, [RatMatrix(1, len(v), v) for v in kb]).entries
-    G = {a: RatMatrix(r3, r2, flat[i * r3 * r2 : (i + 1) * r3 * r2]) for i, a in enumerate(ARROWS)}
+    coeffs = [rng.randint(-3, 3) for _ in range(kb.rows)]
+    G = dict(zip(ARROWS, (RatMatrix(1, kb.rows, coeffs) @ kb).blocks(r3, r2)))
     return QuiverRep(dim, F, G, tau)

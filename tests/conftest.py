@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from uhlenbeck.core import RatMatrix, rank
+from uhlenbeck.core import RatMatrix, kernel_basis, rank, solve_linear
 
 
 def rand_matrix(rng: random.Random, rows: int, cols: int, lo: int = -5, hi: int = 5) -> RatMatrix:
@@ -29,6 +29,24 @@ def rand_fraction(rng: random.Random, lo: int = -5, hi: int = 5) -> Fraction:
     num = rng.randint(lo, hi)
     den = rng.randint(1, 4)
     return Fraction(num, den)
+
+
+def matrix_rows(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+    """The rows of m as Fraction tuples."""
+    return [m.row(i) for i in range(m.rows)]
+
+
+def kernel_vectors(m: RatMatrix) -> list[tuple[Fraction, ...]]:
+    """``kernel_basis`` in the shape it had before it returned a matrix: its
+    rows, one Fraction tuple each."""
+    return matrix_rows(kernel_basis(m))
+
+
+def solution_vectors(m: RatMatrix, b):
+    """``solve_linear`` in the shape it had before it returned matrices:
+    (particular, kernel vectors) as Fraction tuples, or None."""
+    solved = solve_linear(m, b)
+    return None if solved is None else (solved[0].row(0), matrix_rows(solved[1]))
 
 
 @pytest.fixture

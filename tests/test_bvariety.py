@@ -5,13 +5,15 @@ from functools import cached_property
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix
+from conftest import kernel_vectors, rand_invertible, rand_matrix, solution_vectors
 from test_core import (
     PRODUCT_KINDS,
     _old_commutant_system,
     _old_commutator,
     _old_is_zero,
+    _old_kernel_basis,
     _old_scale,
+    _old_solve_linear,
     _old_sub,
     _product_input,
     _random_factored_poly,
@@ -53,11 +55,9 @@ from uhlenbeck.core import (
     char_poly,
     commutant_system,
     inverse,
-    kernel_basis,
     krylov_span_dim,
     nilpotent_jordan_type,
     rat,
-    solve_linear,
     squarefree_factorization,
 )
 from uhlenbeck.partitions import Partition, partitions
@@ -449,7 +449,7 @@ def _old_triple_stabilizer_dim(triple: BTriple) -> int:
     gv = RatMatrix.from_rows([zeros * i + list(triple.v) + zeros * (k - 1 - i) for i in range(k)])
     system = _old_commutant_system([triple.Y, triple.Z])
     # RatMatrix.vstack as it was: the entry tuples concatenated
-    return len(kernel_basis(RatMatrix(system.rows + gv.rows, gv.cols, system.entries + gv.entries)))
+    return len(kernel_vectors(RatMatrix(system.rows + gv.rows, gv.cols, system.entries + gv.entries)))
 
 
 def _old_support_poly_p(triple: BTriple, p: int) -> RatPoly:
@@ -633,7 +633,7 @@ def _old_triangular_stratum(y0, hom, u, k):
     coords = [(i, j) for i in range(k) for j in range(k) if i <= j]
     rows = [[h.entry(i, j) for h in hom] for (i, j) in coords]
     rhs = [(u if i == j else Fraction(0)) - y0.entry(i, j) for (i, j) in coords]
-    solved = solve_linear(RatMatrix.from_rows(rows) if rows else RatMatrix(0, len(hom), ()), rhs)
+    solved = solution_vectors(RatMatrix.from_rows(rows) if rows else RatMatrix(0, len(hom), ()), rhs)
     if solved is None:
         raise AssertionError("lower-triangular stratum is always nonempty")
     c0, cker = solved
@@ -768,7 +768,7 @@ def _old_solve_commutator_system(z: RatMatrix, tau):
     if k == 0:
         return RatMatrix(0, 0, ()), []
     rhs = z.power(3).scale(tau).entries
-    solved = solve_linear(commutant_system([z]), rhs)
+    solved = solution_vectors(commutant_system([z]), rhs)
     if solved is None:
         return None
     particular, hom = solved
@@ -1038,3 +1038,26 @@ def test_support_divisor_factors_and_text_match_the_pinned_cached_copy():
         assert str(new) == str(old)
         assert "factors" not in vars(new)
     assert any(new.factors for new in map(SupportDivisor, polys)) and any(not SupportDivisor(p).factors for p in polys)
+
+
+def _forms(mats) -> list:
+    return [(m.rows, m.cols, m._d, m._a) for m in mats]
+
+
+def test_y_solutions_and_centralizers_match_the_fraction_vectors():
+    # each matrix read off the integer kernel rows has the integer form (_d, _a)
+    # of RatMatrix(k, k, v) over the Fraction vector v the solve wrote before,
+    # k = 0 included, on Jordan nilpotents and random conjugates of them
+    rng = random.Random(9800)
+    for k in range(6):
+        for lam in partitions(k):
+            jordan = jordan_nilpotent(lam)
+            conjugates = [g @ jordan @ inverse(g) for g in (rand_invertible(rng, k, -2, 2) for _ in range(2))]
+            for z in (jordan, *conjugates):
+                for tau in (Fraction(0), ONE, Fraction(3, 7), Fraction(-2)):
+                    old_x, old_hom = _old_solve_linear(commutant_system([z]), z.power(3).scale(tau).entries)
+                    y, hom = solve_commutator_system(z, tau)
+                    assert _forms([y, *hom]) == _forms([RatMatrix(k, k, v) for v in (old_x, *old_hom)])
+                    for other in (y, rand_matrix(rng, k, k, -2, 2)):
+                        old = [RatMatrix(k, k, v) for v in _old_kernel_basis(commutant_system([other, z]))]
+                        assert _forms(pair_centralizer_basis(other, z)) == _forms(old)

@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix
+from conftest import kernel_vectors, matrix_rows, rand_invertible, rand_matrix, solution_vectors
 from uhlenbeck import core
 from uhlenbeck.bvariety import jordan_nilpotent
 from uhlenbeck.core import (
@@ -16,8 +16,8 @@ from uhlenbeck.core import (
     Subspace,
     Vector,
     _common,
-    _kernel,
     _over,
+    _row_space,
     char_poly,
     column_space,
     commutant_system,
@@ -63,17 +63,17 @@ def test_rank_all_ones():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RatMatrix.identity(3)) == []
+    assert matrix_rows(kernel_basis(RatMatrix.identity(3))) == []
 
 
 def test_kernel_one_equation():
     basis = kernel_basis(RatMatrix.from_rows([[1, 1]]))
-    assert len(basis) == 1
-    assert Subspace(2, basis) == Subspace(2, [(1, -1)])
+    assert basis.rows == 1
+    assert Subspace(2, matrix_rows(basis)) == Subspace(2, [(1, -1)])
 
 
 def test_kernel_zero_matrix():
-    assert len(kernel_basis(RatMatrix.zero(2))) == 2
+    assert kernel_basis(RatMatrix.zero(2)).rows == 2
 
 
 def test_rank_nullity_on_random_matrices():
@@ -82,7 +82,7 @@ def test_rank_nullity_on_random_matrices():
         r = rng.randint(1, 5)
         c = rng.randint(1, 5)
         m = rand_matrix(rng, r, c)
-        assert rank(m) + len(kernel_basis(m)) == c
+        assert rank(m) + kernel_basis(m).rows == c
 
 
 def test_solve_linear_consistency():
@@ -95,8 +95,8 @@ def test_solve_linear_consistency():
         solved = solve_linear(m, b)
         assert solved is not None
         particular, hom = solved
-        assert m.apply(particular) == b
-        for h in hom:
+        assert m.apply(particular.row(0)) == b
+        for h in matrix_rows(hom):
             assert all(v == 0 for v in m.apply(h))
 
 
@@ -394,7 +394,7 @@ def test_commutant_system_centralizer_dimension():
     for k in range(1, 7):
         for lam in partitions(k):
             expected = sum(c * c for c in lam.conjugate().parts)
-            assert len(kernel_basis(commutant_system([jordan_nilpotent(lam)]))) == expected
+            assert kernel_basis(commutant_system([jordan_nilpotent(lam)])).rows == expected
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +517,11 @@ def test_elimination_matches_pinned_rref(shape):
         expected, pivots = _oracle_rref(m)
         assert rref(m) == (expected, pivots)
         assert rank(m) == len(pivots)
-        assert kernel_basis(m) == _oracle_kernel(m)
+        assert matrix_rows(kernel_basis(m)) == _oracle_kernel(m)
         assert Subspace(cols, m.row_lists()).basis == _oracle_basis(cols, m.row_lists())
         x = [_random_entry(rng) for _ in range(cols)]
         for b in (m.apply(x), tuple(_random_entry(rng) for _ in range(rows))):
-            assert solve_linear(m, b) == _oracle_solve(m, b)
+            assert solution_vectors(m, b) == _oracle_solve(m, b)
         if rows == cols:
             pinned = _oracle_inverse(m)
             if pinned is None:
@@ -650,7 +650,7 @@ def _intersect_oracle(u: Subspace, w: Subspace) -> Subspace:
     stacked = RatMatrix.from_columns(cols)
     vecs = []
     p = len(u.basis)
-    for kv in kernel_basis(stacked):
+    for kv in kernel_vectors(stacked):
         x = [Fraction(0)] * u.ambient
         for i in range(p):
             if kv[i] != 0:
@@ -832,7 +832,7 @@ def test_kernel_basis_matches_sympy():
     sympy = pytest.importorskip("sympy")
     for m in _sympy_cases():
         expected = [tuple(_from_sympy(x) for x in v) for v in _sympy_matrix(sympy, m).nullspace()]
-        assert kernel_basis(m) == expected
+        assert matrix_rows(kernel_basis(m)) == expected
 
 
 def _sympy_square_cases():
@@ -1574,6 +1574,27 @@ def _old_basis(s: Subspace) -> tuple[Vector, ...]:
     return tuple(tuple(_old_fraction_row(ech.rows[c], c, 0, s.ambient)) for c in ech.reduce())
 
 
+# the Fraction kernel writer ``core._kernel`` was before it wrote integer
+# matrices, kept verbatim (with its two constants) for _old_solve_linear
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _kernel(ech: Subspace, pivots: list[int], ncols: int) -> list[Vector]:
+    """Kernel basis of the first ncols columns of a reduced echelon form: one
+    vector per free column f, with 1 at f and 0 at the other free columns."""
+    vecs = {f: [_ZERO] * ncols for f in range(ncols) if f not in ech.rows}
+    for f, v in vecs.items():
+        v[f] = _ONE
+    for c in pivots:
+        row = ech.rows[c]
+        p = row[c]
+        for j, x in row.items():
+            if j in vecs:
+                vecs[j][c] = Fraction(-x, p)
+    return [tuple(v) for v in vecs.values()]
+
+
 def _old_solve_linear(m: RatMatrix, b):
     bb = vector(b)
     if len(bb) != m.rows:
@@ -1716,8 +1737,50 @@ def test_basis_and_particular_solution_match_the_pinned_fraction_rows(shape):
             new, old = solve_linear(m, b), _old_solve_linear(m, b)
             assert (new is None) == (old is None)
             if new is not None:
-                assert_same_read(new[0], old[0])
-                assert new[1] == old[1]
+                assert_same_read(new[0].row(0), old[0])
+                assert_same_read(tuple(matrix_rows(new[1])), tuple(old[1]))
+
+
+def _old_kernel_basis(m: RatMatrix) -> list[Vector]:
+    """kernel_basis as it was, over the Fraction writer above."""
+    ech = _row_space(m._a, m.rows, m.cols)
+    return _kernel(ech, ech.reduce(), m.cols)
+
+
+@pytest.mark.parametrize("shape", ELIMINATION_SHAPES)
+def test_kernel_space_of_the_integer_kernel_rows_matches_the_fraction_route(shape):
+    # kernel_space was Subspace(cols, Fraction kernel vectors); the rows it now
+    # ranks straight from kernel_basis give the same echelon, row for row
+    rows, cols = shape
+    rng = random.Random(9700 + 31 * rows + cols)
+    for _ in range(6):
+        maps = [_random_elimination_input(rng, rows, cols) for _ in range(3)]
+        for n in (1, 2, 3):
+            new = kernel_space(*maps[:n])
+            old = Subspace(cols, _old_kernel_basis(RatMatrix.vstack(maps[:n])))
+            assert new.ambient == old.ambient == cols
+            assert list(new.rows.items()) == list(old.rows.items())
+        k, old = kernel_basis(maps[0]), _old_kernel_basis(maps[0])
+        assert (k.rows, k.cols) == (len(old), cols)
+        assert_same_read(tuple(matrix_rows(k)), tuple(old))
+
+
+def test_blocks_cut_each_row_into_matrices():
+    m = RatMatrix.from_rows([[1, 2, 3, 4, 5, 6], [Fraction(1, 2), 0, 0, 0, 0, 7]])
+    halves = [[[1, 2, 3], [4, 5, 6]], [[Fraction(1, 2), 0, 0], [0, 0, 7]]]
+    assert m.blocks(2, 3) == [RatMatrix.from_rows(h) for h in halves]
+    pieces = [[1, 2], [3, 4], [5, 6], [Fraction(1, 2), 0], [0, 0], [0, 7]]
+    assert m.blocks(1, 2) == [RatMatrix.from_rows([p]) for p in pieces]
+    # each block is in lowest terms on its own, as RatMatrix(...) would write it
+    assert [(b._d, b._a) for b in m.blocks(3, 2)] == [(1, (1, 2, 3, 4, 5, 6)), (2, (1, 0, 0, 0, 0, 14))]
+    # a row with no entries is one empty matrix: the k = 0 solution of a k x k unknown
+    assert RatMatrix.zero(2, 0).blocks(0, 0) == [RatMatrix.zero(0, 0)] * 2
+    assert RatMatrix.zero(1, 0).blocks(3, 0) == [RatMatrix.zero(3, 0)]
+    assert RatMatrix.zero(0, 0).blocks(0, 0) == []
+    assert RatMatrix.zero(0, 4).blocks(2, 2) == []
+    for bad in ((4, 3, 1), (1, 4, 0), (1, 0, 2), (2, 2, -1), (1, 2, 2)):
+        with pytest.raises(ValueError, match="is not cut into"):
+            RatMatrix.zero(1, bad[0]).blocks(*bad[1:])
 
 
 _M23 = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])

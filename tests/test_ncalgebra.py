@@ -5,8 +5,9 @@ from itertools import product
 
 import pytest
 
+from conftest import kernel_vectors
 from uhlenbeck import ncalgebra
-from uhlenbeck.core import RatMatrix, RatPoly, Subspace, _integer_row, kernel_basis, rat
+from uhlenbeck.core import RatMatrix, RatPoly, Subspace, _integer_row, rat
 from uhlenbeck.ncalgebra import (
     DUAL_BASIS,
     DUAL_GENERATORS,
@@ -440,7 +441,7 @@ def _old_relation_kernel(tau):
         for m, v in elem.coefficients_at(t).items():
             col[index[m]] = v
         cols.append(col)
-    return kernel_basis(RatMatrix.from_columns(cols))
+    return kernel_vectors(RatMatrix.from_columns(cols))
 
 
 def _old_dual_relation_kernel(tau):
@@ -454,7 +455,7 @@ def _old_dual_relation_kernel(tau):
         for w, v in elem.coefficients_at(t).items():
             col[index[w]] = v
         cols.append(col)
-    return kernel_basis(RatMatrix.from_columns(cols))
+    return kernel_vectors(RatMatrix.from_columns(cols))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_invertible, rand_matrix
+from conftest import kernel_vectors, rand_invertible, rand_matrix
 from test_core import PRODUCT_KINDS, _product_input, _random_entry, assert_pinned
 from uhlenbeck import quiver
 from uhlenbeck.core import RatMatrix, Subspace, column_space, kernel_space
@@ -918,7 +918,7 @@ def _old_sample_relation_rep(dim, tau, seed: int = 0):
                     for t in range(r2):
                         row[g_entry_index(gi, i, t)] += coeff * F[f_arrow].entry(t, j)
                 rows.append(row)
-    kb = quiver.kernel_basis(RatMatrix.from_rows(rows)) if rows else []
+    kb = kernel_vectors(RatMatrix.from_rows(rows)) if rows else []
     if not kb:
         return None
     coeffs = [rng.randint(-3, 3) for _ in kb]
