@@ -952,10 +952,14 @@ class Subspace:
         return all(not self._remainder(row) for row in other.rows.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """Span of both: other's rows go into a copy of this one, until it fills
+        the ambient space (every later row would reduce to zero)."""
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
         out = self.copy()
         for row in other.rows.values():
+            if len(out.rows) == self.ambient:
+                break
             out._insert(row)
         return out
 
@@ -985,7 +989,9 @@ class Subspace:
         several maps this is the sum of the single-map images, without
         building them.  The integer rows of this subspace are multiplied by
         the integer forms of the maps: each is a nonzero multiple of m v for
-        a basis vector v, so the span is the same.
+        a basis vector v, so the span is the same.  The loop returns once the
+        span fills its ambient space, before the next product is formed: every
+        later product would reduce to zero, so the rows come out the same.
         """
         if not maps:
             raise ValueError("image_under needs at least one map")
@@ -995,6 +1001,8 @@ class Subspace:
         out = Subspace._empty(rows)
         for m in maps:
             for row in self.rows.values():
+                if len(out.rows) == rows:
+                    return out
                 out._insert(_primitive(m._times(row)))
         return out
 

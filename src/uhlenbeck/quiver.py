@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 import random
 
 from .core import RatMatrix, Subspace, Vector, column_space, inverse, kernel_basis, kernel_space, matrix_system, rat
@@ -223,12 +224,17 @@ def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
 
 
 def _lex_slopes(rep: QuiverRep, theta: Polarization, tiebreak: Polarization | None):
-    """dims -> slope tuple in theta, then tiebreak; each must pair to zero with rep.dim."""
+    """(key, slopes) of dims, theta then tiebreak, each of which must pair to zero with rep.dim.
+    Callers compare keys: integer slope tuples, each polarization scaled by the lcm of its
+    denominators, so ordered as the slopes are.  ``slopes`` builds a witness's Fractions."""
     thetas = (theta,) if tiebreak is None else (theta, tiebreak)
     for name, t in zip(("theta0", "theta1"), thetas):
         if slope(t, rep.dim) != 0:
             raise ValueError(f"total slope of {name} must vanish on the dimension vector")
-    return lambda dims: tuple(slope(t, dims) for t in thetas)
+    lcms = [lcm(*(x.denominator for x in t)) for t in thetas]
+    scaled = [[int(x * m) for x in t] for t, m in zip(thetas, lcms)]
+    return (lambda dims: tuple(a * dims[0] + b * dims[1] + c * dims[2] for a, b, c in scaled),
+            lambda dims: tuple(slope(t, dims) for t in thetas))
 
 
 def decide_stability_121(
@@ -248,7 +254,7 @@ def decide_stability_121(
     r1, r2, r3 = rep.dim
     if r1 > 1 or r3 > 1:
         raise ValueError(f"exact decision needs r1, r3 <= 1; got {rep.dim}")
-    slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
+    key_of, slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
     imf, ker, v2 = column_space(*_maps(rep.F)), kernel_space(*_maps(rep.G)), Subspace.full(r2)
     least = None
     for u1 in range(r1 + 1):
@@ -260,14 +266,14 @@ def decide_stability_121(
                 dims = (u1, d2, u3)
                 if dims == (0, 0, 0) or dims == rep.dim:
                     continue
-                key = (slopes_of(dims), dims)
+                key = (key_of(dims), dims)
                 if least is None or key < least[0]:
                     least = (key, low, high)
     if least is None:
         return "stable", None
-    (slopes, dims), low, high = least
-    zero = slopes_of((0, 0, 0))
-    if slopes > zero:
+    (least_key, dims), low, high = least
+    zero = key_of((0, 0, 0))
+    if least_key > zero:
         return "stable", None
     u1, d2, u3 = dims
     sub1 = Subspace.full(r1) if u1 else Subspace(r1)
@@ -275,7 +281,15 @@ def decide_stability_121(
     closure_dims, spaces = generated_subrep(rep, sub1, _extend_to_dim(low, high, d2), sub3)
     if closure_dims != dims:
         raise AssertionError(f"witness construction drifted: {closure_dims} != {dims}")
-    return ("unstable" if slopes < zero else "semistable"), StabilityWitness(dims, slopes, spaces)
+    return ("unstable" if least_key < zero else "semistable"), StabilityWitness(dims, slopes_of(dims), spaces)
+
+
+def _distinct(spaces: list[Subspace]) -> list[Subspace]:
+    """The first space of each span, in order; unlike ``dict.fromkeys``, keys each space once."""
+    first = {}
+    for s in spaces:
+        first.setdefault(s._key(), s)
+    return list(first.values())
 
 
 def find_destabilizer(
@@ -293,8 +307,8 @@ def find_destabilizer(
     lexicographically below zero.  None means only that the search failed;
     it certifies semistability only where the exact decision applies.
     """
-    slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
-    zero_tuple = slopes_of((0, 0, 0))
+    key_of, slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
+    zero = key_of((0, 0, 0))
     r1, r2, r3 = rep.dim
     F, G = _maps(rep.F), _maps(rep.G)
 
@@ -322,7 +336,7 @@ def find_destabilizer(
             if n:
                 cands.append(Subspace(n, [[rng.randint(-5, 5) for _ in range(n)]]))
 
-    cands1, cands2, cands3 = (list(dict.fromkeys(c)) for c in (cands1, cands2, cands3))
+    cands1, cands2, cands3 = map(_distinct, (cands1, cands2, cands3))
     seen_dims = set()
     # generated_subrep(rep, u1, u2, u3) with its images hoisted: the F-image
     # depends only on u1, and s2 and its G-image only on (u1, u2)
@@ -337,9 +351,8 @@ def find_destabilizer(
                 if dims == (0, 0, 0) or dims == rep.dim or dims in seen_dims:
                     continue
                 seen_dims.add(dims)
-                slopes = slopes_of(dims)
-                if slopes < zero_tuple:
-                    return StabilityWitness(dims, slopes, (u1, s2, s3))
+                if key_of(dims) < zero:
+                    return StabilityWitness(dims, slopes_of(dims), (u1, s2, s3))
     return None
 
 

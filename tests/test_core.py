@@ -557,6 +557,70 @@ def test_image_under_several_maps_is_sum_of_single_images():
         Subspace.full(2).image_under(RatMatrix.zero(3, 2), RatMatrix.zero(2, 2))
 
 
+# Verbatim copies of the Subspace.sum and Subspace.image_under loops from
+# before they stopped at a full span.
+
+
+def _old_sum(self: Subspace, other: Subspace) -> Subspace:
+    if self.ambient != other.ambient:
+        raise ValueError("ambient mismatch")
+    out = self.copy()
+    for row in other.rows.values():
+        out._insert(row)
+    return out
+
+
+def _old_image_under(self: Subspace, *maps: RatMatrix) -> Subspace:
+    if not maps:
+        raise ValueError("image_under needs at least one map")
+    rows = maps[0].rows
+    if any(m.cols != self.ambient or m.rows != rows for m in maps):
+        raise ValueError("maps must act on this ambient space and share a row count")
+    out = Subspace._empty(rows)
+    for m in maps:
+        for row in self.rows.values():
+            out._insert(core._primitive(m._times(row)))
+    return out
+
+
+def _raw_rows(s: Subspace) -> list:
+    """The stored echelon rows themselves, in insertion order, as they are before any reduce."""
+    return [(c, list(row.items())) for c, row in s.rows.items()]
+
+
+def test_full_span_stop_keeps_the_pinned_rows():
+    # the stop must leave the stored rows, not only the span, as the full loops
+    # leave them; full and zero sources, ambient 0 and 0 x n maps included
+    rng = random.Random(7170)
+    stopped = 0
+    for _ in range(300):
+        n, rows = rng.randint(0, 5), rng.randint(0, 5)
+        spans = [Subspace(n), Subspace.full(n)]
+        spans += [Subspace(n, _random_elimination_input(rng, rng.randint(0, n + 2), n).row_lists()) for _ in range(2)]
+        u, w = rng.choice(spans), rng.choice(spans)
+        new, old = u.sum(w), _old_sum(u, w)
+        assert _raw_rows(new) == _raw_rows(old) and new.ambient == old.ambient
+        stopped += new.dim == n and len(w.rows) > 0 and len(u.rows) < n
+        maps = [_random_elimination_input(rng, rows, n) for _ in range(rng.choice((1, 3)))]
+        new, old = u.image_under(*maps), _old_image_under(u, *maps)
+        assert _raw_rows(new) == _raw_rows(old) and new.ambient == old.ambient == rows
+        stopped += new.dim == rows and len(maps) * u.dim > rows
+    assert stopped > 100
+    for n in (0, 3):
+        for maps in ([RatMatrix(0, n, ())], [RatMatrix(0, n, ())] * 3):
+            for u in (Subspace(n), Subspace.full(n)):
+                assert _raw_rows(u.image_under(*maps)) == _raw_rows(_old_image_under(u, *maps)) == []
+                assert u.image_under(*maps).ambient == 0
+    # the ambient and shape checks still run before the loop can stop
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        Subspace.full(2).sum(Subspace(3))
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        Subspace.full(0).sum(Subspace(1))
+    for maps in ([RatMatrix.zero(2, 3)], [RatMatrix(0, 3, ())], [RatMatrix.zero(1, 2), RatMatrix.zero(2, 2)]):
+        with pytest.raises(ValueError, match="maps must act on this ambient space"):
+            Subspace.full(2).image_under(*maps)
+
+
 def test_invertible_matrices_match_pinned_inverse():
     rng = random.Random(7200)
     for n in (1, 2, 3, 5, 7):

@@ -481,13 +481,26 @@ def _random_seed_subspace(rng, n):
     return Subspace(n, _random_seed_rows(rng, n))
 
 
+def _fractional(theta0, theta1):
+    """theta0 / 2 + theta1 / 3, theta1 / 7 and theta0 / 5: still zero on alpha, but
+    with denominators, so that a slope rule that drops them orders tuples wrongly."""
+    mixed = Polarization(*(a / 2 + b / 3 for a, b in zip(theta0, theta1)))
+    return mixed, Polarization(*(b / 7 for b in theta1)), Polarization(*(a / 5 for a in theta0))
+
+
+def _assert_fraction_slopes(witness):
+    assert witness is None or all(type(s) is Fraction for s in witness.slopes)
+
+
 def test_destabilizer_search_matches_pinned_search():
-    # theta0 first exhausts the search at these reps, theta1 first finds a
-    # witness, and (r3, 0, -r1) is destabilized by a seed at the third vertex;
-    # the largest vector, (2, 5, 2), runs at one tau to keep this fast
+    # theta0 (and theta0 / 5) first exhausts the search at these reps, theta1
+    # first finds a witness, and (r3, 0, -r1) is destabilized by a seed at the
+    # third vertex; the largest vector, (2, 5, 2), runs at one tau to keep this fast
     searched = found = 0
     for i, rdn in enumerate([(1, 0, 1), (2, 0, 1), (2, 1, 2), (1, 0, 2), (0, 0, 1)]):
         theta0, theta1 = polarizations(*rdn)
+        mixed, seventh, fifth = _fractional(theta0, theta1)
+        assert slope(mixed, alpha(*rdn)) == slope(seventh, alpha(*rdn)) == slope(fifth, alpha(*rdn)) == 0
         r1, _, r3 = alpha(*rdn)
         for tau in (ONE, Fraction(3, 7)) if rdn != (1, 0, 2) else (Fraction(3, 7),):
             rep = sample_relation_rep(alpha(*rdn), tau, seed=2)
@@ -496,14 +509,31 @@ def test_destabilizer_search_matches_pinned_search():
                 seeds = [_random_seed_subspace(rng, n) for n in rep.dim]
                 assert generated_subrep(rep, *seeds) == _old_generated_subrep(rep, *seeds)
             third = Polarization(r3, 0, -r1)
-            for theta, tiebreak in ((theta0, theta1), (theta1, theta0), (theta1, None), (third, None)):
-                for budget in (0, 2, 5):
+            integral = ((theta0, theta1), (theta1, theta0), (theta1, None), (third, None))
+            for theta, tiebreak in integral + ((mixed, seventh), (seventh, mixed), (fifth, mixed), (mixed, None)):
+                for budget in (0, 2, 5, 32):
                     new = find_destabilizer(rep, theta, tiebreak, budget=budget, seed=i)
                     old = _old_find_destabilizer(rep, theta, tiebreak, budget=budget, seed=i)
                     assert _witness_key(new) == _witness_key(old)
+                    _assert_fraction_slopes(new)
                     searched += 1
                     found += new is not None
-    assert searched == 108 and 0 < found < searched
+    assert searched == 288 and 0 < found < searched
+
+
+def test_candidate_dedupe_keeps_each_first_space_in_order():
+    # equal spans stored with opposite signs, or through different spanning sets,
+    # have different raw rows: the search must go on with the first of each
+    from uhlenbeck.quiver import _distinct
+
+    rng = random.Random(3503)
+    for n in (1, 2, 3):
+        for _ in range(30):
+            spaces = [Subspace(n), Subspace.full(n)]
+            spaces += [Subspace(n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]) for _ in range(8)]
+            spaces += [Subspace(n, [[-x for x in v] for v in s.basis]) for s in rng.sample(spaces, 4)]
+            # dict.fromkeys keeps the first of each equal run, in order
+            assert [id(s) for s in _distinct(list(spaces))] == [id(s) for s in dict.fromkeys(spaces)]
 
 
 def test_destabilizer_search_matches_pinned_search_without_g():
@@ -636,16 +666,20 @@ def _polarization_grid(dim):
 
 
 def test_decide_matches_pinned_121_decision():
+    # the integer grid, then theta / 7 and (t1 / 2, t2 / 3, t3) with t3 solved for
     reps = _sampled_121_reps()
     thetas = _polarization_grid((1, 2, 1))
+    for t1, t2, _ in list(thetas):
+        thetas += [Polarization(t1 / 7, t2 / 7, (-t1 - 2 * t2) / 7), Polarization(t1 / 2, t2 / 3, -t1 / 2 - 2 * t2 / 3)]
     verdicts = set()
     for rep in reps:
         for theta in thetas:
             verdict, witness = decide_stability_121(rep, theta)
             old_verdict, old_witness = _old_decide_stability_121(rep, theta)
             assert (verdict, _witness_key(witness)) == (old_verdict, _witness_key(old_witness))
+            _assert_fraction_slopes(witness)
             verdicts.add(verdict)
-    assert len(reps) * len(thetas) == 49 * 34 and verdicts == {"stable", "semistable", "unstable"}
+    assert len(reps) * len(thetas) == 49 * 34 * 3 and verdicts == {"stable", "semistable", "unstable"}
 
 
 def _assert_witness_is_subrep(rep, witness):
