@@ -9,15 +9,16 @@ divisor on the affine line, and it is multiplicative under direct sums.
 
 All verification here is exact: the Y-solution space of the commutator
 identity is solved as a linear (Sylvester-type) system, cyclicity is a
-Krylov closure, and fiber dimensions are measured as exact dimensions of
-linear strata and tangent spaces at sampled rational points.
+Krylov closure or, in the fiber probes, one span (Nakayama) or a zero-entry
+test (Vandermonde), and fiber dimensions are exact dimensions of linear
+strata and tangent spaces at sampled rational points.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -28,6 +29,7 @@ from .core import (
     Vector,
     _int_matmul,
     char_poly,
+    column_space,
     commutant_system,
     inverse,
     kernel_basis,
@@ -322,15 +324,9 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     lam = Partition(tuple(lam))
     u, tau = rat(u), rat(tau)
     k = lam.size
-    presentations = [jordan_nilpotent(lam)]
-    depth = depth_major_nilpotent(lam)
-    if depth != presentations[0]:
-        presentations.append(depth)
-
+    presentations = dict.fromkeys([jordan_nilpotent(lam), depth_major_nilpotent(lam)])  # one when they agree
     rng = random.Random(seed)
-    sample_dims: list[int | None] = []
-    stratum_dim = 0
-    solution_dim = 0
+    sample_dims, stratum_dim, solution_dim = [], 0, 0
     target = (RatPoly((0, 1)) - u) ** k
     for z in presentations:
         y0, hom = solve_Y_space(z, tau)
@@ -341,21 +337,27 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
             y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
             if char_poly(y) != target:
                 raise AssertionError("stratum member lost the degenerate support")
-            sample_dims.append(_sample_dim(rng, y, z, hom, directions))
+            found = _cyclic_drawn(rng, k, _nakayama_test(y, z, u))
+            sample_dims.append(_stratum_image_dim(y, hom, directions) if found else None)
     return _probe(lam, u, tau, solution_dim, stratum_dim, sample_dims)
 
 
-def _sample_dim(
-    rng: random.Random, y: RatMatrix, z: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]
-) -> int | None:
-    """The stratum's image dimension at (y, v) for the first of up to 24 random
-    draws of v in [-5, 5]^k that is cyclic for (y, z); None if none is."""
-    k = y.rows
-    for _ in range(24):
-        v = [rng.randint(-5, 5) for _ in range(k)]
-        if krylov_span_dim([y, z], v) == k:
-            return _stratum_image_dim(y, centralizer, directions)
-    return None
+def _nakayama_test(y: RatMatrix, z: RatMatrix, u: Fraction) -> Callable[[Sequence], bool]:
+    """Cyclicity for (y, z) with y - uI and z strictly lower triangular, as on
+    every stratum member of ``fiber_probe``: v is cyclic exactly when dim(Qv +
+    W) = k for W = im(y - uI) + im(z), so when k = 0 or when dim W = k - 1 and
+    v is not in W.  Proof (Nakayama's lemma): y - uI and z generate an algebra
+    N with N^k = 0 and NV = W, and y, z generate A = Q1 + N.  Av = Qv + Nv
+    lies in Qv + W, and Qv + W = V gives V = Qv + NV = Av + N^2 V = ... = Av.
+    """
+    w = column_space(y - RatMatrix.diagonal([u] * y.rows), z)
+    return lambda v: w.dim == len(v) or w.dim == len(v) - 1 and not w.contains(v)
+
+
+def _cyclic_drawn(rng: random.Random, k: int, cyclic: Callable[[list[int]], bool]) -> bool:
+    """Whether one of up to 24 random draws of v in [-5, 5]^k passes the test
+    cyclic; the draws stop at the first that passes."""
+    return any(cyclic([rng.randint(-5, 5) for _ in range(k)]) for _ in range(24))
 
 
 def _probe(
@@ -364,9 +366,8 @@ def _probe(
     """The report of a probe whose samples measured dims, None where no cyclic
     vector was found; cyclic_found says whether one ever was."""
     found = tuple(d for d in dims if d is not None)
-    measured = max(found) if found else None
     k = lam.size
-    return FiberProbe(lam, k, u, tau, solution_dim, stratum_dim, found, measured, max(k - 1, 0), bool(found))
+    return FiberProbe(lam, k, u, tau, solution_dim, stratum_dim, found, max(found, default=None), max(k - 1, 0), bool(found))
 
 
 def _triangular_stratum(
@@ -392,15 +393,13 @@ def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
 
 
 def _stratum_image_dim(y: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]) -> int:
-    """Local dimension of the stratum's image in the conjugation quotient, at
-    (y, v) for a v cyclic for (y, z), where centralizer is a basis C of the
-    centralizer of z.
+    """Local dimension of the stratum's image in the conjugation quotient at
+    (y, v), for any v cyclic for (y, z) and a basis C of the centralizer of z.
 
-    Tangent to the slice at (y, v): stratum directions D on Y plus all of V.
-    Tangent to the residual group orbit: g in C acting by ([g, Y], g v).  The
-    image dimension is dim(slice + orbit) - dim orbit; the slice holds all of
-    V, so dim(slice + orbit) = k + dim(D + [C, y]).  The orbit has dimension
-    |C|: a g in span C with [g, y] = 0 and g v = 0 commutes with y and z and
+    The slice's tangent is the stratum directions D on Y plus all of V, the
+    residual orbit's is g in C acting by ([g, Y], g v), and the image
+    dimension is dim(slice + orbit) - dim orbit = k + dim(D + [C, y]) - |C|:
+    a g in span C with [g, y] = 0 and g v = 0 commutes with y and z and
     kills a cyclic vector, so g = 0 (the proof in ``triple_stabilizer_dim``).
     D + [C, y] is ranked from integer forms: m._a for m in D, and
     g._a y._a - y._a g._a, a positive multiple of [g, y].
@@ -417,17 +416,18 @@ def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 
 
     Here Z = 0 and Y may be fixed diagonal with the given distinct spectrum;
     the only freedom is the cyclic vector modulo the stabilizer, and the
-    measured dimension comes out 0 (a single point, as factorization into
-    k = 1 pieces predicts).
+    dimension, measured once, comes out 0 (a single point, as factorization
+    into k = 1 pieces predicts).  v is cyclic exactly when no entry is 0: the
+    words in Y and Z = 0 send v to the (p(u_i) v_i)_i, and the u_i are
+    distinct, so the (p(u_i))_i run over all of Q^k (Vandermonde).
     """
     us = [rat(s) for s in spectrum]
     if len(set(us)) != len(us):
         raise ValueError("spectrum must be multiplicity-free")
-    tau = rat(tau)
     k = len(us)
-    z = RatMatrix.zero(k)
     y = RatMatrix.diagonal(us)
-    joint = pair_centralizer_basis(y, z)
+    joint = pair_centralizer_basis(y, RatMatrix.zero(k))
+    dim = _stratum_image_dim(y, joint, [])
     rng = random.Random(seed)
-    sample_dims = [_sample_dim(rng, y, z, joint, []) for _ in range(max(samples, 1))]
-    return _probe(Partition((1,) * k), us[0] if us else Fraction(0), tau, len(joint), 0, sample_dims)
+    sample_dims = [dim if _cyclic_drawn(rng, k, all) else None for _ in range(max(samples, 1))]
+    return _probe(Partition((1,) * k), us[0] if us else Fraction(0), rat(tau), len(joint), 0, sample_dims)

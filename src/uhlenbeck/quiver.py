@@ -173,8 +173,8 @@ def rep_direct_sum(r1: QuiverRep, r2: QuiverRep) -> QuiverRep:
 
 
 def conjugate_rep(rep: QuiverRep, g1: RatMatrix, g2: RatMatrix, g3: RatMatrix) -> QuiverRep:
-    """Change of basis (g1, g2, g3) at the three vertices."""
-    g1i, g2i = inverse(g1), inverse(g2)
+    """Change of basis (g1, g2, g3) at the three vertices; a singular g raises."""
+    g1i, g2i, _ = inverse(g1), inverse(g2), inverse(g3)  # g3's inverse is not used, only its check
     F = {a: g2 @ rep.F[a] @ g1i for a in ARROWS}
     G = {a: g3 @ rep.G[a] @ g2i for a in ARROWS}
     return QuiverRep(rep.dim, F, G, rep.tau)

@@ -53,6 +53,7 @@ from uhlenbeck.core import (
     RatPoly,
     Subspace,
     char_poly,
+    column_space,
     commutant_system,
     inverse,
     krylov_span_dim,
@@ -367,9 +368,42 @@ def _stratum_image_dim_by_intersection(y, v, centralizer, directions):
     return t_slice.dim - t_slice.intersect(t_orbit).dim
 
 
-def _sample_dim_by_intersection(rng, y, z, centralizer, directions):
-    v = _old_sample_cyclic_vector(rng, y, z)
-    return None if v is None else _stratum_image_dim_by_intersection(y, v, centralizer, directions)
+def _watch_draws(monkeypatch, on_draw):
+    """Call on_draw(member, rng, cyclic) before the draws for each stratum
+    member of fiber_probe and distinct_fiber_probe, and let the draws use the
+    cyclicity test it returns.  member holds the pair (y, z) the draws are
+    tested for, the u of the stratum (None for distinct_fiber_probe), and the
+    centralizer and directions the member's dimension is measured with."""
+    member = {}
+    real = {name: getattr(bvariety, name) for name in ("_triangular_stratum", "_nakayama_test", "pair_centralizer_basis", "_cyclic_drawn")}
+
+    def stratum(y0, hom, u, k):
+        base, directions = real["_triangular_stratum"](y0, hom, u, k)
+        member.update(centralizer=hom, directions=directions)
+        return base, directions
+
+    def nakayama_test(y, z, u):
+        member.update(y=y, z=z, u=u)
+        return real["_nakayama_test"](y, z, u)
+
+    def centralizer(y, z):
+        basis = real["pair_centralizer_basis"](y, z)
+        member.update(y=y, z=z, u=None, centralizer=basis, directions=[])
+        return basis
+
+    def drawn(rng, k, cyclic):
+        return real["_cyclic_drawn"](rng, k, on_draw(member, rng, cyclic))
+
+    for name, patched in zip(real, (stratum, nakayama_test, centralizer, drawn)):
+        monkeypatch.setattr(bvariety, name, patched)
+
+
+def _krylov_draw(member, rng):
+    """The v the Krylov search draws for this member from rng, without moving rng."""
+    state = rng.getstate()
+    v = _old_sample_cyclic_vector(rng, member["y"], member["z"])
+    rng.setstate(state)
+    return v
 
 
 def test_fiber_probes_match_intersection_formula(monkeypatch):
@@ -380,8 +414,19 @@ def test_fiber_probes_match_intersection_formula(monkeypatch):
         lambda: distinct_fiber_probe([0, 1, Fraction(5, 2)], ONE, samples=4, seed=2),
     ]
     measured = [probe().sample_dims for probe in probes]
-    monkeypatch.setattr(bvariety, "_sample_dim", _sample_dim_by_intersection)
-    assert [probe().sample_dims for probe in probes] == measured
+    by_intersection = []
+
+    def record(member, rng, cyclic):
+        # each sample that measures, at the v the Krylov search draws for it
+        v = _krylov_draw(member, rng)
+        if v is not None:
+            by_intersection.append(_stratum_image_dim_by_intersection(member["y"], v, member["centralizer"], member["directions"]))
+        return cyclic
+
+    _watch_draws(monkeypatch, record)
+    for probe, dims in zip(probes, measured):
+        by_intersection.clear()
+        assert probe().sample_dims == dims == tuple(by_intersection)
     assert all(measured) and any(any(dims) for dims in measured)
 
 
@@ -929,22 +974,21 @@ def _orbit_span_dim(y, v, centralizer) -> int:
 def test_orbit_span_has_the_centralizer_dimension_at_every_sample(monkeypatch):
     # the orbit map g -> ([g, y], g v) is injective on the centralizer of z
     # exactly because v is cyclic: at v = 0 the identity is in its kernel
-    sample_dim, calls, shrunk = bvariety._sample_dim, [], 0
+    calls, shrunk = [], 0
 
-    def checked(rng, y, z, centralizer, directions):
+    def checked(member, rng, cyclic):
         nonlocal shrunk
-        state = rng.getstate()
-        v = _old_sample_cyclic_vector(rng, y, z)
-        rng.setstate(state)
+        y, centralizer = member["y"], member["centralizer"]
+        v = _krylov_draw(member, rng)
         if v is not None:
             assert _orbit_span_dim(y, v, centralizer) == len(centralizer)
             calls.append(y.rows)
         if y.rows:
             assert _orbit_span_dim(y, (Fraction(0),) * y.rows, centralizer) < len(centralizer)
             shrunk += 1
-        return sample_dim(rng, y, z, centralizer, directions)
+        return cyclic
 
-    monkeypatch.setattr(bvariety, "_sample_dim", checked)
+    _watch_draws(monkeypatch, checked)
     for k in range(7):
         for lam in partitions(k):
             for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5))):
@@ -952,6 +996,57 @@ def test_orbit_span_has_the_centralizer_dimension_at_every_sample(monkeypatch):
     for spectrum in ([], [0], [Fraction(1, 2), -3], [0, 1, Fraction(-5, 7), 3]):
         distinct_fiber_probe(spectrum, 1, samples=3, seed=1)
     assert len(calls) > 250 and max(calls) == 6 and calls.count(0) >= 2 and shrunk > 250
+
+
+def test_span_rule_decides_cyclicity_on_every_draw(monkeypatch):
+    # the probes' cyclicity tests (Nakayama in fiber_probe, Vandermonde in
+    # distinct_fiber_probe) against the Krylov closure, draw by draw; a member
+    # with dim W < k - 1 has no cyclic vector, where "v not in W" alone errs
+    verdicts, members, short, bare_wrong = [], 0, 0, 0
+
+    def checked(member, rng, cyclic):
+        nonlocal members, short
+        y, z, u = member["y"], member["z"], member["u"]
+        k = y.rows
+        members += 1
+        w = None if u is None else column_space(y - RatMatrix.diagonal([u] * k), z)
+        if w is not None and w.dim < k - 1:
+            short += 1
+            assert _krylov_draw(member, rng) is None
+
+        def test(v):
+            nonlocal bare_wrong
+            verdict = cyclic(v)
+            assert verdict == (krylov_span_dim([y, z], v) == k), (y, z, v)
+            verdicts.append(verdict)
+            bare_wrong += w is not None and verdict != (not w.contains(v))
+            return verdict
+
+        return test
+
+    _watch_draws(monkeypatch, checked)
+    for k in range(8):
+        for lam in partitions(k):
+            for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5)), (2, Fraction(-1, 2))):
+                fiber_probe(lam, u, tau, samples=4, seed=3)
+    fiber_draws = len(verdicts)
+    for k in range(8):
+        for seed in range(3):
+            distinct_fiber_probe([Fraction(3 * i - 7, i + 2) for i in range(k)], 1, samples=4, seed=seed)
+    assert short > 100 and members > 1000 and bare_wrong > 100
+    assert fiber_draws > 5000 and True in verdicts[:fiber_draws] and False in verdicts[:fiber_draws]
+    assert True in verdicts[fiber_draws:] and False in verdicts[fiber_draws:]
+
+
+def test_fiber_probes_run_no_krylov_closure(monkeypatch):
+    def refuse(mats, v):
+        raise AssertionError("a fiber probe ran a Krylov closure")
+
+    monkeypatch.setattr(bvariety, "krylov_span_dim", refuse)
+    for lam in ((4, 3, 2, 1), (1, 1, 1), (3,), ()):
+        assert fiber_probe(lam, Fraction(-7, 3), Fraction(3, 5), 4, 5) == _old_fiber_probe(lam, Fraction(-7, 3), Fraction(3, 5), 4, 5)
+    spectrum = [0, 1, Fraction(-5, 7), 3]
+    assert distinct_fiber_probe(spectrum, 1, 4, 1) == _old_distinct_fiber_probe(spectrum, 1, 4, 1)
 
 
 def test_support_multiplies_under_direct_sums_of_disjoint_supports():

@@ -520,7 +520,9 @@ def test_csv_stdout_matches_its_pin(capsys, command):
 
 
 # recorded while the fiber probe still built its orbit span; the golden outputs
-# reach only 3,2 and 2,2,1 at 8 samples
+# reach only 3,2 and 2,2,1 at 8 samples.  The last two were recorded while it
+# still ran a Krylov closure on each draw: k = 0, and 1,1,1, where 6 of the 16
+# stratum members have no cyclic vector
 FIBER_CAP_PINS = {
     "bvar fiber --lambda 4,3,2,1 --samples 16": {"sha256": "a314177ebf25a00c465f735cef9e33fe150fadf6a85fa9338526848f9c442238", "bytes": 401},
     "bvar fiber --lambda 1,1,1,1,1,1,1,1,1,1 --samples 16": {"sha256": "f5d53d253c2a7e6ebcf9e45c7ff75c5be752444e089438e410727189d97eda6b", "bytes": 314},
@@ -528,6 +530,8 @@ FIBER_CAP_PINS = {
         "sha256": "e15a6692dfbd1679200fa241ca03672fab845ee2276e6d82f0e1cd6819dceb68",
         "bytes": 439,
     },
+    "bvar fiber --lambda 0": {"sha256": "1e259e024a2455d44c85e688a7d41f02fa1191fa01713a6088b887585195b39a", "bytes": 330},
+    "bvar fiber --lambda 1,1,1 --samples 16": {"sha256": "35f8d423de9a21eaa8e8a25aca80046df224ff82dacca1408466b759bf9f3569", "bytes": 352},
 }
 
 

@@ -176,6 +176,18 @@ def test_monad_scalar_rescaling_equivalence():
     assert transformed.F == scaled.F and transformed.G == scaled.G
 
 
+def test_conjugate_rep_rejects_a_singular_change_of_basis():
+    # a singular g3 once sent every G to 0, and the (1,2,1) decision then
+    # called the stable point unstable
+    rep, theta = monad_of_point((1, 2), 3), Polarization(-1, 0, 1)
+    one, two = RatMatrix.identity(1), RatMatrix.identity(2)
+    for gs in ((RatMatrix.zero(1), two, one), (one, RatMatrix.from_rows([[1, 2], [2, 4]]), one), (one, two, RatMatrix.zero(1))):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            conjugate_rep(rep, *gs)
+    moved = conjugate_rep(rep, RatMatrix.diagonal([3]), RatMatrix.from_rows([[1, 2], [0, 1]]), RatMatrix.diagonal([-2]))
+    assert decide_stability_121(moved, theta) == decide_stability_121(rep, theta) == ("stable", None)
+
+
 def test_monad_torus_equivariance():
     # diag(s, 1/s) on the point matches rescaling the arrows (xi, eta) by (s, 1/s)
     h = (Fraction(1), Fraction(2))
