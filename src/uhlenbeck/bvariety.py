@@ -9,9 +9,9 @@ divisor on the affine line, and it is multiplicative under direct sums.
 
 All verification here is exact: the Y-solution space of the commutator
 identity is solved as a linear (Sylvester-type) system, cyclicity is a
-Krylov closure or, in the fiber probes, one span (Nakayama) or a zero-entry
-test (Vandermonde), and fiber dimensions are exact dimensions of linear
-strata and tangent spaces at sampled rational points.
+Krylov closure or, in the fiber probes, a rank and one coordinate (Nakayama,
+on N = Y - uI) or the zero entries (Vandermonde), and fiber dimensions are
+exact dimensions of linear strata and tangent spaces at sampled points.
 """
 
 from __future__ import annotations
@@ -312,46 +312,47 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     """Measure the fiber over the fully degenerate divisor k*u in one component.
 
     For each of two presentations of the nilpotent (block-major and
-    depth-major bases) the probe parametrizes the linear stratum of
-    Y-solutions with Y - uI strictly lower triangular (every member has
-    characteristic polynomial (t - u)^k), then at sampled rational points
-    computes the exact dimension of the stratum's image modulo the
-    conjugation group: stratum directions plus the free vector minus the
-    tangent overlap with the stabilizer orbit.  Reported dimensions are
-    measurements on these strata together with the k-1 upper bound;
-    exactness of the bound is not asserted.
+    depth-major bases) the probe draws members N = Y - uI of the linear
+    stratum of Y-solutions with N strictly lower triangular, checks that each
+    is (the hypothesis of both proofs), and at them computes the exact
+    dimension of the stratum's image modulo the conjugation group: stratum
+    directions plus the free vector minus the tangent overlap with the
+    stabilizer orbit.  Reported dimensions are measurements on these strata
+    together with the k-1 upper bound; exactness of the bound is not asserted.
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     lam = Partition(tuple(lam))
     u, tau = rat(u), rat(tau)
     k = lam.size
     presentations = dict.fromkeys([jordan_nilpotent(lam), depth_major_nilpotent(lam)])  # one when they agree
     rng = random.Random(seed)
     sample_dims, stratum_dim, solution_dim = [], 0, 0
-    target = (RatPoly((0, 1)) - u) ** k
     for z in presentations:
         y0, hom = solve_Y_space(z, tau)
         solution_dim = len(hom)
         base, directions = _triangular_stratum(y0, hom, u, k)
+        n0 = base - RatMatrix.diagonal([u] * k)
         stratum_dim = max(stratum_dim, len(directions))
-        for _ in range(max(samples, 1)):
-            y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
-            if char_poly(y) != target:
-                raise AssertionError("stratum member lost the degenerate support")
-            found = _cyclic_drawn(rng, k, _nakayama_test(y, z, u))
-            sample_dims.append(_stratum_image_dim(y, hom, directions) if found else None)
+        for _ in range(samples):
+            n = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [n0, *directions])
+            if any(x for i in range(k) for x in n._a[i * k + i : (i + 1) * k]):
+                raise AssertionError("stratum member N = Y - uI is not strictly lower triangular")
+            found = _cyclic_drawn(rng, k, _nakayama_test(n, z))
+            sample_dims.append(_stratum_image_dim(n, hom, directions) if found else None)
     return _probe(lam, u, tau, solution_dim, stratum_dim, sample_dims)
 
 
-def _nakayama_test(y: RatMatrix, z: RatMatrix, u: Fraction) -> Callable[[Sequence], bool]:
-    """Cyclicity for (y, z) with y - uI and z strictly lower triangular, as on
-    every stratum member of ``fiber_probe``: v is cyclic exactly when dim(Qv +
-    W) = k for W = im(y - uI) + im(z), so when k = 0 or when dim W = k - 1 and
-    v is not in W.  Proof (Nakayama's lemma): y - uI and z generate an algebra
-    N with N^k = 0 and NV = W, and y, z generate A = Q1 + N.  Av = Qv + Nv
-    lies in Qv + W, and Qv + W = V gives V = Qv + NV = Av + N^2 V = ... = Av.
+def _nakayama_test(n: RatMatrix, z: RatMatrix) -> Callable[[Sequence], bool]:
+    """Cyclicity for (n + uI, z) with n and z strictly lower triangular, as on
+    every member of ``fiber_probe``: v is cyclic exactly when Qv + W = V for
+    W = im(n) + im(z), and as row 0 of n and z is 0, W lies in x_0 = 0, so
+    when k = 0, or when dim W = k - 1 and v_0 != 0.  Proof (Nakayama): n and
+    z generate an algebra N with N^k = 0 and NV = W, and A = Q1 + N.  Av lies
+    in Qv + W, and Qv + W = V gives V = Qv + NV = Av + N^2 V = ... = Av.
     """
-    w = column_space(y - RatMatrix.diagonal([u] * y.rows), z)
-    return lambda v: w.dim == len(v) or w.dim == len(v) - 1 and not w.contains(v)
+    spans = column_space(n, z).dim == n.rows - 1
+    return lambda v: not v or spans and v[0] != 0
 
 
 def _cyclic_drawn(rng: random.Random, k: int, cyclic: Callable[[list[int]], bool]) -> bool:
@@ -370,9 +371,7 @@ def _probe(
     return FiberProbe(lam, k, u, tau, solution_dim, stratum_dim, found, max(found, default=None), max(k - 1, 0), bool(found))
 
 
-def _triangular_stratum(
-    y0: RatMatrix, hom: Sequence[RatMatrix], u: Fraction, k: int
-) -> tuple[RatMatrix, list[RatMatrix]]:
+def _triangular_stratum(y0: RatMatrix, hom: Sequence[RatMatrix], u: Fraction, k: int) -> tuple[RatMatrix, list[RatMatrix]]:
     """Affine slice of the Y-solution set with Y - uI strictly lower triangular."""
     coords = [(i, j) for i in range(k) for j in range(k) if i <= j]
     rows = [[h.entry(i, j) for h in hom] for (i, j) in coords]
@@ -392,22 +391,21 @@ def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
     return kernel_basis(commutant_system([y, z])).blocks(k, k)
 
 
-def _stratum_image_dim(y: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]) -> int:
+def _stratum_image_dim(n: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]) -> int:
     """Local dimension of the stratum's image in the conjugation quotient at
-    (y, v), for any v cyclic for (y, z) and a basis C of the centralizer of z.
-
-    The slice's tangent is the stratum directions D on Y plus all of V, the
-    residual orbit's is g in C acting by ([g, Y], g v), and the image
-    dimension is dim(slice + orbit) - dim orbit = k + dim(D + [C, y]) - |C|:
-    a g in span C with [g, y] = 0 and g v = 0 commutes with y and z and
-    kills a cyclic vector, so g = 0 (the proof in ``triple_stabilizer_dim``).
-    D + [C, y] is ranked from integer forms: m._a for m in D, and
-    g._a y._a - y._a g._a, a positive multiple of [g, y].
+    (Y, v), given n = Y - uI, any v cyclic for (Y, Z) and a basis C of Z's
+    centralizer.  The slice's tangent is the stratum directions D on Y plus
+    all of V, the residual orbit's is g in C acting by ([g, Y], g v), and the
+    image dimension is dim(slice + orbit) - dim orbit = k + dim(D + [C, n]) -
+    |C|, as [g, n] = [g, Y]: a g in span C with [g, Y] = 0 and g v = 0
+    commutes with Y and Z and kills a cyclic vector, so g = 0 (the proof in
+    ``triple_stabilizer_dim``).  D + [C, n] is ranked from integer forms:
+    m._a for m in D, and g._a n._a - n._a g._a, a positive multiple of [g, n].
     """
-    k, ya = y.rows, y._a
+    k, na = n.rows, n._a
     rows = [x for m in directions for x in m._a]
     for g in centralizer:
-        rows += [p - q for p, q in zip(_int_matmul(g._a, ya, k, k, k), _int_matmul(ya, g._a, k, k, k))]
+        rows += [p - q for p, q in zip(_int_matmul(g._a, na, k, k, k), _int_matmul(na, g._a, k, k, k))]
     return k + rank(RatMatrix._of(len(directions) + len(centralizer), k * k, 1, rows)) - len(centralizer)
 
 
@@ -421,6 +419,8 @@ def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 
     words in Y and Z = 0 send v to the (p(u_i) v_i)_i, and the u_i are
     distinct, so the (p(u_i))_i run over all of Q^k (Vandermonde).
     """
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     us = [rat(s) for s in spectrum]
     if len(set(us)) != len(us):
         raise ValueError("spectrum must be multiplicity-free")
@@ -429,5 +429,5 @@ def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 
     joint = pair_centralizer_basis(y, RatMatrix.zero(k))
     dim = _stratum_image_dim(y, joint, [])
     rng = random.Random(seed)
-    sample_dims = [dim if _cyclic_drawn(rng, k, all) else None for _ in range(max(samples, 1))]
+    sample_dims = [dim if _cyclic_drawn(rng, k, all) else None for _ in range(samples)]
     return _probe(Partition((1,) * k), us[0] if us else Fraction(0), rat(tau), len(joint), 0, sample_dims)

@@ -372,23 +372,24 @@ def _watch_draws(monkeypatch, on_draw):
     """Call on_draw(member, rng, cyclic) before the draws for each stratum
     member of fiber_probe and distinct_fiber_probe, and let the draws use the
     cyclicity test it returns.  member holds the pair (y, z) the draws are
-    tested for, the u of the stratum (None for distinct_fiber_probe), and the
-    centralizer and directions the member's dimension is measured with."""
+    tested for, the u of the stratum and n = y - uI (None for
+    distinct_fiber_probe), and the centralizer and directions the member's
+    dimension is measured with."""
     member = {}
     real = {name: getattr(bvariety, name) for name in ("_triangular_stratum", "_nakayama_test", "pair_centralizer_basis", "_cyclic_drawn")}
 
     def stratum(y0, hom, u, k):
         base, directions = real["_triangular_stratum"](y0, hom, u, k)
-        member.update(centralizer=hom, directions=directions)
+        member.update(u=u, centralizer=hom, directions=directions)
         return base, directions
 
-    def nakayama_test(y, z, u):
-        member.update(y=y, z=z, u=u)
-        return real["_nakayama_test"](y, z, u)
+    def nakayama_test(n, z):
+        member.update(y=n + RatMatrix.diagonal([member["u"]] * n.rows), z=z, n=n)
+        return real["_nakayama_test"](n, z)
 
     def centralizer(y, z):
         basis = real["pair_centralizer_basis"](y, z)
-        member.update(y=y, z=z, u=None, centralizer=basis, directions=[])
+        member.update(y=y, z=z, u=None, n=None, centralizer=basis, directions=[])
         return basis
 
     def drawn(rng, k, cyclic):
@@ -795,7 +796,7 @@ def test_fiber_probes_match_pinned_code():
             assert_same_probe(new, old)
         assert any(not new.cyclic_found and new.measured is None for new, _ in probes)
     for spectrum in ([], [0], [Fraction(1, 2), -3], [0, 1, Fraction(-5, 7), 3], list(range(6))):
-        for tau, samples, seed in ((1, 1, 0), (Fraction(3, 5), 4, 7), (-2, 0, 3)):
+        for tau, samples, seed in ((1, 1, 0), (Fraction(3, 5), 4, 7), (-2, 2, 3)):
             new = distinct_fiber_probe(spectrum, tau, samples, seed)
             assert_same_probe(new, _old_distinct_fiber_probe(spectrum, tau, samples, seed))
     with pytest.raises(ValueError, match="multiplicity-free"):
@@ -1006,10 +1007,10 @@ def test_span_rule_decides_cyclicity_on_every_draw(monkeypatch):
 
     def checked(member, rng, cyclic):
         nonlocal members, short
-        y, z, u = member["y"], member["z"], member["u"]
+        y, z, n = member["y"], member["z"], member["n"]
         k = y.rows
         members += 1
-        w = None if u is None else column_space(y - RatMatrix.diagonal([u] * k), z)
+        w = None if n is None else column_space(n, z)
         if w is not None and w.dim < k - 1:
             short += 1
             assert _krylov_draw(member, rng) is None
@@ -1018,6 +1019,7 @@ def test_span_rule_decides_cyclicity_on_every_draw(monkeypatch):
             nonlocal bare_wrong
             verdict = cyclic(v)
             assert verdict == (krylov_span_dim([y, z], v) == k), (y, z, v)
+            assert n is None or verdict == (krylov_span_dim([n, z], v) == k), (n, z, v)
             verdicts.append(verdict)
             bare_wrong += w is not None and verdict != (not w.contains(v))
             return verdict
@@ -1049,6 +1051,46 @@ def test_fiber_probes_run_no_krylov_closure(monkeypatch):
     assert distinct_fiber_probe(spectrum, 1, 4, 1) == _old_distinct_fiber_probe(spectrum, 1, 4, 1)
 
 
+def test_fiber_probes_run_no_char_poly_and_no_membership_test(monkeypatch):
+    # a member is checked by reading N = Y - uI's upper triangle, and a draw
+    # by reading one coordinate of v, so neither needs a char poly or W
+    cases = [((4, 3, 2, 1), Fraction(-7, 3), Fraction(3, 5)), ((1, 1, 1), 0, 1), ((2, 2, 1), 2, Fraction(-1, 2)), ((), 0, 1)]
+    spectrum = [0, 1, Fraction(-5, 7), 3]
+    old = [_old_fiber_probe(lam, u, tau, 4, 5) for lam, u, tau in cases] + [_old_distinct_fiber_probe(spectrum, 1, 4, 1)]
+
+    def refuse(*args):
+        raise AssertionError("a fiber probe ran a char poly or a membership test")
+
+    monkeypatch.setattr(bvariety, "char_poly", refuse)
+    monkeypatch.setattr(Subspace, "contains", refuse)
+    new = [fiber_probe(lam, u, tau, 4, 5) for lam, u, tau in cases] + [distinct_fiber_probe(spectrum, 1, 4, 1)]
+    for probe, pinned in zip(new, old, strict=True):
+        assert_same_probe(probe, pinned)
+
+
+def test_fiber_probe_rejects_a_member_that_is_not_lower_triangular(monkeypatch):
+    # conjugated by the basis reversal, every N = Y - uI of the stratum is
+    # strictly upper triangular and keeps the char poly (t - u)^k, so only the
+    # triangularity check, the hypothesis of the Nakayama rule, rejects it
+    real = bvariety._triangular_stratum
+
+    def reversed_stratum(y0, hom, u, k):
+        p = RatMatrix.from_rows([[int(i + j == k - 1) for j in range(k)] for i in range(k)])
+        base, directions = real(y0, hom, u, k)
+        return p @ base @ p, [p @ d @ p for d in directions]
+
+    cases = (((2, 1), Fraction(1), ONE), ((4, 3, 2, 1), Fraction(-7, 3), Fraction(3, 5)))
+    for lam, u, tau in cases:
+        k = sum(lam)
+        base, directions = reversed_stratum(*solve_Y_space(jordan_nilpotent(lam), tau), u, k)
+        y = RatMatrix.combination([1] * (1 + len(directions)), [base, *directions])
+        assert char_poly(y) == (RatPoly((0, 1)) - u) ** k and not (y - RatMatrix.diagonal([u] * k)).is_zero
+    monkeypatch.setattr(bvariety, "_triangular_stratum", reversed_stratum)
+    for lam, u, tau in cases:
+        with pytest.raises(AssertionError, match="stratum member N = Y - uI is not strictly lower triangular"):
+            fiber_probe(lam, u, tau, 2, 0)
+
+
 def test_support_multiplies_under_direct_sums_of_disjoint_supports():
     tau = Fraction(3, 5)
     a, b = jordan_triple(2, 1, tau), jordan_triple(3, -2, tau)
@@ -1078,6 +1120,9 @@ def test_support_multiplies_under_direct_sums_of_disjoint_supports():
         (lambda: solve_Y_space(RatMatrix.identity(2), 1), "matrix is not nilpotent"),
         (lambda: direct_sum(jordan_triple(1, 0, 1), jordan_triple(1, 1, 2)), "tau mismatch"),
         (lambda: distinct_fiber_probe([1, 1], 1), "spectrum must be multiplicity-free"),
+        (lambda: distinct_fiber_probe([0, 1], 1, samples=0), "samples must be at least 1"),
+        (lambda: fiber_probe((2, 1), 0, 1, samples=0), "samples must be at least 1"),
+        (lambda: fiber_probe((), 0, 1, samples=-1), "samples must be at least 1"),
         (
             lambda: support(BTriple(RatMatrix.zero(1), RatMatrix.identity(1), (ONE,), 1)),  # Z is not nilpotent
             "invalid triple: TripleCheck(ok=False, commutator_ok=False, nilpotent_ok=False, cyclic_ok=True)",

@@ -750,15 +750,16 @@ def test_negative_report_size_is_rejected(tmp_path):
 
 
 # contract lines that otherwise only the fuzz tests reach: ic betti and ic audit start at n = 1,
-# the empty partition is written 0, and a polarization has exactly three parts
+# bvar fiber at --samples 1, the empty partition is written 0, and a polarization has exactly three parts
 @pytest.mark.parametrize(
     "argv, error",
     [
         (["ic", "betti", "--n", "0"], "n must be at least 1"),
         (["ic", "audit", "--n", "0"], "n must be at least 1"),
+        (["bvar", "fiber", "--lambda", "2,1", "--samples", "0"], "samples must be at least 1"),
         (["quiver", "stability", "--rep", str(DATA / "rep_252.json"), "--theta0=1,2"], "polarization needs three comma-separated rationals"),
     ],
-    ids=["ic betti", "ic audit", "quiver stability"],
+    ids=["ic betti", "ic audit", "bvar fiber", "quiver stability"],
 )
 def test_boundary_inputs_exit_1_with_their_error(argv, error):
     code, out = run_main(argv)
