@@ -334,12 +334,13 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
         base, directions = _triangular_stratum(y0, hom, u, k)
         n0 = base - RatMatrix.diagonal([u] * k)
         stratum_dim = max(stratum_dim, len(directions))
+        image_dim = _stratum_image_dim(hom, directions)
         for _ in range(samples):
             n = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [n0, *directions])
             if any(x for i in range(k) for x in n._a[i * k + i : (i + 1) * k]):
                 raise AssertionError("stratum member N = Y - uI is not strictly lower triangular")
             found = _cyclic_drawn(rng, k, _nakayama_test(n, z))
-            sample_dims.append(_stratum_image_dim(n, hom, directions) if found else None)
+            sample_dims.append(image_dim(n) if found else None)
     return _probe(lam, u, tau, solution_dim, stratum_dim, sample_dims)
 
 
@@ -391,22 +392,27 @@ def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:
     return kernel_basis(commutant_system([y, z])).blocks(k, k)
 
 
-def _stratum_image_dim(n: RatMatrix, centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]) -> int:
-    """Local dimension of the stratum's image in the conjugation quotient at
-    (Y, v), given n = Y - uI, any v cyclic for (Y, Z) and a basis C of Z's
-    centralizer.  The slice's tangent is the stratum directions D on Y plus
-    all of V, the residual orbit's is g in C acting by ([g, Y], g v), and the
-    image dimension is dim(slice + orbit) - dim orbit = k + dim(D + [C, n]) -
-    |C|, as [g, n] = [g, Y]: a g in span C with [g, Y] = 0 and g v = 0
+def _stratum_image_dim(centralizer: Sequence[RatMatrix], directions: Sequence[RatMatrix]) -> Callable[[RatMatrix], int]:
+    """n = Y - uI -> local dimension of the stratum's image in the conjugation
+    quotient at (Y, v), for any v cyclic for (Y, Z), a basis C of Z's
+    centralizer and the stratum directions D.  The slice's tangent is D on Y
+    plus all of V, the residual orbit's is g in C acting by ([g, Y], g v), and
+    the image dimension is dim(slice + orbit) - dim orbit = k + dim(D + [C,
+    n]) - |C|, as [g, n] = [g, Y]: a g in span C with [g, Y] = 0 and g v = 0
     commutes with Y and Z and kills a cyclic vector, so g = 0 (the proof in
-    ``triple_stabilizer_dim``).  D + [C, n] is ranked from integer forms:
-    m._a for m in D, and g._a n._a - n._a g._a, a positive multiple of [g, n].
-    """
-    k, na = n.rows, n._a
-    rows = [x for m in directions for x in m._a]
-    for g in centralizer:
-        rows += [p - q for p, q in zip(_int_matmul(g._a, na, k, k, k), _int_matmul(na, g._a, k, k, k))]
-    return k + rank(RatMatrix._of(len(directions) + len(centralizer), k * k, 1, rows)) - len(centralizer)
+    ``triple_stabilizer_dim``).  D + [C, n] is ranked from integer forms: m._a
+    for m in D, and g._a n._a - n._a g._a, read off the stacked g times n and
+    the stacked g^T times n^T, so each product builds only n's sparse rows."""
+    c, top = len(centralizer), [x for m in directions for x in m._a]
+    stack, stack_t = [x for g in centralizer for x in g._a], [x for g in centralizer for x in g.transpose()._a]
+
+    def dim(n: RatMatrix) -> int:
+        k, kk = n.rows, n.rows**2
+        gn, ng_t = _int_matmul(stack, n._a, c * k, k, k), _int_matmul(stack_t, n.transpose()._a, c * k, k, k)
+        rows = top + [gn[b * kk + i] - ng_t[b * kk + i % k * k + i // k] for b in range(c) for i in range(kk)]
+        return k + rank(RatMatrix._of(len(directions) + c, kk, 1, rows)) - c
+
+    return dim
 
 
 def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
@@ -427,7 +433,7 @@ def distinct_fiber_probe(spectrum: Sequence, tau, samples: int = 8, seed: int = 
     k = len(us)
     y = RatMatrix.diagonal(us)
     joint = pair_centralizer_basis(y, RatMatrix.zero(k))
-    dim = _stratum_image_dim(y, joint, [])
+    dim = _stratum_image_dim(joint, [])(y)
     rng = random.Random(seed)
     sample_dims = [dim if _cyclic_drawn(rng, k, all) else None for _ in range(samples)]
     return _probe(Partition((1,) * k), us[0] if us else Fraction(0), rat(tau), len(joint), 0, sample_dims)

@@ -21,7 +21,10 @@ reduced row echelon form of a matrix is unique, and after back-substitution
 each integer row is a nonzero multiple of one of its rows, so dividing by
 the pivot recovers that row exactly.  Hence ``rref``, every kernel basis
 (one row per free column, with 1 there and 0 at the other free columns)
-and every ``Subspace.basis`` are canonical.
+and every ``Subspace.basis`` are canonical, whatever the row order.  So the
+scratch echelons of ``rank``, ``rref``, ``kernel_basis``, ``solve_linear``,
+``inverse`` and ``nilpotent_jordan_type`` take their rows sparsest first
+(Markowitz); returned spans keep their insertion order and raw rows.
 
 Each value is stored in one form and the rest is derived when read.  A
 Subspace is its ambient dimension and the echelon rows of a spanning set:
@@ -46,12 +49,12 @@ row-major X: each term adds the products of the nonzero entries of A and B
 at precomputed flat offsets, over one denominator.  A block unknown is a
 vertical stack, and a block row of the identity picks out a block.
 ``commutant_system`` (g -> [g, m] per m) is one such call.  ``@``, ``power``
-and ``apply`` multiply the integer entries, skipping zeros; ``is_nilpotent``
-is self^n = 0, by the repeated squaring of ``power``.
+and ``apply`` multiply the integer entries, skipping zeros.  A nonzero trace
+refutes nilpotency (``_int_trace``); otherwise ``is_nilpotent`` is self^n = 0.
 ``char_poly`` runs Berkowitz's division-free algorithm on a and divides the
 coefficient of t^i by d^(n-i), since det(tI - a/d) = d^-n det(dt I - a).
 ``rank``, ``rref`` and ``kernel_basis`` feed the integer rows of a straight
-into a scratch ``Subspace``, and ``Subspace.full`` writes the unit rows, as
+into a scratch echelon, and ``Subspace.full`` writes the unit rows, as
 ``Subspace.image_under`` (``column_space`` is the full space's image under its
 maps), ``Subspace.intersect``, ``krylov_span_dim`` and ``nilpotent_jordan_type``
 feed integer products: scaling a row changes neither the span nor the rank.
@@ -505,9 +508,13 @@ class RatMatrix(Frozen):
         return _over([out.get(i, 0) for i in range(self.rows)], self._d * dw)
 
     def trace(self) -> Fraction:
+        return Fraction(self._int_trace("trace"), self._d)
+
+    def _int_trace(self, what: str) -> int:
+        """d times the trace, after a square check naming what needs it; nonzero, it refutes nilpotency."""
         if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return Fraction(sum(self._a[:: self.cols + 1]), self._d)
+            raise ValueError(f"{what} of a non-square matrix")
+        return sum(self._a[:: self.cols + 1])
 
     def power(self, k: int) -> "RatMatrix":
         """self^k, by repeated squaring of the integer form and one division by d^k."""
@@ -530,8 +537,8 @@ class RatMatrix(Frozen):
 
     @property
     def is_nilpotent(self) -> bool:
-        """Whether self^n = 0 for n x n self (raises ValueError if not square)."""
-        return self.power(self.rows).is_zero
+        """Whether self^n = 0 for n x n self (raises ValueError if not square); a nonzero trace says no at once."""
+        return not self._int_trace("power") and self.power(self.rows).is_zero
 
     def commutator(self, other: "RatMatrix") -> "RatMatrix":
         return self @ other - other @ self
@@ -694,16 +701,23 @@ def _kernel(ech: Subspace, pivots: list[int], ncols: int) -> RatMatrix:
     return RatMatrix._of(len(vecs), ncols, d, list(chain(*vecs.values())))
 
 
-def _row_space(a: Sequence[int], rows: int, cols: int) -> Subspace:
-    """Span of the rows of a row-major integer matrix, such as the integer
-    form of a RatMatrix: each row goes in over its content, which is the
-    integer row ``Subspace.add`` makes of any positive multiple of it."""
-    ech = Subspace._empty(cols)
-    for i in range(rows):
-        row = {j: x for j, x in enumerate(a[i * cols : (i + 1) * cols]) if x}
-        if row:
-            ech._insert(_primitive(row))
+def _int_rows(a: Sequence[int], rows: int, cols: int) -> list[dict[int, int]]:
+    """The nonzero rows of a row-major integer matrix, sparse, each over its content as ``Subspace.add`` makes it."""
+    return [_primitive(r) for i in range(rows) if (r := {j: x for j, x in enumerate(a[i * cols : (i + 1) * cols]) if x})]
+
+
+def _echelon(ambient: int, rows: Iterable[dict[int, int]]) -> Subspace:
+    """The echelon of primitive integer rows, inserted in the order given: sorted by
+    nonzero count (sparsest first) for a scratch echelon, as built for a returned span."""
+    ech = Subspace._empty(ambient)
+    for row in rows:
+        ech._insert(row)
     return ech
+
+
+def _row_space(a: Sequence[int], rows: int, cols: int) -> Subspace:
+    """The scratch echelon of the rows of a row-major integer matrix."""
+    return _echelon(cols, sorted(_int_rows(a, rows, cols), key=len))
 
 
 def _reduced_matrix(ech: Subspace, pivots: list[int], start: int, stop: int, rows: int) -> RatMatrix:
@@ -752,9 +766,8 @@ def solve_linear(m: RatMatrix, b: Sequence) -> tuple[RatMatrix, RatMatrix] | Non
     if len(bb) != m.rows:
         raise ValueError("right-hand side length mismatch")
     n, a = m.cols, m._a if db == 1 else [db * x for x in m._a]
-    ech = Subspace._empty(n + 1)
-    for i in range(m.rows):
-        ech._insert(_primitive({j: x for j, x in enumerate(chain(a[i * n : (i + 1) * n], (m._d * bb[i],))) if x}))
+    augmented = [chain(a[i * n : (i + 1) * n], (m._d * bb[i],)) for i in range(m.rows)]
+    ech = _echelon(n + 1, sorted([_primitive({j: x for j, x in enumerate(row) if x}) for row in augmented], key=len))
     pivots = ech.reduce()
     if n in ech.rows:
         return None
@@ -767,9 +780,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n, a = m.rows, m._a
-    ech = Subspace._empty(2 * n)
-    for i in range(n):
-        ech._insert(_primitive({j: x for j, x in chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)) if x}))
+    rows = [_primitive({j: x for j, x in chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)) if x}) for i in range(n)]
+    ech = _echelon(2 * n, sorted(rows, key=len))
     pivots = ech.reduce()
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -822,8 +834,8 @@ def nilpotent_jordan_type(z: RatMatrix) -> Partition:
     product from the last.  They fall strictly until they reach 0 exactly
     when z is nilpotent, so the first r_i == r_{i-1} > 0 proves it is not.
     """
-    if not z.is_square:
-        raise ValueError("Jordan type of a non-square matrix")
+    if z._int_trace("Jordan type"):
+        raise NotNilpotentError("matrix is not nilpotent")
     k = z.rows
     if k == 0:
         return Partition()
@@ -1031,9 +1043,9 @@ def column_space(m: RatMatrix, *more: RatMatrix) -> Subspace:
 
 
 def kernel_space(m: RatMatrix, *more: RatMatrix) -> Subspace:
-    """Joint kernel of m and more, the span of the integer kernel rows of their vertical stack."""
+    """Joint kernel of m and more: the integer kernel rows of their vertical stack, in kernel order."""
     k = kernel_basis(RatMatrix.vstack([m, *more]) if more else m)
-    return _row_space(k._a, k.rows, k.cols)
+    return _echelon(k.cols, _int_rows(k._a, k.rows, k.cols))
 
 
 def krylov_span_dim(mats: Sequence[RatMatrix], v: Sequence) -> int:

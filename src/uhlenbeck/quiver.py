@@ -226,15 +226,15 @@ def _extend_to_dim(base: Subspace, inside: Subspace, target: int) -> Subspace:
 def _lex_slopes(rep: QuiverRep, theta: Polarization, tiebreak: Polarization | None):
     """(key, slopes) of dims, theta then tiebreak, each of which must pair to zero with rep.dim.
     Callers compare keys: integer slope tuples, each polarization scaled by the lcm of its
-    denominators, so ordered as the slopes are.  ``slopes`` builds a witness's Fractions."""
+    denominators, so ordered (and checked on rep.dim) as the slopes are.  ``slopes`` builds Fractions."""
     thetas = (theta,) if tiebreak is None else (theta, tiebreak)
-    for name, t in zip(("theta0", "theta1"), thetas):
-        if slope(t, rep.dim) != 0:
-            raise ValueError(f"total slope of {name} must vanish on the dimension vector")
     lcms = [lcm(*(x.denominator for x in t)) for t in thetas]
     scaled = [[int(x * m) for x in t] for t, m in zip(thetas, lcms)]
-    return (lambda dims: tuple(a * dims[0] + b * dims[1] + c * dims[2] for a, b, c in scaled),
-            lambda dims: tuple(slope(t, dims) for t in thetas))
+    key = lambda dims: tuple(a * dims[0] + b * dims[1] + c * dims[2] for a, b, c in scaled)
+    for name, total in zip(("theta0", "theta1"), key(rep.dim)):
+        if total:
+            raise ValueError(f"total slope of {name} must vanish on the dimension vector")
+    return key, lambda dims: tuple(slope(t, dims) for t in thetas)
 
 
 def decide_stability_121(

@@ -949,7 +949,7 @@ def test_stratum_image_dim_matches_pinned_slice():
                         y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
                         v = _old_sample_cyclic_vector(rng, y, z)
                         if v is not None:
-                            assert _stratum_image_dim(y, hom, directions) == _old_stratum_image_dim(y, z, v, hom, directions)
+                            assert _stratum_image_dim(hom, directions)(y) == _old_stratum_image_dim(y, z, v, hom, directions)
                             checked += 1
     # centralizers of (y, 0) for diagonal y with distinct entries, and
     # arbitrary matrices as directions
@@ -960,7 +960,7 @@ def test_stratum_image_dim_matches_pinned_slice():
         mats = [rand_matrix(rng, k, k, -2, 2) for _ in range(rng.randint(0, 3))]
         for directions in ([], mats):
             v = _old_sample_cyclic_vector(rng, y, z)
-            new, old = _stratum_image_dim(y, joint, directions), _old_stratum_image_dim(y, z, v, joint, directions)
+            new, old = _stratum_image_dim(joint, directions)(y), _old_stratum_image_dim(y, z, v, joint, directions)
             assert type(new) is type(old) is int and new == old
             checked += 1
     assert checked > 100

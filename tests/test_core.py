@@ -9,6 +9,7 @@ import pytest
 from conftest import kernel_vectors, matrix_rows, rand_invertible, rand_matrix, solution_vectors
 from uhlenbeck import core
 from uhlenbeck.bvariety import jordan_nilpotent
+from uhlenbeck.calogero import sample_cm
 from uhlenbeck.core import (
     NotNilpotentError,
     RatMatrix,
@@ -1875,3 +1876,194 @@ def test_accessors_reject_every_index_outside_the_matrix(m):
         for call in (lambda: m.entry(0, 3), lambda: m.entry(0, -1), lambda: m.entry(-1, 0), lambda: m.row(2), lambda: m.row(-1), lambda: m.column(3)):
             with pytest.raises(IndexError):
                 call()
+
+
+# ---------------------------------------------------------------------------
+# nilpotency refuted by the trace, and scratch eliminations fed sparsest rows
+# first, pinned to the code they replaced
+
+
+def test_nilpotency_tests_check_the_shape_before_the_trace(monkeypatch):
+    # nonzero non-square matrices, whose stride-(cols + 1) sums are nonzero,
+    # raise the messages the square checks raised before the trace was read
+    for m in (RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), RatMatrix.from_rows([[1], [0], [2]]), RatMatrix.from_rows([[0, 0, 7]])):
+        with pytest.raises(ValueError) as exc:
+            m.is_nilpotent
+        assert str(exc.value) == "power of a non-square matrix"
+        with pytest.raises(ValueError) as exc:
+            nilpotent_jordan_type(m)
+        assert str(exc.value) == "Jordan type of a non-square matrix"
+        assert type(exc.value) is ValueError
+    # zero-trace non-nilpotents answer no through the power and the ranks
+    for m in (RatMatrix.from_rows([[0, 1], [1, 0]]), RatMatrix.diagonal([1, -1, 0]), RatMatrix.diagonal([Fraction(1, 3), Fraction(-1, 3)])):
+        assert m.trace() == 0 and m.is_nilpotent is False
+        with pytest.raises(NotNilpotentError):
+            nilpotent_jordan_type(m)
+    # a nonzero trace answers without a product or a rank; trace 0 still takes them
+    calls = []
+    real_power, real_row_space = RatMatrix.power, core._row_space
+    monkeypatch.setattr(RatMatrix, "power", lambda self, k: calls.append("power") or real_power(self, k))
+    monkeypatch.setattr(core, "_row_space", lambda *args: calls.append("rank") or real_row_space(*args))
+    for m in (RatMatrix.identity(3), RatMatrix.from_rows([[0, 1], [0, Fraction(1, 9)]]), RatMatrix.diagonal([1, 1, -1])):
+        assert m.is_nilpotent is False
+        with pytest.raises(NotNilpotentError):
+            nilpotent_jordan_type(m)
+    assert calls == []
+    assert RatMatrix.from_rows([[0, 1], [0, 0]]).is_nilpotent and nilpotent_jordan_type(RatMatrix.from_rows([[0, 1], [0, 0]])) == Partition((2,))
+    assert calls == ["power", "rank", "rank"]
+
+
+# Verbatim copies of the eliminations from before their rows went in sparsest
+# first: each inserted its rows in input order.
+
+
+def _old_row_space(a, rows: int, cols: int) -> Subspace:
+    ech = Subspace._empty(cols)
+    for i in range(rows):
+        row = {j: x for j, x in enumerate(a[i * cols : (i + 1) * cols]) if x}
+        if row:
+            ech._insert(core._primitive(row))
+    return ech
+
+
+def _old_rref(m: RatMatrix):
+    if not m.rows:
+        return m, ()
+    ech = _old_row_space(m._a, m.rows, m.cols)
+    pivots = ech.reduce()
+    return core._reduced_matrix(ech, pivots, 0, m.cols, m.rows), tuple(pivots)
+
+
+def _old_rank(m: RatMatrix) -> int:
+    return _old_row_space(m._a, m.rows, m.cols).dim
+
+
+def _old_integer_kernel_basis(m: RatMatrix) -> RatMatrix:
+    ech = _old_row_space(m._a, m.rows, m.cols)
+    return core._kernel(ech, ech.reduce(), m.cols)
+
+
+def _old_integer_solve_linear(m: RatMatrix, b):
+    db, bb = core._clear(b)
+    if len(bb) != m.rows:
+        raise ValueError("right-hand side length mismatch")
+    n, a = m.cols, m._a if db == 1 else [db * x for x in m._a]
+    ech = Subspace._empty(n + 1)
+    for i in range(m.rows):
+        ech._insert(core._primitive({j: x for j, x in enumerate(itertools.chain(a[i * n : (i + 1) * n], (m._d * bb[i],))) if x}))
+    pivots = ech.reduce()
+    if n in ech.rows:
+        return None
+    k = core._kernel(ech, pivots, n + 1)
+    rows = [k._a[i : i + n] for i in range(0, len(k._a), n + 1)]
+    return RatMatrix._of(1, n, k._d, [-v for v in rows.pop()]), RatMatrix._of(len(rows), n, k._d, list(itertools.chain(*rows)))
+
+
+def _old_inverse(m: RatMatrix) -> RatMatrix:
+    if not m.is_square:
+        raise ValueError("inverse of a non-square matrix")
+    n, a = m.rows, m._a
+    ech = Subspace._empty(2 * n)
+    for i in range(n):
+        ech._insert(core._primitive({j: x for j, x in itertools.chain(enumerate(a[i * n : (i + 1) * n]), ((n + i, m._d),)) if x}))
+    pivots = ech.reduce()
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return core._reduced_matrix(ech, pivots, n, 2 * n, n)
+
+
+def _old_nilpotent_jordan_type(z: RatMatrix) -> Partition:
+    if not z.is_square:
+        raise ValueError("Jordan type of a non-square matrix")
+    k = z.rows
+    if k == 0:
+        return Partition()
+    a = z._a
+    ranks = [k]
+    power = a
+    while True:
+        r = _old_row_space(power, k, k).dim
+        if r == ranks[-1]:
+            raise NotNilpotentError("matrix is not nilpotent")
+        ranks.append(r)
+        if not r:
+            break
+        power = core._int_matmul(power, a, k, k, k)
+    conj = [ranks[i - 1] - ranks[i] for i in range(1, len(ranks))]
+    return Partition(tuple(conj)).conjugate()
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_eliminations(m: RatMatrix, rhs) -> bool:
+    """rank, rref, kernel_basis, solve_linear (on each right-hand side), inverse
+    and nilpotent_jordan_type equal their input-order copies, entry for entry.
+    Returns whether the sort changed the raw echelon rows."""
+    assert rank(m) == _old_rank(m)
+    new, old = rref(m), _old_rref(m)
+    assert new[1] == old[1]
+    assert_pinned(new[0], old[0])
+    assert_pinned(kernel_basis(m), _old_integer_kernel_basis(m))
+    for b in rhs:
+        new, old = solve_linear(m, b), _old_integer_solve_linear(m, b)
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert_pinned(new[0], old[0])
+            assert_pinned(new[1], old[1])
+    new, old = _outcome(lambda: inverse(m)), _outcome(lambda: _old_inverse(m))
+    if isinstance(new, RatMatrix):
+        assert_pinned(new, old)
+    else:
+        assert new == old
+    assert _outcome(lambda: nilpotent_jordan_type(m)) == _outcome(lambda: _old_nilpotent_jordan_type(m))
+    # the scratch echelon is the input-order one of the rows in a stable sort by nonzero count
+    rows = sorted((m._a[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)), key=lambda row: sum(map(bool, row)))
+    new, old = _row_space(m._a, m.rows, m.cols), _old_row_space(list(itertools.chain(*rows)), m.rows, m.cols)
+    assert _raw_rows(new) == _raw_rows(old)
+    return _raw_rows(new) != _raw_rows(_old_row_space(m._a, m.rows, m.cols))
+
+
+@pytest.mark.parametrize("shape", ELIMINATION_SHAPES)
+def test_sparsest_first_eliminations_match_the_input_order_copies(shape):
+    rows, cols = shape
+    rng = random.Random(9800 + 31 * rows + cols)
+    reordered = 0
+    for _ in range(10):
+        m = _random_elimination_input(rng, rows, cols)
+        x = [_random_entry(rng) for _ in range(cols)]
+        reordered += _assert_same_eliminations(m, [m.apply(x), [_random_entry(rng) for _ in range(rows)], [0] * rows])
+        if rows == cols:
+            reordered += _assert_same_eliminations(m + RatMatrix.identity(rows).scale(Fraction(2**66 + 5, 11)), [])
+    assert reordered > 0 or min(rows, cols) <= 1
+
+
+def test_sparsest_first_eliminations_match_on_commutant_systems_and_centralizer_rows():
+    rng = random.Random(9900)
+    solved = reordered = 0
+    for k in range(1, 7):
+        for lam in partitions(k):
+            g = rand_invertible(rng, k, -2, 2)
+            z = g @ jordan_nilpotent(lam) @ inverse(g)
+            system = commutant_system([z])
+            # the Y-system [Y, Z] = tau Z^3 of solve_commutator_system, and an inconsistent one
+            rhs = [z.power(3).scale(Fraction(3, 5)).entries, RatMatrix.identity(k).entries]
+            reordered += _assert_same_eliminations(system, rhs) + _assert_same_eliminations(z, [])
+            solved += solve_linear(system, rhs[0]) is not None
+    assert solved == 29 and reordered > 20
+    reordered = 0
+    # the rows x^i y - y x^i, i = 1..n-1, that joint_centralizer_dim ranks, as it writes them
+    for n in range(1, 9):
+        for tau in (1, Fraction(3, 7)):
+            pair = sample_cm(n, rng.sample(range(-9, 10), n), tau, [rng.randint(-3, 3) for _ in range(n)])
+            xa, left, right, rows = pair.X._a, pair.Y._a, pair.Y._a, []
+            for _ in range(1, n):
+                left, right = core._int_matmul(xa, left, n, n, n), core._int_matmul(right, xa, n, n, n)
+                rows += [p - q for p, q in zip(left, right)]
+            reordered += _assert_same_eliminations(RatMatrix._of(max(n - 1, 0), n * n, 1, rows), [])
+            reordered += _assert_same_eliminations(pair.X.commutator(pair.Y), [])
+    assert reordered > 0

@@ -773,6 +773,33 @@ def test_both_procedures_reject_a_nonvanishing_tiebreak():
         decide_stability_121(monad_of_point((ONE, ONE), ONE), Polarization(-1, 0, 1), Polarization(1, 0, 0))
 
 
+def test_the_integer_pairing_check_raises_exactly_where_slope_is_nonzero():
+    # both procedures check theta . rep.dim on the polarizations scaled to integers;
+    # that must raise exactly where the Fraction pairing is nonzero, theta0 first
+    rng = random.Random(4200)
+    raised = {"theta0": 0, "theta1": 0, None: 0}
+    for _ in range(120):
+        dim = rng.choice([(1, 2, 1), (1, 3, 1), (0, 2, 1), (1, 1, 0)])
+        thetas = []
+        for _ in range(2):
+            t = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(3)]
+            if rng.random() < 0.6:  # pairs to zero with dim
+                j = max(range(3), key=lambda i: dim[i])
+                t[j] = -sum(x * d for i, (x, d) in enumerate(zip(t, dim)) if i != j) / dim[j]
+            thetas.append(Polarization(*t))
+        expected = next((name for name, t in zip(("theta0", "theta1"), thetas) if slope(t, dim) != 0), None)
+        raised[expected] += 1
+        rep = zero_rep(dim)
+        for call in (lambda: decide_stability_121(rep, *thetas), lambda: find_destabilizer(rep, *thetas, budget=1)):
+            if expected is None:
+                call()
+            else:
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"total slope of {expected} must vanish on the dimension vector"
+    assert min(raised.values()) > 15
+
+
 def test_decide_without_proper_classes_is_stable():
     for dim in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
         assert decide_stability_121(zero_rep(dim), Polarization(0, 0, 0)) == ("stable", None)
