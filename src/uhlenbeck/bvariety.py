@@ -8,10 +8,11 @@ The support of a triple is the characteristic polynomial of Y, a degree-k
 divisor on the affine line, and it is multiplicative under direct sums.
 
 All verification here is exact: the Y-solution space of the commutator
-identity is solved as a linear (Sylvester-type) system, cyclicity is a
-Krylov closure or, in the fiber probes, a rank and one coordinate (Nakayama,
-on N = Y - uI) or the zero entries (Vandermonde), and fiber dimensions are
-exact dimensions of linear strata and tangent spaces at sampled points.
+identity is solved as a linear (Sylvester-type) system, the fiber probes
+draw N = Y - uI directly (u only labels the divisor), cyclicity is a Krylov
+closure or, in the probes, a rank and one coordinate (Nakayama) or the zero
+entries (Vandermonde), and fiber dimensions are exact dimensions of linear
+strata and tangent spaces at sampled points.
 """
 
 from __future__ import annotations
@@ -312,12 +313,13 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     """Measure the fiber over the fully degenerate divisor k*u in one component.
 
     For each of two presentations of the nilpotent (block-major and
-    depth-major bases) the probe draws members N = Y - uI of the linear
-    stratum of Y-solutions with N strictly lower triangular, checks that each
-    is (the hypothesis of both proofs), and at them computes the exact
-    dimension of the stratum's image modulo the conjugation group: stratum
-    directions plus the free vector minus the tangent overlap with the
-    stabilizer orbit.  Reported dimensions are measurements on these strata
+    depth-major bases) the probe draws members N = Y - uI, directly, of the
+    linear stratum of Y-solutions with N strictly lower triangular, checks
+    its base point and directions are (the hypothesis of both proofs), and at
+    them computes the exact dimension of the stratum's image modulo the
+    conjugation group: stratum directions plus the free vector minus the
+    tangent overlap with the stabilizer orbit.  uI is central, so u only
+    labels the divisor.  Reported dimensions are measurements on these strata
     together with the k-1 upper bound; exactness of the bound is not asserted.
     """
     if samples < 1:
@@ -327,21 +329,19 @@ def fiber_probe(lam, u, tau, samples: int = 8, seed: int = 0) -> FiberProbe:
     k = lam.size
     presentations = dict.fromkeys([jordan_nilpotent(lam), depth_major_nilpotent(lam)])  # one when they agree
     rng = random.Random(seed)
-    sample_dims, stratum_dim, solution_dim = [], 0, 0
+    sample_dims, stratum_dim = [], 0
     for z in presentations:
-        y0, hom = solve_Y_space(z, tau)
-        solution_dim = len(hom)
-        base, directions = _triangular_stratum(y0, hom, u, k)
-        n0 = base - RatMatrix.diagonal([u] * k)
+        centralizer = kernel_basis(commutant_system([z])).blocks(k, k)  # the homogeneous Y-solutions
+        n0, directions = _lower_stratum(z, tau)
+        if any(x for m in (n0, *directions) for i in range(k) for x in m._a[i * k + i : (i + 1) * k]):
+            raise AssertionError("stratum member N = Y - uI is not strictly lower triangular")
         stratum_dim = max(stratum_dim, len(directions))
-        image_dim = _stratum_image_dim(hom, directions)
+        image_dim = _stratum_image_dim(centralizer, directions)
         for _ in range(samples):
             n = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [n0, *directions])
-            if any(x for i in range(k) for x in n._a[i * k + i : (i + 1) * k]):
-                raise AssertionError("stratum member N = Y - uI is not strictly lower triangular")
             found = _cyclic_drawn(rng, k, _nakayama_test(n, z))
             sample_dims.append(image_dim(n) if found else None)
-    return _probe(lam, u, tau, solution_dim, stratum_dim, sample_dims)
+    return _probe(lam, u, tau, len(centralizer), stratum_dim, sample_dims)
 
 
 def _nakayama_test(n: RatMatrix, z: RatMatrix) -> Callable[[Sequence], bool]:
@@ -372,18 +372,20 @@ def _probe(
     return FiberProbe(lam, k, u, tau, solution_dim, stratum_dim, found, max(found, default=None), max(k - 1, 0), bool(found))
 
 
-def _triangular_stratum(y0: RatMatrix, hom: Sequence[RatMatrix], u: Fraction, k: int) -> tuple[RatMatrix, list[RatMatrix]]:
-    """Affine slice of the Y-solution set with Y - uI strictly lower triangular."""
-    coords = [(i, j) for i in range(k) for j in range(k) if i <= j]
-    rows = [[h.entry(i, j) for h in hom] for (i, j) in coords]
-    rhs = [(u if i == j else Fraction(0)) - y0.entry(i, j) for (i, j) in coords]
-    solved = solve_linear(RatMatrix.from_rows(rows) if rows else RatMatrix(0, len(hom), ()), rhs)
+def _lower_stratum(z: RatMatrix, tau: Fraction) -> tuple[RatMatrix, list[RatMatrix]]:
+    """{N strictly lower triangular : [N, Z] = tau Z^3}, the stratum of Y - uI for every u
+    (uI is central), as (N0, directions) from one system: [N, Z] = tau Z^3 over P_j N e_j = 0,
+    P_j the first j + 1 rows of I.  The answer of ``solve_linear`` is canonical (N0 is 0 at the
+    free entries), so it depends only on this set and the row-major order of N's entries."""
+    k = z.rows
+    eye = RatMatrix.identity(k)
+    units = eye.blocks(1, k)
+    upper = [[(1, RatMatrix.vstack(units[: j + 1]), units[j].transpose())] for j in range(k)]
+    system = matrix_system([[(1, eye, z), (-1, z, eye)], *upper])
+    solved = solve_linear(system, z.power(3).scale(tau).entries + (0,) * (k * (k + 1) // 2))
     if solved is None:
         raise AssertionError("lower-triangular stratum is always nonempty")
-    c0, cker = solved
-    base = RatMatrix.combination([1, *c0.row(0)], [y0, *hom])
-    directions = [RatMatrix.combination(cker.row(i), hom) for i in range(cker.rows)]
-    return base, directions
+    return solved[0].blocks(k, k)[0], solved[1].blocks(k, k)
 
 
 def pair_centralizer_basis(y: RatMatrix, z: RatMatrix) -> list[RatMatrix]:

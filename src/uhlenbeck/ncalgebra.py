@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import RatMatrix, RatPoly, Subspace, Vector, _primitive, _term_str, kernel_basis, rat
+from .core import RatMatrix, RatPoly, Subspace, Vector, _echelon, _primitive, _term_str, kernel_basis, rat
 from .partitions import Frozen
 
 GENERATORS = ("x", "y", "z")
@@ -206,23 +206,26 @@ def graded_dim_computed(degree: int, tau) -> int:
 
 
 def _times_span(algebra, degree: int, t: Fraction) -> Subspace:
-    """Degree i at a rational t, for both algebras, as the span in the basis
-    ``algebra.keys(i)`` of each key of degree i-1 times each generator, by
-    ``algebra.times``.  Each key is its own word, so these span all words of length i.
+    """Degree i at a rational t, for both algebras, as the span of the rows of
+    ``_times_rows``.  Each key is its own word, so these span all words of length i."""
+    if degree == 0:
+        return Subspace.full(1)
+    width, rows = _times_rows(algebra, degree, t)
+    return _echelon(width, map(_primitive, rows))
+
+
+def _times_rows(algebra, degree: int, t: Fraction) -> tuple[int, list[dict[int, int]]]:
+    """(|keys(i)|, rows) for i >= 1: each key of degree i-1 times each generator,
+    in that order, by ``algebra.times``, as a sparse row in the basis ``algebra.keys(i)``.
 
     The rows are integer rows, scaled by t's denominator: every term of ``times``
     is c tau^e with e in {0, 1}, so with t = p/q, q > 0, the row times q has the
     entries c p^e q^(1-e).  A positive scale gives the same primitive row, and so
     the same echelon, as clearing the denominators of the rationals c t^e."""
-    if degree == 0:
-        return Subspace.full(1)
     index = {k: j for j, k in enumerate(algebra.keys(degree))}
-    span = Subspace(len(index))
     scaled = (t.denominator, t.numerator)  # q tau^e at tau = p/q, for e = 0, 1
-    for key in algebra.keys(degree - 1):
-        for g in algebra.generators:
-            span._insert(_primitive({index[k2]: v for k2, c, e in algebra.times(key, g) if (v := c * scaled[e])}))
-    return span
+    products = [algebra.times(key, g) for key in algebra.keys(degree - 1) for g in algebra.generators]
+    return len(index), [{index[k2]: v for k2, c, e in terms if (v := c * scaled[e])} for terms in products]
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +291,11 @@ DUAL_PAIR_ORDER: tuple[tuple[str, str], ...] = tuple(product(DUAL_GENERATORS, re
 
 
 def _pair_kernel(algebra, tau) -> list[Vector]:
-    """Kernel at a rational tau of g1 (x) g2 -> g1 g2, pairs in product order, in keys(2)."""
-    t = rat(tau)
-    keys2, one = algebra.keys(2), algebra.keys(0)[0]
-    index = {k: i for i, k in enumerate(keys2)}
-    cols = []
-    for pair in product(algebra.generators, repeat=2):
-        col = [Fraction(0)] * len(keys2)
-        for k, v in algebra.fold(one, pair).coefficients_at(t).items():
-            col[index[k]] = v
-        cols.append(col)
-    k = kernel_basis(RatMatrix.from_columns(cols))
+    """Kernel at a rational tau of g1 (x) g2 -> g1 g2, pairs in product order, in keys(2):
+    the degree-2 ``_times_rows`` read as columns, in product order as keys(1) is the
+    generators in order, and all scaled by one q > 0, which keeps the kernel."""
+    width, rows = _times_rows(algebra, 2, rat(tau))
+    k = kernel_basis(RatMatrix.from_columns([[row.get(i, 0) for i in range(width)] for row in rows]))
     return [k.row(i) for i in range(k.rows)]
 
 

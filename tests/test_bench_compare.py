@@ -55,3 +55,13 @@ def test_summary_counts_wins_by_the_better_direction_and_flags_the_bound():
     # 13.5 / 10.5 is 29% more: fine for a higher-is-better metric, past the bound for a lower-is-better one
     assert not up["worse_than_bound"] and down["worse_than_bound"]
     assert tool._quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+
+
+def test_a_side_that_is_neither_a_checkout_nor_a_revision_exits_2_with_one_line(tmp_path):
+    missing = str(tmp_path / "nonexistent" / "dir")
+    for argv in ([missing], ["HEAD", "--head", missing]):
+        proc = subprocess.run([sys.executable, str(TOOL), *argv, "--out", str(tmp_path / "BENCH.json")], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        (line,) = proc.stderr.splitlines()
+        assert repr(missing) in line and "Traceback" not in line
+    assert not (tmp_path / "BENCH.json").exists()

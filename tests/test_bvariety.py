@@ -22,9 +22,9 @@ from test_core import (
 )
 from uhlenbeck import bvariety
 from uhlenbeck.bvariety import (
+    _lower_stratum,
     _require_valid,
     _stratum_image_dim,
-    _triangular_stratum,
     BTriple,
     FiberProbe,
     SupportDivisor,
@@ -370,18 +370,23 @@ def _stratum_image_dim_by_intersection(y, v, centralizer, directions):
 
 def _watch_draws(monkeypatch, on_draw):
     """Call on_draw(member, rng, cyclic) before the draws for each stratum
-    member of fiber_probe and distinct_fiber_probe, and let the draws use the
-    cyclicity test it returns.  member holds the pair (y, z) the draws are
-    tested for, the u of the stratum and n = y - uI (None for
+    member of distinct_fiber_probe and of the returned fiber_probe, and let the
+    draws use the cyclicity test it returns.  member holds the pair (y, z) the
+    draws are tested for, the u of the stratum and n = y - uI (None for
     distinct_fiber_probe), and the centralizer and directions the member's
-    dimension is measured with."""
+    dimension is measured with.  The u is read off the probe's own arguments,
+    as the stratum of N = Y - uI does not depend on it."""
     member = {}
-    real = {name: getattr(bvariety, name) for name in ("_triangular_stratum", "_nakayama_test", "pair_centralizer_basis", "_cyclic_drawn")}
+    real = {name: getattr(bvariety, name) for name in ("_lower_stratum", "_nakayama_test", "pair_centralizer_basis", "_cyclic_drawn")}
 
-    def stratum(y0, hom, u, k):
-        base, directions = real["_triangular_stratum"](y0, hom, u, k)
-        member.update(u=u, centralizer=hom, directions=directions)
-        return base, directions
+    def probe(lam, u, tau, samples, seed):
+        member.update(u=rat(u))
+        return fiber_probe(lam, u, tau, samples, seed)
+
+    def stratum(z, tau):
+        n0, directions = real["_lower_stratum"](z, tau)
+        member.update(centralizer=solve_Y_space(z, tau)[1], directions=directions)
+        return n0, directions
 
     def nakayama_test(n, z):
         member.update(y=n + RatMatrix.diagonal([member["u"]] * n.rows), z=z, n=n)
@@ -397,6 +402,7 @@ def _watch_draws(monkeypatch, on_draw):
 
     for name, patched in zip(real, (stratum, nakayama_test, centralizer, drawn)):
         monkeypatch.setattr(bvariety, name, patched)
+    return probe
 
 
 def _krylov_draw(member, rng):
@@ -409,12 +415,12 @@ def _krylov_draw(member, rng):
 
 def test_fiber_probes_match_intersection_formula(monkeypatch):
     probes = [
-        lambda: fiber_probe(Partition((2, 1)), Fraction(1), ONE, samples=4, seed=3),
-        lambda: fiber_probe(Partition((3,)), Fraction(1, 2), Fraction(3, 7), samples=3, seed=1),
-        lambda: fiber_probe(Partition((2, 2)), Fraction(0), Fraction(2), samples=2, seed=1),
-        lambda: distinct_fiber_probe([0, 1, Fraction(5, 2)], ONE, samples=4, seed=2),
+        lambda fiber: fiber(Partition((2, 1)), Fraction(1), ONE, samples=4, seed=3),
+        lambda fiber: fiber(Partition((3,)), Fraction(1, 2), Fraction(3, 7), samples=3, seed=1),
+        lambda fiber: fiber(Partition((2, 2)), Fraction(0), Fraction(2), samples=2, seed=1),
+        lambda fiber: distinct_fiber_probe([0, 1, Fraction(5, 2)], ONE, samples=4, seed=2),
     ]
-    measured = [probe().sample_dims for probe in probes]
+    measured = [probe(fiber_probe).sample_dims for probe in probes]
     by_intersection = []
 
     def record(member, rng, cyclic):
@@ -424,10 +430,10 @@ def test_fiber_probes_match_intersection_formula(monkeypatch):
             by_intersection.append(_stratum_image_dim_by_intersection(member["y"], v, member["centralizer"], member["directions"]))
         return cyclic
 
-    _watch_draws(monkeypatch, record)
+    watched = _watch_draws(monkeypatch, record)
     for probe, dims in zip(probes, measured):
         by_intersection.clear()
-        assert probe().sample_dims == dims == tuple(by_intersection)
+        assert probe(watched).sample_dims == dims == tuple(by_intersection)
     assert all(measured) and any(any(dims) for dims in measured)
 
 
@@ -761,20 +767,35 @@ def assert_same_probe(new: FiberProbe, old: FiberProbe):
 
 
 def test_triangular_strata_match_pinned_sums():
-    no_directions = 0
-    for k in range(5):
+    # the stratum of N = Y - uI, solved once without u, is the old slice of
+    # Y-solutions (in centralizer coordinates) minus uI, for every u
+    no_directions, cases = 0, 0
+    for k in range(9):
         for lam in partitions(k):
-            for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5)), (Fraction(2**65 + 1, 9), -2)):
+            for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5)), (2, Fraction(-1, 2)), (Fraction(2**65 + 1, 9), -2)):
                 u, tau = Fraction(u), Fraction(tau)
-                for z in (jordan_nilpotent(lam), depth_major_nilpotent(lam)):
+                for z in dict.fromkeys([jordan_nilpotent(lam), depth_major_nilpotent(lam)]):
+                    n0, directions = _lower_stratum(z, tau)
                     y0, hom = solve_Y_space(z, tau)
-                    base, directions = _triangular_stratum(y0, hom, u, k)
                     old_base, old_directions = _old_triangular_stratum(y0, hom, u, k)
                     assert len(directions) == len(old_directions)
-                    for new, old in zip([base, *directions], [old_base, *old_directions]):
+                    old_n0 = old_base - RatMatrix.diagonal([u] * k)
+                    for new, old in zip([n0, *directions], [old_n0, *old_directions], strict=True):
                         assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
                     no_directions += not directions
-    assert no_directions >= 6
+                    cases += 1
+    assert no_directions >= 8 and cases == 472
+
+
+def test_fiber_probe_reads_u_only_for_its_record():
+    # the stratum of N = Y - uI does not depend on u, so neither do the draws
+    for k in range(7):
+        for lam in partitions(k):
+            for tau, samples, seed in ((1, 2, 0), (Fraction(3, 5), 3, 5)):
+                at_zero = fiber_probe(lam, 0, tau, samples, seed)
+                for u in (Fraction(-7, 3), 5):
+                    probe = fiber_probe(lam, u, tau, samples, seed)
+                    assert probe.u == u and probe._replace(u=Fraction(0)) == at_zero
 
 
 def test_fiber_probes_match_pinned_code():
@@ -943,10 +964,11 @@ def test_stratum_image_dim_matches_pinned_slice():
         for lam in partitions(k):
             for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5))):
                 for z in (jordan_nilpotent(lam), depth_major_nilpotent(lam)):
-                    y0, hom = solve_Y_space(z, tau)
-                    base, directions = _triangular_stratum(y0, hom, Fraction(u), k)
+                    _, hom = solve_Y_space(z, tau)
+                    n0, directions = _lower_stratum(z, Fraction(tau))
                     for _ in range(3):
-                        y = RatMatrix.combination([1] + [rng.randint(-3, 3) for _ in directions], [base, *directions])
+                        coeffs = [1, u] + [rng.randint(-3, 3) for _ in directions]
+                        y = RatMatrix.combination(coeffs, [n0, RatMatrix.identity(k), *directions])
                         v = _old_sample_cyclic_vector(rng, y, z)
                         if v is not None:
                             assert _stratum_image_dim(hom, directions)(y) == _old_stratum_image_dim(y, z, v, hom, directions)
@@ -989,11 +1011,11 @@ def test_orbit_span_has_the_centralizer_dimension_at_every_sample(monkeypatch):
             shrunk += 1
         return cyclic
 
-    _watch_draws(monkeypatch, checked)
+    watched = _watch_draws(monkeypatch, checked)
     for k in range(7):
         for lam in partitions(k):
             for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5))):
-                fiber_probe(lam, u, tau, samples=3, seed=k)
+                watched(lam, u, tau, samples=3, seed=k)
     for spectrum in ([], [0], [Fraction(1, 2), -3], [0, 1, Fraction(-5, 7), 3]):
         distinct_fiber_probe(spectrum, 1, samples=3, seed=1)
     assert len(calls) > 250 and max(calls) == 6 and calls.count(0) >= 2 and shrunk > 250
@@ -1026,11 +1048,11 @@ def test_span_rule_decides_cyclicity_on_every_draw(monkeypatch):
 
         return test
 
-    _watch_draws(monkeypatch, checked)
+    watched = _watch_draws(monkeypatch, checked)
     for k in range(8):
         for lam in partitions(k):
             for u, tau in ((0, 1), (Fraction(-7, 3), Fraction(3, 5)), (2, Fraction(-1, 2))):
-                fiber_probe(lam, u, tau, samples=4, seed=3)
+                watched(lam, u, tau, samples=4, seed=3)
     fiber_draws = len(verdicts)
     for k in range(8):
         for seed in range(3):
@@ -1072,20 +1094,21 @@ def test_fiber_probe_rejects_a_member_that_is_not_lower_triangular(monkeypatch):
     # conjugated by the basis reversal, every N = Y - uI of the stratum is
     # strictly upper triangular and keeps the char poly (t - u)^k, so only the
     # triangularity check, the hypothesis of the Nakayama rule, rejects it
-    real = bvariety._triangular_stratum
+    real = bvariety._lower_stratum
 
-    def reversed_stratum(y0, hom, u, k):
+    def reversed_stratum(z, tau):
+        k = z.rows
         p = RatMatrix.from_rows([[int(i + j == k - 1) for j in range(k)] for i in range(k)])
-        base, directions = real(y0, hom, u, k)
-        return p @ base @ p, [p @ d @ p for d in directions]
+        n0, directions = real(z, tau)
+        return p @ n0 @ p, [p @ d @ p for d in directions]
 
     cases = (((2, 1), Fraction(1), ONE), ((4, 3, 2, 1), Fraction(-7, 3), Fraction(3, 5)))
     for lam, u, tau in cases:
         k = sum(lam)
-        base, directions = reversed_stratum(*solve_Y_space(jordan_nilpotent(lam), tau), u, k)
-        y = RatMatrix.combination([1] * (1 + len(directions)), [base, *directions])
+        n0, directions = reversed_stratum(jordan_nilpotent(lam), tau)
+        y = RatMatrix.combination([1, u] + [1] * len(directions), [n0, RatMatrix.identity(k), *directions])
         assert char_poly(y) == (RatPoly((0, 1)) - u) ** k and not (y - RatMatrix.diagonal([u] * k)).is_zero
-    monkeypatch.setattr(bvariety, "_triangular_stratum", reversed_stratum)
+    monkeypatch.setattr(bvariety, "_lower_stratum", reversed_stratum)
     for lam, u, tau in cases:
         with pytest.raises(AssertionError, match="stratum member N = Y - uI is not strictly lower triangular"):
             fiber_probe(lam, u, tau, 2, 0)

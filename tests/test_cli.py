@@ -541,6 +541,15 @@ def test_bvar_fiber_at_its_caps_matches_its_pin(capsys, command):
     assert _digest(capsys.readouterr().out.encode("utf-8")) == FIBER_CAP_PINS[command]
 
 
+@pytest.mark.parametrize("u", ["0", "5"])
+@pytest.mark.parametrize("command", sorted(FIBER_CAP_PINS))
+def test_bvar_fiber_output_does_not_depend_on_u(capsys, command, u):
+    # --u names the divisor k u; the stratum of N = Y - uI is the same for every u
+    argv = [arg for arg in command.split(" ") if not arg.startswith("--u=")] + [f"--u={u}"]
+    assert main(argv) == 0
+    assert _digest(capsys.readouterr().out.encode("utf-8")) == FIBER_CAP_PINS[command]
+
+
 def test_nc_dims_at_the_degree_cap_matches_its_pin(capsys):
     # recorded while the graded-dimension rows were still built from Fractions;
     # the golden outputs reach only degree 24

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import kernel_vectors
 from uhlenbeck import ncalgebra
-from uhlenbeck.core import RatMatrix, RatPoly, Subspace, _integer_row, rat
+from uhlenbeck.core import RatMatrix, RatPoly, Subspace, _integer_row, kernel_basis, rat
 from uhlenbeck.ncalgebra import (
     DUAL_BASIS,
     DUAL_GENERATORS,
@@ -669,3 +669,27 @@ def test_integer_rows_equal_the_rational_rows(algebra, tau):
                 assert {e for _, _, e in terms} <= {0, 1}, (key, g)
                 rational._insert(_integer_row((index[k2], c * tau**e) for k2, c, e in terms))
         assert ncalgebra._times_span(algebra, degree, tau).rows == rational.rows, degree
+
+
+def _old_pair_kernel(algebra, tau):
+    """``_pair_kernel`` as it was: Fraction columns of the folded products."""
+    t = rat(tau)
+    keys2, one = algebra.keys(2), algebra.keys(0)[0]
+    index = {k: i for i, k in enumerate(keys2)}
+    cols = []
+    for pair in product(algebra.generators, repeat=2):
+        col = [Fraction(0)] * len(keys2)
+        for k, v in algebra.fold(one, pair).coefficients_at(t).items():
+            col[index[k]] = v
+        cols.append(col)
+    k = kernel_basis(RatMatrix.from_columns(cols))
+    return [k.row(i) for i in range(k.rows)]
+
+
+@pytest.mark.parametrize("tau", [Fraction(0), Fraction(1), Fraction(3, 7), Fraction(-355, 113), Fraction(-2), Fraction(2**70 + 1, 3)])
+def test_pair_kernels_from_the_degree_two_rows_match_the_folded_columns(tau):
+    # the degree-2 rows come in product order because keys(1) spells the generators in order
+    for algebra in (NCElement, DualElement):
+        assert [algebra.word(key) for key in algebra.keys(1)] == [(g,) for g in algebra.generators]
+    for new, old in ((relation_kernel(tau), _old_pair_kernel(NCElement, tau)), (dual_relation_kernel(tau), _old_pair_kernel(DualElement, tau))):
+        assert new == old and all(type(x) is Fraction for v in new for x in v)

@@ -24,7 +24,8 @@ and per workload and metric: both sides' medians and quartiles, the number
 of pairs in which HEAD was better, and the HEAD / BASE ratio of the medians
 next to the metric's bound from ``BENCHMARK.json``.  A markdown table of the
 same goes to stdout.  The exit status is 1 when a run fails, reads
-``"correct": false`` or the sides are not comparable, else 0.
+``"correct": false`` or the sides are not comparable, 2 when BASE or HEAD is
+neither a checkout nor a revision, else 0.
 
 Standard library only.
 """
@@ -83,7 +84,11 @@ def _tree(spec: str | None, scratch: Path, name: str) -> tuple[Path, dict]:
     path = ROOT if spec is None else Path(spec)
     if (path / "perfbench" / "run.py").is_file():
         return path.resolve(), {"spec": spec or "this checkout", "source": "directory", **_commit(path)}
-    sha = _git("rev-parse", "--verify", f"{spec}^{{commit}}")
+    try:
+        sha = _git("rev-parse", "--verify", f"{spec}^{{commit}}")
+    except subprocess.CalledProcessError:
+        print(f"bench_compare: {spec!r} is neither a checkout with perfbench/run.py nor a git revision", file=sys.stderr)
+        raise SystemExit(2) from None
     blob = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True, capture_output=True).stdout
     out = scratch / name
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
