@@ -266,9 +266,9 @@ COMMANDS = {
         (("rep size", 240, lambda a: sum(a.input.dim)),),
         (("--rep", REQUIRED), ("--tau", {})),
     ),
-    # the search cost grows with both, so the two caps go together; at both, tests/data/rep_252.json
-    # takes 0.11 s with --theta0=-1,0,1 --theta1=5,-4,5 and 0.04 s in the other order (median of 5
-    # subprocesses, 2-vCPU x86-64, Python 3.11)
+    # the search cost grows with both, so the two caps go together; at both, tests/data/rep_252.json takes
+    # 0.10 s with --theta0=-1,0,1 --theta1=5,-4,5, tests/data/rep_234.json 0.09 s, each 0.07-0.08 s in the
+    # other order and 0.07 s for a bare start (median of 5 subprocesses, 2-vCPU x86-64, Python 3.11)
     "quiver stability": (
         _quiver_stability,
         (("rep size", 9, lambda a: sum(a.input.dim)), ("budget", 32)),

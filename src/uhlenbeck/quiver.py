@@ -285,10 +285,10 @@ def decide_stability_121(
 
 
 def _distinct(spaces: list[Subspace]) -> list[Subspace]:
-    """The first space of each span, in order; unlike ``dict.fromkeys``, keys each space once."""
+    """The first space of each span, in order, keyed once each: by dimension if zero or full, else by ``_key``."""
     first = {}
     for s in spaces:
-        first.setdefault(s._key(), s)
+        first.setdefault(s.dim if s.dim in (0, s.ambient) else s._key(), s)
     return list(first.values())
 
 
@@ -306,13 +306,24 @@ def find_destabilizer(
     `budget` random vectors per vertex; a returned witness has slope tuple
     lexicographically below zero.  None means only that the search failed;
     it certifies semistability only where the exact decision applies.
+
+    The witness is the first closure in loop order with a new dimension vector below
+    zero, and four rules skip only closures whose vectors all came earlier: where
+    S2 = U2 + F(U1) is 0 or V2, G(S2) is 0 or the sum of im G_b, so only the first pair
+    with its (dim U1, dim S2) runs; where G(S2) = V3, every S3 is V3, so only the first
+    U3 runs; ``_distinct`` keys zero and full spans by dimension; F's joint kernel, which
+    is 0 (a copy of the first U1) if one kernel is, is built only when none is.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     key_of, slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
     zero = key_of((0, 0, 0))
     r1, r2, r3 = rep.dim
     F, G = _maps(rep.F), _maps(rep.G)
 
-    cands1 = [Subspace(r1), Subspace.full(r1), *map(kernel_space, F), kernel_space(*F)]
+    cands1 = [Subspace(r1), Subspace.full(r1), *map(kernel_space, F)]
+    if all(k.dim for k in cands1[2:]):
+        cands1.append(kernel_space(*F))
 
     cands2 = [Subspace(r2), Subspace.full(r2)]
     for a in ARROWS:
@@ -337,15 +348,19 @@ def find_destabilizer(
                 cands.append(Subspace(n, [[rng.randint(-5, 5) for _ in range(n)]]))
 
     cands1, cands2, cands3 = map(_distinct, (cands1, cands2, cands3))
-    seen_dims = set()
+    seen_dims, ends_run = set(), set()
     # generated_subrep(rep, u1, u2, u3) with its images hoisted: the F-image
     # depends only on u1, and s2 and its G-image only on (u1, u2)
     for u1 in cands1:
         f1 = u1.image_under(*F)
         for u2 in cands2:
             s2 = u2.sum(f1)
+            if s2.dim in (0, r2):
+                if (u1.dim, s2.dim) in ends_run:
+                    continue
+                ends_run.add((u1.dim, s2.dim))
             g2 = s2.image_under(*G)
-            for u3 in cands3:
+            for u3 in cands3 if g2.dim < r3 else cands3[:1]:
                 s3 = u3.sum(g2)
                 dims = (u1.dim, s2.dim, s3.dim)
                 if dims == (0, 0, 0) or dims == rep.dim or dims in seen_dims:

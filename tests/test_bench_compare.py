@@ -31,6 +31,10 @@ def test_a_checkout_compared_with_itself_reads_one_fingerprint(tmp_path):
     assert len(w["fingerprints"]) == 1
     (pair,) = w["pairs"]
     assert pair["first"] == "base" and pair["base"]["correct"] and pair["head"]["correct"]
+    # quiver-search reports both outcome ratios; nothing fails on a correct run
+    for side in ("base", "head"):
+        assert pair[side]["failed_ratio"] == 0 and 0 <= pair[side]["unknown_ratio"] <= 1
+    assert w["ratios"] == {r: {side: pair[side][r] for side in ("base", "head")} for r in ("failed_ratio", "unknown_ratio")}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     assert list(w["metrics"]) == [m["name"] for m in spec["end_to_end"]]
     for metric in spec["end_to_end"]:
@@ -39,6 +43,8 @@ def test_a_checkout_compared_with_itself_reads_one_fingerprint(tmp_path):
         assert m["base"]["median"] == pair["base"]["metrics"][metric["name"]]
         assert m["ratio"] == m["head"]["median"] / m["base"]["median"]
     assert "| quiver-search | items_per_s (1/s) |" in proc.stdout
+    fmt = _tool()._fmt
+    assert f"| quiver-search | 0 | 0 | {fmt(pair['base']['unknown_ratio'])} | {fmt(pair['head']['unknown_ratio'])} |" in proc.stdout.splitlines()
 
 
 def test_summary_counts_wins_by_the_better_direction_and_flags_the_bound():

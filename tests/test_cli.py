@@ -22,7 +22,7 @@ from uhlenbeck.calogero import sample_cm
 from uhlenbeck.cli import build_parser, dispatch, main
 from uhlenbeck.core import RatMatrix
 from uhlenbeck.quiver import monad_of_point
-from uhlenbeck.serialize import matrix_to_json, pair_to_json, rep_to_json, triple_to_json
+from uhlenbeck.serialize import matrix_to_json, pair_to_json, rep_from_json, rep_to_json, triple_to_json
 
 
 def run_ok(argv):
@@ -750,6 +750,18 @@ def test_negative_capped_integers_are_rejected(argv, flag, cap):
     code, envelope = dispatch([a.format(-1) for a in argv])
     assert code == 1 and envelope["status"] == "error"
     assert envelope["error"] == f"{argv[0]} {argv[1]} needs {flag} >= 0"
+
+
+def test_negative_budget_envelope_is_pinned(capsys):
+    # the cap check stops a negative --budget before the search, which rejects one too
+    argv = ["quiver", "stability", "--rep", str(DATA / "rep_252.json"), "--theta0=-1,0,1", "--theta1=5,-4,5", "--budget", "-1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        '{\n  "error": "quiver stability needs budget >= 0",\n  "meta": {\n    "seed": 0,\n    "tau": "1",\n'
+        '    "version": "0.1.0"\n  },\n  "payload": null,\n  "status": "error"\n}\n'
+    )
+    with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+        quiver.find_destabilizer(rep_from_json(json.loads((DATA / "rep_252.json").read_text())), quiver.Polarization(-1, 0, 1), budget=-1)
 
 
 def test_negative_report_size_is_rejected(tmp_path):

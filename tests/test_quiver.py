@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +11,7 @@ from test_core import PRODUCT_KINDS, _product_input, _random_entry, assert_pinne
 from uhlenbeck import quiver
 from uhlenbeck.core import RatMatrix, Subspace, column_space, kernel_space
 from uhlenbeck.ncalgebra import dual_relation_kernel
+from uhlenbeck.serialize import rep_from_json
 from uhlenbeck.quiver import (
     ARROWS,
     Polarization,
@@ -560,6 +563,181 @@ def test_destabilizer_search_matches_pinned_search_without_g():
             new = find_destabilizer(rep, theta, tiebreak, budget=budget, seed=3)
             old = _old_find_destabilizer(rep, theta, tiebreak, budget=budget, seed=3)
             assert _witness_key(new) == _witness_key(old)
+
+
+# ---------------------------------------------------------------------------
+# the destabilizer search before its skipping rules
+#
+# Verbatim copies of find_destabilizer and _distinct from before the search
+# skipped closures whose dimension vectors were already decided.  Every
+# witness must come out identical, down to the raw echelon rows of each
+# subspace, which ``==``, ``hash`` and ``basis`` would reduce in place.
+
+from itertools import combinations  # noqa: E402
+
+from uhlenbeck.quiver import _lex_slopes  # noqa: E402
+
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def _unpruned_distinct(spaces: list[Subspace]) -> list[Subspace]:
+    """The first space of each span, in order; unlike ``dict.fromkeys``, keys each space once."""
+    first = {}
+    for s in spaces:
+        first.setdefault(s._key(), s)
+    return list(first.values())
+
+
+def _unpruned_find_destabilizer(rep, theta, theta_tiebreak=None, *, budget, seed=0):
+    key_of, slopes_of = _lex_slopes(rep, theta, theta_tiebreak)
+    zero = key_of((0, 0, 0))
+    r1, r2, r3 = rep.dim
+    F, G = quiver._maps(rep.F), quiver._maps(rep.G)
+
+    cands1 = [Subspace(r1), Subspace.full(r1), *map(kernel_space, F), kernel_space(*F)]
+
+    cands2 = [Subspace(r2), Subspace.full(r2)]
+    for a in ARROWS:
+        cands2.append(kernel_space(rep.G[a]))
+        cands2.append(column_space(rep.F[a]))
+    cands2.append(column_space(*F))
+    cands2.append(kernel_space(*G))
+    # the meets and joins of pairs, in order, while fewer than budget (at least one pair)
+    pairwise = []
+    for a, b in combinations(cands2[2:], 2):
+        pairwise += (a.intersect(b), a.sum(b))
+        if len(pairwise) >= budget:
+            break
+    cands2.extend(pairwise)
+
+    cands3 = [Subspace(r3), Subspace.full(r3), *map(column_space, G)]
+
+    rng = random.Random(seed)
+    for _ in range(budget):
+        for cands, n in ((cands1, r1), (cands2, r2), (cands3, r3)):
+            if n:
+                cands.append(Subspace(n, [[rng.randint(-5, 5) for _ in range(n)]]))
+
+    cands1, cands2, cands3 = map(_unpruned_distinct, (cands1, cands2, cands3))
+    seen_dims = set()
+    # generated_subrep(rep, u1, u2, u3) with its images hoisted: the F-image
+    # depends only on u1, and s2 and its G-image only on (u1, u2)
+    for u1 in cands1:
+        f1 = u1.image_under(*F)
+        for u2 in cands2:
+            s2 = u2.sum(f1)
+            g2 = s2.image_under(*G)
+            for u3 in cands3:
+                s3 = u3.sum(g2)
+                dims = (u1.dim, s2.dim, s3.dim)
+                if dims == (0, 0, 0) or dims == rep.dim or dims in seen_dims:
+                    continue
+                seen_dims.add(dims)
+                if key_of(dims) < zero:
+                    return StabilityWitness(dims, slopes_of(dims), (u1, s2, s3))
+    return None
+
+
+def _raw_witness(w):
+    """dims, slopes and each subspace's echelon rows as stored: lead columns and entries in order."""
+    if w is None:
+        return None
+    assert all(type(s) is Fraction for s in w.slopes)
+    return w.dim, w.slopes, tuple(tuple((c, tuple(row.items())) for c, row in s.rows.items()) for s in w.subspaces)
+
+
+def _three_orders(theta0, theta1):
+    return ((theta0, theta1), (theta1, theta0), (theta0, None))
+
+
+def _assert_unpruned_witnesses(rep, orders, budgets, seed=0) -> int:
+    """Both searches on every order and budget; returns the number of witnesses found."""
+    found = 0
+    for theta, tiebreak in orders:
+        for budget in budgets:
+            new = _raw_witness(find_destabilizer(rep, theta, tiebreak, budget=budget, seed=seed))
+            old = _raw_witness(_unpruned_find_destabilizer(rep, theta, tiebreak, budget=budget, seed=seed))
+            assert new == old, (rep.dim, theta, tiebreak, budget)
+            found += new is not None
+    return found
+
+
+def _random_rep(dim, seed):
+    """Integer maps in [-3, 3], F then G in ARROWS order, row by row; the relations need not hold."""
+    r1, r2, r3 = dim
+    rng = random.Random(seed)
+    F = {a: RatMatrix(r2, r1, [rng.randint(-3, 3) for _ in range(r1 * r2)]) for a in ARROWS}
+    G = {a: RatMatrix(r3, r2, [rng.randint(-3, 3) for _ in range(r2 * r3)]) for a in ARROWS}
+    return QuiverRep(dim, F, G, ONE)
+
+
+def _shape_polarizations(dim):
+    """(-r3, 0, r1) and (r2, -r1 - r3, r2), or (r3, 0, -r1) where r2 = 0: both pair to zero with dim."""
+    r1, r2, r3 = dim
+    return Polarization(-r3, 0, r1), Polarization(r2, -r1 - r3, r2) if r2 else Polarization(r3, 0, -r1)
+
+
+def test_skipping_search_keeps_every_witness_on_the_quiver_search_vectors():
+    # the four vectors quiver-search samples, at both of its taus; budget 32
+    # runs on one rep per vector and tau, since the unpruned search is slow there
+    found = searched = 0
+    for i, rdn in enumerate(((1, 0, 1), (2, 0, 1), (2, 1, 2), (1, 0, 2))):
+        orders = _three_orders(*polarizations(*rdn))
+        for tau in (ONE, Fraction(3, 7)):
+            for seed, budgets in ((40 + i, (0, 2, 5, 32)), (50 + i, (0, 2, 5))):
+                rep = sample_relation_rep(alpha(*rdn), tau, seed=seed)
+                found += _assert_unpruned_witnesses(rep, orders, budgets, seed=seed)
+                searched += len(orders) * len(budgets)
+    assert searched == 168 and 0 < found < searched
+
+
+def test_skipping_search_keeps_every_witness_on_the_rep_files():
+    found = 0
+    for name, theta0, theta1, budgets in (
+        ("rep_252.json", Polarization(-1, 0, 1), Polarization(5, -4, 5), (2, 32)),
+        ("rep_234.json", Polarization(-4, 0, 2), Polarization(3, -2, 0), (0, 5)),
+    ):
+        rep = rep_from_json(json.loads((DATA / name).read_text(encoding="utf-8")))
+        found += _assert_unpruned_witnesses(rep, _three_orders(theta0, theta1), budgets)
+    assert 0 < found < 12
+
+
+def test_skipping_search_keeps_every_witness_on_every_rep_size_9_shape():
+    # one random rep per shape r1 + r2 + r3 = 9 at small budgets, and the edge
+    # shapes, each with one vertex of dimension 0, at every budget
+    shapes = [(r1, r2, 9 - r1 - r2) for r1 in range(10) for r2 in range(10 - r1)]
+    found = 0
+    for seed, dim in enumerate(shapes):
+        found += _assert_unpruned_witnesses(_random_rep(dim, seed), _three_orders(*_shape_polarizations(dim)), (0, 2, 5), seed)
+    for seed, dim in enumerate(((1, 3, 0), (0, 3, 2), (2, 0, 2))):
+        found += _assert_unpruned_witnesses(_random_rep(dim, seed), _three_orders(*_shape_polarizations(dim)), (0, 2, 5, 32), seed)
+    assert len(shapes) == 55 and 0 < found < 9 * 55 + 36
+
+
+def test_at_cap_search_of_rep_252_makes_few_subspace_sums(monkeypatch):
+    # 27,016 sums before the search skipped decided closures
+    rep = rep_from_json(json.loads((DATA / "rep_252.json").read_text(encoding="utf-8")))
+    calls, real = [], Subspace.sum
+
+    def counting(self, other):
+        calls.append(None)
+        return real(self, other)
+
+    monkeypatch.setattr(Subspace, "sum", counting)
+    assert find_destabilizer(rep, Polarization(-1, 0, 1), Polarization(5, -4, 5), budget=32, seed=0) is None
+    assert 0 < len(calls) <= 2100
+
+
+def test_negative_budget_is_rejected_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the search ran before checking its budget")
+
+    for name in ("_lex_slopes", "kernel_space", "column_space"):
+        monkeypatch.setattr(quiver, name, no_work)
+    # (1, 1, 1) does not even pair to zero with the dimension vector
+    for budget in (-1, -3):
+        with pytest.raises(ValueError, match="^budget must be nonnegative$"):
+            find_destabilizer(zero_rep((2, 3, 2)), Polarization(1, 1, 1), budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,11 @@ The JSON written to --out holds both commits, the settings, nproc, the
 Python version and the load average before and after, every run's metrics,
 and per workload and metric: both sides' medians and quartiles, the number
 of pairs in which HEAD was better, and the HEAD / BASE ratio of the medians
-next to the metric's bound from ``BENCHMARK.json``.  A markdown table of the
-same goes to stdout.  The exit status is 1 when a run fails, reads
+next to the metric's bound from ``BENCHMARK.json``.  Each run also records
+its ``failed_ratio`` and, where the workload reports one, its ``unknown_ratio``
+(the share of searches that found no witness), and each workload both sides'
+medians of them, so that a faster run that decides less shows.  A markdown
+table of the same goes to stdout.  The exit status is 1 when a run fails, reads
 ``"correct": false`` or the sides are not comparable, 2 when BASE or HEAD is
 neither a checkout nor a revision, else 0.
 
@@ -47,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("verify-points", "nilpotent-scan", "quiver-search", "cli-tables")
 CLI_FILES = ("perfbench/golden.json", "perfbench/clitables.py")
+RATIOS = ("failed_ratio", "unknown_ratio")
 
 
 def _parse(argv):
@@ -97,7 +101,7 @@ def _tree(spec: str | None, scratch: Path, name: str) -> tuple[Path, dict]:
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run: its last line (the end-to-end metrics) and its fingerprint."""
+    """One untraced perfbench run: its last line (the end-to-end metrics), its fingerprint and outcome ratios."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -109,7 +113,8 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     metrics = {name: m["value"] for name, m in final["metrics"].items()}
     ok = final["correct"] and proc.returncode == 0
     return {"ok": ok, "correct": final["correct"], "attempted": final["attempted"], "failed": final["failed"],
-            "fingerprint": detail.get("fingerprint"), "metrics": metrics}
+            "fingerprint": detail.get("fingerprint"), **{r: detail[r]["value"] for r in RATIOS if r in detail},
+            "metrics": metrics}
 
 
 def _quartiles(xs: list[float]) -> dict:
@@ -131,6 +136,12 @@ def _summary(pairs: list[dict], spec: dict) -> dict:
         out[name] = {"unit": metric["unit"], "better": metric["better"], "bound": bound, **sides,
                      "head_wins": wins, "pairs": len(pairs), "ratio": ratio, "worse_than_bound": worse}
     return out
+
+
+def _ratio_medians(pairs: list[dict]) -> dict:
+    """Both sides' medians of each outcome ratio that every run records."""
+    names = [r for r in RATIOS if all(r in p[side] for p in pairs for side in ("base", "head"))]
+    return {r: {side: statistics.median([p[side][r] for p in pairs]) for side in ("base", "head")} for r in names}
 
 
 def _comparable(workload: str, pairs: list[dict], trees: dict) -> dict:
@@ -168,6 +179,11 @@ def table(record: dict) -> str:
                 f" | {_fmt(m['head']['median'])} [{_fmt(m['head']['q1'])}, {_fmt(m['head']['q3'])}]"
                 f" | {ratio} | {m['head_wins']} of {m['pairs']} | ±{m['bound']:.0%} |"
             )
+    lines += ["", "| workload | failed_ratio base | failed_ratio head | unknown_ratio base | unknown_ratio head |", "|---|---|---|---|---|"]
+    for workload, w in record["workloads"].items():
+        if "ratios" in w:
+            cells = [_fmt(w["ratios"][r][side]) if r in w["ratios"] else "n/a" for r in RATIOS for side in ("base", "head")]
+            lines.append(f"| {workload} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
 
@@ -203,7 +219,7 @@ def compare(args) -> dict:
             if failed:
                 entry["error"] = failed[0]
             else:
-                entry.update(_comparable(workload, pairs, trees), metrics=_summary(pairs, spec))
+                entry.update(_comparable(workload, pairs, trees), metrics=_summary(pairs, spec), ratios=_ratio_medians(pairs))
             record["workloads"][workload] = entry
         record["environment"]["loadavg_end"] = list(os.getloadavg())
     return record
