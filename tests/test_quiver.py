@@ -11,7 +11,6 @@ from test_core import PRODUCT_KINDS, _product_input, _random_entry, assert_pinne
 from uhlenbeck import quiver
 from uhlenbeck.core import RatMatrix, Subspace, column_space, kernel_space
 from uhlenbeck.ncalgebra import dual_relation_kernel
-from uhlenbeck.serialize import rep_from_json
 from uhlenbeck.quiver import (
     ARROWS,
     Polarization,
@@ -30,6 +29,7 @@ from uhlenbeck.quiver import (
     sample_relation_rep,
     slope,
 )
+from uhlenbeck.serialize import rep_from_json
 
 ONE = Fraction(1)
 
